@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, InvalidUsageError
 from .geometry.config import (Configuration, build_case_a, build_case_b,
-                              build_case_d, build_two_disks)
+                              build_case_d, build_case_d_like, build_two_disks)
 from .geometry.shapes import Disk, HarmonicBackground
 from .geometry.body import Body
 from . import images
@@ -427,17 +427,3 @@ def _suite_case_d(cfg, controls, eps_grid) -> DiagnosticReport:
     rep.checks.append(DiagnosticCheck.from_ratios(
         "difference_vs_sqrt_eps_over_r1", per_r1, np.inf, "informational"))
     return rep
-
-
-def build_case_d_like(cfg: Configuration, eps: float) -> Configuration:
-    """Rebuild a Case D scene with both gaps set to eps by translating the
-    outer bodies along the x-axis."""
-    from .geometry.gap import body_gap
-    from .geometry.config import _solve_translation, _recenter_on_gap
-
-    left, mid, right = cfg.bodies
-    left = _solve_translation(left, mid, np.array([-1.0, 0.0]), eps)
-    right = _solve_translation(right, mid, np.array([1.0, 0.0]), eps)
-    bodies = _recenter_on_gap([left, mid, right], 0, 1)
-    return Configuration(tuple(bodies), cfg.groups, cfg.background, "D",
-                         dict(cfg.params, eps1=eps, eps2=eps))

@@ -27,9 +27,8 @@ from .geometry.serialize import ConfigParseError, RunInput, parse_run
 from .solver.mesh import MeshControls
 from .solver.nystrom import SceneOperator, max_gap_gradient
 from .svgplot import log_log_plot
-from .sweeps import (RateFit, SweepSpec, Tie, fit_rate, log_grid,
-                     parse_table_csv, run_sweep, sandwich_check,
-                     serialize_table)
+from .sweeps import (RateFit, SweepSpec, Tie, fit_power_law, log_grid,
+                     parse_table_csv, run_sweep, serialize_table)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,11 +91,8 @@ def cmd_solve(manifest: RunManifest) -> int:
         for i in range(j):
             lines.append(f"potential_difference_{j + 1}{i + 1},"
                          f"{u.potential_difference(j, i)!r}")
-    dnu = u.normal_derivative_nodes()
-    for g, members in enumerate(u.groups):
-        idx = np.concatenate([u.mesh.body_nodes(b) for b in members])
-        res = float(np.sum(u.mesh.weights[idx] * dnu[idx]))
-        lines.append(f"flux_residual_{g + 1},{res!r}")
+    for g, res in enumerate(u.flux_quadrature()):
+        lines.append(f"flux_residual_{g + 1},{float(res)!r}")
     for (i, j), info in sorted(cfg.all_conductor_gaps().items()):
         mg = max_gap_gradient(u, info)
         lines.append(f"gap_distance_{i + 1}{j + 1},{info.distance!r}")
@@ -120,18 +116,24 @@ def _spec_from_run(run: RunInput, manifest: RunManifest) -> SweepSpec:
     case_tag = run.cfg.case_tag if run.cfg.case_tag in ("A", "B", "pair") else None
     if case_tag is None:
         raise ConfigParseError("sweeps need a canonical case (A, B or pair)", 0)
+    for key in ("grid", "quantities"):
+        if key not in sweep:
+            raise ConfigParseError(f"the [sweep] section needs a {key!r} key", 0)
     vary = sweep["vary"].strip()
-    lo, hi, pts = (s.strip() for s in sweep.get("grid", "").split(","))
-    grid = log_grid(float(lo), float(hi), int(pts))
-    quantities = tuple(q.strip() for q in sweep["quantities"].split(",") if q.strip())
-    fixed = {k: v for k, v in run.cfg.params.items() if k != vary}
-    for tie in (t for t in sweep.get("tie", "").split(",") if t.strip()):
-        name, ratio = tie.split(":")
-        fixed[name.strip()] = Tie(float(ratio))
-    seed = int(sweep.get("seed", manifest.seed))
-    return SweepSpec(case_tag=case_tag, vary=vary, grid=grid, fixed=fixed,
-                     quantities=quantities,
-                     controls=_controls_for(manifest, run), seed=seed)
+    try:
+        lo, hi, pts = (s.strip() for s in sweep["grid"].split(","))
+        grid = log_grid(float(lo), float(hi), int(pts))
+        quantities = tuple(q.strip() for q in sweep["quantities"].split(",") if q.strip())
+        fixed = {k: v for k, v in run.cfg.params.items() if k != vary}
+        for tie in (t for t in sweep.get("tie", "").split(",") if t.strip()):
+            name, ratio = tie.split(":")
+            fixed[name.strip()] = Tie(float(ratio))
+        seed = int(sweep.get("seed", manifest.seed))
+        return SweepSpec(case_tag=case_tag, vary=vary, grid=grid, fixed=fixed,
+                         quantities=quantities,
+                         controls=_controls_for(manifest, run), seed=seed)
+    except ValueError as exc:
+        raise ConfigParseError(f"bad [sweep] section: {exc}", 0) from exc
 
 
 def cmd_sweep(manifest: RunManifest) -> int:
@@ -159,22 +161,14 @@ def _table_or_run(manifest: RunManifest):
 
 
 def _fit_columns(vary, cols, errors) -> dict[str, RateFit]:
-    from .sweeps import SweepTable
-
     skip = {vary, "mesh_nodes", "rcond"}
+    ok = np.array([e is None for e in errors])
     out: dict[str, RateFit] = {}
     for name, vals in cols.items():
         if name in skip:
             continue
-        spec = SweepSpec(case_tag="pair", vary=vary,
-                         grid=tuple(cols[vary]), quantities=(name,),
-                         fixed={"placeholder": 1.0})
-        table = SweepTable(spec, np.asarray(cols[vary]), {name: np.asarray(vals)},
-                           np.zeros(len(vals), dtype=int),
-                           np.full(len(vals), np.nan), list(errors),
-                           np.zeros(len(vals)))
         try:
-            out[name] = fit_rate(table, vary, name)
+            out[name] = fit_power_law(np.asarray(cols[vary]), np.asarray(vals), ok)
         except NeckfieldError:
             continue
     return out
@@ -233,11 +227,8 @@ def cmd_verify(manifest: RunManifest) -> int:
     op = SceneOperator(cfg, controls)
     u = op.solve_u()
     dnu = u.normal_derivative_nodes()
-    worst = 0.0
     scale = max(float(np.sum(u.mesh.weights * np.abs(dnu))), 1e-300)
-    for g, members in enumerate(u.groups):
-        idx = np.concatenate([u.mesh.body_nodes(b) for b in members])
-        worst = max(worst, abs(float(np.sum(u.mesh.weights[idx] * dnu[idx]))))
+    worst = float(np.max(np.abs(u.flux_quadrature())))
     from .asymptotics import DiagnosticCheck
 
     report.checks.append(DiagnosticCheck.from_flag(

@@ -65,12 +65,6 @@ class Configuration:
                 out[(i, j)] = gap(self, i, j)
         return out
 
-    def body_group(self, body_index: int) -> int:
-        for g, members in enumerate(self.groups):
-            if body_index in members:
-                return g
-        raise InvalidParameterError(f"body {body_index} not in any group")
-
     def translated(self, v) -> "Configuration":
         """Translate the scene; the background is re-expanded about the new
         origin so the physical field is unchanged."""
@@ -82,10 +76,6 @@ class Configuration:
         return Configuration(tuple(b.mirrored_x() for b in self.bodies),
                              self.groups, self.background, self.case_tag,
                              dict(self.params))
-
-    def regrouped(self, groups: Sequence[Sequence[int]]) -> "Configuration":
-        return Configuration(self.bodies, tuple(tuple(g) for g in groups),
-                             self.background, self.case_tag, dict(self.params))
 
     def exterior_mask(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -331,3 +321,14 @@ def build_case_d(left, center, right, r2: float, eps1: float, eps2: float,
         case_tag="D",
         params={"r2": r2, "eps1": eps1, "eps2": eps2},
     )
+
+
+def build_case_d_like(cfg: Configuration, eps: float) -> Configuration:
+    """Rebuild a Case D scene with both gaps set to eps by translating the
+    outer bodies along the x-axis."""
+    left, mid, right = cfg.bodies
+    left = _solve_translation(left, mid, np.array([-1.0, 0.0]), eps)
+    right = _solve_translation(right, mid, np.array([1.0, 0.0]), eps)
+    bodies = _recenter_on_gap([left, mid, right], 0, 1)
+    return Configuration(tuple(bodies), cfg.groups, cfg.background, "D",
+                         dict(cfg.params, eps1=eps, eps2=eps))

@@ -16,7 +16,7 @@ from ..geometry.body import Body
 from ..geometry.config import Configuration
 from ..geometry.shapes import Disk
 from .mesh import MeshControls, build_mesh
-from .nystrom import FieldSolution, SceneOperator, _TWO_PI
+from .nystrom import FieldSolution, SceneOperator
 
 
 @dataclass
@@ -86,14 +86,14 @@ class InteriorSolution:
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        out = self.op.scene_op.layer_potential(self.g, pts, self._fine_cache) + self.constant
+        out = self.op.scene_op.layer_field(self.g, pts, "log", self._fine_cache) + self.constant
         return float(out[0]) if single else out
 
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        out = self.op.scene_op.layer_gradient(self.g, pts, self._fine_cache)
+        out = self.op.scene_op.layer_field(self.g, pts, "grad", self._fine_cache)
         return out[0] if single else out
 
 

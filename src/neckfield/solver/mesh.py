@@ -45,8 +45,10 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class MeshControls:
-    """Named mesh parameters; ``base_n`` is the starting node count per
-    curve and ``cap_total`` the hard cap over all curves of one scene."""
+    """Named mesh parameters: ``base_n`` is the starting node count per
+    curve and ``cap_total`` the hard cap over all curves of one scene; the
+    panel growths and floors set the grading toward gap points and
+    corners (see the module docstring)."""
 
     base_n: int = 192               # below 64: taken literally, resolution targets bypassed
     peak_nodes: int = 12
@@ -55,10 +57,6 @@ class MeshControls:
     gap_floor_fraction: float = 1.0 / 12.0  # floor panel length as a fraction of the gap
     corner_floor_levels: int = 20           # floor = arc length * 2**-levels
     cap_total: int = 65536
-    near_eval_rule: float = 5.0
-    upsample_max: int = 64          # cap for upsampled assembly blocks
-    eval_upsample_max: int = 512    # cap for near-field evaluation
-    rcond_floor: float = 1e-16
 
     def with_base(self, base_n: Optional[int] = None, cap: Optional[int] = None) -> "MeshControls":
         out = self
@@ -227,8 +225,7 @@ class CurveMesh:
     speed: np.ndarray
     normal_out: np.ndarray     # outward normal of the body
     curvature: np.ndarray
-    weights: np.ndarray        # speed * h (arclength weights)
-    spacing: np.ndarray        # local panel arclength per node
+    weights: np.ndarray        # speed * h (arclength weights, local panel lengths)
     arc_position: np.ndarray   # cumulative arclength at each node
     perimeter: float
     features: list[FeatureSpec]
@@ -353,7 +350,7 @@ def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
         arc = np.cumsum(weights) - 0.5 * weights
         perimeter = float(np.sum(weights))
         cm = CurveMesh(body_index, chain, n, h, t, v, pts, vel, speed, normal,
-                       kap, weights, weights.copy(), arc, perimeter, feats)
+                       kap, weights, arc, perimeter, feats)
         if literal or (chain.resolved and _resolution_ok(cm, controls)):
             return cm
         n *= 2
@@ -410,8 +407,6 @@ class BoundaryMesh:
         self.normals = np.concatenate([c.normal_out for c in self.curves])
         self.weights = np.concatenate([c.weights for c in self.curves])
         self.speed = np.concatenate([c.speed for c in self.curves])
-        self.curvature = np.concatenate([c.curvature for c in self.curves])
-        self.spacing = np.concatenate([c.spacing for c in self.curves])
         self.body_of_node = np.concatenate([
             np.full(c.n, c.body_index, dtype=int) for c in self.curves])
 

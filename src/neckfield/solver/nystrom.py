@@ -8,6 +8,25 @@ each curve's own block. The unknown per node is ``g = sigma * |dx/dt|``, the
 density times the parameterization speed, which keeps columns uniformly
 scaled under heavy grading.
 
+Fourier convention: every trigonometric interpolation here is the one the
+Kussmaul-Martensen weights integrate exactly, the Dirichlet kernel of the
+even midpoint grid with the Nyquist mode split evenly between +N/2 and
+-N/2. ``trig_resample`` applies it by FFT onto a finer midpoint grid and
+``trig_resample_adjoint`` is its transpose; ``_dirichlet_rows`` gives the
+same interpolation at a few arbitrary parameters in closed form. Off the
+nodes, the own-curve single layer is therefore the node rule interpolated
+(``on_surface_potential``).
+
+Near-field rule: the node rule serves a target while the panels in the arc
+window its kernel sees (4x its distance around the nearest node) are
+shorter than the distance over ``_NEAR_RULE``. Nearer targets get the
+kernel on the midpoint grid 2^k times finer, with the smallest k that
+brings those panels below a third of the distance, capped at
+``_ASSEMBLY_UPSAMPLE_MAX`` in assembly and ``_EVAL_UPSAMPLE_MAX`` in field
+evaluation (``SceneOperator._kernel_rows``). Assembly maps the fine rows
+back onto the node columns with the adjoint resample; evaluation resamples
+the density instead.
+
 Sign conventions (used consistently everywhere):
 
   * the boundary normal ``nu`` points INTO a body (outward normal of the
@@ -36,13 +55,22 @@ import scipy.linalg
 
 from ..errors import (DomainError, InvalidParameterError, InvalidUsageError,
                       NumericFailureError)
-from ..geometry.body import Body
 from ..geometry.config import Configuration
 from ..geometry.gap import GapInfo
-from ..geometry.shapes import Disk, HarmonicBackground
+from ..geometry.shapes import HarmonicBackground
 from .mesh import BoundaryMesh, CurveMesh, MeshControls, build_mesh
 
 _TWO_PI = 2.0 * np.pi
+
+# A target is near a curve when the panels it sees are longer than its
+# distance over this ratio.
+_NEAR_RULE = 5.0
+# Caps of the upsampling factor for near targets, in assembly (cross
+# blocks) and in field evaluation.
+_ASSEMBLY_UPSAMPLE_MAX = 64
+_EVAL_UPSAMPLE_MAX = 512
+# Bordered systems with a smaller reciprocal condition number raise.
+_RCOND_FLOOR = 1e-16
 
 
 def kussmaul_row(n_nodes: int) -> np.ndarray:
@@ -61,63 +89,74 @@ def kussmaul_row(n_nodes: int) -> np.ndarray:
     return -(4.0 * np.pi / n_nodes) * rho
 
 
+def _midpoint_phase(n_nodes: int, m_fine: int) -> np.ndarray:
+    """Spectral shift between the midpoint grids of N and M points, for
+    the modes 0..N/2 of the real FFT."""
+    k = np.arange(n_nodes // 2 + 1)
+    return np.exp(1j * np.pi * k * (1.0 / m_fine - 1.0 / n_nodes))
+
+
 def trig_resample(values: np.ndarray, m_fine: int) -> np.ndarray:
-    """Trigonometric interpolation of samples on the midpoint grid
-    t_j = (j+1/2) 2pi/N onto the finer midpoint grid with m_fine points.
-    The Nyquist mode is dropped (it is not recoverable on midpoint grids)."""
+    """Trigonometric interpolant of samples on the midpoint grid
+    t_j = (j+1/2) 2pi/N (last axis, N even), evaluated on the finer
+    midpoint grid of m_fine > N points."""
     v = np.asarray(values, dtype=float)
-    n_nodes = v.size
-    n = n_nodes // 2
-    V = np.fft.fft(v)
-    h = _TWO_PI / n_nodes
-    ks = np.fft.fftfreq(n_nodes, 1.0 / n_nodes).astype(int)
-    c = np.zeros(m_fine, dtype=complex)
-    for idx, k in enumerate(ks):
-        if abs(k) >= n:
-            continue
-        c[k % m_fine] = V[idx] * np.exp(-1j * k * h / 2) / n_nodes
-    h_f = _TWO_PI / m_fine
-    kf = np.fft.fftfreq(m_fine, 1.0 / m_fine).astype(int)
-    fine = np.fft.ifft(c * np.exp(1j * kf * h_f / 2)) * m_fine
-    return fine.real
+    n_nodes = v.shape[-1]
+    if m_fine <= n_nodes:
+        raise InvalidParameterError("resampling needs a finer grid")
+    spec = np.fft.rfft(v, axis=-1) * _midpoint_phase(n_nodes, m_fine)
+    # the Nyquist mode is split between +N/2 and -N/2, and the fine grid
+    # resolves both
+    spec[..., -1] *= 0.5
+    return np.fft.irfft(spec, m_fine, axis=-1) * (m_fine / n_nodes)
 
 
-def _trig_interp_matrix(t_nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation matrix from an even equispaced grid
-    t_nodes to arbitrary parameters s (Dirichlet kernel in closed form,
-    Nyquist mode split evenly)."""
-    # in place where possible: assembly builds this for every fine grid
+def trig_resample_adjoint(fine: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Transpose of ``trig_resample`` onto N nodes along the last axis:
+    for kernel rows on the fine grid, the rows acting on node values."""
+    w = np.asarray(fine, dtype=float)
+    m_fine = w.shape[-1]
+    spec = np.fft.rfft(w, axis=-1)[..., :n_nodes // 2 + 1]
+    spec *= np.conj(_midpoint_phase(n_nodes, m_fine))
+    # irfft keeps the real part of the Nyquist bin, which is the split
+    # mode's share on the node grid
+    return np.fft.irfft(spec, n_nodes, axis=-1)
+
+
+def _dirichlet_rows(t_nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Interpolation rows from an even equispaced grid t_nodes to
+    arbitrary parameters s (Dirichlet kernel in closed form)."""
     n_nodes = t_nodes.size
     delta = np.subtract.outer(np.asarray(s, dtype=float), t_nodes)
-    den = np.sin(delta / 2, out=delta / 2)
-    out = (n_nodes - 1) * delta
-    out /= 2
-    np.sin(out, out=out)
+    den = np.sin(delta / 2)
     on_node = den == 0.0
-    if np.any(on_node):
-        den[on_node] = 1.0
-        out[on_node] = n_nodes - 1.0
-    out /= den
-    del den, on_node
-    delta *= n_nodes
-    delta /= 2
-    out += np.cos(delta, out=delta)
-    out /= n_nodes
-    return out
+    rows = np.sin((n_nodes - 1) * delta / 2) / np.where(on_node, 1.0, den)
+    rows[on_node] = n_nodes - 1.0
+    return (rows + np.cos(n_nodes * delta / 2)) / n_nodes
 
 
-def _log_kernel(targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    dx = targets[:, 0][:, None] - sources[:, 0][None, :]
-    dy = targets[:, 1][:, None] - sources[:, 1][None, :]
-    return 0.5 * np.log(dx * dx + dy * dy) / _TWO_PI
-
-
-def _grad_kernel(targets: np.ndarray, sources: np.ndarray):
-    dx = targets[:, 0][:, None] - sources[:, 0][None, :]
-    dy = targets[:, 1][:, None] - sources[:, 1][None, :]
-    r2 = dx * dx + dy * dy
+def _kernel(kind: str, targets: np.ndarray, sources: np.ndarray, weight: float,
+            normals: Optional[np.ndarray] = None) -> np.ndarray:
+    """Kernel values times the quadrature weight, targets by sources:
+    ``kind`` "log" is the single-layer kernel (1/2pi) log|x-y|, "grad" its
+    gradient in x (a leading axis of two components) and "dnu" its
+    derivative along ``normals``, one per target. Coincident points give
+    inf or nan."""
+    d = np.empty((2, targets.shape[0], sources.shape[0]))
+    np.subtract.outer(targets[:, 0], sources[:, 0], out=d[0])
+    np.subtract.outer(targets[:, 1], sources[:, 1], out=d[1])
+    r2 = d[0] * d[0]
+    r2 += d[1] * d[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return dx / r2 / _TWO_PI, dy / r2 / _TWO_PI
+        if kind == "log":
+            r2 = np.log(r2, out=r2)
+            r2 *= 0.5 * weight / _TWO_PI
+            return r2
+        r2 *= _TWO_PI / weight
+        d /= r2
+    if kind == "grad":
+        return d
+    return normals[:, 0][:, None] * d[0] + normals[:, 1][:, None] * d[1]
 
 
 class SceneOperator:
@@ -129,7 +168,6 @@ class SceneOperator:
         self.cfg = cfg
         self.controls = controls
         self.mesh = mesh if mesh is not None else build_mesh(cfg, controls)
-        self._interp_cache: dict[tuple[int, int], np.ndarray] = {}
         self._fine_cache: dict[tuple[int, int], np.ndarray] = {}
         self._slp = self._assemble_slp()
         self._kprime: Optional[np.ndarray] = None
@@ -143,7 +181,7 @@ class SceneOperator:
             self._fine_cache[key] = cm.point_at(t_f)
         return self._fine_cache[key]
 
-    # -- near-field bookkeeping --------------------------------------------
+    # -- near-field rule ---------------------------------------------------
 
     def _near_targets(self, cm: CurveMesh, pts: np.ndarray):
         """For each target point: distance to the source curve, and the
@@ -158,44 +196,48 @@ class SceneOperator:
         # normal component is the honest curve distance for near targets
         delta = pts - cm.nodes[j_near]
         d_perp = np.abs(np.einsum("ij,ij->i", delta, cm.normal_out[j_near]))
-        d_min = np.where(d_node < 3.0 * cm.spacing[j_near],
+        d_min = np.where(d_node < 3.0 * cm.weights[j_near],
                          np.maximum(d_perp, 1e-3 * d_node), d_node)
         s_win = np.empty(pts.shape[0])
         coarse = float(np.max(cm.weights))
-        maybe = d_min < self.controls.near_eval_rule * coarse
+        maybe = d_min < _NEAR_RULE * coarse
         s_win[~maybe] = 0.0
         for i in np.nonzero(maybe)[0]:
             da = np.abs(cm.arc_position - cm.arc_position[j_near[i]])
             da = np.minimum(da, cm.perimeter - da)
             s_win[i] = np.max(cm.weights[da <= 4.0 * d_min[i] + cm.weights[j_near[i]]])
-        active = maybe & (d_min < self.controls.near_eval_rule * s_win)
+        active = maybe & (d_min < _NEAR_RULE * s_win)
         return active, d_min, s_win
+
+    def _kernel_rows(self, curve_index: int, pts: np.ndarray, kind: str, cap: int,
+                     normals: Optional[np.ndarray] = None):
+        """Quadrature rows of a kernel (see ``_kernel``) from one curve to
+        target points. Returns the node-rule rows for every target, the
+        mask of near targets, and the upsampling factor with the near
+        targets' rows on the midpoint grid that much finer (1 and None when
+        no target is near)."""
+        cm = self.mesh.curves[curve_index]
+        rows = _kernel(kind, pts, cm.nodes, cm.h, normals)
+        near, d_min, s_win = self._near_targets(cm, pts)
+        if not np.any(near):
+            return rows, near, 1, None
+        needed = float(np.max(3.0 * s_win[near] / np.maximum(d_min[near], 1e-300)))
+        factor = 2
+        while factor < needed and factor < cap:
+            factor *= 2
+        fine = _kernel(kind, pts[near], self._fine_points(curve_index, factor),
+                       _TWO_PI / (factor * cm.n),
+                       None if normals is None else normals[near])
+        return rows, near, factor, fine
 
     def resolved_distance(self, curve_index: int, node: int) -> float:
         """Smallest distance from a curve, next to one of its nodes, at
         which field evaluation still resolves the panels: the capped
-        upsampling factor ``eval_upsample_max`` keeps fine panels within a
-        third of the distance."""
+        upsampling factor keeps fine panels within a third of the
+        distance."""
         cm = self.mesh.curves[curve_index]
         w = float(np.max(cm.weights[np.arange(node - 1, node + 2) % cm.n]))
-        return 3.0 * w / self.controls.eval_upsample_max
-
-    def _interp_matrix(self, curve_index: int, factor: int) -> np.ndarray:
-        """Trigonometric interpolation matrix from a curve's midpoint grid to
-        the factor-times-finer midpoint grid."""
-        key = (curve_index, factor)
-        if key not in self._interp_cache:
-            cm = self.mesh.curves[curve_index]
-            m_fine = factor * cm.n
-            s = (np.arange(m_fine) + 0.5) * (_TWO_PI / m_fine)
-            self._interp_cache[key] = _trig_interp_matrix(cm.t, s)
-        return self._interp_cache[key]
-
-    def _pow2_factor(self, needed: float, cap: int) -> int:
-        factor = 2
-        while factor < needed and factor < cap:
-            factor *= 2
-        return factor
+        return 3.0 * w / _EVAL_UPSAMPLE_MAX
 
     # -- assembly ---------------------------------------------------------
 
@@ -215,34 +257,17 @@ class SceneOperator:
 
     def _cross_block(self, src_index: int, targets: np.ndarray,
                      normals: Optional[np.ndarray] = None) -> np.ndarray:
-        """Kernel block from one source curve to arbitrary targets, with
-        upsampled quadrature rows for targets close to the curve. With
-        ``normals`` given, assembles the normal-derivative kernel instead."""
-        cm = self.mesh.curves[src_index]
-
-        def form(tgt, src_pts, h, nrm):
-            if nrm is None:
-                return _log_kernel(tgt, src_pts) * h
-            gx, gy = _grad_kernel(tgt, src_pts)
-            return (nrm[:, 0][:, None] * gx + nrm[:, 1][:, None] * gy) * h
-
-        block = form(targets, cm.nodes, cm.h, normals)
-        active, d_min, s_win = self._near_targets(cm, targets)
-        if np.any(active):
-            needed = float(np.max(3.0 * s_win[active] / np.maximum(d_min[active], 1e-300)))
-            factor = self._pow2_factor(needed, self.controls.upsample_max)
-            P = self._interp_matrix(src_index, factor)
-            m_fine = factor * cm.n
-            pts_f = self._fine_points(src_index, factor)
-            nrm = normals[active] if normals is not None else None
-            fine = form(targets[active], pts_f, _TWO_PI / m_fine, nrm)
-            block[active] = fine @ P
-        return block
+        """Single-layer block from one source curve to the nodes of another
+        curve, or with ``normals`` its normal-derivative (K') block."""
+        rows, near, _, fine = self._kernel_rows(
+            src_index, targets, "log" if normals is None else "dnu",
+            _ASSEMBLY_UPSAMPLE_MAX, normals)
+        if fine is not None:
+            rows[near] = trig_resample_adjoint(fine, rows.shape[1])
+        return rows
 
     def _self_block(self, cm: CurveMesh) -> np.ndarray:
-        rho = kussmaul_row(cm.n)
-        idx = np.arange(cm.n)
-        R = rho[(idx[:, None] - idx[None, :]) % cm.n]
+        R = scipy.linalg.circulant(kussmaul_row(cm.n))
         dt = cm.t[:, None] - cm.t[None, :]
         s2 = 4.0 * np.sin(0.5 * dt) ** 2
         dx = cm.nodes[:, 0][:, None] - cm.nodes[:, 0][None, :]
@@ -268,11 +293,9 @@ class SceneOperator:
             for cj, cm2 in enumerate(mesh.curves):
                 sj = mesh.curve_slice(cj)
                 if ci == cj:
-                    gx, gy = _grad_kernel(cm.nodes, cm2.nodes)
-                    blk = (cm.normal_out[:, 0][:, None] * gx
-                           + cm.normal_out[:, 1][:, None] * gy)
-                    np.fill_diagonal(blk, cm.curvature / (4.0 * np.pi))
-                    K[si, sj] = blk * cm2.h
+                    blk = _kernel("dnu", cm.nodes, cm.nodes, cm.h, cm.normal_out)
+                    np.fill_diagonal(blk, cm.curvature / (4.0 * np.pi) * cm.h)
+                    K[si, sj] = blk
                 else:
                     K[si, sj] = self._cross_block(cj, cm.nodes, normals=cm.normal_out)
         self._kprime = K
@@ -296,7 +319,7 @@ class SceneOperator:
         lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
         gecon = scipy.linalg.get_lapack_funcs("gecon", (M,))
         rcond, _ = gecon(lu, np.linalg.norm(M, 1), norm="1")
-        if not np.isfinite(rcond) or rcond < self.controls.rcond_floor:
+        if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
             raise NumericFailureError("linear system too ill-conditioned",
                                       {"rcond": float(rcond), "n": int(n_tot)})
         sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
@@ -314,7 +337,7 @@ class SceneOperator:
         g, consts, rcond = self._solve_bordered(node_group, len(groups), -1.0,
                                                 rhs, np.zeros(len(groups)))
         return FieldSolution(self, "u", tuple(tuple(x) for x in groups), g,
-                             consts, self.cfg.background, 0.0, rcond)
+                             consts, self.cfg.background, rcond)
 
     def solve_h(self, partition: Sequence[Sequence[int]]) -> "FieldSolution":
         """Two-group unit-flux problem: h = S[sigma] with h -> 0 at
@@ -329,7 +352,7 @@ class SceneOperator:
         g, consts, rcond = self._solve_bordered(node_group, 2, -1.0,
                                                 np.zeros(self.mesh.n_total),
                                                 np.array([1.0, -1.0]))
-        return FieldSolution(self, "h", part, g, consts, None, 0.0, rcond)
+        return FieldSolution(self, "h", part, g, consts, None, rcond)
 
     def solve_hc(self) -> "FieldSolution":
         """Single-constant problem: H^c = H + S[sigma] with one shared
@@ -340,7 +363,7 @@ class SceneOperator:
         g, consts, rcond = self._solve_bordered(node_group, 1, -1.0, rhs,
                                                 np.zeros(1))
         return FieldSolution(self, "hc", part, g, consts,
-                             self.cfg.background, 0.0, rcond)
+                             self.cfg.background, rcond)
 
     def _node_group(self, groups: Sequence[Sequence[int]]) -> np.ndarray:
         body_to_group = {}
@@ -351,78 +374,41 @@ class SceneOperator:
 
     # -- evaluation --------------------------------------------------------
 
-    def layer_potential(self, g: np.ndarray, pts: np.ndarray,
-                        cache: Optional[dict] = None) -> np.ndarray:
+    def layer_field(self, g: np.ndarray, pts: np.ndarray, kind: str = "log",
+                    cache: Optional[dict] = None) -> np.ndarray:
+        """S[g] at points (``kind`` "log"), or its gradient as an (m, 2)
+        array (``kind`` "grad"). ``cache`` keeps the resampled densities of
+        one g between calls."""
         pts = np.atleast_2d(pts)
-        out = np.zeros(pts.shape[0])
-        for ci in range(len(self.mesh.curves)):
-            out += self._curve_potential(ci, g[self.mesh.curve_slice(ci)], pts, cache)
-        return out
+        out = sum(self._curve_field(ci, g[self.mesh.curve_slice(ci)], pts, kind, cache)
+                  for ci in range(len(self.mesh.curves)))
+        return out.T if kind == "grad" else out
 
-    def layer_gradient(self, g: np.ndarray, pts: np.ndarray,
-                       cache: Optional[dict] = None) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], 2))
-        for ci in range(len(self.mesh.curves)):
-            out += self._curve_gradient(ci, g[self.mesh.curve_slice(ci)], pts, cache)
-        return out
-
-    def _fine_quadrature(self, curve_index: int, g: np.ndarray, factor: int,
-                         cache: Optional[dict] = None):
-        cm = self.mesh.curves[curve_index]
-        m_fine = factor * cm.n
-        key = (curve_index, factor)
-        if cache is not None and key in cache:
-            g_fine = cache[key]
-        else:
-            g_fine = trig_resample(g, m_fine)
-            if cache is not None:
-                cache[key] = g_fine
-        pts_f = self._fine_points(curve_index, factor)
-        return pts_f, g_fine, _TWO_PI / m_fine
-
-    def _curve_potential(self, curve_index: int, g: np.ndarray, pts: np.ndarray,
-                         cache: Optional[dict] = None) -> np.ndarray:
-        cm = self.mesh.curves[curve_index]
-        out = _log_kernel(pts, cm.nodes) @ g * cm.h
-        active, d_min, s_win = self._near_targets(cm, pts)
-        if np.any(active):
-            needed = float(np.max(3.0 * s_win[active] / np.maximum(d_min[active], 1e-300)))
-            factor = self._pow2_factor(needed, self.controls.eval_upsample_max)
-            pts_f, g_fine, h_f = self._fine_quadrature(curve_index, g, factor, cache)
-            out[active] = _log_kernel(pts[active], pts_f) @ g_fine * h_f
-        return out
-
-    def _curve_gradient(self, curve_index: int, g: np.ndarray, pts: np.ndarray,
-                        cache: Optional[dict] = None) -> np.ndarray:
-        cm = self.mesh.curves[curve_index]
-        gx, gy = _grad_kernel(pts, cm.nodes)
-        out = np.stack([gx @ g, gy @ g], axis=-1) * cm.h
-        active, d_min, s_win = self._near_targets(cm, pts)
-        if np.any(active):
-            needed = float(np.max(3.0 * s_win[active] / np.maximum(d_min[active], 1e-300)))
-            factor = self._pow2_factor(needed, self.controls.eval_upsample_max)
-            pts_f, g_fine, h_f = self._fine_quadrature(curve_index, g, factor, cache)
-            gx, gy = _grad_kernel(pts[active], pts_f)
-            out[active] = np.stack([gx @ g_fine, gy @ g_fine], axis=-1) * h_f
+    def _curve_field(self, curve_index: int, g: np.ndarray, pts: np.ndarray,
+                     kind: str, cache: Optional[dict] = None) -> np.ndarray:
+        rows, near, factor, fine = self._kernel_rows(curve_index, pts, kind,
+                                                     _EVAL_UPSAMPLE_MAX)
+        out = rows @ g
+        if fine is not None:
+            cache = {} if cache is None else cache
+            key = (curve_index, factor)
+            if key not in cache:
+                cache[key] = trig_resample(g, factor * g.size)
+            out[..., near] = fine @ cache[key]
         return out
 
     def on_surface_potential(self, g: np.ndarray, curve_index: int,
                              ts: np.ndarray) -> np.ndarray:
-        """S[sigma] evaluated at arbitrary parameters of one curve (the
-        log-singular own-curve part via the general-target Kussmaul rule,
-        other curves via near-aware quadrature)."""
+        """S[sigma] evaluated at arbitrary parameters of one curve: on the
+        own curve the Kussmaul-Martensen rule interpolated to ``ts`` plus
+        its smooth log part, other curves through the near-field rule."""
         cm = self.mesh.curves[curve_index]
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        g_own = g[self.mesh.curve_slice(curve_index)]
         pts, _, speeds = cm.frame_at(ts)
-        n = cm.n // 2
-        m = np.arange(1, n)
+        node_rule = scipy.linalg.circulant(kussmaul_row(cm.n)) @ g_own
+        singular = _dirichlet_rows(cm.t, ts) @ node_rule
         dt = ts[:, None] - cm.t[None, :]
-        cosmat = np.zeros_like(dt)
-        for mm in m:   # modest mode counts; loop keeps memory flat
-            cosmat += np.cos(mm * dt) / mm
-        cosmat += np.cos(n * dt) / (2 * n)
-        R = -(4.0 * np.pi / cm.n) * cosmat
         d2 = ((pts[:, None, :] - cm.nodes[None, :, :]) ** 2).sum(axis=2)
         s2 = 4.0 * np.sin(0.5 * dt) ** 2
         # within ~1e-6 of a node the difference quotient loses digits to
@@ -433,12 +419,9 @@ class SceneOperator:
         if np.any(tiny):
             rows, cols = np.nonzero(tiny)
             K2[rows, cols] = 2.0 * np.log(np.maximum(speeds[rows], 1e-300))
-        own = (R + cm.h * K2) @ (g[self.mesh.curve_slice(curve_index)]) / (4.0 * np.pi)
-        other = np.zeros(ts.size)
-        for cj in range(len(self.mesh.curves)):
-            if cj == curve_index:
-                continue
-            other += self._curve_potential(cj, g[self.mesh.curve_slice(cj)], pts)
+        own = (singular + cm.h * K2 @ g_own) / (4.0 * np.pi)
+        other = sum(self._curve_field(cj, g[self.mesh.curve_slice(cj)], pts, "log")
+                    for cj in range(len(self.mesh.curves)) if cj != curve_index)
         return own + other
 
 
@@ -457,7 +440,6 @@ class FieldSolution:
     g: np.ndarray
     constants: np.ndarray
     background: Optional[HarmonicBackground]
-    additive_constant: float
     rcond: float
 
     def __post_init__(self):
@@ -489,7 +471,7 @@ class FieldSolution:
         pts = np.atleast_2d(pts)
         if check_domain:
             self._check_exterior(pts)
-        out = self.op.layer_potential(self.g, pts, self._fine_cache) + self.additive_constant
+        out = self.op.layer_field(self.g, pts, "log", self._fine_cache)
         if self.background is not None:
             out = out + self.background(pts)
         return float(out[0]) if single else out
@@ -500,7 +482,7 @@ class FieldSolution:
         pts = np.atleast_2d(pts)
         if check_domain:
             self._check_exterior(pts)
-        out = self.op.layer_gradient(self.g, pts, self._fine_cache)
+        out = self.op.layer_field(self.g, pts, "grad", self._fine_cache)
         if self.background is not None:
             out = out + self.background.gradient(pts)
         return out[0] if single else out
@@ -530,6 +512,18 @@ class FieldSolution:
             val = val + hn
         return -val
 
+    def flux_quadrature(self) -> np.ndarray:
+        """Flux through each group's boundary by node quadrature of the
+        normal derivative (jump relation plus adjoint double layer), which
+        the solve does not enforce directly."""
+        dnu = self.normal_derivative_nodes()
+        w = self.mesh.weights
+        out = []
+        for members in self.groups:
+            idx = np.concatenate([self.mesh.body_nodes(b) for b in members])
+            out.append(float(np.sum(w[idx] * dnu[idx])))
+        return np.array(out)
+
     def boundary_flux_weighted(self, body_index: int, f: Callable) -> float:
         """int_dB f nu.grad field dS by node quadrature; f maps (m,2) points
         to values."""
@@ -546,7 +540,7 @@ class FieldSolution:
         node_group = self.op._node_group(self.groups)
         for ci, cm in enumerate(self.mesh.curves):
             ts = (np.arange(samples_per_curve) + 0.31) * (_TWO_PI / samples_per_curve)
-            vals = self.op.on_surface_potential(self.g, ci, ts) + self.additive_constant
+            vals = self.op.on_surface_potential(self.g, ci, ts)
             if self.background is not None:
                 pts, _, _ = cm.frame_at(ts)
                 vals = vals + self.background(pts)
@@ -601,7 +595,7 @@ def _end_on_body(sol: FieldSolution, p: np.ndarray, seg_len: float):
             continue
         dnu = sol.normal_derivative_nodes()[mesh.curve_slice(ci)]
         _, _, speed = cm.frame_at(t)
-        weighted = _trig_interp_matrix(cm.t, np.array([t]))[0] @ (dnu * cm.speed)
+        weighted = _dirichlet_rows(cm.t, np.array([t]))[0] @ (dnu * cm.speed)
         nearest_node = int(t // cm.h) % cm.n
         return abs(float(weighted)) / float(speed[0]), \
             _BODY_MARGIN * sol.op.resolved_distance(ci, nearest_node)

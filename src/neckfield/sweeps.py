@@ -53,6 +53,9 @@ class SweepSpec:
             raise InvalidParameterError("sweep grid must be strictly increasing")
         if not self.quantities:
             raise InvalidParameterError("sweep needs at least one quantity")
+        unknown = [q for q in self.quantities if q not in QUANTITIES]
+        if unknown:
+            raise InvalidParameterError(f"unknown sweep quantities: {', '.join(unknown)}")
 
     def params_at(self, value: float) -> dict:
         p = {self.vary: float(value)}
@@ -186,16 +189,7 @@ def _q_hc_constant(ctx: RowContext) -> float:
 
 
 def _q_flux_residual_max(ctx: RowContext) -> float:
-    """Independent quadrature of the conductor fluxes (jump relation plus
-    adjoint double layer), which the solve did not enforce directly."""
-    u = ctx.u
-    dnu = u.normal_derivative_nodes()
-    w = u.mesh.weights
-    worst = 0.0
-    for g, members in enumerate(u.groups):
-        idx = np.concatenate([u.mesh.body_nodes(b) for b in members])
-        worst = max(worst, abs(float(np.sum(w[idx] * dnu[idx]))))
-    return worst
+    return float(np.max(np.abs(ctx.u.flux_quadrature())))
 
 
 def _q_decomp(name):
@@ -313,11 +307,15 @@ class RateFit:
 
 
 def fit_rate(table: SweepTable, x: str, y: str) -> RateFit:
-    """Least-squares line through (log x, log y) over the valid rows; the
-    exponent is the slope."""
-    xv = table.column(x)
-    yv = table.column(y)
-    mask = table.ok_mask & np.isfinite(xv) & np.isfinite(yv)
+    """Power-law fit (see ``fit_power_law``) of two columns of a table
+    over its valid rows."""
+    return fit_power_law(table.column(x), table.column(y), table.ok_mask)
+
+
+def fit_power_law(xv: np.ndarray, yv: np.ndarray, ok: np.ndarray) -> RateFit:
+    """Least-squares line through (log x, log y) over the rows that are
+    ``ok`` and finite; the exponent is the slope."""
+    mask = ok & np.isfinite(xv) & np.isfinite(yv)
     if np.any(mask & ((xv <= 0) | (yv <= 0))):
         raise DomainError("rate fits need positive data")
     if np.count_nonzero(mask) < 4:

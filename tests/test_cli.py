@@ -119,6 +119,17 @@ class TestSweepPipeline:
         cfg.write_text("[scene]\ncase = pair\n\n[case]\nr1 = 1.0\nr2 = 1.0\neps = 0.001\n")
         assert main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("old,new", [
+        ("grid = 1e-3, 1e-2, 4\n", ""),
+        ("quantities = potential_difference_21\n", ""),
+        ("potential_difference_21", "no_such_quantity"),
+    ], ids=["no_grid", "no_quantities", "unknown_quantity"])
+    def test_malformed_sweep_section(self, tmp_path, old, new):
+        assert old in PAIR_CFG
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(PAIR_CFG.replace(old, new))
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
 
 class TestVerify:
     def test_case_a_passes(self, tmp_path):

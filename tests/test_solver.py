@@ -8,7 +8,8 @@ from neckfield import (Body, Configuration, Disk, DomainError, GapInfo,
                        max_gap_gradient, solve_h, solve_hc, solve_u)
 from neckfield.errors import InvalidUsageError
 from neckfield.solver.mesh import build_mesh
-from neckfield.solver.nystrom import kussmaul_row, trig_resample
+from neckfield.solver.nystrom import (_dirichlet_rows, kussmaul_row, trig_resample,
+                                     trig_resample_adjoint)
 
 
 def single_disk(radius=1.0):
@@ -40,6 +41,33 @@ class TestQuadratureCore:
         f = trig_resample(v, 128)
         tf = (np.arange(128) + 0.5) * 2 * np.pi / 128
         assert np.max(np.abs(f - (np.cos(5 * tf) + 0.3 * np.sin(3 * tf) - 1.7))) < 1e-13
+
+    @pytest.mark.parametrize("factor", [4, 64])
+    def test_resample_and_adjoint_match_dirichlet_rows(self, factor):
+        # random samples are not band-limited: the Nyquist mode carries as
+        # much as any other, so its even split is exercised. The closed-form
+        # rows round to about N * 2.2e-16 (9e-14 here); the bound allows
+        # ten times that
+        n, m = 384, 384 * factor
+        t = (np.arange(n) + 0.5) * 2 * np.pi / n
+        s = (np.arange(m) + 0.5) * 2 * np.pi / m
+        P = np.vstack([_dirichlet_rows(t, s[i:i + 4096]) for i in range(0, m, 4096)])
+        rng = np.random.default_rng(17)
+        v = rng.standard_normal(n)
+        w = rng.standard_normal((3, m))
+        dense = P @ v
+        assert np.max(np.abs(trig_resample(v, m) - dense)) < 1e-12 * np.max(np.abs(dense))
+        dense_t = w @ P
+        assert np.max(np.abs(trig_resample_adjoint(w, n) - dense_t)) \
+            < 1e-12 * np.max(np.abs(dense_t))
+
+    def test_on_surface_potential_at_nodes(self):
+        # at the node parameters the interpolated rule is the node rule
+        op = SceneOperator(single_disk(1.5))
+        g = np.random.default_rng(5).standard_normal(op.mesh.n_total)
+        ref = op._slp @ g
+        got = op.on_surface_potential(g, 0, op.mesh.curves[0].t)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestSingleDisk:

@@ -7,11 +7,15 @@ from neckfield import (DomainError, InvalidParameterError, MeshControls,
 from neckfield.sweeps import parse_table_csv, serialize_table
 
 
+# the synthetic column; any registered quantity name serves
+Q = "psi_gap_difference"
+
+
 def synthetic_table(x, y, errors=None):
     spec = SweepSpec(case_tag="pair", vary="eps", grid=tuple(x),
-                     quantities=("q",), fixed={"r1": 1.0, "r2": 1.0})
+                     quantities=(Q,), fixed={"r1": 1.0, "r2": 1.0})
     n = len(x)
-    return SweepTable(spec, np.asarray(x, float), {"q": np.asarray(y, float)},
+    return SweepTable(spec, np.asarray(x, float), {Q: np.asarray(y, float)},
                       np.zeros(n, dtype=int), np.full(n, np.nan),
                       errors or [None] * n, np.zeros(n))
 
@@ -19,40 +23,40 @@ def synthetic_table(x, y, errors=None):
 class TestFitRate:
     def test_exact_power_law(self):
         x = np.geomspace(1e-4, 1e-1, 6)
-        fit = fit_rate(synthetic_table(x, 3 * x**0.5), "eps", "q")
+        fit = fit_rate(synthetic_table(x, 3 * x**0.5), "eps", Q)
         assert fit.exponent == pytest.approx(0.5, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_data(self):
         x = np.geomspace(1e-4, 1e-1, 5)
-        fit = fit_rate(synthetic_table(x, np.full(5, 2.5)), "eps", "q")
+        fit = fit_rate(synthetic_table(x, np.full(5, 2.5)), "eps", Q)
         assert fit.exponent == pytest.approx(0.0, abs=1e-12)
 
     def test_refit_is_idempotent(self):
         x = np.geomspace(1e-5, 1e-2, 8)
         y = 0.7 * x**-0.43 * (1 + 0.05 * np.sin(np.arange(8)))
-        fit = fit_rate(synthetic_table(x, y), "eps", "q")
+        fit = fit_rate(synthetic_table(x, y), "eps", Q)
         refit = fit_rate(synthetic_table(x, 10.0**(fit.intercept + fit.exponent
-                                                   * np.log10(x))), "eps", "q")
+                                                   * np.log10(x))), "eps", Q)
         assert refit.exponent == pytest.approx(fit.exponent, abs=1e-12)
 
     def test_needs_four_rows(self):
         x = np.geomspace(1e-3, 1e-1, 3)
         with pytest.raises(InvalidParameterError):
-            fit_rate(synthetic_table(x, x), "eps", "q")
+            fit_rate(synthetic_table(x, x), "eps", Q)
 
     def test_nonpositive_rejected(self):
         x = np.geomspace(1e-3, 1e-1, 5)
         y = np.array([1.0, 2.0, -3.0, 4.0, 5.0])
         with pytest.raises(DomainError):
-            fit_rate(synthetic_table(x, y), "eps", "q")
+            fit_rate(synthetic_table(x, y), "eps", Q)
 
 
 class TestSandwich:
     def test_trivial_identity(self):
         x = np.geomspace(1e-4, 1e-1, 5)
         t = synthetic_table(x, 2 * np.sqrt(x))
-        res = sandwich_check(t, "q", 2 * np.sqrt(x))
+        res = sandwich_check(t, Q, 2 * np.sqrt(x))
         assert res.spread == pytest.approx(1.0)
         assert res.passed
 
@@ -60,12 +64,12 @@ class TestSandwich:
         x = np.geomspace(1e-4, 1e-1, 5)
         t = synthetic_table(x, np.sqrt(x))
         with pytest.raises(DomainError):
-            sandwich_check(t, "q", np.zeros(5))
+            sandwich_check(t, Q, np.zeros(5))
 
     def test_threshold(self):
         x = np.geomspace(1e-4, 1e-1, 5)
         t = synthetic_table(x, x)  # prediction sqrt(x): spread = x range^0.5
-        res = sandwich_check(t, "q", np.sqrt(x), threshold=5.0)
+        res = sandwich_check(t, Q, np.sqrt(x), threshold=5.0)
         assert not res.passed
 
 
