@@ -185,14 +185,30 @@ def _as_body(shape) -> Body:
 def _solve_translation(moving: Body, fixed: Body, direction: np.ndarray,
                        eps: float, tol: float = 1e-13) -> Body:
     """Translate ``moving`` along ``direction`` until its gap to ``fixed``
-    equals eps (bisection on the monotone gap function)."""
+    equals eps.
+
+    The gap g(t) of ``moving + t direction`` is first bracketed,
+    g(t_lo) <= eps < g(t_hi), by doubling steps (an overlap counts as a gap
+    of -1). Inside the bracket a safeguarded Newton step solves g(t) = eps.
+    Its derivative is exact by the envelope theorem: the closest points are
+    stationary, so only the moving point's own motion counts and
+    dg/dt = -direction . GapInfo.direction. A step that leaves the bracket,
+    or a start without a gap, is replaced by bisection.
+    """
     direction = np.asarray(direction, dtype=float)
+    probed: dict[float, Optional[GapInfo]] = {}
+
+    def probe(t: float) -> Optional[GapInfo]:
+        if t not in probed:
+            try:
+                probed[t] = body_gap(moving.translated(t * direction), fixed)
+            except InvalidGeometryError:
+                probed[t] = None
+        return probed[t]
 
     def gdist(t: float) -> float:
-        try:
-            return body_gap(moving.translated(t * direction), fixed).distance
-        except InvalidGeometryError:
-            return -1.0
+        info = probe(t)
+        return -1.0 if info is None else info.distance
 
     scale = max(moving.diameter(), fixed.diameter(), eps)
     t_hi = 0.0
@@ -203,13 +219,25 @@ def _solve_translation(moving: Body, fixed: Body, direction: np.ndarray,
         t_lo = min(2 * t_lo, -0.1 * scale) if t_lo < 0 else -0.1 * scale
     if not (gdist(t_lo) <= eps < gdist(t_hi)):
         raise InvalidGeometryError("could not bracket the requested gap by translation")
+    step_tol = tol * max(1.0, scale)
+    t = t_hi
     for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if gdist(t_mid) > eps:
-            t_hi = t_mid
+        info = probe(t)
+        t_new = np.nan
+        if info is not None:
+            slope = -float(direction @ info.direction)
+            if slope > 0:
+                t_new = t - (info.distance - eps) / slope
+                if abs(t_new - t) < step_tol and t_lo <= t_new <= t_hi:
+                    return moving.translated(t_new * direction)
+        if not (t_lo < t_new < t_hi):
+            t_new = 0.5 * (t_lo + t_hi)
+        if gdist(t_new) > eps:
+            t_hi = t_new
         else:
-            t_lo = t_mid
-        if t_hi - t_lo < tol * max(1.0, scale):
+            t_lo = t_new
+        t = t_new
+        if t_hi - t_lo < step_tol:
             break
     return moving.translated(0.5 * (t_lo + t_hi) * direction)
 
@@ -255,7 +283,7 @@ def build_case_c(left, center: Disk, right: Disk, r2: float, eps: float,
 
     ``center`` and ``right`` are given in a nominal frame; ``center`` is
     scaled about the origin by r2 and must then overlap ``right``. The left
-    body is translated along the x-axis (bisection) so the gap is exactly
+    body is translated along the x-axis (Newton solve) so the gap is exactly
     eps, and the whole scene is recentered so the gap midpoint is the origin.
     The union body keeps circular arcs so its two corners stay exact; a
     general smooth protrusion is out of scope.

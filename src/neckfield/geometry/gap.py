@@ -7,6 +7,7 @@ fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +86,12 @@ def _chart_circle(chart: BoundaryChart) -> Disk | None:
     p = chart.point(u)
     s = chart.second(u)
     c = p + s  # for a circle chart, P'' = -(P - center)
-    if np.max(np.abs(c - c[0])) < 1e-10 * (1 + np.max(np.abs(p))):
-        r = float(np.hypot(*(p[0] - c[0])))
-        return Disk((c[0][0], c[0][1]), r)
+    # an axis-aligned ellipse (a cos t, b sin t) also has P'' = -(P - c),
+    # so the radius must be checked as well
+    r = np.hypot(*(p - c[0]).T)
+    tol = 1e-10 * (1 + np.max(np.abs(p)))
+    if np.max(np.abs(c - c[0])) < tol and np.max(np.abs(r - r[0])) < tol:
+        return Disk((c[0][0], c[0][1]), float(r[0]))
     return None
 
 
@@ -163,7 +167,7 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, starts_per_curve: int 
             else:
                 ok = False
                 break
-            moved = abs(un - u) + abs(vn - v)
+            moved = _param_move(u, un, ca) + _param_move(v, vn, cb)
             u, v = un, vn
             if moved < 1e-14:
                 break
@@ -193,6 +197,14 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, starts_per_curve: int 
             raise NumericFailureError("gap search failed to converge",
                                       {"chart_a": (ca.u0, ca.u1), "chart_b": (cb.u0, cb.u1)})
     return best
+
+
+def _param_move(u: float, un: float, chart: BoundaryChart) -> float:
+    """Length of the parameter move u -> un; on a closed chart it is taken
+    modulo the period, so a start converging to u = 0 = 2 pi is not seen
+    as jumping a whole period."""
+    d = un - u
+    return abs(math.remainder(d, chart.span) if chart.closed else d)
 
 
 def _golden_1d(f, a, b, iters=60):

@@ -79,7 +79,9 @@ class SmoothBoundary:
                          sum_k cy_k cos(kt) + sy_k sin(kt)),  k = 1..K
 
     The parameterization must be counterclockwise, simple, and have a
-    nonvanishing tangent; ``validate()`` checks all three by sampling.
+    nonvanishing tangent; ``validate()`` checks all three by sampling on
+    every construction. ``translated()`` and ``scaled()`` (s > 0) keep all
+    three properties, so their results are not checked again.
     An axis-aligned ellipse with semi-axes (a, b) is ``cx = [a], sy = [b]``.
     """
 
@@ -190,16 +192,24 @@ class SmoothBoundary:
 
     def translated(self, v) -> "SmoothBoundary":
         v = _as_point(v)
-        return SmoothBoundary((self.center[0] + v[0], self.center[1] + v[1]),
-                              self.cos_x, self.sin_x, self.cos_y, self.sin_y)
+        return self._similar((self.center[0] + v[0], self.center[1] + v[1]), 1.0)
 
     def scaled(self, s: float) -> "SmoothBoundary":
         """Scale about the origin."""
-        if s <= 0:
-            raise InvalidParameterError("scale factor must be positive")
-        return SmoothBoundary((self.center[0] * s, self.center[1] * s),
-                              tuple(s * v for v in self.cos_x), tuple(s * v for v in self.sin_x),
-                              tuple(s * v for v in self.cos_y), tuple(s * v for v in self.sin_y))
+        if not (s > 0 and np.isfinite(s)):
+            raise InvalidParameterError(f"scale factor must be positive and finite, got {s!r}")
+        return self._similar((self.center[0] * s, self.center[1] * s), s)
+
+    def _similar(self, center, s: float) -> "SmoothBoundary":
+        """This curve moved to ``center`` with its coefficients scaled by
+        s > 0. A positive similarity keeps the curve simple, counterclockwise
+        and regular, so ``validate()`` is not run again."""
+        c = _as_point(center)
+        out = object.__new__(SmoothBoundary)
+        object.__setattr__(out, "center", (float(c[0]), float(c[1])))
+        for name in ("cos_x", "sin_x", "cos_y", "sin_y"):
+            object.__setattr__(out, name, tuple(float(s * v) for v in getattr(self, name)))
+        return out
 
 
 def _polyline_self_intersects(p: np.ndarray) -> bool:

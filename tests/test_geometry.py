@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,10 @@ from neckfield import (Body, Configuration, Disk, HarmonicBackground,
                        build_two_disks, gap)
 from neckfield.geometry.serialize import (ConfigParseError, emit_configuration,
                                           parse_configuration, parse_run)
+
+# the package's ``gap`` function shadows the module of the same name
+gap_module = importlib.import_module("neckfield.geometry.gap")
+config_module = importlib.import_module("neckfield.geometry.config")
 
 
 def peanut(scale=1.0):
@@ -109,6 +115,27 @@ class TestGap:
         info = body_gap(Body.from_smooth(e1), Body.from_smooth(e2))
         assert info.distance == pytest.approx(0.5, rel=1e-9)
 
+    def test_axis_aligned_ellipse_is_not_a_circle(self):
+        # P'' = -(P - c) holds for (a cos t, b sin t) too; only the generic
+        # search gives the true gap from the ellipse's top to the disk
+        a = Body.from_smooth(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.5))
+        b = Body.from_disk(Disk((0.0, 1.0), 0.1))
+        assert abs(body_gap(a, b).distance - 0.4) < 1e-12
+        assert abs(body_gap(a, b, force_generic=True).distance - 0.4) < 1e-12
+
+    def test_circular_arcs_take_closed_form(self, monkeypatch):
+        def no_newton(*args):
+            raise AssertionError("circular arcs must not reach the generic search")
+
+        monkeypatch.setattr(gap_module, "_arc_arc_newton", no_newton)
+        circle = Body.from_smooth(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0))
+        disk = Body.from_disk(Disk((2.5, 0.0), 1.0))
+        assert body_gap(circle, disk).distance == pytest.approx(0.5, rel=1e-14)
+        # case A with its left disk as a Fourier circle
+        lens = build_case_a(1, 0.05, 1, 0.05, 1e-3).bodies[1]
+        left = Body.from_smooth(SmoothBoundary.ellipse((-1.0005, 0.0), 1.0, 1.0))
+        assert body_gap(left, lens).distance == pytest.approx(1e-3, rel=1e-9)
+
     def test_neck_midpoint(self):
         info = build_two_disks(1, 1, 0.01).conductor_gap(0, 1)
         assert np.allclose(info.midpoint, (0.0, 0.0), atol=1e-13)
@@ -147,13 +174,36 @@ class TestCaseCD:
         assert cfg.conductor_gap(0, 1).distance == pytest.approx(1e-3, rel=1e-9)
         assert cfg.conductor_gap(1, 2).distance == pytest.approx(1e-3, rel=1e-9)
         # half-plane separation
-        for t in np.linspace(0, 2 * np.pi, 513):
-            pass
         left = cfg.bodies[0].smooth.point(np.linspace(0, 2 * np.pi, 1024))
         assert np.max(left[:, 0]) <= 1e-9
         for b in cfg.bodies[1:]:
             pts = b.smooth.point(np.linspace(0, 2 * np.pi, 1024))
             assert np.min(pts[:, 0]) >= -1e-9
+
+    def test_case_d_geometry_work(self, monkeypatch):
+        # the benchmark's case-D scene: each curve is validated once, and
+        # the translation solve needs few gap searches
+        calls = {"validate": 0, "body_gap": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SmoothBoundary, "validate",
+                            counted("validate", SmoothBoundary.validate))
+        counted_gap = counted("body_gap", gap_module.body_gap)
+        for module in (gap_module, config_module):
+            monkeypatch.setattr(module, "body_gap", counted_gap)
+        eps = 1e-3
+        ell = SmoothBoundary.ellipse
+        cfg = build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                           ell((0.0, 0.0), 1.1, 0.9), 0.05, eps, eps)
+        assert calls["validate"] <= 4
+        assert calls["body_gap"] <= 60
+        assert cfg.conductor_gap(0, 1).distance == pytest.approx(eps, rel=1e-12)
+        assert cfg.conductor_gap(1, 2).distance == pytest.approx(eps, rel=1e-12)
 
     def test_nonconvex_gap_arc_rejected(self):
         with pytest.raises(InvalidGeometryError):
@@ -174,6 +224,24 @@ class TestSmoothBoundary:
     def test_orientation_rejected(self):
         with pytest.raises(InvalidGeometryError):
             SmoothBoundary((0.0, 0.0), cos_x=(1.0,), sin_y=(-1.0,))
+
+    def test_similarity_keeps_validity(self, monkeypatch):
+        p = peanut()
+        validated = []
+        monkeypatch.setattr(SmoothBoundary, "validate",
+                            lambda self, samples=720: validated.append(self))
+        moved = p.translated((0.25, -1.5))
+        shrunk = p.scaled(0.05)
+        assert validated == []
+        rebuilt_moved = SmoothBoundary((0.25, -1.5), p.cos_x, p.sin_x, p.cos_y, p.sin_y)
+        rebuilt_shrunk = SmoothBoundary((0.0, 0.0), *(tuple(0.05 * v for v in c)
+                                                      for c in (p.cos_x, p.sin_x,
+                                                                p.cos_y, p.sin_y)))
+        assert len(validated) == 2
+        assert moved == rebuilt_moved and hash(moved) == hash(rebuilt_moved)
+        assert shrunk == rebuilt_shrunk and hash(shrunk) == hash(rebuilt_shrunk)
+        with pytest.raises(InvalidParameterError):
+            p.scaled(0.0)
 
     def test_peanut_is_valid_but_not_convex(self):
         p = peanut()
