@@ -15,6 +15,9 @@ import numpy as np
 from ..errors import InvalidGeometryError
 from .shapes import Disk, SmoothBoundary
 
+# Gauss-Legendre rule of the chart arclength estimate
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(256)
+
 
 @dataclass(frozen=True)
 class BoundaryChart:
@@ -45,12 +48,11 @@ class BoundaryChart:
         sp = np.hypot(d[..., 0], d[..., 1])
         return (d[..., 0] * s[..., 1] - d[..., 1] * s[..., 0]) / sp**3
 
-    def arclength(self, n: int = 256) -> float:
+    def arclength(self) -> float:
         # Gauss-Legendre estimate, plenty for mesh planning
-        x, w = np.polynomial.legendre.leggauss(n)
-        u = 0.5 * (self.u0 + self.u1) + 0.5 * self.span * x
+        u = 0.5 * (self.u0 + self.u1) + 0.5 * self.span * _GAUSS_X
         d = self.deriv(u)
-        return float(0.5 * self.span * np.sum(w * np.hypot(d[:, 0], d[:, 1])))
+        return float(0.5 * self.span * np.sum(_GAUSS_W * np.hypot(d[:, 0], d[:, 1])))
 
 
 def lens_corners(d1: Disk, d2: Disk) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ import scipy.linalg
 from ..errors import InvalidGeometryError, InvalidUsageError, NumericFailureError
 from ..geometry.body import Body
 from ..geometry.config import Configuration
-from ..geometry.shapes import Disk
+from ..geometry.shapes import Disk, HarmonicBackground
 from .mesh import MeshControls, build_mesh
 from .nystrom import FieldSolution, SceneOperator
 
@@ -70,70 +70,6 @@ def representation_coeffs(cfg: Configuration,
 
 
 @dataclass
-class InteriorSolution:
-    """Harmonic function in an annular region (enclosing disk minus bodies),
-    represented as a single layer over all boundaries plus a constant."""
-
-    op: "InteriorOperator"
-    g: np.ndarray
-    constant: float
-    rcond: float
-
-    def __post_init__(self):
-        self._fine_cache: dict = {}
-
-    def potential(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = self.op.scene_op.layer_field(self.g, pts, "log", self._fine_cache) + self.constant
-        return float(out[0]) if single else out
-
-    def gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = self.op.scene_op.layer_field(self.g, pts, "grad", self._fine_cache)
-        return out[0] if single else out
-
-
-class InteriorOperator:
-    """Dirichlet solver in disk0 minus the configuration bodies.
-
-    The representation v = S[g] + c with zero total charge is uniquely
-    solvable for any boundary data (the added constant absorbs the
-    logarithmic-capacity degeneracy of the bare single layer).
-    """
-
-    def __init__(self, cfg: Configuration, disk0: Disk,
-                 controls: MeshControls = MeshControls()):
-        self.cfg = cfg
-        self.disk0 = disk0
-        mesh = build_mesh(cfg, controls, extra_bodies=(Body.from_disk(disk0),))
-        self.scene_op = SceneOperator(cfg, controls, mesh=mesh)
-        self.controls = controls
-        self.n_bodies = len(cfg.bodies)
-
-    def ring_curve_index(self) -> int:
-        return self.n_bodies
-
-    def solve_dirichlet(self, body_values: np.ndarray,
-                        ring_values) -> InteriorSolution:
-        """Dirichlet data: one constant per body plus nodewise values on the
-        enclosing circle (a scalar is broadcast)."""
-        mesh = self.scene_op.mesh
-        rhs = np.empty(mesh.n_total)
-        for b in range(self.n_bodies):
-            rhs[mesh.body_nodes(b)] = body_values[b]
-        ring = mesh.curve_slice(self.ring_curve_index())
-        rhs[ring] = ring_values
-        node_group = np.zeros(mesh.n_total, dtype=int)
-        g, consts, rcond = self.scene_op._solve_bordered(
-            node_group, 1, +1.0, rhs, np.zeros(1))
-        return InteriorSolution(self, g, float(consts[0]), rcond)
-
-
-@dataclass
 class Decomposition:
     """u = C0 + v0 + C1*v1 + C3*v3 inside the enclosing disk, where v1 and
     v3 are the harmonic basis functions of the first and third conductor
@@ -147,15 +83,16 @@ class Decomposition:
     C0: float
     C1: float
     C3: float
-    v0: InteriorSolution
-    v1: InteriorSolution
-    v3: InteriorSolution
+    v0: FieldSolution
+    v1: FieldSolution
+    v3: FieldSolution
     u: FieldSolution
     disk0: Disk
 
     def reconstructed(self, pts):
-        return (self.C0 + self.v0.potential(pts) + self.C1 * self.v1.potential(pts)
-                + self.C3 * self.v3.potential(pts))
+        return (self.C0 + self.v0.potential(pts, check_domain=False)
+                + self.C1 * self.v1.potential(pts, check_domain=False)
+                + self.C3 * self.v3.potential(pts, check_domain=False))
 
     def residual(self, pts) -> float:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -200,10 +137,22 @@ def decompose_u(cfg: Configuration, disk0: Disk,
     C0 = u.constant(1)
     C1 = u.constant(0) - C0
     C3 = u.constant(2) - C0
-    iop = InteriorOperator(cfg, disk0, controls)
-    ring_cm = iop.scene_op.mesh.curves[iop.ring_curve_index()]
-    u_ring = u.potential(ring_cm.nodes, check_domain=False)
-    v0 = iop.solve_dirichlet(np.zeros(3), u_ring - C0)
-    v1 = iop.solve_dirichlet(np.array([1.0, 0.0, 0.0]), 0.0)
-    v3 = iop.solve_dirichlet(np.array([0.0, 0.0, 1.0]), 0.0)
+    op = SceneOperator(cfg, controls, mesh=build_mesh(
+        cfg, controls, extra_bodies=(Body.from_disk(disk0),)))
+    mesh = op.mesh
+    ring = mesh.curve_slice(len(cfg.bodies))
+    everything = (tuple(range(len(mesh.curves))),)
+
+    def dirichlet(body_values, ring_values) -> FieldSolution:
+        # S g - c = data with zero total charge, so v = S[g] - c
+        data = np.append(body_values, 0.0)[mesh.body_of_node]
+        data[ring] = ring_values
+        g, c = op._solve(np.zeros(mesh.n_total, dtype=int), data, np.zeros(1))
+        return FieldSolution(op, "v", everything, g, -c,
+                             HarmonicBackground.constant(-c[0]), op.rcond)
+
+    u_ring = u.potential(mesh.nodes[ring], check_domain=False)
+    v0 = dirichlet(np.zeros(3), u_ring - C0)
+    v1 = dirichlet([1.0, 0.0, 0.0], 0.0)
+    v3 = dirichlet([0.0, 0.0, 1.0], 0.0)
     return Decomposition(C0, float(C1), float(C3), v0, v1, v3, u, disk0)

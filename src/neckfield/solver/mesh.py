@@ -406,6 +406,8 @@ class BoundaryMesh:
         self.nodes = np.concatenate([c.nodes for c in self.curves])
         self.normals = np.concatenate([c.normal_out for c in self.curves])
         self.weights = np.concatenate([c.weights for c in self.curves])
+        # the parameter step of each node's curve: g times it is the charge
+        self.step = np.concatenate([np.full(c.n, c.h) for c in self.curves])
         self.speed = np.concatenate([c.speed for c in self.curves])
         self.body_of_node = np.concatenate([
             np.full(c.n, c.body_index, dtype=int) for c in self.curves])

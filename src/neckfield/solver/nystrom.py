@@ -35,14 +35,19 @@ Sign conventions (used consistently everywhere):
   * exterior-side jump relation: d/dn_out S = +sigma/2 + K'sigma, hence
     ``nu.grad u = -(dH/dn_out + sigma/2 + K'sigma)`` on body boundaries.
 
-Every solve is a bordered system: collocation rows enforce constant boundary
-values with the per-group constants as extra unknowns, and one charge row
-per group pins the group's total charge (0 for the conductor problem, -/+1
-for the two-group unit-flux problem, 0 in total for the single-constant
-problem). With the charges pinned, decay at infinity of the represented
-field is automatic and the bordered matrix is nonsingular even when a curve
-sits at logarithmic capacity one, where the bare single-layer operator
-degenerates.
+Every problem is a bordered system: collocation rows hold the field at a
+constant per group of bodies, plus the group's given data, and one charge
+row per group pins the group's total charge (0 for the conductor problem,
++/-1 for the two-group unit-flux problem, 0 in total for single-constant
+and Dirichlet problems). Pinned charges make the field decay at infinity
+and keep the system nonsingular even for a curve at logarithmic capacity
+one, where the bare single layer degenerates. All of them go through one
+LU factorization per operator, of the single-constant matrix
+``[[S, -1], [h, 0]]``: group 0 takes its shared constant, every further
+group adds a right-hand column with a unit potential step on its nodes,
+and a small system of group charges fixes the step heights. One step of
+iterative refinement on the problem's own system, through the same
+factor, follows every solve.
 """
 
 from __future__ import annotations
@@ -171,6 +176,7 @@ class SceneOperator:
         self._fine_cache: dict[tuple[int, int], np.ndarray] = {}
         self._slp = self._assemble_slp()
         self._kprime: Optional[np.ndarray] = None
+        self._lu = None
 
     def _fine_points(self, curve_index: int, factor: int) -> np.ndarray:
         key = (curve_index, factor)
@@ -301,29 +307,60 @@ class SceneOperator:
         self._kprime = K
         return K
 
-    # -- generic bordered solve -------------------------------------------
+    # -- bordered solves -----------------------------------------------------
 
-    def _solve_bordered(self, node_group: np.ndarray, n_groups: int,
-                        const_coeff: float, rhs_nodes: np.ndarray,
-                        charge_rhs: np.ndarray):
-        mesh = self.mesh
-        n_tot = mesh.n_total
-        h_of_node = np.concatenate([np.full(c.n, c.h) for c in mesh.curves])
-        M = np.zeros((n_tot + n_groups, n_tot + n_groups))
-        M[:n_tot, :n_tot] = self._slp
-        M[np.arange(n_tot), n_tot + node_group] = const_coeff
-        for g in range(n_groups):
-            mask = node_group == g
-            M[n_tot + g, :n_tot][mask] = h_of_node[mask]
-        rhs = np.concatenate([rhs_nodes, charge_rhs])
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (M,))
-        rcond, _ = gecon(lu, np.linalg.norm(M, 1), norm="1")
-        if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
-            raise NumericFailureError("linear system too ill-conditioned",
-                                      {"rcond": float(rcond), "n": int(n_tot)})
-        sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-        return sol[:n_tot], sol[n_tot:], float(rcond)
+    def _factor(self):
+        """LU factors and reciprocal condition number of the single-constant
+        bordered matrix [[S, -1], [h, 0]], built on first use."""
+        if self._lu is None:
+            n_tot = self.mesh.n_total
+            M = np.zeros((n_tot + 1, n_tot + 1))
+            M[:n_tot, :n_tot] = self._slp
+            M[:n_tot, n_tot] = -1.0
+            M[n_tot, :n_tot] = self.mesh.step
+            norm = np.linalg.norm(M, 1)
+            lu, piv = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
+            gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+            rcond, _ = gecon(lu, norm, norm="1")
+            if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
+                raise NumericFailureError("linear system too ill-conditioned",
+                                          {"rcond": float(rcond), "n": int(n_tot)})
+            self._lu = (lu, piv, float(rcond))
+        return self._lu
+
+    @property
+    def rcond(self) -> float:
+        """Reciprocal 1-norm condition number of the bordered factor."""
+        return self._factor()[2]
+
+    def _solve(self, node_group: np.ndarray, rhs: np.ndarray, charges: np.ndarray):
+        """g and the group constants c of S g - c[node_group] = rhs with
+        group k's charge sum(h g) equal to charges[k]."""
+        lu, piv, _ = self._factor()
+        n_tot, h = self.mesh.n_total, self.mesh.step
+        unit_steps = (node_group[:, None] == np.arange(1, charges.size)).astype(float)
+        step_sols = scipy.linalg.lu_solve(
+            (lu, piv), np.vstack([unit_steps, np.zeros((1, charges.size - 1))]),
+            check_finite=False)
+        step_charges = (unit_steps * h[:, None]).T
+        Q = step_charges @ step_sols[:n_tot]
+        if Q.size and not (np.all(np.isfinite(Q))
+                           and 1.0 / np.linalg.cond(Q, 1) >= _RCOND_FLOOR):
+            raise NumericFailureError("singular group charge system",
+                                      {"matrix": Q.tolist()})
+
+        def apply(b, q):
+            x = scipy.linalg.lu_solve((lu, piv), np.append(b, q.sum()),
+                                      check_finite=False)
+            heights = np.linalg.solve(Q, q[1:] - step_charges @ x[:n_tot])
+            x += step_sols @ heights
+            return x[:n_tot], x[n_tot] + np.append(0.0, heights)
+
+        g, c = apply(rhs, charges)
+        # one step of iterative refinement on this problem's own system
+        g_fix, c_fix = apply(rhs - self._slp @ g + c[node_group],
+                             charges - np.bincount(node_group, h * g, charges.size))
+        return g + g_fix, c + c_fix
 
     # -- problem frontends --------------------------------------------------
 
@@ -332,12 +369,8 @@ class SceneOperator:
         zero net flux per conductor. ``groups`` overrides the configuration's
         conductor partition (equipotential unions of bodies)."""
         groups = tuple(tuple(g) for g in (groups or self.cfg.groups))
-        node_group = self._node_group(groups)
-        rhs = -self.cfg.background(self.mesh.nodes)
-        g, consts, rcond = self._solve_bordered(node_group, len(groups), -1.0,
-                                                rhs, np.zeros(len(groups)))
-        return FieldSolution(self, "u", tuple(tuple(x) for x in groups), g,
-                             consts, self.cfg.background, rcond)
+        return self._field("u", groups, -self.cfg.background(self.mesh.nodes),
+                           np.zeros(len(groups)), self.cfg.background)
 
     def solve_h(self, partition: Sequence[Sequence[int]]) -> "FieldSolution":
         """Two-group unit-flux problem: h = S[sigma] with h -> 0 at
@@ -348,22 +381,19 @@ class SceneOperator:
             raise InvalidUsageError("partition must have exactly two groups")
         if sorted(i for p in part for i in p) != list(range(len(self.cfg.bodies))):
             raise InvalidUsageError("partition must cover all bodies exactly once")
-        node_group = self._node_group(part)
-        g, consts, rcond = self._solve_bordered(node_group, 2, -1.0,
-                                                np.zeros(self.mesh.n_total),
-                                                np.array([1.0, -1.0]))
-        return FieldSolution(self, "h", part, g, consts, None, rcond)
+        return self._field("h", part, np.zeros(self.mesh.n_total),
+                           np.array([1.0, -1.0]), None)
 
     def solve_hc(self) -> "FieldSolution":
         """Single-constant problem: H^c = H + S[sigma] with one shared
         boundary constant and zero total charge."""
-        part = (tuple(range(len(self.cfg.bodies))),)
-        node_group = self._node_group(part)
-        rhs = -self.cfg.background(self.mesh.nodes)
-        g, consts, rcond = self._solve_bordered(node_group, 1, -1.0, rhs,
-                                                np.zeros(1))
-        return FieldSolution(self, "hc", part, g, consts,
-                             self.cfg.background, rcond)
+        return self._field("hc", (tuple(range(len(self.cfg.bodies))),),
+                           -self.cfg.background(self.mesh.nodes), np.zeros(1),
+                           self.cfg.background)
+
+    def _field(self, kind, groups, rhs, charges, background) -> "FieldSolution":
+        g, consts = self._solve(self._node_group(groups), rhs, charges)
+        return FieldSolution(self, kind, groups, g, consts, background, self.rcond)
 
     def _node_group(self, groups: Sequence[Sequence[int]]) -> np.ndarray:
         body_to_group = {}
@@ -427,11 +457,13 @@ class SceneOperator:
 
 @dataclass
 class FieldSolution:
-    """A solved exterior field with its boundary constants.
+    """A solved field with its boundary constants.
 
-    ``kind`` is "u" (conductor problem), "h" (two-group unit-flux problem)
-    or "hc" (single shared constant); ``groups`` lists body indices per
-    constant.
+    ``kind`` is "u" (conductor problem), "h" (two-group unit-flux problem),
+    "hc" (single shared constant) or "v" (Dirichlet data, see
+    ``decompose_u``); ``groups`` lists body indices per constant. ``rcond``
+    is the reciprocal 1-norm condition number of the operator's one
+    factorization, the same for every field solved on it.
     """
 
     op: SceneOperator
@@ -491,8 +523,7 @@ class FieldSolution:
 
     def body_charge(self, body_index: int) -> float:
         idx = self.mesh.body_nodes(body_index)
-        h = np.concatenate([np.full(c.n, c.h) for c in self.mesh.curves])
-        return float(np.sum(self.g[idx] * h[idx]))
+        return float(np.sum(self.g[idx] * self.mesh.step[idx]))
 
     def boundary_flux(self, body_index: int) -> float:
         """int_dB nu.grad field dS with nu into the body; equals minus the

@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import neckfield
 from neckfield import (Body, Configuration, Disk, DomainError, GapInfo,
                        HarmonicBackground, MeshControls, RefinementFailureError,
                        SceneOperator, SmoothBoundary, build_case_a,
-                       build_case_b, build_case_c, build_two_disks, images,
-                       max_gap_gradient, solve_h, solve_hc, solve_u)
-from neckfield.errors import InvalidUsageError
+                       build_case_b, build_case_c, build_two_disks,
+                       decompose_u, images, max_gap_gradient,
+                       representation_coeffs, solve_h, solve_hc, solve_u)
+from neckfield.errors import InvalidUsageError, NumericFailureError
 from neckfield.solver.mesh import build_mesh
 from neckfield.solver.nystrom import (_dirichlet_rows, kussmaul_row, trig_resample,
                                      trig_resample_adjoint)
@@ -387,3 +395,94 @@ class TestGapMaximum:
         inner = max_gap_gradient(h, GapInfo(float(np.hypot(*(q - p))), tuple(p), tuple(q)))
         exact_inner = np.max(np.hypot(*f.gradient(p + s[:, None] * (q - p)).T))
         assert inner.max_magnitude == pytest.approx(exact_inner, rel=1e-6)
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """Counts the LU factorizations made while a test runs."""
+    calls = []
+    original = scipy.linalg.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    return calls
+
+
+class TestOneFactorization:
+    """Every field on one mesh is solved against the operator's one LU
+    factor, followed by a step of iterative refinement."""
+
+    def test_u_h_and_hc_share_one_factor(self, lu_calls):
+        op = SceneOperator(build_two_disks(1, 1, 1e-2))
+        op.solve_h(((0,), (1,)))
+        op.solve_u()
+        op.solve_hc()
+        assert len(lu_calls) == 1
+
+    def test_decomposition_and_representation(self, lu_calls):
+        cfg = build_case_b(1, 0.05, 1, 1e-3, 1e-3)
+        op = SceneOperator(cfg)
+        u = op.solve_u()
+        representation_coeffs(cfg, op=op)
+        assert len(lu_calls) == 1
+        # the three Dirichlet fields inside the enclosing disk: one more
+        # mesh, one more factor
+        decompose_u(cfg, Disk((0.5, 0.0), 8.0), u=u)
+        assert len(lu_calls) == 2
+
+    def test_empty_group_is_a_singular_charge_system(self):
+        # a group without nodes has a zero step column, so its charge
+        # cannot be pinned
+        op = SceneOperator(build_two_disks(1, 1, 1e-2))
+        with pytest.raises(NumericFailureError):
+            op.solve_u(((0, 1), ()))
+
+    def test_ellipse_gap_keeps_mirror_symmetry(self):
+        # case C's ellipse at eps 1e-6 is symmetric about the x-axis, and
+        # so are its nodes (node j mirrors node n-1-j); without the
+        # refinement step the normal derivative next to the gap breaks
+        # the symmetry by 4.6e-5 of its maximum
+        cfg = build_case_c(SmoothBoundary.ellipse((0.0, 0.0), 1.2, 0.9),
+                           Disk((0.0, 0.0), 1.0), Disk((1.0, 0.0), 1.0),
+                           0.05, 1e-6)
+        u = SceneOperator(cfg).solve_u()
+        nodes = u.mesh.nodes[u.mesh.curve_slice(0)]
+        dnu = u.normal_derivative_nodes()[u.mesh.curve_slice(0)]
+        assert np.max(np.abs(nodes[::-1] * [1, -1] - nodes)) < 1e-9
+        assert np.max(np.abs(dnu - dnu[::-1])) <= 1e-6 * np.max(np.abs(dnu))
+
+    def test_split_field_stays_nonnegative_on_the_middle_body(self):
+        # d_nu h1 >= 0 on the middle body of case B (the lemma suite's
+        # adjacent-pair domination); rounding made it -7.4e-9 of the
+        # pair field's scale at eps 1e-5
+        cfg = build_case_b(1.0, 0.05, 1.0, 1e-5, 1e-5)
+        op = SceneOperator(cfg)
+        h1 = op.solve_h(((0,), (1, 2)))
+        cm = op.mesh.curves[1]
+        pair = images.psi_two_disks(cfg.bodies[0].disk, cfg.bodies[1].disk)
+        scale = np.max(np.abs(np.einsum("ij,ij->i", pair.gradient(cm.nodes),
+                                        cm.normal_out)))
+        dnu = h1.normal_derivative_nodes()[op.mesh.curve_slice(1)]
+        assert np.min(dnu) >= -1e-10 * scale
+
+    def test_same_result_at_any_blas_thread_count(self):
+        # without refinement the gap maximum at eps 1e-6 was 2002.2582 on
+        # one thread and 2002.0068 on two
+        script = ("from neckfield import build_two_disks, max_gap_gradient, solve_u\n"
+                  "cfg = build_two_disks(1.0, 1.0, 1e-6)\n"
+                  "u = solve_u(cfg)\n"
+                  "print(repr(max_gap_gradient(u, cfg.conductor_gap(0, 1)).max_magnitude))\n")
+        src = str(Path(neckfield.__file__).resolve().parents[1])
+        values = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            values.append(float(out.stdout.strip().splitlines()[-1]))
+        assert values[1] == pytest.approx(values[0], rel=1e-9)
