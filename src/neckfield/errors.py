@@ -39,7 +39,8 @@ class NumericFailureError(NeckfieldError, RuntimeError):
 
 
 class RefinementFailureError(NumericFailureError):
-    """Mesh refinement hit the node cap before meeting resolution targets."""
+    """Mesh refinement cannot meet its resolution targets: the node cap was
+    hit first, or a gap is narrower than the chain map's floor resolves."""
 
 
 class SweepFailureError(NeckfieldError, RuntimeError):

@@ -2,13 +2,15 @@
 
 Disk pairs and circular-arc pairs are handled in closed form; smooth curves
 use damped Newton on the squared distance with multistart and a sampling
-fallback.
+fallback. Every path also returns the chart and chart parameter of both
+closest points, which the mesh planner grades toward.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,14 +19,26 @@ from .body import Body, BoundaryChart
 from .shapes import Disk
 
 
+class GapFoot(NamedTuple):
+    """Where a closest point lies: ``Body.charts()[chart].point(u)`` of body
+    ``body``. From :func:`gap` the body index is the configuration's; from
+    :func:`body_gap` it is 0 for ``body_a`` and 1 for ``body_b``."""
+
+    body: int
+    chart: int
+    u: float
+
+
 @dataclass(frozen=True)
 class GapInfo:
-    """Gap between two bodies: the closest boundary points and the straight
-    neck segment joining them."""
+    """Gap between two bodies: the closest boundary points, the straight
+    neck segment joining them and, from the gap search, one :class:`GapFoot`
+    per point. A hand-built GapInfo has no feet and cannot be meshed."""
 
     distance: float
     point_i: tuple[float, float]
     point_j: tuple[float, float]
+    feet: tuple[GapFoot, ...] = ()
 
     def __post_init__(self):
         if not (self.distance > 0):
@@ -54,7 +68,8 @@ def _disk_disk(da: Disk, db: Disk):
     dist = d - da.radius - db.radius
     pa = da.c + da.radius * e
     pb = db.c - db.radius * e
-    return dist, pa, pb
+    ua = math.atan2(e[1], e[0]) % (2 * np.pi)
+    return dist, pa, pb, ua, (ua + np.pi) % (2 * np.pi)
 
 
 def _point_to_arc(p: np.ndarray, chart: BoundaryChart, circle: Disk):
@@ -96,7 +111,8 @@ def _chart_circle(chart: BoundaryChart) -> Disk | None:
 
 
 def _arc_arc_closed_form(ca: BoundaryChart, cb: BoundaryChart, circ_a: Disk, circ_b: Disk):
-    """Exact gap between two circular arcs via angle clamping."""
+    """Exact gap between two circular arcs via angle clamping, as
+    (distance, point on a, point on b, u on a, u on b)."""
     candidates = []
     # unconstrained circle-circle solution if both feet are in range
     e = circ_b.c - circ_a.c
@@ -104,25 +120,26 @@ def _arc_arc_closed_form(ca: BoundaryChart, cb: BoundaryChart, circ_a: Disk, cir
     if d > 0:
         pa = circ_a.c + circ_a.radius * e / d
         pb = circ_b.c - circ_b.radius * e / d
-        da_, qa, _ = _point_to_arc(pa, ca, circ_a)
-        db_, qb, _ = _point_to_arc(pb, cb, circ_b)
+        da_, _, ua = _point_to_arc(pa, ca, circ_a)
+        db_, _, ub = _point_to_arc(pb, cb, circ_b)
         if da_ < 1e-12 * circ_a.radius and db_ < 1e-12 * circ_b.radius:
-            candidates.append((float(np.hypot(*(pb - pa))), pa, pb))
+            candidates.append((float(np.hypot(*(pb - pa))), pa, pb, ua, ub))
     # endpoint (corner) against the other arc, both ways
-    for u_end in (ca.u0, ca.u1):
-        p = ca.point(np.array([u_end]))[0]
-        dist, q, _ = _point_to_arc(p, cb, circ_b)
-        candidates.append((dist, p, q))
-    for u_end in (cb.u0, cb.u1):
-        p = cb.point(np.array([u_end]))[0]
-        dist, q, _ = _point_to_arc(p, ca, circ_a)
-        candidates.append((dist, q, p))
+    for ua in (ca.u0, ca.u1):
+        p = ca.point(np.array([ua]))[0]
+        dist, q, ub = _point_to_arc(p, cb, circ_b)
+        candidates.append((dist, p, q, ua, ub))
+    for ub in (cb.u0, cb.u1):
+        p = cb.point(np.array([ub]))[0]
+        dist, q, ua = _point_to_arc(p, ca, circ_a)
+        candidates.append((dist, q, p, ua, ub))
     return min(candidates, key=lambda c: c[0])
 
 
 def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, starts_per_curve: int = 8):
     """Damped Newton on D(u,v) = |A(u) - B(v)|^2 with multistart; sampling
-    plus golden-section refinement as fallback."""
+    plus golden-section refinement as fallback. Returns (distance, point on
+    a, point on b, u, v)."""
     us = np.linspace(ca.u0, ca.u1, starts_per_curve, endpoint=not ca.closed)
     vs = np.linspace(cb.u0, cb.u1, starts_per_curve, endpoint=not cb.closed)
     # rank all start pairs by sampled distance, run Newton from the best few
@@ -130,10 +147,10 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, starts_per_curve: int 
     d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
     order = np.dstack(np.unravel_index(np.argsort(d2, axis=None), d2.shape))[0]
 
-    def clamp(u, lo, hi, periodic):
-        if periodic:
-            return lo + (u - lo) % (hi - lo)
-        return min(max(u, lo), hi)
+    def clamp(u, chart):
+        if chart.closed:
+            return chart.u0 + (u - chart.u0) % chart.span
+        return min(max(u, chart.u0), chart.u1)
 
     best = None
     for iu, iv in order[:6]:
@@ -158,8 +175,8 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, starts_per_curve: int 
             f0 = r @ r
             lam = 1.0
             for _ in range(30):
-                un = clamp(u + lam * step[0], ca.u0, ca.u1, ca.closed)
-                vn = clamp(v + lam * step[1], cb.u0, cb.u1, cb.closed)
+                un = clamp(u + lam * step[0], ca)
+                vn = clamp(v + lam * step[1], cb)
                 rn = ca.point(np.array([un]))[0] - cb.point(np.array([vn]))[0]
                 if rn @ rn <= f0 + 1e-15:
                     break
@@ -173,7 +190,7 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, starts_per_curve: int 
                 break
         if ok:
             pa, pb = ca.point(np.array([u]))[0], cb.point(np.array([v]))[0]
-            cand = (float(np.hypot(*(pa - pb))), pa, pb)
+            cand = (float(np.hypot(*(pa - pb))), pa, pb, u, v)
             if best is None or cand[0] < best[0]:
                 best = cand
     if best is None:
@@ -191,8 +208,9 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, starts_per_curve: int 
             v = _golden_1d(lambda vv: float(((ca.point(np.array([u]))[0]
                                               - cb.point(np.array([vv]))[0]) ** 2).sum()),
                            v - 0.01 * cb.span, v + 0.01 * cb.span)
+        u, v = clamp(u, ca), clamp(v, cb)
         pa, pb = ca.point(np.array([u]))[0], cb.point(np.array([v]))[0]
-        best = (float(np.hypot(*(pa - pb))), pa, pb)
+        best = (float(np.hypot(*(pa - pb))), pa, pb, u, v)
         if not np.isfinite(best[0]):
             raise NumericFailureError("gap search failed to converge",
                                       {"chart_a": (ca.u0, ca.u1), "chart_b": (cb.u0, cb.u1)})
@@ -230,10 +248,11 @@ def body_gap(body_a: Body, body_b: Body, force_generic: bool = False) -> GapInfo
     tests to reconcile the generic search with the closed form.
     """
     if body_a.kind == "disk" and body_b.kind == "disk" and not force_generic:
-        dist, pa, pb = _disk_disk(body_a.disk, body_b.disk)
+        dist, pa, pb, ua, ub = _disk_disk(body_a.disk, body_b.disk)
         if dist <= 0:
             raise InvalidGeometryError("bodies overlap or touch")
-        return GapInfo(dist, tuple(pa), tuple(pb))
+        return GapInfo(dist, tuple(pa), tuple(pb),
+                       (GapFoot(0, 0, float(ua)), GapFoot(1, 0, float(ub))))
 
     # boundary-to-boundary distance is positive even for nested bodies, so
     # rule out containment first
@@ -243,35 +262,39 @@ def body_gap(body_a: Body, body_b: Body, force_generic: bool = False) -> GapInfo
         raise InvalidGeometryError("bodies overlap (one contains the other's boundary)")
 
     best = None
-    for ca in body_a.charts():
+    for ia, ca in enumerate(body_a.charts()):
         circ_a = _chart_circle(ca)
-        for cb in body_b.charts():
+        for ib, cb in enumerate(body_b.charts()):
             circ_b = _chart_circle(cb)
             if circ_a is not None and circ_b is not None and not force_generic:
                 cand = _arc_arc_closed_form(ca, cb, circ_a, circ_b)
             else:
                 cand = _arc_arc_newton(ca, cb)
-            if best is None or cand[0] < best[0]:
-                best = cand
-    dist, pa, pb = best
+            if best is None or cand[0] < best[0][0]:
+                best = (cand, ia, ib)
+    (dist, pa, pb, ua, ub), ia, ib = best
     if dist <= 0:
         raise InvalidGeometryError("bodies overlap or touch")
-    return GapInfo(dist, (float(pa[0]), float(pa[1])), (float(pb[0]), float(pb[1])))
+    return GapInfo(dist, (float(pa[0]), float(pa[1])), (float(pb[0]), float(pb[1])),
+                   (GapFoot(0, ia, float(ua)), GapFoot(1, ib, float(ub))))
 
 
 def gap(cfg, i: int, j: int, force_generic: bool = False) -> GapInfo:
-    """Gap between conductors i and j of a configuration (1-based indices
-    follow the conductor ordering; equal indices are rejected)."""
+    """Gap between conductors i and j of a configuration (0-based indices
+    in conductor order; equal indices are rejected). Its feet carry the
+    configuration's body indices."""
     if i == j:
         raise InvalidParameterError("gap requires two distinct conductor indices")
     groups = cfg.groups
     for k in (i, j):
         if not (0 <= k < len(groups)):
             raise InvalidParameterError(f"conductor index {k} out of range")
-    best: GapInfo | None = None
+    best = None
     for a in groups[i]:
         for b in groups[j]:
             g = body_gap(cfg.bodies[a], cfg.bodies[b], force_generic=force_generic)
-            if best is None or g.distance < best.distance:
-                best = g
-    return best
+            if best is None or g.distance < best[0].distance:
+                best = (g, a, b)
+    g, a, b = best
+    foot_a, foot_b = g.feet
+    return replace(g, feet=(foot_a._replace(body=a), foot_b._replace(body=b)))

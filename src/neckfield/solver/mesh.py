@@ -11,20 +11,23 @@ one term per gap closest point and per lens corner. Away from a feature the
 term decays like 1/distance, so panel lengths grow linearly with distance to
 the feature (the continuous analogue of dyadic refinement); at the feature
 they bottom out at a floor length (a fraction of the gap width, or
-2^-levels of the arc length at corners). The cumulative density has a
-closed form via incomplete elliptic integrals, so node placement is exact
-and the map stays analytic, which the global quadrature rule requires.
+2^-levels of the arc length at corners). The cumulative density is a sum of
+incomplete elliptic integrals, evaluated in Carlson's symmetric form R_F,
+which keeps full relative accuracy as the floor parameter b -> 0; so node
+placement is exact and the map stays analytic, which the global quadrature
+rule requires.
 
 Node counts double until measured targets hold:
 
   * panels within one gap distance of a gap point are shorter than gap/4,
-  * at least ``peak_nodes`` nodes lie within the neck scale
+  * at least ``_PEAK_NODES`` nodes lie within the neck scale
     sqrt(gap * curvature radius) on each side of a gap point,
   * panels elsewhere resolve the body at the base density,
   * toward each corner the innermost panels decay geometrically.
 
 Exceeding the total node cap raises RefinementFailureError rather than
-returning a silently under-resolved mesh.
+returning a silently under-resolved mesh; so does a gap whose floor panel
+the clamped b cannot bring below gap/4, which no node count mends.
 """
 
 from __future__ import annotations
@@ -33,29 +36,32 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ellipkinc
+from scipy.special import elliprf
 
 from ..errors import RefinementFailureError
 from ..geometry.body import Body, BoundaryChart
 from ..geometry.config import Configuration
-from ..geometry.gap import GapInfo
+from ..geometry.gap import GapFoot, GapInfo
 
 _TWO_PI = 2.0 * np.pi
+
+# Grading toward features (see the module docstring)
+_PEAK_NODES = 12                   # nodes within the neck scale, each side of a gap point
+_GAP_PANEL_GROWTH = 1.0 / 6.0      # panel length per unit distance from a gap point
+_CORNER_PANEL_GROWTH = 1.0 / 4.0
+_GAP_FLOOR_FRACTION = 1.0 / 12.0   # floor panel length as a fraction of the gap
+_CORNER_FLOOR_LEVELS = 20          # floor = arc length * 2**-levels
+# Smallest floor parameter b: finer floors outrun the capped near-field
+# upsampling (silently wrong fields), so gaps that need one raise instead.
+_B_MIN = 1e-7
 
 
 @dataclass(frozen=True)
 class MeshControls:
     """Named mesh parameters: ``base_n`` is the starting node count per
-    curve and ``cap_total`` the hard cap over all curves of one scene; the
-    panel growths and floors set the grading toward gap points and
-    corners (see the module docstring)."""
+    curve and ``cap_total`` the hard cap over all curves of one scene."""
 
     base_n: int = 192               # below 64: taken literally, resolution targets bypassed
-    peak_nodes: int = 12
-    gap_panel_growth: float = 1.0 / 6.0   # panel length per unit distance from a gap point
-    corner_panel_growth: float = 1.0 / 4.0
-    gap_floor_fraction: float = 1.0 / 12.0  # floor panel length as a fraction of the gap
-    corner_floor_levels: int = 20           # floor = arc length * 2**-levels
     cap_total: int = 65536
 
     def with_base(self, base_n: Optional[int] = None, cap: Optional[int] = None) -> "MeshControls":
@@ -82,12 +88,20 @@ class FeatureSpec:
 
 
 def _clustered_mass(x, b: float):
-    """I(x) = int_0^x dv / sqrt(sin^2(v/2) + b^2), odd in x, via the
-    standard extension of the incomplete elliptic integral."""
-    m = 1.0 / (1.0 + b * b)
-    scale = 2.0 / np.sqrt(1.0 + b * b)
-    k_complete = ellipkinc(np.pi / 2, m)
-    return scale * (k_complete - ellipkinc(np.pi / 2 - np.asarray(x) / 2.0, m))
+    """I(x) = int_0^x dv / sqrt(sin^2(v/2) + b^2) for |x| <= 2 pi, odd in x:
+    2 sign(x) G(|x|/2) with G(y) = sin y R_F(b^2 cos^2 y, b^2 + sin^2 y, b^2)
+    on y <= pi/2 (Carlson's form, DLMF 19.25(i), free of cancellation as
+    b -> 0) and G(y) = 2 G(pi/2) - G(pi - y) beyond, where
+    G(pi/2) = R_F(0, 1 + b^2, b^2)."""
+    x = np.asarray(x, dtype=float)
+    y = 0.5 * np.abs(x)
+    far = y > np.pi / 2
+    y = np.where(far, np.pi - y, y)
+    s, c = np.sin(y), np.cos(y)
+    bb = b * b
+    g = s * elliprf(bb * c * c, bb + s * s, bb)
+    g = np.where(far, 2.0 * elliprf(0.0, 1.0 + bb, bb) - g, g)
+    return 2.0 * np.sign(x) * g
 
 
 class _ChainMap:
@@ -109,40 +123,30 @@ class _ChainMap:
         self.v_edges = np.concatenate([[0.0], np.cumsum(spans)])
         self.v_total = float(self.v_edges[-1])
         self.scale = _TWO_PI / self.v_total
-        self.n = n_nodes
-        self.features = list(features)
         h = _TWO_PI / n_nodes
-        self.x_f = np.array([f.v * self.scale for f in features])
+        v_f = np.array([f.v for f in features])
+        self.x_f = v_f * self.scale
         # corners join charts of possibly very different speeds; size the
         # floor for the faster side (the slower side only over-refines)
+        def speed(v):
+            return np.hypot(*self.frame_of_v(v)[1].T)
+
         tiny = 1e-9 * self.v_total
-        speeds = np.array([
-            max(self._chart_speed((f.v - tiny) % self.v_total),
-                self._chart_speed((f.v + tiny) % self.v_total))
-            if f.kind == "corner" else self._chart_speed(f.v)
-            for f in features])
-        self.b = np.array([
-            min(max(f.floor_arc * self.scale / (2 * f.growth * sp), 1e-7), 0.5)
-            for f, sp in zip(features, speeds)])
-        masses = np.array([4.0 * ellipkinc(np.pi / 2, 1.0 / (1 + b * b))
-                           / np.sqrt(1 + b * b) for b in self.b])
+        corner = np.array([f.kind == "corner" for f in features], dtype=bool)
+        speeds = np.where(corner, np.maximum(speed((v_f - tiny) % self.v_total),
+                                             speed((v_f + tiny) % self.v_total)), speed(v_f))
+        self.b = np.clip([f.floor_arc * self.scale / (2 * f.growth * sp)
+                          for f, sp in zip(features, speeds)], _B_MIN, 0.5)
+        masses = 4.0 * elliprf(0.0, 1.0 + self.b ** 2, self.b ** 2)
         coef = np.array([h / (4 * np.pi * f.growth) for f in features])
-        denom = 1.0 - float(np.sum(coef * masses)) if len(features) else 1.0
+        denom = 1.0 - float(np.sum(coef * masses))
         # a small denominator means the clustering would eat the whole node
         # budget; report unresolved so the planner doubles n
         self.resolved = denom > 0.3
         denom = max(denom, 0.3)
         self.mass_total = _TWO_PI / denom
         self.amps = coef * self.mass_total
-
-    def _chart_speed(self, v: float) -> float:
-        i = min(int(np.searchsorted(self.v_edges, v, side="right")) - 1,
-                len(self.charts) - 1)
-        i = max(i, 0)
-        ch = self.charts[i]
-        u = ch.u0 + (v - self.v_edges[i])
-        d = ch.deriv(np.array([u]))[0]
-        return float(np.hypot(d[0], d[1]))
+        self._m_tab, self._v_tab = self._seed_table()
 
     def rho(self, v):
         x = np.asarray(v, dtype=float) * self.scale
@@ -159,30 +163,24 @@ class _ChainMap:
         return out
 
     def _seed_table(self):
-        """Inverse-map table on a uniform-in-mass grid (one bisection sweep);
-        interpolating the inverse is well conditioned even inside the
-        density bumps, where the forward map is nearly flat in v."""
-        if not hasattr(self, "_seeds"):
-            total = self.mass(np.array([self.v_total]))[0]
-            m_grid = np.linspace(0.0, total, 2049)
-            lo = np.zeros_like(m_grid)
-            hi = np.full_like(m_grid, self.v_total)
-            for _ in range(52):
-                mid = 0.5 * (lo + hi)
-                low = self.mass(mid) < m_grid
-                lo = np.where(low, mid, lo)
-                hi = np.where(low, hi, mid)
-            self._seeds = (m_grid, 0.5 * (lo + hi), total)
-        return self._seeds
+        """Forward table (mass(v), v) from one mass evaluation: uniform in v,
+        plus x-offsets graded geometrically from b/100 to pi on both sides of
+        each feature, so every density bump (width about b) is sampled on
+        its own scale. Its last entry is v_total."""
+        x_off = [b * np.geomspace(1e-2, np.pi / b, 256) for b in self.b]
+        v = np.concatenate([np.linspace(0.0, self.v_total, 1025)] + [
+            ((xf + s * off) / self.scale) % self.v_total
+            for xf, off in zip(self.x_f, x_off) for s in (1.0, -1.0)])
+        v = np.unique(v)
+        return self.mass(v), v
 
     def v_of_t(self, t):
-        """Invert t = 2 pi * mass(v) / mass_total: seed from the inverse
-        table, then a few Newton steps (quadratic from a uniformly good
-        seed)."""
+        """Invert t = 2 pi * mass(v) / mass(v_total): seed by interpolating
+        the forward table, then three Newton steps (quadratic from a seed
+        that is close on the scale of every bump)."""
         t = np.asarray(t, dtype=float) % _TWO_PI
-        m_tab, v_tab, total = self._seed_table()
-        target = t / _TWO_PI * total
-        v = np.interp(target, m_tab, v_tab)
+        target = t / _TWO_PI * self._m_tab[-1]
+        v = np.interp(target, self._m_tab, self._v_tab)
         for _ in range(3):
             r = self.mass(v) - target
             v = np.clip(v - r / (self.rho(v) * self.scale), 0.0, self.v_total)
@@ -267,51 +265,22 @@ class CurveMesh:
         return np.minimum(d, self.perimeter - d)
 
 
-def _locate_on_chart(chart: BoundaryChart, p: np.ndarray) -> tuple[float, float]:
-    """Parameter of the chart point closest to p, with its distance."""
-    u = np.linspace(chart.u0, chart.u1, 4096)
-    q = chart.point(u)
-    d2 = (q[:, 0] - p[0]) ** 2 + (q[:, 1] - p[1]) ** 2
-    i = int(np.argmin(d2))
-    lo = u[max(i - 1, 0)]
-    hi = u[min(i + 1, len(u) - 1)]
-    phi = (np.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    for _ in range(80):
-        c, dd = b - phi * (b - a), a + phi * (b - a)
-        pc = chart.point(np.array([c]))[0]
-        pd = chart.point(np.array([dd]))[0]
-        if (pc[0] - p[0]) ** 2 + (pc[1] - p[1]) ** 2 < (pd[0] - p[0]) ** 2 + (pd[1] - p[1]) ** 2:
-            b = dd
-        else:
-            a = c
-    u_best = 0.5 * (a + b)
-    q_best = chart.point(np.array([u_best]))[0]
-    return float(u_best), float(np.hypot(*(q_best - p)))
-
-
-def _body_features(body: Body, gap_entries: Sequence[tuple[np.ndarray, float]],
-                   controls: MeshControls) -> list[FeatureSpec]:
+def _body_features(body: Body,
+                   gap_entries: Sequence[tuple[GapFoot, np.ndarray, float]]) -> list[FeatureSpec]:
     charts = body.charts()
     spans = np.concatenate([[0.0], np.cumsum([ch.span for ch in charts])])
     perimeter = sum(ch.arclength() for ch in charts)
     feats: list[FeatureSpec] = []
-    for point, gap_dist in gap_entries:
-        best = None
-        for ci, ch in enumerate(charts):
-            u, d = _locate_on_chart(ch, point)
-            if best is None or d < best[2]:
-                best = (ci, u, d)
-        ci, u, _ = best
-        ch = charts[ci]
-        kappa = float(ch.curvature(np.array([u]))[0])
+    for foot, point, gap_dist in gap_entries:
+        ch = charts[foot.chart]
+        kappa = float(ch.curvature(np.array([foot.u]))[0])
         _, brad = body.bounding_circle()
         rho_c = 1.0 / kappa if kappa > 1.0 / (20 * brad) else 20 * brad
         peak = float(np.sqrt(gap_dist * rho_c) + 2 * gap_dist)
-        v = spans[ci] + (u - ch.u0)
+        v = spans[foot.chart] + (foot.u - ch.u0)
         feats.append(FeatureSpec("gap", v, np.asarray(point, float),
-                                 floor_arc=gap_dist * controls.gap_floor_fraction,
-                                 growth=controls.gap_panel_growth,
+                                 floor_arc=gap_dist * _GAP_FLOOR_FRACTION,
+                                 growth=_GAP_PANEL_GROWTH,
                                  gap=gap_dist, peak_length=peak))
     # merge gap features that crowd each other; the tighter gap wins
     feats.sort(key=lambda f: f.gap)
@@ -321,12 +290,12 @@ def _body_features(body: Body, gap_entries: Sequence[tuple[np.ndarray, float]],
                for k in kept):
             kept.append(f)
     # corners of the chart chain
-    floor = perimeter * 2.0 ** (-controls.corner_floor_levels)
+    floor = perimeter * 2.0 ** (-_CORNER_FLOOR_LEVELS)
     for ci, ch in enumerate(charts):
         if ch.corner_start:
             p = ch.point(np.array([ch.u0]))[0]
             kept.append(FeatureSpec("corner", spans[ci], p, floor_arc=floor,
-                                    growth=controls.corner_panel_growth))
+                                    growth=_CORNER_PANEL_GROWTH))
     return kept
 
 
@@ -351,7 +320,7 @@ def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
         perimeter = float(np.sum(weights))
         cm = CurveMesh(body_index, chain, n, h, t, v, pts, vel, speed, normal,
                        kap, weights, arc, perimeter, feats)
-        if literal or (chain.resolved and _resolution_ok(cm, controls)):
+        if literal or (chain.resolved and _resolution_ok(cm, controls.base_n)):
             return cm
         n *= 2
         if n > controls.cap_total:
@@ -360,20 +329,28 @@ def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
                 {"body": body_index, "requested_n": n, "cap": controls.cap_total})
 
 
-def _resolution_ok(cm: CurveMesh, controls: MeshControls) -> bool:
-    if np.max(cm.weights) > 3.0 * cm.perimeter / controls.base_n:
+def _resolution_ok(cm: CurveMesh, base_n: int) -> bool:
+    """Targets of the module docstring; raises where doubling cannot help."""
+    if np.max(cm.weights) > 3.0 * cm.perimeter / base_n:
         return False
-    for f in cm.features:
+    for f, b in zip(cm.features, cm.chain.b):
         d = cm.arc_distance_to(f)
         if f.kind == "gap":
             near = d <= f.gap
             if np.any(near) and np.max(cm.weights[near]) > f.gap / 4:
+                if b <= _B_MIN:
+                    # the floor panel is about 2 growth b |P'| / scale at
+                    # every n once b is clamped
+                    raise RefinementFailureError(
+                        "gap below the chain-map floor: its panels cannot reach "
+                        "gap/4 at any node count",
+                        {"body": cm.body_index, "gap": f.gap, "b": float(b)})
                 return False
             for side in (1, -1):
                 j = cm.feature_node_index(f)
                 idx = (j + side * np.arange(1, cm.n // 2)) % cm.n
                 within = d[idx] <= f.peak_length
-                if np.count_nonzero(within) < controls.peak_nodes:
+                if np.count_nonzero(within) < _PEAK_NODES:
                     return False
         else:
             # toward the corner, panels shrink proportionally to the
@@ -424,18 +401,15 @@ def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls(),
     """Mesh every body of the configuration (and any extra enclosing bodies,
     used by the interior decomposition solver)."""
     gaps = cfg.all_conductor_gaps()
-    per_body: dict[int, list[tuple[np.ndarray, float]]] = {i: [] for i in range(len(cfg.bodies))}
-    for (gi, gj), info in gaps.items():
-        pi, pj = np.asarray(info.point_i), np.asarray(info.point_j)
-        bi = _closest_body(cfg, cfg.groups[gi], pi)
-        bj = _closest_body(cfg, cfg.groups[gj], pj)
-        per_body[bi].append((pi, info.distance))
-        per_body[bj].append((pj, info.distance))
+    per_body: dict[int, list] = {i: [] for i in range(len(cfg.bodies))}
+    for info in gaps.values():
+        for foot, point in zip(info.feet, (info.point_i, info.point_j)):
+            per_body[foot.body].append((foot, np.asarray(point), info.distance))
 
     curves = []
     budget_used = 0
     for i, body in enumerate(cfg.bodies):
-        feats = _body_features(body, per_body[i], controls)
+        feats = _body_features(body, per_body[i])
         cm = _mesh_curve(body, i, feats, controls, controls.base_n)
         budget_used += cm.n
         if budget_used > controls.cap_total:
@@ -443,17 +417,8 @@ def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls(),
                                          {"used": budget_used, "cap": controls.cap_total})
         curves.append(cm)
     for k, body in enumerate(extra_bodies):
-        feats = _body_features(body, [], controls)
+        feats = _body_features(body, [])
         cm = _mesh_curve(body, len(cfg.bodies) + k, feats, controls, controls.base_n)
         curves.append(cm)
     return BoundaryMesh(curves, gaps, controls)
 
-
-def _closest_body(cfg: Configuration, group: tuple[int, ...], p: np.ndarray) -> int:
-    best, best_d = group[0], np.inf
-    for b in group:
-        for ch in cfg.bodies[b].charts():
-            _, d = _locate_on_chart(ch, p)
-            if d < best_d:
-                best, best_d = b, d
-    return best

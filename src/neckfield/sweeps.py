@@ -96,6 +96,7 @@ class RowContext:
         self._u = None
         self._rep = None
         self._hc = None
+        self._dec = None
 
     @property
     def op(self) -> SceneOperator:
@@ -120,6 +121,14 @@ class RowContext:
         if self._hc is None:
             self._hc = self.op.solve_hc()
         return self._hc
+
+    @property
+    def dec(self):
+        if self._dec is None:
+            max_diam = max(b.diameter() for b in self.cfg.bodies)
+            disk0 = Disk((0.0, 0.0), self.cfg.scene_radius() + 2.5 * max_diam)
+            self._dec = decompose_u(self.cfg, disk0, self.controls, u=self.u)
+        return self._dec
 
     def gap(self, i: int, j: int):
         return self.cfg.conductor_gap(i, j)
@@ -194,10 +203,7 @@ def _q_flux_residual_max(ctx: RowContext) -> float:
 
 def _q_decomp(name):
     def fn(ctx: RowContext) -> float:
-        r0 = ctx.cfg.scene_radius()
-        max_diam = max(b.diameter() for b in ctx.cfg.bodies)
-        disk0 = Disk((0.0, 0.0), r0 + 2.5 * max_diam)
-        dec = decompose_u(ctx.cfg, disk0, ctx.controls, u=ctx.u)
+        dec = ctx.dec
         if name == "c1_abs":
             return abs(dec.C1)
         if name == "c3_abs":
@@ -205,7 +211,8 @@ def _q_decomp(name):
         # max |grad v0| on a deterministic probe ring between the bodies
         # and the enclosing circle
         rng = np.random.default_rng(ctx.seed)
-        pts = _exterior_probes(ctx.cfg, 100, rng, radius=0.5 * (r0 + disk0.radius))
+        radius = 0.5 * (ctx.cfg.scene_radius() + dec.disk0.radius)
+        pts = _exterior_probes(ctx.cfg, 100, rng, radius=radius)
         gr = dec.v0.gradient(pts)
         return float(np.max(np.hypot(gr[:, 0], gr[:, 1])))
     return fn

@@ -136,6 +136,39 @@ class TestGap:
         left = Body.from_smooth(SmoothBoundary.ellipse((-1.0005, 0.0), 1.0, 1.0))
         assert body_gap(left, lens).distance == pytest.approx(1e-3, rel=1e-9)
 
+    @pytest.mark.parametrize("force_generic", [False, True])
+    @pytest.mark.parametrize("scene", ["pair", "A", "C", "D", "grouped"])
+    def test_feet_name_the_points(self, scene, force_generic):
+        ell = SmoothBoundary.ellipse
+        disk = Body.from_disk
+        cfg = {
+            "pair": lambda: build_two_disks(1, 1, 1e-3),
+            "A": lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
+            "C": lambda: build_case_c(ell((0.0, 0.0), 1.2, 0.9), Disk((0.0, 0.0), 1.0),
+                                      Disk((1.0, 0.0), 1.0), 0.05, 1e-3),
+            "D": lambda: build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                                      ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3),
+            # the closest pair of two conductors is bodies 1 and 2
+            "grouped": lambda: Configuration(
+                (disk(Disk((-3.0, 0.0), 1.0)), disk(Disk((0.0, 0.0), 1.0)),
+                 disk(Disk((2.01, 0.0), 1.0))), ((0, 1), (2,)),
+                HarmonicBackground.linear_x()),
+        }[scene]()
+        scale = cfg.scene_radius()
+        for i in range(cfg.n_conductors):
+            for j in range(i + 1, cfg.n_conductors):
+                info = gap(cfg, i, j, force_generic=force_generic)
+                assert len(info.feet) == 2
+                for foot, p, group in zip(info.feet, (info.point_i, info.point_j),
+                                          (cfg.groups[i], cfg.groups[j])):
+                    assert foot.body in group
+                    chart = cfg.bodies[foot.body].charts()[foot.chart]
+                    assert chart.u0 <= foot.u <= chart.u1
+                    q = chart.point(np.array([foot.u]))[0]
+                    assert np.hypot(*(q - p)) <= 1e-12 * scale
+        if scene == "grouped":
+            assert [f.body for f in info.feet] == [1, 2]
+
     def test_neck_midpoint(self):
         info = build_two_disks(1, 1, 0.01).conductor_gap(0, 1)
         assert np.allclose(info.midpoint, (0.0, 0.0), atol=1e-13)

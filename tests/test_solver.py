@@ -6,16 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import quad
 
 import neckfield
 from neckfield import (Body, Configuration, Disk, DomainError, GapInfo,
                        HarmonicBackground, MeshControls, RefinementFailureError,
-                       SceneOperator, SmoothBoundary, build_case_a,
-                       build_case_b, build_case_c, build_two_disks,
-                       decompose_u, images, max_gap_gradient,
-                       representation_coeffs, solve_h, solve_hc, solve_u)
+                       SceneOperator, SmoothBoundary, SweepSpec, build_case_a,
+                       build_case_b, build_case_c, build_case_d,
+                       build_two_disks, decompose_u, images, max_gap_gradient,
+                       representation_coeffs, run_sweep, solve_h, solve_hc,
+                       solve_u)
 from neckfield.errors import InvalidUsageError, NumericFailureError
-from neckfield.solver.mesh import build_mesh
+from neckfield.solver import mesh as mesh_module
+from neckfield.solver.mesh import _clustered_mass, build_mesh
 from neckfield.solver.nystrom import (_dirichlet_rows, kussmaul_row, trig_resample,
                                      trig_resample_adjoint)
 
@@ -340,6 +343,18 @@ class TestMeshInvariants:
         with pytest.raises(RefinementFailureError):
             build_mesh(build_two_disks(1, 1, 1e-6), MeshControls(cap_total=128))
 
+    @pytest.mark.parametrize("eps", [1e-8, 1.2e-7])
+    def test_gap_below_chain_map_floor_raises_at_once(self, eps):
+        # with b clamped the floor panel no longer shrinks as n doubles
+        with pytest.raises(RefinementFailureError, match="chain-map floor") as err:
+            build_mesh(build_two_disks(1, 1, eps))
+        assert err.value.diagnostics["gap"] == pytest.approx(eps, rel=1e-12)
+        assert err.value.diagnostics["b"] == 1e-7
+
+    def test_clamped_gap_above_the_floor_meshes(self):
+        mesh = build_mesh(build_two_disks(1, 1, 2e-7))
+        assert [c.n for c in mesh.curves] == [384, 384]
+
     def test_near_boundary_evaluation(self):
         cfg = build_two_disks(1, 1, 1e-3)
         h = solve_h(cfg, ((0,), (1,)))
@@ -355,6 +370,40 @@ class TestMeshInvariants:
                 keep &= ~b.contains(q)
             err = np.max(np.abs(h.potential(q[keep]) - f.potential(q[keep])))
             assert err < 1e-8
+
+
+class TestChainMap:
+    @pytest.mark.parametrize("b", [0.5, 1e-2, 1e-4, 1e-7, 1e-8, 1e-12])
+    def test_mass_matches_quadrature(self, b):
+        def integrand(s):
+            # v = 2 b sinh(s) spreads the peak of width b at v = 0
+            v = 2 * b * np.sinh(s)
+            return 2 * b * np.cosh(s) / np.sqrt(np.sin(v / 2) ** 2 + b * b)
+
+        for x in (1e-6, 1e-3, 0.5, 3.0, 4.5, -5.9):
+            ref = np.sign(x) * quad(integrand, 0.0, np.arcsinh(abs(x) / (2 * b)),
+                                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert _clustered_mass(x, b) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_one_mass_table_per_chain_map(self, monkeypatch):
+        calls = {"maps": 0, "mass": 0}
+        init, mass = mesh_module._ChainMap.__init__, mesh_module._ChainMap.mass
+
+        def counted_init(self, *args, **kwargs):
+            calls["maps"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_mass(self, v):
+            calls["mass"] += 1
+            return mass(self, v)
+
+        monkeypatch.setattr(mesh_module._ChainMap, "__init__", counted_init)
+        monkeypatch.setattr(mesh_module._ChainMap, "mass", counted_mass)
+        ell = SmoothBoundary.ellipse
+        build_mesh(build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                                ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3))
+        assert calls["maps"] >= 3
+        assert calls["mass"] <= 6 * calls["maps"]
 
 
 class TestGapMaximum:
@@ -431,6 +480,17 @@ class TestOneFactorization:
         # the three Dirichlet fields inside the enclosing disk: one more
         # mesh, one more factor
         decompose_u(cfg, Disk((0.5, 0.0), 8.0), u=u)
+        assert len(lu_calls) == 2
+
+    def test_sweep_row_decomposes_once(self, lu_calls):
+        # the three decomposition quantities share one decomposition: the
+        # scene's factor plus the enclosing-disk mesh's
+        spec = SweepSpec(case_tag="B", vary="eps1", grid=(1e-3,),
+                         fixed={"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps2": 1e-3},
+                         quantities=("potential_difference_21", "decomp_c1_abs",
+                                     "decomp_c3_abs", "decomp_v0_max_grad"))
+        table = run_sweep(spec)
+        assert table.errors == [None]
         assert len(lu_calls) == 2
 
     def test_empty_group_is_a_singular_charge_system(self):
