@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .asymptotics import lemma_suite
-from .errors import NeckfieldError
+from .errors import DomainError, NeckfieldError
 from .geometry.serialize import ConfigParseError, RunInput, parse_run
 from .solver.mesh import MeshControls
 from .solver.nystrom import SceneOperator, max_gap_gradient
@@ -94,8 +94,12 @@ def cmd_solve(manifest: RunManifest) -> int:
     for g, res in enumerate(u.flux_quadrature()):
         lines.append(f"flux_residual_{g + 1},{float(res)!r}")
     for (i, j), info in sorted(cfg.all_conductor_gaps().items()):
-        mg = max_gap_gradient(u, info)
         lines.append(f"gap_distance_{i + 1}{j + 1},{info.distance!r}")
+        try:
+            mg = max_gap_gradient(u, info)
+        except DomainError:
+            # the segment crosses another conductor: not a gap of the domain
+            continue
         lines.append(f"max_gap_gradient_{i + 1}{j + 1},{mg.max_magnitude!r}")
     lines.append(f"mesh_nodes,{op.mesh.n_total}")
     lines.append(f"rcond,{u.rcond!r}")

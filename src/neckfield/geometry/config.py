@@ -38,6 +38,8 @@ class Configuration:
     background: HarmonicBackground
     case_tag: str = "free"
     params: dict = field(default_factory=dict, compare=False)
+    # GapInfo of every body pair (a, b), a < b, from the disjointness check
+    _body_gaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bodies) == 0:
@@ -49,7 +51,17 @@ class Configuration:
         # positive gap (raises InvalidGeometryError through GapInfo if not)
         for a in range(len(self.bodies)):
             for b in range(a + 1, len(self.bodies)):
-                body_gap(self.bodies[a], self.bodies[b])
+                self._body_gaps[(a, b)] = body_gap(self.bodies[a], self.bodies[b])
+
+    def body_pair_gap(self, a: int, b: int) -> GapInfo:
+        """Gap between bodies a and b as measured on construction, with
+        point_i on body a (feet carry 0 for a and 1 for b, as from
+        ``body_gap``)."""
+        if a < b:
+            return self._body_gaps[(a, b)]
+        g = self._body_gaps[(b, a)]
+        return GapInfo(g.distance, g.point_j, g.point_i,
+                       tuple(f._replace(body=1 - f.body) for f in g.feet[::-1]))
 
     @property
     def n_conductors(self) -> int:

@@ -282,7 +282,8 @@ def body_gap(body_a: Body, body_b: Body, force_generic: bool = False) -> GapInfo
 def gap(cfg, i: int, j: int, force_generic: bool = False) -> GapInfo:
     """Gap between conductors i and j of a configuration (0-based indices
     in conductor order; equal indices are rejected). Its feet carry the
-    configuration's body indices."""
+    configuration's body indices. Body pairs reuse the gaps the
+    configuration measured when it was built, unless ``force_generic``."""
     if i == j:
         raise InvalidParameterError("gap requires two distinct conductor indices")
     groups = cfg.groups
@@ -292,7 +293,8 @@ def gap(cfg, i: int, j: int, force_generic: bool = False) -> GapInfo:
     best = None
     for a in groups[i]:
         for b in groups[j]:
-            g = body_gap(cfg.bodies[a], cfg.bodies[b], force_generic=force_generic)
+            g = (body_gap(cfg.bodies[a], cfg.bodies[b], force_generic=True)
+                 if force_generic else cfg.body_pair_gap(a, b))
             if best is None or g.distance < best[0].distance:
                 best = (g, a, b)
     g, a, b = best

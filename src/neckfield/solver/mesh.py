@@ -50,10 +50,16 @@ _PEAK_NODES = 12                   # nodes within the neck scale, each side of a
 _GAP_PANEL_GROWTH = 1.0 / 6.0      # panel length per unit distance from a gap point
 _CORNER_PANEL_GROWTH = 1.0 / 4.0
 _GAP_FLOOR_FRACTION = 1.0 / 12.0   # floor panel length as a fraction of the gap
-_CORNER_FLOOR_LEVELS = 20          # floor = arc length * 2**-levels
-# Smallest floor parameter b: finer floors outrun the capped near-field
-# upsampling (silently wrong fields), so gaps that need one raise instead.
-_B_MIN = 1e-7
+# Corner floor = arc length * 2**-levels. The chain map's speed at a corner
+# is about this floor, and any integrand holding the normal jumps there, so
+# trapezoid sums over a lens carry an error on its scale: 20 levels leave
+# 2.7e-10 in the lens's flux quadrature on case A at eps 1e-2, 40 levels
+# 3.5e-14.
+_CORNER_FLOOR_LEVELS = 40
+# Smallest floor parameter b: the smallest at which the Carlson form of the
+# chain map is verified against quadrature (TestChainMap). Gaps that need
+# a finer floor raise instead.
+_B_MIN = 1e-12
 
 
 @dataclass(frozen=True)

@@ -11,21 +11,25 @@ scaled under heavy grading.
 Fourier convention: every trigonometric interpolation here is the one the
 Kussmaul-Martensen weights integrate exactly, the Dirichlet kernel of the
 even midpoint grid with the Nyquist mode split evenly between +N/2 and
--N/2. ``trig_resample`` applies it by FFT onto a finer midpoint grid and
-``trig_resample_adjoint`` is its transpose; ``_dirichlet_rows`` gives the
-same interpolation at a few arbitrary parameters in closed form. Off the
-nodes, the own-curve single layer is therefore the node rule interpolated
-(``on_surface_potential``).
+-N/2 (``_dirichlet_rows``, in closed form at arbitrary parameters). The
+spectral derivative and antiderivative in t (``_spectral``) drop the
+Nyquist mode, whose derivative on the grid is ambiguous.
 
-Near-field rule: the node rule serves a target while the panels in the arc
-window its kernel sees (4x its distance around the nearest node) are
-shorter than the distance over ``_NEAR_RULE``. Nearer targets get the
-kernel on the midpoint grid 2^k times finer, with the smallest k that
-brings those panels below a third of the distance, capped at
-``_ASSEMBLY_UPSAMPLE_MAX`` in assembly and ``_EVAL_UPSAMPLE_MAX`` in field
-evaluation (``SceneOperator._kernel_rows``). Assembly maps the fine rows
-back onto the node columns with the adjoint resample; evaluation resamples
-the density instead.
+Off-curve rule: one evaluator serves every target of every curve, the
+cross blocks of S and K' in assembly as much as ``potential`` and
+``gradient``, at any distance. Each curve's single layer is written as
+``Re F + (Q/2pi) log|z - z_c|`` with F analytic off the curve, Q the
+curve's charge and z_c a point well inside its body. F and F' are built
+once per operator at the nodes, as linear maps of the curve's g
+(``_CurveData``); off the curve they follow from the globally compensated
+Cauchy sum ``F(z) = sum_j F_j w_j/(y_j - z) / (sum_j w_j/(y_j - z) - 2pi i)``,
+``w_j = y'(t_j) h`` (Helsing & Ojala, J. Comput. Phys. 227 (2008) 2899;
+Barnett, SIAM J. Sci. Comput. 36 (2014) A427), whose errors in numerator
+and denominator cancel next to the curve. That sum takes F to vanish at
+infinity, so the exterior data are shifted to make it so. The enclosing
+curve of ``decompose_u`` is seen from inside: no log term and no -2pi i.
+Inside a body the exterior denominator vanishes; ``potential`` and
+``gradient`` check the domain.
 
 Sign conventions (used consistently everywhere):
 
@@ -66,16 +70,10 @@ from ..geometry.shapes import HarmonicBackground
 from .mesh import BoundaryMesh, CurveMesh, MeshControls, build_mesh
 
 _TWO_PI = 2.0 * np.pi
-
-# A target is near a curve when the panels it sees are longer than its
-# distance over this ratio.
-_NEAR_RULE = 5.0
-# Caps of the upsampling factor for near targets, in assembly (cross
-# blocks) and in field evaluation.
-_ASSEMBLY_UPSAMPLE_MAX = 64
-_EVAL_UPSAMPLE_MAX = 512
 # Bordered systems with a smaller reciprocal condition number raise.
 _RCOND_FLOOR = 1e-16
+# Candidate log centers per axis of a body's bounding box (see _log_center).
+_CENTER_GRID = 17
 
 
 def kussmaul_row(n_nodes: int) -> np.ndarray:
@@ -94,40 +92,6 @@ def kussmaul_row(n_nodes: int) -> np.ndarray:
     return -(4.0 * np.pi / n_nodes) * rho
 
 
-def _midpoint_phase(n_nodes: int, m_fine: int) -> np.ndarray:
-    """Spectral shift between the midpoint grids of N and M points, for
-    the modes 0..N/2 of the real FFT."""
-    k = np.arange(n_nodes // 2 + 1)
-    return np.exp(1j * np.pi * k * (1.0 / m_fine - 1.0 / n_nodes))
-
-
-def trig_resample(values: np.ndarray, m_fine: int) -> np.ndarray:
-    """Trigonometric interpolant of samples on the midpoint grid
-    t_j = (j+1/2) 2pi/N (last axis, N even), evaluated on the finer
-    midpoint grid of m_fine > N points."""
-    v = np.asarray(values, dtype=float)
-    n_nodes = v.shape[-1]
-    if m_fine <= n_nodes:
-        raise InvalidParameterError("resampling needs a finer grid")
-    spec = np.fft.rfft(v, axis=-1) * _midpoint_phase(n_nodes, m_fine)
-    # the Nyquist mode is split between +N/2 and -N/2, and the fine grid
-    # resolves both
-    spec[..., -1] *= 0.5
-    return np.fft.irfft(spec, m_fine, axis=-1) * (m_fine / n_nodes)
-
-
-def trig_resample_adjoint(fine: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Transpose of ``trig_resample`` onto N nodes along the last axis:
-    for kernel rows on the fine grid, the rows acting on node values."""
-    w = np.asarray(fine, dtype=float)
-    m_fine = w.shape[-1]
-    spec = np.fft.rfft(w, axis=-1)[..., :n_nodes // 2 + 1]
-    spec *= np.conj(_midpoint_phase(n_nodes, m_fine))
-    # irfft keeps the real part of the Nyquist bin, which is the split
-    # mode's share on the node grid
-    return np.fft.irfft(spec, n_nodes, axis=-1)
-
-
 def _dirichlet_rows(t_nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Interpolation rows from an even equispaced grid t_nodes to
     arbitrary parameters s (Dirichlet kernel in closed form)."""
@@ -140,28 +104,48 @@ def _dirichlet_rows(t_nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (rows + np.cos(n_nodes * delta / 2)) / n_nodes
 
 
-def _kernel(kind: str, targets: np.ndarray, sources: np.ndarray, weight: float,
-            normals: Optional[np.ndarray] = None) -> np.ndarray:
-    """Kernel values times the quadrature weight, targets by sources:
-    ``kind`` "log" is the single-layer kernel (1/2pi) log|x-y|, "grad" its
-    gradient in x (a leading axis of two components) and "dnu" its
-    derivative along ``normals``, one per target. Coincident points give
-    inf or nan."""
-    d = np.empty((2, targets.shape[0], sources.shape[0]))
-    np.subtract.outer(targets[:, 0], sources[:, 0], out=d[0])
-    np.subtract.outer(targets[:, 1], sources[:, 1], out=d[1])
-    r2 = d[0] * d[0]
-    r2 += d[1] * d[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "log":
-            r2 = np.log(r2, out=r2)
-            r2 *= 0.5 * weight / _TWO_PI
-            return r2
-        r2 *= _TWO_PI / weight
-        d /= r2
-    if kind == "grad":
-        return d
-    return normals[:, 0][:, None] * d[0] + normals[:, 1][:, None] * d[1]
+def _complex(xy: np.ndarray) -> np.ndarray:
+    """Points or vectors of shape (m, 2) as m complex numbers."""
+    return xy[:, 0] + 1j * xy[:, 1]
+
+
+def _spectral(values: np.ndarray, power: int) -> np.ndarray:
+    """Spectral derivative (power 1) or zero-mean antiderivative (power -1)
+    in t of node values along the first axis, without the Nyquist mode."""
+    n = values.shape[0]
+    k = np.fft.fftfreq(n, 1.0 / n)
+    k[n // 2] = 0.0
+    mult = np.zeros(n, dtype=complex)
+    mult[k != 0] = (1j * k[k != 0]) ** power
+    return np.fft.ifft(np.fft.fft(values, axis=0) * mult[:, None], axis=0)
+
+
+def _kprime_self_block(cm: CurveMesh) -> np.ndarray:
+    """Own-curve block of K' acting on g: (1/2pi) Re(nu_i/(y_i - y_j)) h,
+    with the smooth diagonal limit kappa_i/(4pi) h."""
+    y = _complex(cm.nodes)
+    diff = y[:, None] - y[None, :]
+    np.fill_diagonal(diff, 1.0)
+    blk = _complex(cm.normal_out)[:, None] / diff
+    blk = blk.real * (cm.h / _TWO_PI)
+    np.fill_diagonal(blk, cm.curvature / (4.0 * np.pi) * cm.h)
+    return blk
+
+
+@dataclass(frozen=True)
+class _CurveData:
+    """Boundary data of one curve's single layer S_c g for the compensated
+    Cauchy sums: ``S_c g = Re F + (Q/2pi) log|z - zc|`` off the curve, Q = h
+    sum(g). ``F`` and ``dF`` map g to F and F' at the nodes; ``y`` are the
+    nodes and ``w`` = y'(t_j) h the Cauchy weights, as complex numbers.
+    ``zc`` is None on an enclosing curve, whose domain lies inside it."""
+
+    y: np.ndarray
+    w: np.ndarray
+    zc: Optional[complex]
+    h: float
+    F: np.ndarray
+    dF: np.ndarray
 
 
 class SceneOperator:
@@ -173,104 +157,99 @@ class SceneOperator:
         self.cfg = cfg
         self.controls = controls
         self.mesh = mesh if mesh is not None else build_mesh(cfg, controls)
-        self._fine_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._slp = self._assemble_slp()
+        self._data: dict[int, _CurveData] = {}
+        self._kprime_rows: dict[int, np.ndarray] = {}
         self._kprime: Optional[np.ndarray] = None
         self._lu = None
+        self._assemble_slp()
 
-    def _fine_points(self, curve_index: int, factor: int) -> np.ndarray:
-        key = (curve_index, factor)
-        if key not in self._fine_cache:
+    # -- close evaluation ----------------------------------------------------
+
+    def _log_center(self, cm: CurveMesh) -> complex:
+        """A point well inside the curve's body: of the area centroid and a
+        grid over the nodes' bounding box, the point inside the body that
+        lies farthest from the nodes."""
+        x, y = cm.nodes.T
+        vx, vy = cm.velocity.T
+        area = 0.5 * cm.h * np.sum(x * vy - y * vx)
+        centroid = np.array([np.sum(x * x * vy), -np.sum(y * y * vx)]) * cm.h / (2 * area)
+        axes = [np.linspace(lo, hi, _CENTER_GRID)
+                for lo, hi in zip(cm.nodes.min(axis=0), cm.nodes.max(axis=0))]
+        cand = np.vstack([centroid, np.stack(np.meshgrid(*axes), -1).reshape(-1, 2)])
+        cand = cand[self.cfg.bodies[cm.body_index].contains(cand)]
+        if cand.shape[0] == 0:
+            raise NumericFailureError("no interior point found for the log center",
+                                      {"body": cm.body_index})
+        clearance = np.min(np.hypot(*(cand[:, None, :] - cm.nodes[None, :, :]).T), axis=0)
+        return complex(*cand[int(np.argmax(clearance))])
+
+    def _curve_data(self, curve_index: int) -> _CurveData:
+        """F and F' of one curve at its nodes, as maps of its g, built on
+        first use. Re F is the own-block rule minus the log term; Im F is
+        the antiderivative in t of speed * d(Re F)/dn_out, the normal
+        derivative on the curve's side of the domain (all curves run
+        counterclockwise). Exterior data are shifted so F vanishes at
+        infinity, which the exterior Cauchy sum assumes."""
+        if curve_index not in self._data:
             cm = self.mesh.curves[curve_index]
-            m_fine = factor * cm.n
-            t_f = (np.arange(m_fine) + 0.5) * (_TWO_PI / m_fine)
-            self._fine_cache[key] = cm.point_at(t_f)
-        return self._fine_cache[key]
+            sl = self.mesh.curve_slice(curve_index)
+            y = _complex(cm.nodes)
+            dy = _complex(cm.velocity)
+            w = dy * cm.h
+            enclosing = curve_index >= len(self.cfg.bodies)
+            # jump relation with sigma = g/speed: speed (+-sigma/2 + K' sigma)
+            flux = cm.speed[:, None] * _kprime_self_block(cm)
+            flux[np.diag_indices(cm.n)] += -0.5 if enclosing else 0.5
+            re = self._slp[sl, sl].copy()
+            zc = None
+            if not enclosing:
+                zc = self._log_center(cm)
+                re -= (cm.h / _TWO_PI) * np.log(np.abs(y - zc))[:, None]
+                flux -= (cm.h / _TWO_PI) * (dy / (y - zc)).imag[:, None]
+            F = re + 1j * _spectral(flux, -1).real
+            if zc is not None:
+                # F(inf) is the Cauchy integral at the interior point zc
+                F -= ((w / (y - zc)) @ F / (2j * np.pi))[None, :]
+            self._data[curve_index] = _CurveData(y, w, zc, cm.h, F,
+                                                 _spectral(F, 1) / dy[:, None])
+        return self._data[curve_index]
 
-    # -- near-field rule ---------------------------------------------------
-
-    def _near_targets(self, cm: CurveMesh, pts: np.ndarray):
-        """For each target point: distance to the source curve, and the
-        largest panel length in the arc window the log kernel actually sees
-        (4x the distance around the nearest node). A target is 'near' when
-        that window is too coarse for plain quadrature."""
-        d2 = ((pts[:, None, :] - cm.nodes[None, :, :]) ** 2).sum(axis=2)
-        idx = np.arange(pts.shape[0])
-        j_near = np.argmin(d2, axis=1)
-        d_node = np.sqrt(d2[idx, j_near])
-        # the nearest node may sit tangentially off the foot point; the
-        # normal component is the honest curve distance for near targets
-        delta = pts - cm.nodes[j_near]
-        d_perp = np.abs(np.einsum("ij,ij->i", delta, cm.normal_out[j_near]))
-        d_min = np.where(d_node < 3.0 * cm.weights[j_near],
-                         np.maximum(d_perp, 1e-3 * d_node), d_node)
-        s_win = np.empty(pts.shape[0])
-        coarse = float(np.max(cm.weights))
-        maybe = d_min < _NEAR_RULE * coarse
-        s_win[~maybe] = 0.0
-        for i in np.nonzero(maybe)[0]:
-            da = np.abs(cm.arc_position - cm.arc_position[j_near[i]])
-            da = np.minimum(da, cm.perimeter - da)
-            s_win[i] = np.max(cm.weights[da <= 4.0 * d_min[i] + cm.weights[j_near[i]]])
-        active = maybe & (d_min < _NEAR_RULE * s_win)
-        return active, d_min, s_win
-
-    def _kernel_rows(self, curve_index: int, pts: np.ndarray, kind: str, cap: int,
-                     normals: Optional[np.ndarray] = None):
-        """Quadrature rows of a kernel (see ``_kernel``) from one curve to
-        target points. Returns the node-rule rows for every target, the
-        mask of near targets, and the upsampling factor with the near
-        targets' rows on the midpoint grid that much finer (1 and None when
-        no target is near)."""
-        cm = self.mesh.curves[curve_index]
-        rows = _kernel(kind, pts, cm.nodes, cm.h, normals)
-        near, d_min, s_win = self._near_targets(cm, pts)
-        if not np.any(near):
-            return rows, near, 1, None
-        needed = float(np.max(3.0 * s_win[near] / np.maximum(d_min[near], 1e-300)))
-        factor = 2
-        while factor < needed and factor < cap:
-            factor *= 2
-        fine = _kernel(kind, pts[near], self._fine_points(curve_index, factor),
-                       _TWO_PI / (factor * cm.n),
-                       None if normals is None else normals[near])
-        return rows, near, factor, fine
-
-    def resolved_distance(self, curve_index: int, node: int) -> float:
-        """Smallest distance from a curve, next to one of its nodes, at
-        which field evaluation still resolves the panels: the capped
-        upsampling factor keeps fine panels within a third of the
-        distance."""
-        cm = self.mesh.curves[curve_index]
-        w = float(np.max(cm.weights[np.arange(node - 1, node + 2) % cm.n]))
-        return 3.0 * w / _EVAL_UPSAMPLE_MAX
+    def _layer(self, curve_index: int, z: np.ndarray, g: Optional[np.ndarray] = None,
+               derivative: bool = False) -> np.ndarray:
+        """One curve's single layer at complex targets z by the compensated
+        Cauchy sum: S_c g, or with ``derivative`` its u_x - i u_y. With g
+        None, the block acting on the curve's g."""
+        d = self._curve_data(curve_index)
+        data = d.dF if derivative else d.F
+        if g is not None:
+            data = (data @ g)[:, None]
+        charge = d.h * (np.ones(data.shape[1]) if g is None else np.array([g.sum()]))
+        c = d.y[None, :] - z[:, None]
+        np.divide(d.w, c, out=c)
+        out = c @ data
+        den = c.sum(axis=1) - (0.0 if d.zc is None else 2j * np.pi)
+        out /= den[:, None]
+        if not derivative:
+            out = out.real
+        if d.zc is not None:
+            log_part = 1.0 / (z - d.zc) if derivative else np.log(np.abs(z - d.zc))
+            out += np.outer(log_part / _TWO_PI, charge)
+        return out if g is None else out[:, 0]
 
     # -- assembly ---------------------------------------------------------
 
-    def _assemble_slp(self) -> np.ndarray:
+    def _assemble_slp(self) -> None:
+        """Own blocks by the Kussmaul-Martensen rule, then each curve's
+        cross column block at the nodes of all other curves."""
         mesh = self.mesh
-        n_tot = mesh.n_total
-        A = np.empty((n_tot, n_tot))
+        self._slp = np.empty((mesh.n_total, mesh.n_total))
+        z = _complex(mesh.nodes)
         for ci, cm in enumerate(mesh.curves):
             si = mesh.curve_slice(ci)
-            for cj, cm2 in enumerate(mesh.curves):
-                sj = mesh.curve_slice(cj)
-                if ci == cj:
-                    A[si, sj] = self._self_block(cm)
-                else:
-                    A[si, sj] = self._cross_block(cj, cm.nodes)
-        return A
-
-    def _cross_block(self, src_index: int, targets: np.ndarray,
-                     normals: Optional[np.ndarray] = None) -> np.ndarray:
-        """Single-layer block from one source curve to the nodes of another
-        curve, or with ``normals`` its normal-derivative (K') block."""
-        rows, near, _, fine = self._kernel_rows(
-            src_index, targets, "log" if normals is None else "dnu",
-            _ASSEMBLY_UPSAMPLE_MAX, normals)
-        if fine is not None:
-            rows[near] = trig_resample_adjoint(fine, rows.shape[1])
-        return rows
+            self._slp[si, si] = self._self_block(cm)
+        for cj in range(len(mesh.curves)):
+            others = mesh.body_of_node != cj
+            self._slp[others, mesh.curve_slice(cj)] = self._layer(cj, z[others])
 
     def _self_block(self, cm: CurveMesh) -> np.ndarray:
         R = scipy.linalg.circulant(kussmaul_row(cm.n))
@@ -285,27 +264,36 @@ class SceneOperator:
         np.fill_diagonal(K2, 2.0 * np.log(cm.speed))
         return (R + cm.h * K2) / (4.0 * np.pi)
 
+    def kprime_rows(self, curve_index: int) -> np.ndarray:
+        """Rows of ``kprime_matrix`` at one curve's nodes; from the full
+        matrix when it is built, else assembled alone and kept."""
+        if self._kprime is not None:
+            return self._kprime[self.mesh.curve_slice(curve_index)]
+        if curve_index not in self._kprime_rows:
+            mesh = self.mesh
+            cm = mesh.curves[curve_index]
+            z = _complex(cm.nodes)
+            nu = _complex(cm.normal_out)
+            rows = np.empty((cm.n, mesh.n_total))
+            for cj in range(len(mesh.curves)):
+                sj = mesh.curve_slice(cj)
+                if cj == curve_index:
+                    rows[:, sj] = _kprime_self_block(cm)
+                else:
+                    rows[:, sj] = (self._layer(cj, z, derivative=True) * nu[:, None]).real
+            self._kprime_rows[curve_index] = rows
+        return self._kprime_rows[curve_index]
+
     def kprime_matrix(self) -> np.ndarray:
         """Adjoint double-layer matrix acting on g: (K'sigma)(x_i) =
-        sum_j (1/2pi) n_i.(x_i - y_j)/|x_i - y_j|^2 g_j h_j, with the smooth
-        diagonal limit kappa_i/(4pi) on each curve's own block."""
-        if self._kprime is not None:
-            return self._kprime
-        mesh = self.mesh
-        n_tot = mesh.n_total
-        K = np.empty((n_tot, n_tot))
-        for ci, cm in enumerate(mesh.curves):
-            si = mesh.curve_slice(ci)
-            for cj, cm2 in enumerate(mesh.curves):
-                sj = mesh.curve_slice(cj)
-                if ci == cj:
-                    blk = _kernel("dnu", cm.nodes, cm.nodes, cm.h, cm.normal_out)
-                    np.fill_diagonal(blk, cm.curvature / (4.0 * np.pi) * cm.h)
-                    K[si, sj] = blk
-                else:
-                    K[si, sj] = self._cross_block(cj, cm.nodes, normals=cm.normal_out)
-        self._kprime = K
-        return K
+        sum_j (1/2pi) n_i.(x_i - y_j)/|x_i - y_j|^2 g_j h_j on each curve's
+        own block (smooth diagonal limit kappa_i/(4pi)), and the normal
+        derivative of the compensated Cauchy sums across curves."""
+        if self._kprime is None:
+            self._kprime = np.vstack([self.kprime_rows(ci)
+                                      for ci in range(len(self.mesh.curves))])
+            self._kprime_rows.clear()
+        return self._kprime
 
     # -- bordered solves -----------------------------------------------------
 
@@ -404,55 +392,30 @@ class SceneOperator:
 
     # -- evaluation --------------------------------------------------------
 
-    def layer_field(self, g: np.ndarray, pts: np.ndarray, kind: str = "log",
-                    cache: Optional[dict] = None) -> np.ndarray:
+    def layer_field(self, g: np.ndarray, pts: np.ndarray, kind: str = "log") -> np.ndarray:
         """S[g] at points (``kind`` "log"), or its gradient as an (m, 2)
-        array (``kind`` "grad"). ``cache`` keeps the resampled densities of
-        one g between calls."""
-        pts = np.atleast_2d(pts)
-        out = sum(self._curve_field(ci, g[self.mesh.curve_slice(ci)], pts, kind, cache)
+        array (``kind`` "grad")."""
+        z = _complex(np.atleast_2d(pts))
+        grad = kind == "grad"
+        out = sum(self._layer(ci, z, g[self.mesh.curve_slice(ci)], grad)
                   for ci in range(len(self.mesh.curves)))
-        return out.T if kind == "grad" else out
-
-    def _curve_field(self, curve_index: int, g: np.ndarray, pts: np.ndarray,
-                     kind: str, cache: Optional[dict] = None) -> np.ndarray:
-        rows, near, factor, fine = self._kernel_rows(curve_index, pts, kind,
-                                                     _EVAL_UPSAMPLE_MAX)
-        out = rows @ g
-        if fine is not None:
-            cache = {} if cache is None else cache
-            key = (curve_index, factor)
-            if key not in cache:
-                cache[key] = trig_resample(g, factor * g.size)
-            out[..., near] = fine @ cache[key]
-        return out
+        return np.stack([out.real, -out.imag], axis=-1) if grad else out
 
     def on_surface_potential(self, g: np.ndarray, curve_index: int,
                              ts: np.ndarray) -> np.ndarray:
-        """S[sigma] evaluated at arbitrary parameters of one curve: on the
-        own curve the Kussmaul-Martensen rule interpolated to ``ts`` plus
-        its smooth log part, other curves through the near-field rule."""
+        """S[sigma] evaluated at arbitrary parameters of one curve: the own
+        curve's Re F interpolated in t plus its log term, the other curves
+        through their compensated Cauchy sums."""
         cm = self.mesh.curves[curve_index]
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        z = _complex(cm.point_at(ts))
+        d = self._curve_data(curve_index)
         g_own = g[self.mesh.curve_slice(curve_index)]
-        pts, _, speeds = cm.frame_at(ts)
-        node_rule = scipy.linalg.circulant(kussmaul_row(cm.n)) @ g_own
-        singular = _dirichlet_rows(cm.t, ts) @ node_rule
-        dt = ts[:, None] - cm.t[None, :]
-        d2 = ((pts[:, None, :] - cm.nodes[None, :, :]) ** 2).sum(axis=2)
-        s2 = 4.0 * np.sin(0.5 * dt) ** 2
-        # within ~1e-6 of a node the difference quotient loses digits to
-        # cancellation; switch to the diagonal limit there
-        tiny = np.abs(dt) < 1e-6
-        ratio = np.where(tiny, 1.0, d2 / np.where(tiny, 1.0, s2))
-        K2 = np.log(ratio)
-        if np.any(tiny):
-            rows, cols = np.nonzero(tiny)
-            K2[rows, cols] = 2.0 * np.log(np.maximum(speeds[rows], 1e-300))
-        own = (singular + cm.h * K2 @ g_own) / (4.0 * np.pi)
-        other = sum(self._curve_field(cj, g[self.mesh.curve_slice(cj)], pts, "log")
-                    for cj in range(len(self.mesh.curves)) if cj != curve_index)
-        return own + other
+        own = _dirichlet_rows(cm.t, ts) @ (d.F @ g_own).real
+        if d.zc is not None:
+            own += d.h * g_own.sum() / _TWO_PI * np.log(np.abs(z - d.zc))
+        return own + sum(self._layer(cj, z, g[self.mesh.curve_slice(cj)])
+                         for cj in range(len(self.mesh.curves)) if cj != curve_index)
 
 
 @dataclass
@@ -473,9 +436,6 @@ class FieldSolution:
     constants: np.ndarray
     background: Optional[HarmonicBackground]
     rcond: float
-
-    def __post_init__(self):
-        self._fine_cache: dict = {}
 
     @property
     def mesh(self) -> BoundaryMesh:
@@ -503,7 +463,7 @@ class FieldSolution:
         pts = np.atleast_2d(pts)
         if check_domain:
             self._check_exterior(pts)
-        out = self.op.layer_field(self.g, pts, "log", self._fine_cache)
+        out = self.op.layer_field(self.g, pts, "log")
         if self.background is not None:
             out = out + self.background(pts)
         return float(out[0]) if single else out
@@ -514,7 +474,7 @@ class FieldSolution:
         pts = np.atleast_2d(pts)
         if check_domain:
             self._check_exterior(pts)
-        out = self.op.layer_field(self.g, pts, "grad", self._fine_cache)
+        out = self.op.layer_field(self.g, pts, "grad")
         if self.background is not None:
             out = out + self.background.gradient(pts)
         return out[0] if single else out
@@ -535,12 +495,16 @@ class FieldSolution:
 
     def normal_derivative_nodes(self) -> np.ndarray:
         """nu.grad of the field at all nodes (exterior-side limit)."""
-        kp = self.op.kprime_matrix()
-        val = self.sigma / 2 + kp @ self.g
+        return self._normal_derivative(slice(None), self.op.kprime_matrix())
+
+    def _normal_derivative(self, rows: slice, kprime_rows: np.ndarray) -> np.ndarray:
+        """nu.grad of the field at the nodes ``rows``, given those rows of
+        the K' matrix."""
+        val = self.sigma[rows] / 2 + kprime_rows @ self.g
         if self.background is not None:
-            hn = np.einsum("ij,ij->i", self.background.gradient(self.mesh.nodes),
-                           self.mesh.normals)
-            val = val + hn
+            val = val + np.einsum("ij,ij->i",
+                                  self.background.gradient(self.mesh.nodes[rows]),
+                                  self.mesh.normals[rows])
         return -val
 
     def flux_quadrature(self) -> np.ndarray:
@@ -604,32 +568,30 @@ class GapGradient:
 # Boundary points carry rounding errors on the scale of the body, so the
 # tolerance never drops below a few ulps of its perimeter.
 _ON_BODY_TOL = 1e-9
-# Next to a body the profile search stays this many resolved distances
-# (SceneOperator.resolved_distance) away from it.
-_BODY_MARGIN = 4.0
 # Profile points evaluated per refinement round of the search.
 _REFINE_POINTS = 16
+# Points of the segment tested against the bodies it must not cross.
+_CROSSING_PROBES = 129
 
 
 def _end_on_body(sol: FieldSolution, p: np.ndarray, seg_len: float):
-    """For a segment end on a body: |grad| there and the distance the
-    profile search keeps from the body; None for an end in the exterior.
+    """For a segment end on a body: that body's index and |grad| there;
+    None for an end in the exterior.
 
     On a body the field is constant, so grad = (d_nu field) nu. The
     normal derivative is interpolated to the foot point in the curve
     parameter, speed-weighted since g = sigma |dx/dt| is the smooth
-    quantity in t."""
+    quantity in t. It needs only the K' rows of the foot's curve."""
     mesh = sol.mesh
     for ci, cm in enumerate(mesh.curves):
         t, dist = cm.foot_parameter(p)
         if dist > max(_ON_BODY_TOL * seg_len, 16 * np.finfo(float).eps * cm.perimeter):
             continue
-        dnu = sol.normal_derivative_nodes()[mesh.curve_slice(ci)]
+        rows = mesh.curve_slice(ci)
+        dnu = sol._normal_derivative(rows, sol.op.kprime_rows(ci))
         _, _, speed = cm.frame_at(t)
         weighted = _dirichlet_rows(cm.t, np.array([t]))[0] @ (dnu * cm.speed)
-        nearest_node = int(t // cm.h) % cm.n
-        return abs(float(weighted)) / float(speed[0]), \
-            _BODY_MARGIN * sol.op.resolved_distance(ci, nearest_node)
+        return cm.body_index, abs(float(weighted)) / float(speed[0])
     return None
 
 
@@ -657,32 +619,33 @@ def max_gap_gradient(sol: FieldSolution, gap_info: GapInfo,
 
     An end of the segment that lies on a body takes its value from the
     on-surface normal derivative; there ``argmax`` is that foot point when
-    it wins. The rest of the segment is searched on batched profile
-    evaluations (see ``_profile_max``), which keep a distance from such an
-    end at which the near-field rule still resolves the panels. An end in
-    the exterior is sampled itself."""
+    it wins. The rest of the segment, up to such an end, is searched on
+    batched profile evaluations (see ``_profile_max``); an end in the
+    exterior is sampled itself. A segment that passes through a body
+    raises DomainError: it is not a gap of the exterior domain."""
     if samples < 5:
         raise InvalidParameterError("need at least 5 samples")
     a, b = gap_info.segment
     seg_len = float(np.hypot(*(b - a)))
-    bounds = [0.0, 1.0]
-    best_v, best_p = -np.inf, a
-    for end, p in enumerate((a, b)):
-        found = _end_on_body(sol, p, seg_len)
-        if found is None:
-            continue
-        val, margin = found
-        bounds[end] = margin / seg_len if end == 0 else 1.0 - margin / seg_len
-        if val > best_v:
-            best_v, best_p = val, p
+    ends = [_end_on_body(sol, p, seg_len) for p in (a, b)]
+    carriers = {found[0] for found in ends if found is not None}
+    probes = a + np.outer(np.linspace(0.0, 1.0, _CROSSING_PROBES), b - a)
+    for k, body in enumerate(sol.op.cfg.bodies):
+        if k not in carriers and np.any(body.contains(probes)):
+            raise DomainError(f"the gap segment passes through body {k}")
 
     def mag(sv):
-        pts = a[None, :] + np.outer(sv, b - a)
-        gr = sol.gradient(pts, check_domain=False)
-        return np.hypot(gr[:, 0], gr[:, 1])
+        out = np.empty(sv.size)
+        inner = np.ones(sv.size, dtype=bool)
+        for s_end, found in zip((0.0, 1.0), ends):
+            if found is not None:
+                at = sv == s_end
+                out[at] = found[1]
+                inner &= ~at
+        gr = sol.gradient(a + np.outer(sv[inner], b - a), check_domain=False)
+        out[inner] = np.hypot(gr[:, 0], gr[:, 1])
+        return out
 
-    if bounds[0] < bounds[1]:
-        s_best, v_best = _profile_max(mag, bounds[0], bounds[1], samples)
-        if v_best > best_v:
-            best_v, best_p = v_best, a + s_best * (b - a)
-    return GapGradient(float(best_v), (float(best_p[0]), float(best_p[1])))
+    s_best, v_best = _profile_max(mag, 0.0, 1.0, samples)
+    p = (1.0 - s_best) * a + s_best * b
+    return GapGradient(v_best, (float(p[0]), float(p[1])))

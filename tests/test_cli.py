@@ -71,6 +71,9 @@ class TestSolve:
         assert "potential_difference_32" in text
         assert "max_gap_gradient_12" in text
         assert "max_gap_gradient_23" in text
+        # the outer pair's segment crosses the middle disk
+        assert "max_gap_gradient_13" not in text
+        assert "gap_distance_13" in text
         assert "flux_residual_" in text
         assert (out / "summary.txt").exists()
 

@@ -10,6 +10,7 @@ from neckfield import (Body, Configuration, Disk, HarmonicBackground,
                        build_two_disks, gap)
 from neckfield.geometry.serialize import (ConfigParseError, emit_configuration,
                                           parse_configuration, parse_run)
+from neckfield.solver.mesh import build_mesh
 
 # the package's ``gap`` function shadows the module of the same name
 gap_module = importlib.import_module("neckfield.geometry.gap")
@@ -137,7 +138,7 @@ class TestGap:
         assert body_gap(left, lens).distance == pytest.approx(1e-3, rel=1e-9)
 
     @pytest.mark.parametrize("force_generic", [False, True])
-    @pytest.mark.parametrize("scene", ["pair", "A", "C", "D", "grouped"])
+    @pytest.mark.parametrize("scene", ["pair", "A", "C", "D", "grouped", "reversed"])
     def test_feet_name_the_points(self, scene, force_generic):
         ell = SmoothBoundary.ellipse
         disk = Body.from_disk
@@ -152,6 +153,10 @@ class TestGap:
             "grouped": lambda: Configuration(
                 (disk(Disk((-3.0, 0.0), 1.0)), disk(Disk((0.0, 0.0), 1.0)),
                  disk(Disk((2.01, 0.0), 1.0))), ((0, 1), (2,)),
+                HarmonicBackground.linear_x()),
+            # conductor 0 is the second body
+            "reversed": lambda: Configuration(
+                (disk(Disk((-1.0, 0.0), 1.0)), disk(Disk((1.01, 0.0), 1.0))), ((1,), (0,)),
                 HarmonicBackground.linear_x()),
         }[scene]()
         scale = cfg.scene_radius()
@@ -168,6 +173,25 @@ class TestGap:
                     assert np.hypot(*(q - p)) <= 1e-12 * scale
         if scene == "grouped":
             assert [f.body for f in info.feet] == [1, 2]
+        if scene == "reversed":
+            assert [f.body for f in info.feet] == [1, 0]
+
+    def test_one_gap_search_per_body_pair(self, monkeypatch):
+        # the configuration's disjointness check measures every pair once;
+        # meshing and the conductor gaps reuse those measurements
+        calls = []
+        original = gap_module.body_gap
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gap_module, "body_gap", counted)
+        monkeypatch.setattr(config_module, "body_gap", counted)
+        cfg = build_case_b(1, 0.05, 1, 1e-3, 1e-3)
+        build_mesh(cfg)
+        cfg.conductor_gap(0, 1)
+        assert len(calls) == 3
 
     def test_neck_midpoint(self):
         info = build_two_disks(1, 1, 0.01).conductor_gap(0, 1)
