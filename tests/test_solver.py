@@ -64,6 +64,35 @@ class TestQuadratureCore:
         assert np.max(np.abs(_dirichlet_rows(t, s) @ poly(t) - exact)) \
             < 1e-12 * np.max(np.abs(exact))
 
+    @pytest.mark.parametrize("factor", [4, 64])
+    def test_resample_and_adjoint_match_dirichlet_rows(self, factor):
+        # the closed-form rows on a fine midpoint grid, and their transpose,
+        # against zero-padded FFT resampling and its adjoint. Random samples
+        # are not band-limited: the Nyquist mode carries as much as any
+        # other, so its even split is exercised. The closed-form rows round
+        # to about N * 2.2e-16 (9e-14 here); the bound allows ten times that
+        n, m = 384, 384 * factor
+        t = (np.arange(n) + 0.5) * 2 * np.pi / n
+        s = (np.arange(m) + 0.5) * 2 * np.pi / m
+        phase = np.exp(1j * np.pi * np.arange(n // 2 + 1) * (1.0 / m - 1.0 / n))
+        P = np.vstack([_dirichlet_rows(t, s[i:i + 4096]) for i in range(0, m, 4096)])
+        rng = np.random.default_rng(17)
+        v = rng.standard_normal(n)
+        w = rng.standard_normal((3, m))
+
+        spec = np.fft.rfft(v) * phase
+        spec[-1] *= 0.5
+        resampled = np.fft.irfft(spec, m) * (m / n)
+        dense = P @ v
+        assert np.max(np.abs(resampled - dense)) < 1e-12 * np.max(np.abs(dense))
+
+        # irfft keeps the real part of the Nyquist bin, the split mode's
+        # share on the node grid
+        spec_t = np.fft.rfft(w, axis=-1)[:, :n // 2 + 1] * np.conj(phase)
+        adjoint = np.fft.irfft(spec_t, n, axis=-1)
+        dense_t = w @ P
+        assert np.max(np.abs(adjoint - dense_t)) < 1e-12 * np.max(np.abs(dense_t))
+
     def test_on_surface_potential_at_nodes(self):
         # at the node parameters the interpolated rule is the node rule
         op = SceneOperator(single_disk(1.5))
