@@ -26,7 +26,9 @@ class BoundaryChart:
     ``point/deriv/second`` are vectorized over the chart parameter
     u in [u0, u1]; for full closed curves the parameter is 2*pi-periodic and
     ``closed`` is True. ``corner_start``/``corner_end`` mark endpoints where
-    the body boundary has a genuine corner.
+    the body boundary has a genuine corner. ``circle`` is the disk whose
+    circle the chart traces (a disk's one chart, both arcs of a lens), and
+    None for a smooth curve: the gap search takes its closed form from it.
     """
 
     point: Callable[[np.ndarray], np.ndarray]
@@ -37,6 +39,7 @@ class BoundaryChart:
     closed: bool = False
     corner_start: bool = False
     corner_end: bool = False
+    circle: Optional[Disk] = None
 
     @property
     def span(self) -> float:
@@ -184,7 +187,8 @@ class Body:
     def charts(self) -> list[BoundaryChart]:
         if self.kind == "disk":
             d = self.disk
-            return [BoundaryChart(d.point, d.deriv, d.second, 0.0, 2 * np.pi, closed=True)]
+            return [BoundaryChart(d.point, d.deriv, d.second, 0.0, 2 * np.pi, closed=True,
+                                  circle=d)]
         if self.kind == "smooth":
             s = self.smooth
             return [BoundaryChart(s.point, s.deriv, s.second, 0.0, 2 * np.pi, closed=True)]
@@ -215,9 +219,9 @@ class Body:
 
         charts = [
             BoundaryChart(da.point, da.deriv, da.second, ra[0], ra[1],
-                          corner_start=True, corner_end=True),
+                          corner_start=True, corner_end=True, circle=da),
             BoundaryChart(db.point, db.deriv, db.second, rb[0], rb[1],
-                          corner_start=True, corner_end=True),
+                          corner_start=True, corner_end=True, circle=db),
         ]
         # order the two arcs so the traversal is a single CCW loop: the end
         # point of the first chart must coincide with the start of the second

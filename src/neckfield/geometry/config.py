@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import (InvalidGeometryError, InvalidParameterError,
                       ScaleRegimeWarning)
 from .body import Body
-from .gap import GapInfo, body_gap, gap
+from .gap import GapFoot, GapInfo, body_gap, gap
 from .shapes import Disk, HarmonicBackground, SmoothBoundary
 
 
@@ -254,16 +254,11 @@ def _solve_translation(moving: Body, fixed: Body, direction: np.ndarray,
     return moving.translated(0.5 * (t_lo + t_hi) * direction)
 
 
-def _require_gap_convexity(body: Body, at_point: np.ndarray) -> None:
+def _require_gap_convexity(body: Body, foot: GapFoot) -> None:
     """For smooth bodies, require strictly positive curvature near the gap
-    closest point."""
-    if body.kind != "smooth":
-        return
-    s = body.smooth
-    t = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
-    p = s.point(t)
-    i = int(np.argmin((p[:, 0] - at_point[0]) ** 2 + (p[:, 1] - at_point[1]) ** 2))
-    s.require_convex_arc(float(t[i]), half_width=0.35)
+    foot."""
+    if body.kind == "smooth":
+        body.smooth.require_convex_arc(foot.u, half_width=0.35)
 
 
 def _halfplane_check(left: Body, rights: Sequence[Body]) -> None:
@@ -282,8 +277,8 @@ def _halfplane_check(left: Body, rights: Sequence[Body]) -> None:
             raise InvalidGeometryError("right-side body crosses into the left half-plane")
 
 
-def _recenter_on_gap(bodies: list[Body], i: int, j: int) -> list[Body]:
-    g = body_gap(bodies[i], bodies[j])
+def _recenter_on_gap(bodies: list[Body], g: GapInfo) -> list[Body]:
+    """The bodies translated so that the midpoint of gap g is the origin."""
     shift = -g.midpoint
     return [b.translated(shift) for b in bodies]
 
@@ -314,8 +309,8 @@ def build_case_c(left, center: Disk, right: Disk, r2: float, eps: float,
     if abs(np.hypot(g.point_j[0] - sc.center[0], g.point_j[1] - sc.center[1]) - sc.radius) \
             > 1e-8 * sc.radius:
         raise InvalidGeometryError("closest approach is not on the protruding lump")
-    _require_gap_convexity(left_body, np.asarray(g.point_i))
-    bodies = _recenter_on_gap([left_body, lump], 0, 1)
+    _require_gap_convexity(left_body, g.feet[0])
+    bodies = _recenter_on_gap([left_body, lump], g)
     _halfplane_check(bodies[0], bodies[1:])
     eps_outer = body_gap(bodies[0], Body.from_disk(bodies[1].lens_disks[1])).distance
     if not (0.2 * r2 <= eps_outer <= 5 * r2):
@@ -349,11 +344,9 @@ def build_case_d(left, center, right, r2: float, eps1: float, eps2: float,
     for g, eps in ((g1, eps1), (g2, eps2)):
         if abs(g.distance - eps) > 1e-10 * max(1.0, eps):
             raise InvalidGeometryError("gap positioning did not converge")
-    _require_gap_convexity(left_body, np.asarray(g1.point_i))
-    _require_gap_convexity(mid, np.asarray(g1.point_j))
-    _require_gap_convexity(mid, np.asarray(g2.point_i))
-    _require_gap_convexity(right_body, np.asarray(g2.point_j))
-    bodies = _recenter_on_gap([left_body, mid, right_body], 0, 1)
+    for body, foot in zip((left_body, mid, mid, right_body), g1.feet + g2.feet):
+        _require_gap_convexity(body, foot)
+    bodies = _recenter_on_gap([left_body, mid, right_body], g1)
     _halfplane_check(bodies[0], bodies[1:])
     return Configuration(
         bodies=tuple(bodies), groups=((0,), (1,), (2,)),
@@ -369,6 +362,6 @@ def build_case_d_like(cfg: Configuration, eps: float) -> Configuration:
     left, mid, right = cfg.bodies
     left = _solve_translation(left, mid, np.array([-1.0, 0.0]), eps)
     right = _solve_translation(right, mid, np.array([1.0, 0.0]), eps)
-    bodies = _recenter_on_gap([left, mid, right], 0, 1)
+    bodies = _recenter_on_gap([left, mid, right], body_gap(left, mid))
     return Configuration(tuple(bodies), cfg.groups, cfg.background, "D",
                          dict(cfg.params, eps1=eps, eps2=eps))

@@ -1,9 +1,11 @@
 """Gap measurement between bodies: distance, closest points, neck segment.
 
-Disk pairs and circular-arc pairs are handled in closed form; smooth curves
-use damped Newton on the squared distance with multistart and a sampling
-fallback. Every path also returns the chart and chart parameter of both
-closest points, which the mesh planner grades toward.
+Each body declares which of its charts are circular arcs
+(``BoundaryChart.circle``: a disk's one chart, both arcs of a lens). A pair
+of circular arcs takes the closed form; every other chart pair takes one
+damped Newton search on the squared distance that runs all its starts at
+once. Both return the chart and chart parameter of the two closest points,
+which the mesh planner grades toward.
 """
 
 from __future__ import annotations
@@ -17,6 +19,15 @@ import numpy as np
 from ..errors import InvalidGeometryError, InvalidParameterError, NumericFailureError
 from .body import Body, BoundaryChart
 from .shapes import Disk
+
+# A gap at or below this fraction of the larger body diameter is read as
+# boundaries that cross or touch: a Newton run that lands on a crossing
+# returns a distance of rounding size. The chain-map floor of the mesh
+# planner stops two unit disks near 1.3e-12, far above it.
+_TOUCH = 1e-14
+# the Newton search samples each chart at this many starts and runs from
+# this many of the closest start pairs
+_STARTS, _RUNS = 8, 6
 
 
 class GapFoot(NamedTuple):
@@ -72,9 +83,10 @@ def _disk_disk(da: Disk, db: Disk):
     return dist, pa, pb, ua, (ua + np.pi) % (2 * np.pi)
 
 
-def _point_to_arc(p: np.ndarray, chart: BoundaryChart, circle: Disk):
+def _point_to_arc(p: np.ndarray, chart: BoundaryChart):
     """Closest point of a circular arc chart to the point p (closed form:
     clamp the angle of p into the arc's angle range)."""
+    circle = chart.circle
     ang = float(np.arctan2(p[1] - circle.center[1], p[0] - circle.center[0]))
     lo, hi = chart.u0, chart.u1
     a = ang
@@ -94,196 +106,156 @@ def _ang_dist(a: float, b: float) -> float:
     return min(d, 2 * np.pi - d)
 
 
-def _chart_circle(chart: BoundaryChart) -> Disk | None:
-    """Recover the circle if the chart is a circular arc (second derivative
-    antiparallel to position offset, constant radius); else None."""
-    u = np.linspace(chart.u0, chart.u1, 7)
-    p = chart.point(u)
-    s = chart.second(u)
-    c = p + s  # for a circle chart, P'' = -(P - center)
-    # an axis-aligned ellipse (a cos t, b sin t) also has P'' = -(P - c),
-    # so the radius must be checked as well
-    r = np.hypot(*(p - c[0]).T)
-    tol = 1e-10 * (1 + np.max(np.abs(p)))
-    if np.max(np.abs(c - c[0])) < tol and np.max(np.abs(r - r[0])) < tol:
-        return Disk((c[0][0], c[0][1]), float(r[0]))
-    return None
-
-
-def _arc_arc_closed_form(ca: BoundaryChart, cb: BoundaryChart, circ_a: Disk, circ_b: Disk):
-    """Exact gap between two circular arcs via angle clamping, as
-    (distance, point on a, point on b, u on a, u on b)."""
-    candidates = []
-    # unconstrained circle-circle solution if both feet are in range
-    e = circ_b.c - circ_a.c
-    d = float(np.hypot(*e))
-    if d > 0:
-        pa = circ_a.c + circ_a.radius * e / d
-        pb = circ_b.c - circ_b.radius * e / d
-        da_, _, ua = _point_to_arc(pa, ca, circ_a)
-        db_, _, ub = _point_to_arc(pb, cb, circ_b)
-        if da_ < 1e-12 * circ_a.radius and db_ < 1e-12 * circ_b.radius:
-            candidates.append((float(np.hypot(*(pb - pa))), pa, pb, ua, ub))
-    # endpoint (corner) against the other arc, both ways
-    for ua in (ca.u0, ca.u1):
+def _arc_arc_closed_form(ca: BoundaryChart, cb: BoundaryChart):
+    """Exact gap between two circular arcs, as (distance, point on a, point
+    on b, u on a, u on b): the circle-circle feet of ``_disk_disk`` if both
+    lie on their arcs, else the best arc end against the other arc. A
+    closed chart is its whole circle and has no ends."""
+    circles = _disk_disk(ca.circle, cb.circle)
+    if ca.closed and cb.closed:
+        return circles
+    dist, pa, pb, ua, ub = circles
+    on_arcs = True
+    if not ca.closed:
+        miss, _, ua = _point_to_arc(pa, ca)
+        on_arcs &= miss < 1e-12 * ca.circle.radius
+    if not cb.closed:
+        miss, _, ub = _point_to_arc(pb, cb)
+        on_arcs &= miss < 1e-12 * cb.circle.radius
+    candidates = [(dist, pa, pb, ua, ub)] if on_arcs else []
+    # an arc end (corner) against the other arc, both ways
+    for ua in () if ca.closed else (ca.u0, ca.u1):
         p = ca.point(np.array([ua]))[0]
-        dist, q, ub = _point_to_arc(p, cb, circ_b)
+        dist, q, ub = _point_to_arc(p, cb)
         candidates.append((dist, p, q, ua, ub))
-    for ub in (cb.u0, cb.u1):
+    for ub in () if cb.closed else (cb.u0, cb.u1):
         p = cb.point(np.array([ub]))[0]
-        dist, q, ua = _point_to_arc(p, ca, circ_a)
+        dist, q, ua = _point_to_arc(p, ca)
         candidates.append((dist, q, p, ua, ub))
     return min(candidates, key=lambda c: c[0])
 
 
-def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, starts_per_curve: int = 8):
-    """Damped Newton on D(u,v) = |A(u) - B(v)|^2 with multistart; sampling
-    plus golden-section refinement as fallback. Returns (distance, point on
-    a, point on b, u, v)."""
-    us = np.linspace(ca.u0, ca.u1, starts_per_curve, endpoint=not ca.closed)
-    vs = np.linspace(cb.u0, cb.u1, starts_per_curve, endpoint=not cb.closed)
-    # rank all start pairs by sampled distance, run Newton from the best few
-    A, B = ca.point(us), cb.point(vs)
-    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-    order = np.dstack(np.unravel_index(np.argsort(d2, axis=None), d2.shape))[0]
-
-    def clamp(u, chart):
-        if chart.closed:
-            return chart.u0 + (u - chart.u0) % chart.span
-        return min(max(u, chart.u0), chart.u1)
-
-    best = None
-    for iu, iv in order[:6]:
-        u, v = float(us[iu]), float(vs[iv])
-        ok = True
-        for _ in range(60):
-            pa, pb = ca.point(np.array([u]))[0], cb.point(np.array([v]))[0]
-            ta, tb = ca.deriv(np.array([u]))[0], cb.deriv(np.array([v]))[0]
-            sa, sb = ca.second(np.array([u]))[0], cb.second(np.array([v]))[0]
-            r = pa - pb
-            g = np.array([2 * r @ ta, -2 * r @ tb])
-            Hm = np.array([
-                [2 * (ta @ ta + r @ sa), -2 * ta @ tb],
-                [-2 * ta @ tb, 2 * (tb @ tb - r @ sb)],
-            ])
-            try:
-                step = np.linalg.solve(Hm, -g)
-            except np.linalg.LinAlgError:
-                ok = False
+def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart):
+    """Damped Newton on D(u, v) = |A(u) - B(v)|^2 from the ``_RUNS`` best of
+    ``_STARTS``^2 sampled start pairs, all runs at once: each iteration
+    evaluates ``point``, ``deriv`` and ``second`` of each chart once on the
+    array of live runs, and each run halves its own step until D does not
+    increase. A run with a non-finite step, or whose damping fails, is
+    dropped. Returns (distance, point on a, point on b, u, v) of the best
+    run."""
+    us = np.linspace(ca.u0, ca.u1, _STARTS, endpoint=not ca.closed)
+    vs = np.linspace(cb.u0, cb.u1, _STARTS, endpoint=not cb.closed)
+    d2 = ((ca.point(us)[:, None, :] - cb.point(vs)[None, :, :]) ** 2).sum(axis=2)
+    iu, iv = np.unravel_index(np.argsort(d2, axis=None)[:_RUNS], d2.shape)
+    u, v = us[iu], vs[iv]
+    live = np.ones(u.size, dtype=bool)     # not dropped
+    moving = live.copy()                   # live and not yet converged
+    for _ in range(60):
+        k = np.flatnonzero(moving)
+        if k.size == 0:
+            break
+        uk, vk = u[k], v[k]
+        r = ca.point(uk) - cb.point(vk)
+        ta, tb = ca.deriv(uk), cb.deriv(vk)
+        sa, sb = ca.second(uk), cb.second(vk)
+        # Newton step on D/2: gradient (ga, gb), Hessian [[haa, hab], [hab, hbb]]
+        ga, gb = _dot(r, ta), -_dot(r, tb)
+        haa, hab, hbb = _dot(ta, ta) + _dot(r, sa), -_dot(ta, tb), _dot(tb, tb) - _dot(r, sb)
+        det = haa * hbb - hab * hab
+        with np.errstate(divide="ignore", invalid="ignore"):
+            du = (hab * gb - hbb * ga) / det
+            dv = (hab * ga - haa * gb) / det
+        f0 = _dot(r, r)
+        un, vn = uk.copy(), vk.copy()
+        lam = np.ones(k.size)
+        # damping: each run halves its own step until D does not increase;
+        # a non-finite step is not tried and fails
+        finite = np.isfinite(du + dv)
+        failed = np.ones(k.size, dtype=bool)
+        for _ in range(30):
+            j = np.flatnonzero(failed & finite)
+            if j.size == 0:
                 break
-            # damping: halve until the squared distance does not increase
-            f0 = r @ r
-            lam = 1.0
-            for _ in range(30):
-                un = clamp(u + lam * step[0], ca)
-                vn = clamp(v + lam * step[1], cb)
-                rn = ca.point(np.array([un]))[0] - cb.point(np.array([vn]))[0]
-                if rn @ rn <= f0 + 1e-15:
-                    break
-                lam *= 0.5
-            else:
-                ok = False
-                break
-            moved = _param_move(u, un, ca) + _param_move(v, vn, cb)
-            u, v = un, vn
-            if moved < 1e-14:
-                break
-        if ok:
-            pa, pb = ca.point(np.array([u]))[0], cb.point(np.array([v]))[0]
-            cand = (float(np.hypot(*(pa - pb))), pa, pb, u, v)
-            if best is None or cand[0] < best[0]:
-                best = cand
-    if best is None:
-        # fallback: dense sampling, then local golden-section in each variable
-        us = np.linspace(ca.u0, ca.u1, 512, endpoint=not ca.closed)
-        vs = np.linspace(cb.u0, cb.u1, 512, endpoint=not cb.closed)
-        A, B = ca.point(us), cb.point(vs)
-        d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-        iu, iv = np.unravel_index(np.argmin(d2), d2.shape)
-        u, v = float(us[iu]), float(vs[iv])
-        for _ in range(200):
-            u = _golden_1d(lambda uu: float(((ca.point(np.array([uu]))[0]
-                                              - cb.point(np.array([v]))[0]) ** 2).sum()),
-                           u - 0.01 * ca.span, u + 0.01 * ca.span)
-            v = _golden_1d(lambda vv: float(((ca.point(np.array([u]))[0]
-                                              - cb.point(np.array([vv]))[0]) ** 2).sum()),
-                           v - 0.01 * cb.span, v + 0.01 * cb.span)
-        u, v = clamp(u, ca), clamp(v, cb)
-        pa, pb = ca.point(np.array([u]))[0], cb.point(np.array([v]))[0]
-        best = (float(np.hypot(*(pa - pb))), pa, pb, u, v)
-        if not np.isfinite(best[0]):
-            raise NumericFailureError("gap search failed to converge",
-                                      {"chart_a": (ca.u0, ca.u1), "chart_b": (cb.u0, cb.u1)})
-    return best
+            un[j] = _clamp(uk[j] + lam[j] * du[j], ca)
+            vn[j] = _clamp(vk[j] + lam[j] * dv[j], cb)
+            rn = ca.point(un[j]) - cb.point(vn[j])
+            done = _dot(rn, rn) <= f0[j] + 1e-15
+            failed[j[done]] = False
+            lam[j[~done]] *= 0.5
+        live[k[failed]] = moving[k[failed]] = False
+        ok = ~failed
+        moved = _param_move(uk, un, ca) + _param_move(vk, vn, cb)
+        u[k[ok]], v[k[ok]] = un[ok], vn[ok]
+        moving[k[ok & (moved < 1e-14)]] = False
+    k = np.flatnonzero(live)
+    if k.size == 0:
+        raise NumericFailureError("gap search failed: every Newton run was dropped",
+                                  {"chart_a": (ca.u0, ca.u1), "chart_b": (cb.u0, cb.u1)})
+    pa, pb = ca.point(u[k]), cb.point(v[k])
+    dist = np.hypot(*(pa - pb).T)
+    i = int(np.argmin(dist))
+    return float(dist[i]), pa[i], pb[i], float(u[k[i]]), float(v[k[i]])
 
 
-def _param_move(u: float, un: float, chart: BoundaryChart) -> float:
-    """Length of the parameter move u -> un; on a closed chart it is taken
-    modulo the period, so a start converging to u = 0 = 2 pi is not seen
-    as jumping a whole period."""
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+
+
+def _clamp(u: np.ndarray, chart: BoundaryChart) -> np.ndarray:
+    """u brought onto the chart: modulo the period on a closed chart,
+    clipped to [u0, u1] on an open one."""
+    if chart.closed:
+        return chart.u0 + (u - chart.u0) % chart.span
+    return np.clip(u, chart.u0, chart.u1)
+
+
+def _param_move(u: np.ndarray, un: np.ndarray, chart: BoundaryChart) -> np.ndarray:
+    """Length of the parameter moves u -> un; on a closed chart each is
+    taken modulo the period, so a start converging to u = 0 = 2 pi is not
+    seen as jumping a whole period."""
     d = un - u
-    return abs(math.remainder(d, chart.span) if chart.closed else d)
+    if chart.closed:
+        d = d - chart.span * np.round(d / chart.span)
+    return np.abs(d)
 
 
-def _golden_1d(f, a, b, iters=60):
-    phi = (np.sqrt(5) - 1) / 2
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def body_gap(body_a: Body, body_b: Body, force_generic: bool = False) -> GapInfo:
+def body_gap(body_a: Body, body_b: Body) -> GapInfo:
     """Gap between two bodies (positive distance required).
 
-    ``force_generic`` routes disk pairs through the Newton path, used by
-    tests to reconcile the generic search with the closed form.
+    Each chart pair takes its search from what its charts declare: two
+    circular arcs the closed form, any other pair the batched Newton. A gap
+    at or below ``_TOUCH`` of the larger body diameter is two boundaries
+    that cross or touch, and raises InvalidGeometryError.
     """
-    if body_a.kind == "disk" and body_b.kind == "disk" and not force_generic:
-        dist, pa, pb, ua, ub = _disk_disk(body_a.disk, body_b.disk)
-        if dist <= 0:
-            raise InvalidGeometryError("bodies overlap or touch")
-        return GapInfo(dist, tuple(pa), tuple(pb),
-                       (GapFoot(0, 0, float(ua)), GapFoot(1, 0, float(ub))))
-
+    charts_a, charts_b = body_a.charts(), body_b.charts()
     # boundary-to-boundary distance is positive even for nested bodies, so
     # rule out containment first
-    probe_a = body_a.charts()[0].point(np.array([body_a.charts()[0].u0]))
-    probe_b = body_b.charts()[0].point(np.array([body_b.charts()[0].u0]))
+    probe_a = charts_a[0].point(np.array([charts_a[0].u0]))
+    probe_b = charts_b[0].point(np.array([charts_b[0].u0]))
     if body_a.contains(probe_b)[0] or body_b.contains(probe_a)[0]:
         raise InvalidGeometryError("bodies overlap (one contains the other's boundary)")
 
     best = None
-    for ia, ca in enumerate(body_a.charts()):
-        circ_a = _chart_circle(ca)
-        for ib, cb in enumerate(body_b.charts()):
-            circ_b = _chart_circle(cb)
-            if circ_a is not None and circ_b is not None and not force_generic:
-                cand = _arc_arc_closed_form(ca, cb, circ_a, circ_b)
+    for ia, ca in enumerate(charts_a):
+        for ib, cb in enumerate(charts_b):
+            if ca.circle is not None and cb.circle is not None:
+                cand = _arc_arc_closed_form(ca, cb)
             else:
                 cand = _arc_arc_newton(ca, cb)
             if best is None or cand[0] < best[0][0]:
                 best = (cand, ia, ib)
     (dist, pa, pb, ua, ub), ia, ib = best
-    if dist <= 0:
+    if dist <= _TOUCH * max(body_a.diameter(), body_b.diameter()):
         raise InvalidGeometryError("bodies overlap or touch")
     return GapInfo(dist, (float(pa[0]), float(pa[1])), (float(pb[0]), float(pb[1])),
                    (GapFoot(0, ia, float(ua)), GapFoot(1, ib, float(ub))))
 
 
-def gap(cfg, i: int, j: int, force_generic: bool = False) -> GapInfo:
+def gap(cfg, i: int, j: int) -> GapInfo:
     """Gap between conductors i and j of a configuration (0-based indices
     in conductor order; equal indices are rejected). Its feet carry the
     configuration's body indices. Body pairs reuse the gaps the
-    configuration measured when it was built, unless ``force_generic``."""
+    configuration measured when it was built."""
     if i == j:
         raise InvalidParameterError("gap requires two distinct conductor indices")
     groups = cfg.groups
@@ -293,8 +265,7 @@ def gap(cfg, i: int, j: int, force_generic: bool = False) -> GapInfo:
     best = None
     for a in groups[i]:
         for b in groups[j]:
-            g = (body_gap(cfg.bodies[a], cfg.bodies[b], force_generic=True)
-                 if force_generic else cfg.body_pair_gap(a, b))
+            g = cfg.body_pair_gap(a, b)
             if best is None or g.distance < best[0].distance:
                 best = (g, a, b)
     g, a, b = best

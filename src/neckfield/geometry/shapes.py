@@ -2,7 +2,9 @@
 harmonic polynomial background fields.
 
 All closed curves are parameterized counterclockwise, so the outward normal
-of a body is ``(y', -x') / |P'|``.
+of a body is ``(y', -x') / |P'|``. ``contains(pts, pad)`` means "signed
+distance below pad" (positive outside) for a disk and a smooth curve alike;
+on a smooth curve the distance is exact, from a closest-point Newton.
 """
 
 from __future__ import annotations
@@ -13,6 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import InvalidGeometryError, InvalidParameterError
+
+# closest-point Newton of SmoothBoundary.contains: the samples that seed
+# it, its iterations at most, and the parameter step that ends a point's run
+_FOOT_SAMPLES, _FOOT_ITERS, _FOOT_STEP_TOL = 256, 30, 1e-12
+
+# SmoothBoundary's coefficient fields, in order
+_COEFFS = ("cos_x", "sin_x", "cos_y", "sin_y")
 
 
 def _as_point(p) -> np.ndarray:
@@ -78,10 +87,12 @@ class SmoothBoundary:
         P(t) = center + (sum_k cx_k cos(kt) + sx_k sin(kt),
                          sum_k cy_k cos(kt) + sy_k sin(kt)),  k = 1..K
 
-    The parameterization must be counterclockwise, simple, and have a
-    nonvanishing tangent; ``validate()`` checks all three by sampling on
-    every construction. ``translated()`` and ``scaled()`` (s > 0) keep all
-    three properties, so their results are not checked again.
+    The coefficients must be finite. The parameterization must be
+    counterclockwise, simple, and have a nonvanishing tangent;
+    ``validate()`` checks all three by sampling on every construction.
+    ``ellipse()`` with positive semi-axes has all three by construction, and
+    ``translated()`` and ``scaled()`` (s > 0) keep them, so none of these
+    is checked again.
     An axis-aligned ellipse with semi-axes (a, b) is ``cx = [a], sy = [b]``.
     """
 
@@ -94,8 +105,10 @@ class SmoothBoundary:
     def __post_init__(self):
         c = _as_point(self.center)
         object.__setattr__(self, "center", (float(c[0]), float(c[1])))
-        for name in ("cos_x", "sin_x", "cos_y", "sin_y"):
+        for name in _COEFFS:
             vals = tuple(float(v) for v in getattr(self, name))
+            if not all(np.isfinite(vals)):
+                raise InvalidParameterError(f"{name} has non-finite coefficients: {vals!r}")
             object.__setattr__(self, name, vals)
         if self.degree == 0:
             raise InvalidParameterError("smooth boundary needs at least one Fourier mode")
@@ -103,9 +116,16 @@ class SmoothBoundary:
 
     @staticmethod
     def ellipse(center, a: float, b: float) -> "SmoothBoundary":
-        if a <= 0 or b <= 0:
-            raise InvalidParameterError("ellipse semi-axes must be positive")
-        return SmoothBoundary(tuple(_as_point(center)), cos_x=(a,), sin_y=(b,))
+        """Axis-aligned ellipse; positive finite semi-axes make it simple,
+        counterclockwise and regular, so it is not validated. Its speed
+        ranges over [min(a, b), max(a, b)], so the regularity bound of
+        ``validate()`` is the aspect check here."""
+        if not (0 < a < np.inf and 0 < b < np.inf):
+            raise InvalidParameterError(f"ellipse semi-axes must be positive and finite, "
+                                        f"got {a!r}, {b!r}")
+        if min(a, b) < 1e-8 * max(a, b):
+            raise InvalidGeometryError("tangent vector vanishes (curve is not C^2-regular)")
+        return _unchecked(center, ((float(a),), (), (), (float(b),)))
 
     @property
     def degree(self) -> int:
@@ -179,16 +199,30 @@ class SmoothBoundary:
             raise InvalidGeometryError("gap-facing arc is not strictly convex")
 
     def contains(self, pts, pad: float = 0.0):
-        """Winding-number test on a dense polygonal approximation."""
+        """Points whose signed distance to the curve (positive outside) is
+        below ``pad``, as for a :class:`Disk`. The distance is exact: Newton
+        on (P(t) - p) . P'(t) = 0 from the nearest sampled curve point,
+        vectorized over the points, with steps held to one sample spacing
+        and taken downhill where the distance is not convex in t; its sign
+        is the side of the outward normal at the foot."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        t = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
-        poly = self.point(t)
-        if pad != 0.0:
-            d = self.deriv(t)
-            sp = np.hypot(d[:, 0], d[:, 1])[:, None]
-            n_out = np.stack([d[:, 1], -d[:, 0]], axis=-1) / sp
-            poly = poly + pad * n_out
-        return _winding_contains(poly, pts)
+        h = 2 * np.pi / _FOOT_SAMPLES
+        ps = self.point(h * np.arange(_FOOT_SAMPLES))
+        t = h * np.argmin((pts[:, 0, None] - ps[:, 0]) ** 2
+                          + (pts[:, 1, None] - ps[:, 1]) ** 2, axis=1)
+        run = np.arange(pts.shape[0])
+        for _ in range(_FOOT_ITERS):
+            tk = t[run]
+            r, d1, d2 = self.point(tk) - pts[run], self.deriv(tk), self.second(tk)
+            f, fp = np.sum(r * d1, axis=1), np.sum(d1 * d1 + r * d2, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.clip(np.where(fp > 0, -f / fp, -h * np.sign(f)), -h, h)
+            t[run] = tk + step
+            run = run[np.abs(step) > _FOOT_STEP_TOL]
+            if run.size == 0:
+                break
+        r, d = pts - self.point(t), self.deriv(t)
+        return (r[:, 0] * d[:, 1] - r[:, 1] * d[:, 0]) / np.hypot(d[:, 0], d[:, 1]) < pad
 
     def translated(self, v) -> "SmoothBoundary":
         v = _as_point(v)
@@ -204,12 +238,19 @@ class SmoothBoundary:
         """This curve moved to ``center`` with its coefficients scaled by
         s > 0. A positive similarity keeps the curve simple, counterclockwise
         and regular, so ``validate()`` is not run again."""
-        c = _as_point(center)
-        out = object.__new__(SmoothBoundary)
-        object.__setattr__(out, "center", (float(c[0]), float(c[1])))
-        for name in ("cos_x", "sin_x", "cos_y", "sin_y"):
-            object.__setattr__(out, name, tuple(float(s * v) for v in getattr(self, name)))
-        return out
+        return _unchecked(center, tuple(tuple(float(s * v) for v in getattr(self, name))
+                                        for name in _COEFFS))
+
+
+def _unchecked(center, coeffs) -> SmoothBoundary:
+    """A SmoothBoundary from float coefficient tuples in ``_COEFFS`` order,
+    built without ``validate()``, for curves valid by construction."""
+    c = _as_point(center)
+    out = object.__new__(SmoothBoundary)
+    object.__setattr__(out, "center", (float(c[0]), float(c[1])))
+    for name, vals in zip(_COEFFS, coeffs):
+        object.__setattr__(out, name, vals)
+    return out
 
 
 def _polyline_self_intersects(p: np.ndarray) -> bool:
@@ -237,18 +278,6 @@ def _polyline_self_intersects(p: np.ndarray) -> bool:
                (np.abs(idx[:, None] - idx[None, :]) == n - 1)
     hit &= ~adjacent
     return bool(np.any(hit))
-
-
-def _winding_contains(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Even-odd ray-casting containment of pts in the polygon poly."""
-    x, y = pts[:, 0][:, None], pts[:, 1][:, None]
-    x0, y0 = poly[:, 0][None, :], poly[:, 1][None, :]
-    x1, y1 = np.roll(poly[:, 0], -1)[None, :], np.roll(poly[:, 1], -1)[None, :]
-    crosses = ((y0 <= y) & (y < y1)) | ((y1 <= y) & (y < y0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-    hits = crosses & (xint > x)
-    return (np.sum(hits, axis=1) % 2).astype(bool)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,8 +108,8 @@ class TestGap:
             a = Body.from_disk(Disk(tuple(c1), r1))
             b = Body.from_disk(Disk(tuple(c2), r2))
             exact = body_gap(a, b)
-            generic = body_gap(a, b, force_generic=True)
-            assert generic.distance == pytest.approx(exact.distance, rel=1e-12)
+            generic = gap_module._arc_arc_newton(a.charts()[0], b.charts()[0])
+            assert generic[0] == pytest.approx(exact.distance, rel=1e-12)
 
     def test_smooth_pair_gap(self):
         e1 = SmoothBoundary.ellipse((-2.0, 0.0), 1.5, 1.0)
@@ -117,29 +118,34 @@ class TestGap:
         assert info.distance == pytest.approx(0.5, rel=1e-9)
 
     def test_axis_aligned_ellipse_is_not_a_circle(self):
-        # P'' = -(P - c) holds for (a cos t, b sin t) too; only the generic
-        # search gives the true gap from the ellipse's top to the disk
+        # P'' = -(P - c) holds for (a cos t, b sin t) too; a smooth chart
+        # declares no circle, so the generic search gives the true gap from
+        # the ellipse's top to the disk
         a = Body.from_smooth(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.5))
         b = Body.from_disk(Disk((0.0, 1.0), 0.1))
+        assert a.charts()[0].circle is None
         assert abs(body_gap(a, b).distance - 0.4) < 1e-12
-        assert abs(body_gap(a, b, force_generic=True).distance - 0.4) < 1e-12
 
     def test_circular_arcs_take_closed_form(self, monkeypatch):
         def no_newton(*args):
             raise AssertionError("circular arcs must not reach the generic search")
 
         monkeypatch.setattr(gap_module, "_arc_arc_newton", no_newton)
-        circle = Body.from_smooth(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0))
         disk = Body.from_disk(Disk((2.5, 0.0), 1.0))
-        assert body_gap(circle, disk).distance == pytest.approx(0.5, rel=1e-14)
-        # case A with its left disk as a Fourier circle
-        lens = build_case_a(1, 0.05, 1, 0.05, 1e-3).bodies[1]
-        left = Body.from_smooth(SmoothBoundary.ellipse((-1.0005, 0.0), 1.0, 1.0))
+        assert body_gap(Body.from_disk(Disk((0.0, 0.0), 1.0)), disk).distance \
+            == pytest.approx(0.5, rel=1e-14)
+        # case A's disk against its lens, and the lens against a lens
+        left, lens = build_case_a(1, 0.05, 1, 0.05, 1e-3).bodies
         assert body_gap(left, lens).distance == pytest.approx(1e-3, rel=1e-9)
+        other = Body.lens(Disk((-0.0505, 0.0), 0.05), Disk((-1.0505, 0.0), 1.0))
+        assert body_gap(other, lens).distance == pytest.approx(1e-3, rel=1e-9)
 
-    @pytest.mark.parametrize("force_generic", [False, True])
+    @pytest.mark.parametrize("newton", [False, True])
     @pytest.mark.parametrize("scene", ["pair", "A", "C", "D", "grouped", "reversed"])
-    def test_feet_name_the_points(self, scene, force_generic):
+    def test_feet_name_the_points(self, scene, newton):
+        # with ``newton`` the generic chart-pair search is called directly on
+        # the charts of the feet, disk and lens arcs included: it must find
+        # the same gap, and its feet must name its points
         ell = SmoothBoundary.ellipse
         disk = Body.from_disk
         cfg = {
@@ -162,7 +168,14 @@ class TestGap:
         scale = cfg.scene_radius()
         for i in range(cfg.n_conductors):
             for j in range(i + 1, cfg.n_conductors):
-                info = gap(cfg, i, j, force_generic=force_generic)
+                info = gap(cfg, i, j)
+                if newton:
+                    charts = [cfg.bodies[f.body].charts()[f.chart] for f in info.feet]
+                    dist, pa, pb, ua, ub = gap_module._arc_arc_newton(*charts)
+                    assert dist == pytest.approx(info.distance, rel=1e-12)
+                    info = replace(info, distance=dist, point_i=tuple(pa), point_j=tuple(pb),
+                                   feet=(info.feet[0]._replace(u=ua),
+                                         info.feet[1]._replace(u=ub)))
                 assert len(info.feet) == 2
                 for foot, p, group in zip(info.feet, (info.point_i, info.point_j),
                                           (cfg.groups[i], cfg.groups[j])):
@@ -204,6 +217,41 @@ class TestGap:
                            Body.from_disk(Disk((1.5, 0), 1.0))),
                           ((0,), (1,)), HarmonicBackground.linear_x())
 
+    @pytest.mark.parametrize("delta", [0.1, 1e-3, 1e-6])
+    @pytest.mark.parametrize("lower", ["ellipse", "disk"])
+    def test_crossing_boundaries_rejected(self, lower, delta):
+        # the two boundaries cross: a Newton run that lands on a crossing
+        # measures a gap of rounding size, which must read as an overlap
+        upper = Body.from_smooth(SmoothBoundary.ellipse((0.0, 0.8 - delta / 2), 1.0, 0.8))
+        center = (0.0, -0.9 + delta / 2)
+        other = (Body.from_smooth(SmoothBoundary.ellipse(center, 1.1, 0.9))
+                 if lower == "ellipse" else Body.from_disk(Disk(center, 0.9)))
+        with pytest.raises(InvalidGeometryError, match="overlap or touch"):
+            body_gap(upper, other)
+        with pytest.raises(InvalidGeometryError):
+            Configuration((upper, other), ((0,), (1,)), HarmonicBackground.linear_x())
+
+    def test_newton_search_is_batched(self, monkeypatch):
+        # each Newton iteration evaluates the charts once on all its runs:
+        # case D's three pairs at eps 1e-3 take 68 to 154 curve evaluations
+        ell = SmoothBoundary.ellipse
+        cfg = build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                           ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3)
+        calls = []
+        series = SmoothBoundary._series
+
+        def counted(self, t, mode):
+            calls.append(mode)
+            return series(self, t, mode)
+
+        monkeypatch.setattr(SmoothBoundary, "_series", counted)
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            calls.clear()
+            found = gap_module._arc_arc_newton(cfg.bodies[a].charts()[0],
+                                               cfg.bodies[b].charts()[0])
+            assert 0 < len(calls) <= 200
+            assert found[0] == pytest.approx(cfg.body_pair_gap(a, b).distance, rel=1e-12)
+
 
 class TestCaseCD:
     def test_case_c_reproduces_case_a(self):
@@ -238,8 +286,9 @@ class TestCaseCD:
             assert np.min(pts[:, 0]) >= -1e-9
 
     def test_case_d_geometry_work(self, monkeypatch):
-        # the benchmark's case-D scene: each curve is validated once, and
-        # the translation solve needs few gap searches
+        # the benchmark's case-D scene: its ellipses are valid by
+        # construction and are not validated at all, and the translation
+        # solve needs few gap searches (19 at eps 1e-3)
         calls = {"validate": 0, "body_gap": 0}
 
         def counted(name, fn):
@@ -299,6 +348,57 @@ class TestSmoothBoundary:
         assert shrunk == rebuilt_shrunk and hash(shrunk) == hash(rebuilt_shrunk)
         with pytest.raises(InvalidParameterError):
             p.scaled(0.0)
+
+    @pytest.mark.parametrize("coeffs", [{"cos_x": (np.inf,), "sin_y": (1.0,)},
+                                        {"cos_x": (1.0, np.nan), "sin_y": (1.0,)},
+                                        {"cos_x": (1.0,), "sin_y": (-np.inf,)}])
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        with pytest.raises(InvalidParameterError):
+            SmoothBoundary((0.0, 0.0), **coeffs)
+
+    @pytest.mark.parametrize("a", [np.inf, np.nan, 0.0, -1.0])
+    def test_non_finite_ellipse_rejected(self, a):
+        with pytest.raises(InvalidParameterError):
+            SmoothBoundary.ellipse((0.0, 0.0), a, 1.0)
+        with pytest.raises(InvalidParameterError):
+            SmoothBoundary.ellipse((0.0, 0.0), 1.0, a)
+
+    def test_ellipse_is_valid_by_construction(self, monkeypatch):
+        validated = []
+        validate = SmoothBoundary.validate
+        monkeypatch.setattr(SmoothBoundary, "validate",
+                            lambda self, samples=720: validated.append(validate(self, samples)))
+        e = SmoothBoundary.ellipse((0.5, -1.0), 1.5, 0.25)
+        assert validated == []
+        assert e == SmoothBoundary((0.5, -1.0), cos_x=(1.5,), sin_y=(0.25,))
+        assert hash(e) == hash(SmoothBoundary((0.5, -1.0), cos_x=(1.5,), sin_y=(0.25,)))
+        # the aspect bound is the regularity bound validate() applies
+        for flat in ({"cos_x": (1.0,), "sin_y": (1e-9,)}, {"cos_x": (1e-9,), "sin_y": (1.0,)}):
+            with pytest.raises(InvalidGeometryError):
+                SmoothBoundary((0.0, 0.0), **flat)
+            with pytest.raises(InvalidGeometryError):
+                SmoothBoundary.ellipse((0.0, 0.0), flat["cos_x"][0], flat["sin_y"][0])
+
+    @pytest.mark.parametrize("curve", [
+        SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
+        SmoothBoundary((0.0, 0.0), cos_x=(1.2, 0.0, 0.2), sin_y=(0.8, 0.0, 0.2)),
+    ], ids=["ellipse", "peanut"])
+    def test_inside_test_is_exact(self, curve):
+        # points pushed along the normal by a depth far below any sampling
+        # of the curve, inward and outward, on convex and concave arcs; the
+        # signed distance is the depth, so ``pad`` moves the verdict there
+        t = np.linspace(0.0, 2 * np.pi, 2000, endpoint=False)
+        d = curve.deriv(t)
+        n_out = np.stack([d[:, 1], -d[:, 0]], axis=-1) / np.hypot(d[:, 0], d[:, 1])[:, None]
+        for depth in 10.0 ** np.arange(-10, 0):
+            inner = curve.point(t) - depth * n_out
+            outer = curve.point(t) + depth * n_out
+            assert np.all(curve.contains(inner))
+            assert not np.any(curve.contains(outer))
+            assert np.all(curve.contains(outer, pad=1.001 * depth))
+            assert not np.any(curve.contains(outer, pad=0.999 * depth))
+            assert np.all(curve.contains(inner, pad=-0.999 * depth))
+            assert not np.any(curve.contains(inner, pad=-1.001 * depth))
 
     def test_peanut_is_valid_but_not_convex(self):
         p = peanut()
