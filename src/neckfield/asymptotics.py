@@ -15,10 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidUsageError
-from .geometry.config import (Configuration, build_case_a, build_case_b,
-                              build_case_d, build_case_d_like, build_two_disks)
-from .geometry.shapes import Disk, HarmonicBackground
-from .geometry.body import Body
+from .geometry.config import Configuration, build_case, place_around
+from .geometry.shapes import Disk
 from . import images
 from .solver.mesh import MeshControls
 from .solver.nystrom import SceneOperator, max_gap_gradient
@@ -208,8 +206,7 @@ def _suite_case_a(cfg, controls, eps_grid, spread_limit, seed) -> DiagnosticRepo
     rep = DiagnosticReport("A")
     ident, corner_decay, m_vals, sign_ok, gapdiff = [], [], [], [], []
     for eps in grid:
-        c = build_case_a(p["r1"], p["r2"], p["r3"], p["a"], eps,
-                         background=cfg.background)
+        c = build_case("A", dict(p, eps=eps), cfg.background)
         op = SceneOperator(c, controls)
         h = op.solve_h(((0,), (1,)))
         u = op.solve_u()
@@ -311,7 +308,7 @@ def _suite_case_b(cfg, controls, eps_grid, spread_limit) -> DiagnosticReport:
     grad_h1_gap12, grad_h2_gap12, grad_h1_gap23, grad_h2_gap23 = [], [], [], []
     dominate_ok, enclose_ratio, enclose_diff_ok = [], [], []
     for eps in grid:
-        c = build_case_b(p["r1"], p["r2"], p["r3"], eps, eps, background=cfg.background)
+        c = build_case("B", dict(p, eps1=eps, eps2=eps), cfg.background)
         op = SceneOperator(c, controls)
         h1 = op.solve_h(((0,), (1, 2)))
         h2 = op.solve_h(((0, 1), (2,)))
@@ -411,12 +408,18 @@ def _suite_case_d(cfg, controls, eps_grid) -> DiagnosticReport:
     statement and its derivation disagree on the radius entering the
     scale)."""
     p = cfg.params
+    if "r2" not in p:
+        raise InvalidParameterError("case D missing parameter 'r2'")
     grid = _eps_grid(eps_grid)
     rep = DiagnosticReport("D")
     per_r2, per_r1 = [], []
     r1_est = cfg.bodies[0].diameter() / 2
+    left, mid, right = cfg.bodies
     for eps in grid:
-        c = build_case_d_like(cfg, eps)
+        # a case-D scene records no recipe for its shapes: re-gap the bodies
+        bodies, _ = place_around(mid, left, eps, right, eps)
+        c = Configuration(tuple(bodies), cfg.groups, cfg.background, "D",
+                          dict(p, eps1=eps, eps2=eps))
         op = SceneOperator(c, controls)
         u = op.solve_u()
         du = u.constants[1] - u.constants[0]

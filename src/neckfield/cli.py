@@ -16,6 +16,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .asymptotics import lemma_suite
 from .errors import DomainError, NeckfieldError
+from .geometry.config import build_case
 from .geometry.serialize import ConfigParseError, RunInput, parse_run
 from .solver.mesh import MeshControls
 from .solver.nystrom import SceneOperator, max_gap_gradient
@@ -46,9 +48,6 @@ class RunManifest:
     mesh_base: Optional[int] = None
     mesh_cap: Optional[int] = None
 
-    def controls(self, defaults: MeshControls = MeshControls()) -> MeshControls:
-        return defaults.with_base(self.mesh_base, self.mesh_cap)
-
 
 def _write(manifest: RunManifest, name: str, content: str) -> Path:
     manifest.out.mkdir(parents=True, exist_ok=True)
@@ -69,12 +68,12 @@ def _load(manifest: RunManifest) -> RunInput:
 
 
 def _controls_for(manifest: RunManifest, run: RunInput) -> MeshControls:
-    c = MeshControls()
-    if "base_n" in run.mesh:
-        c = c.with_base(base_n=int(run.mesh["base_n"]))
-    if "cap" in run.mesh:
-        c = c.with_base(cap=int(run.mesh["cap"]))
-    return manifest.controls(c)
+    """[mesh] base_n and cap, then --mesh-base and --mesh-cap where given."""
+    values = {"base_n": run.mesh.get("base_n"), "cap_total": run.mesh.get("cap")}
+    for field, flag in (("base_n", manifest.mesh_base), ("cap_total", manifest.mesh_cap)):
+        if flag is not None:
+            values[field] = flag
+    return MeshControls(**{k: v for k, v in values.items() if v is not None})
 
 
 def cmd_solve(manifest: RunManifest) -> int:
@@ -116,13 +115,13 @@ def cmd_solve(manifest: RunManifest) -> int:
 def _spec_from_run(run: RunInput, manifest: RunManifest) -> SweepSpec:
     sweep = run.sweep
     if not sweep or "vary" not in sweep:
-        raise ConfigParseError("missing [sweep] section with a 'vary' key", 0)
+        raise ConfigParseError("missing [sweep] section with a 'vary' key")
     case_tag = run.cfg.case_tag if run.cfg.case_tag in ("A", "B", "pair") else None
     if case_tag is None:
-        raise ConfigParseError("sweeps need a canonical case (A, B or pair)", 0)
+        raise ConfigParseError("sweeps need a canonical case (A, B or pair)")
     for key in ("grid", "quantities"):
         if key not in sweep:
-            raise ConfigParseError(f"the [sweep] section needs a {key!r} key", 0)
+            raise ConfigParseError(f"the [sweep] section needs a {key!r} key")
     vary = sweep["vary"].strip()
     try:
         lo, hi, pts = (s.strip() for s in sweep["grid"].split(","))
@@ -135,9 +134,11 @@ def _spec_from_run(run: RunInput, manifest: RunManifest) -> SweepSpec:
         seed = int(sweep.get("seed", manifest.seed))
         return SweepSpec(case_tag=case_tag, vary=vary, grid=grid, fixed=fixed,
                          quantities=quantities,
-                         controls=_controls_for(manifest, run), seed=seed)
+                         controls=_controls_for(manifest, run), seed=seed,
+                         builder=partial(build_case, case_tag,
+                                         background=run.cfg.background))
     except ValueError as exc:
-        raise ConfigParseError(f"bad [sweep] section: {exc}", 0) from exc
+        raise ConfigParseError(f"bad [sweep] section: {exc}") from exc
 
 
 def cmd_sweep(manifest: RunManifest) -> int:

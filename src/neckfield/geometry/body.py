@@ -148,12 +148,7 @@ class Body:
             return Body.from_disk(flip_disk(self.disk))
         if self.kind == "lens":
             return Body.lens(flip_disk(self.lens_disks[0]), flip_disk(self.lens_disks[1]))
-        s = self.smooth
-        # x -> -x flips orientation; also negate the parameter to restore CCW
-        return Body.from_smooth(SmoothBoundary(
-            (-s.center[0], s.center[1]),
-            tuple(-v for v in s.cos_x), tuple(v for v in s.sin_x),
-            tuple(v for v in s.cos_y), tuple(-v for v in s.sin_y)))
+        return Body.from_smooth(self.smooth.mirrored_x())
 
     # -- geometry queries --------------------------------------------------
 

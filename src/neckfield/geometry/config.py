@@ -1,4 +1,4 @@
-"""Validated multi-conductor scenes and the four canonical builders.
+"""Validated multi-conductor scenes, the canonical builders and ``build_case``.
 
 Case layouts (all centers on the x-axis, gap between the first pair
 straddling the origin):
@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import (InvalidGeometryError, InvalidParameterError,
                       ScaleRegimeWarning)
 from .body import Body
-from .gap import GapFoot, GapInfo, body_gap, gap
+from .gap import GapInfo, body_gap, gap
 from .shapes import Disk, HarmonicBackground, SmoothBoundary
 
 
@@ -254,13 +254,6 @@ def _solve_translation(moving: Body, fixed: Body, direction: np.ndarray,
     return moving.translated(0.5 * (t_lo + t_hi) * direction)
 
 
-def _require_gap_convexity(body: Body, foot: GapFoot) -> None:
-    """For smooth bodies, require strictly positive curvature near the gap
-    foot."""
-    if body.kind == "smooth":
-        body.smooth.require_convex_arc(foot.u, half_width=0.35)
-
-
 def _halfplane_check(left: Body, rights: Sequence[Body]) -> None:
     def max_x(b: Body) -> float:
         return max(float(np.max(ch.point(np.linspace(ch.u0, ch.u1, 1024))[:, 0]))
@@ -277,10 +270,28 @@ def _halfplane_check(left: Body, rights: Sequence[Body]) -> None:
             raise InvalidGeometryError("right-side body crosses into the left half-plane")
 
 
-def _recenter_on_gap(bodies: list[Body], g: GapInfo) -> list[Body]:
-    """The bodies translated so that the midpoint of gap g is the origin."""
-    shift = -g.midpoint
-    return [b.translated(shift) for b in bodies]
+def place_around(mid: Body, left: Body, eps1: float, right: Optional[Body] = None,
+                 eps2: float = 0.0) -> tuple[list[Body], GapInfo]:
+    """Translate ``left`` (and ``right``) along the x-axis until its gap to
+    ``mid`` is eps1 (eps2), check each gap to 1e-10 and each smooth body's
+    convexity at its gap foot, recenter on the first gap and check the
+    half-planes. Returns the bodies from left to right and the first gap
+    before recentering."""
+    left = _solve_translation(left, mid, np.array([-1.0, 0.0]), eps1)
+    pairs = [(left, mid, eps1)]
+    if right is not None:
+        right = _solve_translation(right, mid, np.array([1.0, 0.0]), eps2)
+        pairs.append((mid, right, eps2))
+    gaps = [body_gap(a, b) for a, b, _ in pairs]
+    for g, (a, b, eps) in zip(gaps, pairs):
+        if abs(g.distance - eps) > 1e-10 * max(1.0, eps):
+            raise InvalidGeometryError("gap positioning did not converge")
+        for body, foot in zip((a, b), g.feet):
+            if body.kind == "smooth":
+                body.smooth.require_convex_arc(foot.u, half_width=0.35)
+    bodies = [b.translated(-gaps[0].midpoint) for b in (left, mid, right) if b is not None]
+    _halfplane_check(bodies[0], bodies[1:])
+    return bodies, gaps[0]
 
 
 def build_case_c(left, center: Disk, right: Disk, r2: float, eps: float,
@@ -290,28 +301,19 @@ def build_case_c(left, center: Disk, right: Disk, r2: float, eps: float,
 
     ``center`` and ``right`` are given in a nominal frame; ``center`` is
     scaled about the origin by r2 and must then overlap ``right``. The left
-    body is translated along the x-axis (Newton solve) so the gap is exactly
-    eps, and the whole scene is recentered so the gap midpoint is the origin.
-    The union body keeps circular arcs so its two corners stay exact; a
-    general smooth protrusion is out of scope.
+    body is placed by :func:`place_around` so the gap is exactly eps and the
+    gap midpoint is the origin. The union body keeps circular arcs so its
+    two corners stay exact; a general smooth protrusion is out of scope.
     """
     _check_positive(r2=r2, eps=eps)
     if not isinstance(center, Disk) or not isinstance(right, Disk):
         raise InvalidParameterError("the protruding pair must be disks (lens union)")
-    lump = Body.lens(center.scaled(r2), right)
-    left_body = _as_body(left)
-    left_body = _solve_translation(left_body, lump, np.array([-1.0, 0.0]), eps)
-    g = body_gap(left_body, lump)
-    if abs(g.distance - eps) > 1e-10 * max(1.0, eps):
-        raise InvalidGeometryError("gap positioning did not converge")
-    # the narrow gap must face the scaled lump, not the big right disk
     sc = center.scaled(r2)
+    bodies, g = place_around(Body.lens(sc, right), _as_body(left), eps)
+    # the narrow gap must face the scaled lump, not the big right disk
     if abs(np.hypot(g.point_j[0] - sc.center[0], g.point_j[1] - sc.center[1]) - sc.radius) \
             > 1e-8 * sc.radius:
         raise InvalidGeometryError("closest approach is not on the protruding lump")
-    _require_gap_convexity(left_body, g.feet[0])
-    bodies = _recenter_on_gap([left_body, lump], g)
-    _halfplane_check(bodies[0], bodies[1:])
     eps_outer = body_gap(bodies[0], Body.from_disk(bodies[1].lens_disks[1])).distance
     if not (0.2 * r2 <= eps_outer <= 5 * r2):
         warnings.warn("outer-pair separation is not comparable to r2",
@@ -327,7 +329,7 @@ def build_case_c(left, center: Disk, right: Disk, r2: float, eps: float,
 def build_case_d(left, center, right, r2: float, eps1: float, eps2: float,
                  background: Optional[HarmonicBackground] = None) -> Configuration:
     """Three disjoint smooth bodies: ``center`` scaled by r2 in the middle,
-    ``left`` and ``right`` translated along the x-axis so the gaps are
+    ``left`` and ``right`` placed by :func:`place_around` so the gaps are
     exactly eps1 and eps2."""
     _check_positive(r2=r2, eps1=eps1, eps2=eps2)
     mid = _as_body(center)
@@ -337,17 +339,7 @@ def build_case_d(left, center, right, r2: float, eps1: float, eps2: float,
         mid = Body.from_smooth(mid.smooth.scaled(r2))
     else:
         raise InvalidParameterError("middle body must be a disk or a smooth curve")
-    left_body = _solve_translation(_as_body(left), mid, np.array([-1.0, 0.0]), eps1)
-    right_body = _solve_translation(_as_body(right), mid, np.array([1.0, 0.0]), eps2)
-    g1 = body_gap(left_body, mid)
-    g2 = body_gap(mid, right_body)
-    for g, eps in ((g1, eps1), (g2, eps2)):
-        if abs(g.distance - eps) > 1e-10 * max(1.0, eps):
-            raise InvalidGeometryError("gap positioning did not converge")
-    for body, foot in zip((left_body, mid, mid, right_body), g1.feet + g2.feet):
-        _require_gap_convexity(body, foot)
-    bodies = _recenter_on_gap([left_body, mid, right_body], g1)
-    _halfplane_check(bodies[0], bodies[1:])
+    bodies, _ = place_around(mid, _as_body(left), eps1, _as_body(right), eps2)
     return Configuration(
         bodies=tuple(bodies), groups=((0,), (1,), (2,)),
         background=background or HarmonicBackground.linear_x(),
@@ -356,12 +348,34 @@ def build_case_d(left, center, right, r2: float, eps1: float, eps2: float,
     )
 
 
-def build_case_d_like(cfg: Configuration, eps: float) -> Configuration:
-    """Rebuild a Case D scene with both gaps set to eps by translating the
-    outer bodies along the x-axis."""
-    left, mid, right = cfg.bodies
-    left = _solve_translation(left, mid, np.array([-1.0, 0.0]), eps)
-    right = _solve_translation(right, mid, np.array([1.0, 0.0]), eps)
-    bodies = _recenter_on_gap([left, mid, right], body_gap(left, mid))
-    return Configuration(tuple(bodies), cfg.groups, cfg.background, "D",
-                         dict(cfg.params, eps1=eps, eps2=eps))
+def _nominal_disks(p: dict) -> tuple[Disk, Disk, Disk]:
+    """The left, middle (before scaling by r2) and right disks of cases C and D."""
+    return (Disk((p["left_x"], 0.0), p["r1"]), Disk((0.0, 0.0), p.get("center_radius", 1.0)),
+            Disk((p["right_x"], 0.0), p["r3"]))
+
+
+# Canonical case tag -> recipe (params, background) -> Configuration. Each
+# builder is looked up by its module-level name when its recipe runs.
+_RECIPES = {
+    "pair": lambda p, bg: build_two_disks(p["r1"], p["r2"], p["eps"], background=bg),
+    "A": lambda p, bg: build_case_a(p["r1"], p["r2"], p["r3"], p["a"], p["eps"],
+                                    background=bg),
+    "B": lambda p, bg: build_case_b(p["r1"], p["r2"], p["r3"], p["eps1"], p["eps2"],
+                                    background=bg),
+    "C": lambda p, bg: build_case_c(*_nominal_disks(p), p["r2"], p["eps"], background=bg),
+    "D": lambda p, bg: build_case_d(*_nominal_disks(p), p["r2"], p["eps1"], p["eps2"],
+                                    background=bg),
+}
+CASE_TAGS = tuple(_RECIPES)
+
+
+def build_case(tag: str, params: dict,
+               background: Optional[HarmonicBackground] = None) -> Configuration:
+    """The canonical scene ``tag`` (one of ``CASE_TAGS``) from its float
+    parameters: a pair, A or B scene's ``params``, or a run file's [case]."""
+    if tag not in _RECIPES:
+        raise InvalidParameterError(f"no canonical case {tag!r}")
+    try:
+        return _RECIPES[tag](params, background)
+    except KeyError as exc:
+        raise InvalidParameterError(f"case {tag} missing parameter {exc}") from None

@@ -2,9 +2,13 @@
 
 The format is line-based ``key = value`` pairs grouped into ``[section]``
 headers. A scene is either canonical (a ``[case]`` section with the case
-tag and its parameters) or free-form (one ``[body N]`` section per body
-plus a ``[groups]`` section). Floats are emitted with ``repr`` so that
-parse -> emit -> parse is the identity.
+tag and its parameters, built by ``config.build_case``) or free-form (one
+``[body N]`` section per body plus a ``[groups]`` section). Floats are
+emitted with ``repr`` so that parse -> emit -> parse is the identity.
+
+An emitted scene is always free-form: it keeps the case tag but carries no
+``[case]`` parameters, so sweeping or verifying it, which rebuilds the
+scene at other gaps, needs the original run file.
 
 Example::
 
@@ -36,22 +40,21 @@ import numpy as np
 
 from ..errors import InvalidParameterError
 from .body import Body
-from .config import (Configuration, build_case_a, build_case_b, build_case_c,
-                     build_case_d, build_two_disks)
+from .config import CASE_TAGS, Configuration, build_case
 from .shapes import Disk, HarmonicBackground, SmoothBoundary
 
 
 class ConfigParseError(InvalidParameterError):
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: Optional[int] = None, column: int = 1):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
 
 
 @dataclass
 class RunInput:
-    """Parsed contents of a run file: the scene plus optional sweep and mesh
-    sections kept as raw key-value maps for the consumers that need them."""
+    """Parsed contents of a run file: the scene, the optional [sweep] section
+    as a raw key-value map and the [mesh] section's integer values."""
 
     cfg: Configuration
     sweep: dict = field(default_factory=dict)
@@ -82,11 +85,18 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
+def _number(section: str, key: str, val: str, kind=float):
+    try:
+        return kind(val)
+    except ValueError:
+        raise ConfigParseError(f"[{section}] {key}: {val!r} is not of type {kind.__name__}") from None
+
+
 def _floats(val: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in val.split(",") if x.strip() != "")
     except ValueError as exc:
-        raise InvalidParameterError(f"bad number list: {val!r}") from exc
+        raise ConfigParseError(f"bad number list: {val!r}") from exc
 
 
 def _complexes(val: str) -> tuple[complex, ...]:
@@ -103,77 +113,63 @@ def _parse_background(sections) -> Optional[HarmonicBackground]:
     return HarmonicBackground(_complexes(sec.get("coeffs", "0, 1")))
 
 
-def _parse_body(sec: dict[str, str]) -> Body:
+def _body_index(name: str) -> int:
+    word, _, index = name.partition(" ")
+    if word != "body" or not index.strip().isdecimal():
+        raise ConfigParseError(f"section [{name}] is not of the form [body N]")
+    return int(index)
+
+
+def _parse_body(name: str, sec: dict[str, str]) -> Body:
+    def value(key: str, count: int = 1):
+        if key not in sec:
+            raise ConfigParseError(f"[{name}] missing key {key!r}")
+        v = _floats(sec[key])
+        if len(v) != count:
+            raise ConfigParseError(f"[{name}] {key}: {sec[key]!r} is not {count} number(s)")
+        return v if count > 1 else v[0]
+
     kind = sec.get("kind", "disk").lower()
     if kind == "disk":
-        c = _floats(sec["center"])
-        return Body.from_disk(Disk((c[0], c[1]), float(sec["radius"])))
+        return Body.from_disk(Disk(value("center", 2), value("radius")))
     if kind == "lens":
-        c1 = _floats(sec["disk1.center"])
-        c2 = _floats(sec["disk2.center"])
-        return Body.lens(Disk((c1[0], c1[1]), float(sec["disk1.radius"])),
-                         Disk((c2[0], c2[1]), float(sec["disk2.radius"])))
+        return Body.lens(*(Disk(value(f"disk{j}.center", 2), value(f"disk{j}.radius"))
+                           for j in (1, 2)))
     if kind == "smooth":
-        c = _floats(sec["center"])
-        return Body.from_smooth(SmoothBoundary(
-            (c[0], c[1]),
-            _floats(sec.get("cos_x", "")), _floats(sec.get("sin_x", "")),
-            _floats(sec.get("cos_y", "")), _floats(sec.get("sin_y", ""))))
+        return Body.from_smooth(SmoothBoundary(value("center", 2), *(
+            _floats(sec.get(k, "")) for k in ("cos_x", "sin_x", "cos_y", "sin_y"))))
     raise InvalidParameterError(f"unknown body kind {kind!r}")
 
 
 def parse_run(text: str) -> RunInput:
     sections = _parse_sections(text)
     background = _parse_background(sections)
-    scene = sections.get("scene", {})
-    case_tag = scene.get("case", "free").upper()
+    case_tag = sections.get("scene", {}).get("case", "free").upper()
     if case_tag == "PAIR":
         case_tag = "pair"
     case = sections.get("case")
-    if case is not None and case_tag in ("A", "B", "C", "D", "pair"):
-        p = {k: float(v) for k, v in case.items()}
-        try:
-            if case_tag == "pair":
-                cfg = build_two_disks(p["r1"], p["r2"], p["eps"],
-                                      background=background)
-            elif case_tag == "A":
-                cfg = build_case_a(p["r1"], p["r2"], p["r3"], p["a"], p["eps"],
-                                   background=background)
-            elif case_tag == "B":
-                cfg = build_case_b(p["r1"], p["r2"], p["r3"], p["eps1"], p["eps2"],
-                                   background=background)
-            elif case_tag == "C":
-                cfg = build_case_c(
-                    Disk((p["left_x"], 0.0), p["r1"]),
-                    Disk((0.0, 0.0), p.get("center_radius", 1.0)),
-                    Disk((p["right_x"], 0.0), p["r3"]),
-                    p["r2"], p["eps"], background=background)
-            else:
-                cfg = build_case_d(
-                    Disk((p["left_x"], 0.0), p["r1"]),
-                    Disk((0.0, 0.0), p.get("center_radius", 1.0)),
-                    Disk((p["right_x"], 0.0), p["r3"]),
-                    p["r2"], p["eps1"], p["eps2"], background=background)
-        except KeyError as exc:
-            raise InvalidParameterError(f"case {case_tag} missing parameter {exc}") from exc
+    if case is not None:
+        cfg = build_case(case_tag, {k: _number("case", k, v) for k, v in case.items()},
+                         background)
     else:
         body_secs = sorted((name for name in sections if name.startswith("body")),
-                           key=lambda s: int(s.split()[1]))
+                           key=_body_index)
         if not body_secs:
             raise InvalidParameterError("no [case] section and no [body N] sections")
-        bodies = tuple(_parse_body(sections[name]) for name in body_secs)
+        bodies = tuple(_parse_body(name, sections[name]) for name in body_secs)
         gsec = sections.get("groups", {})
         if "conductors" in gsec:
-            groups = tuple(tuple(int(i) - 1 for i in part.split())
+            groups = tuple(tuple(_number("groups", "conductors", i, int) - 1 for i in part.split())
                            for part in gsec["conductors"].split("|"))
         else:
             groups = tuple((i,) for i in range(len(bodies)))
         cfg = Configuration(bodies, groups,
                             background or HarmonicBackground.linear_x(),
-                            case_tag.upper() if case_tag in "ABCD" else "free")
+                            case_tag if case_tag in CASE_TAGS else "free")
     return RunInput(cfg=cfg,
                     sweep=dict(sections.get("sweep", {})),
-                    mesh=dict(sections.get("mesh", {})))
+                    mesh={k: _number("mesh", k, v, int)
+                          for k, v in sections.get("mesh", {}).items()})
 
 
 def emit_configuration(cfg: Configuration) -> str:

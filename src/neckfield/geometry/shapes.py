@@ -91,8 +91,8 @@ class SmoothBoundary:
     counterclockwise, simple, and have a nonvanishing tangent;
     ``validate()`` checks all three by sampling on every construction.
     ``ellipse()`` with positive semi-axes has all three by construction, and
-    ``translated()`` and ``scaled()`` (s > 0) keep them, so none of these
-    is checked again.
+    ``translated()``, ``scaled()`` (s > 0) and ``mirrored_x()`` keep them,
+    so none of these is checked again.
     An axis-aligned ellipse with semi-axes (a, b) is ``cx = [a], sy = [b]``.
     """
 
@@ -233,6 +233,13 @@ class SmoothBoundary:
         if not (s > 0 and np.isfinite(s)):
             raise InvalidParameterError(f"scale factor must be positive and finite, got {s!r}")
         return self._similar((self.center[0] * s, self.center[1] * s), s)
+
+    def mirrored_x(self) -> "SmoothBoundary":
+        """Reflection through x = 0, the parameter negated to keep the
+        counterclockwise sense; valid by construction, so not validated."""
+        return _unchecked((-self.center[0], self.center[1]),
+                          (tuple(-v for v in self.cos_x), self.sin_x, self.cos_y,
+                           tuple(-v for v in self.sin_y)))
 
     def _similar(self, center, s: float) -> "SmoothBoundary":
         """This curve moved to ``center`` with its coefficients scaled by

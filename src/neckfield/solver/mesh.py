@@ -32,8 +32,8 @@ the clamped b cannot bring below gap/4, which no node count mends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import elliprf
@@ -69,14 +69,6 @@ class MeshControls:
 
     base_n: int = 192               # below 64: taken literally, resolution targets bypassed
     cap_total: int = 65536
-
-    def with_base(self, base_n: Optional[int] = None, cap: Optional[int] = None) -> "MeshControls":
-        out = self
-        if base_n is not None:
-            out = replace(out, base_n=int(base_n))
-        if cap is not None:
-            out = replace(out, cap_total=int(cap))
-        return out
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import (DomainError, InvalidParameterError, NeckfieldError,
                      SweepFailureError)
-from .geometry.config import (Configuration, build_case_a, build_case_b,
-                              build_two_disks)
+from .geometry.config import Configuration, build_case
 from .geometry.shapes import Disk
 from . import images
 from .solver.fields import decompose_u, representation_coeffs
@@ -72,17 +71,7 @@ def log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
 
 def build_scene(case_tag: str, params: dict,
                 builder: Optional[Callable] = None) -> Configuration:
-    if builder is not None:
-        return builder(params)
-    if case_tag == "pair":
-        return build_two_disks(params["r1"], params["r2"], params["eps"])
-    if case_tag == "A":
-        return build_case_a(params["r1"], params["r2"], params["r3"],
-                            params["a"], params["eps"])
-    if case_tag == "B":
-        return build_case_b(params["r1"], params["r2"], params["r3"],
-                            params["eps1"], params["eps2"])
-    raise InvalidParameterError(f"no canonical builder for case {case_tag!r}")
+    return builder(params) if builder is not None else build_case(case_tag, params)
 
 
 class RowContext:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from neckfield import (InvalidParameterError, bound_case_a, bound_case_b,
-                       bound_case_c, bound_case_d, bound_three_general,
-                       build_case_a, build_two_disks, lemma_suite)
+from neckfield import (InvalidParameterError, SmoothBoundary, bound_case_a,
+                       bound_case_b, bound_case_c, bound_case_d,
+                       bound_three_general, build_case_a, build_case_d,
+                       build_two_disks, lemma_suite)
+from neckfield import asymptotics
 from neckfield.asymptotics import DiagnosticCheck
 from neckfield.errors import InvalidUsageError
 from neckfield.solver.mesh import MeshControls
@@ -101,6 +103,28 @@ class TestDiagnostics:
         a = lemma_suite(cfg, eps_grid=[1e-3]).to_csv()
         b = lemma_suite(cfg, eps_grid=[1e-3]).to_csv()
         assert a == b
+
+    def test_case_d_suite_regaps_both_gaps(self, monkeypatch):
+        # the benchmark's case-D scene; the suite moves the outer ellipses
+        ell = SmoothBoundary.ellipse
+        cfg = build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                           ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3)
+        scenes = []
+        operator = asymptotics.SceneOperator
+
+        def spy(c, *args, **kwargs):
+            scenes.append(c)
+            return operator(c, *args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "SceneOperator", spy)
+        grid = [1e-4, 1e-3]
+        a = lemma_suite(cfg, eps_grid=grid).to_csv()
+        assert lemma_suite(cfg, eps_grid=grid).to_csv() == a
+        assert len(scenes) == 4
+        for c, eps in zip(scenes, grid + grid):
+            assert c.case_tag == "D" and (c.params["eps1"], c.params["eps2"]) == (eps, eps)
+            for i in (0, 1):
+                assert abs(c.body_pair_gap(i, i + 1).distance - eps) <= 1e-10
 
     def test_upper_ratio_check_semantics(self):
         shrinking = DiagnosticCheck.from_upper_ratios("x", [1e-5, 1e-4, 1e-3],

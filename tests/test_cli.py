@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from neckfield import SmoothBoundary, build_case_a, build_case_d
 from neckfield.cli import main
+from neckfield.geometry.serialize import emit_configuration
+from neckfield.sweeps import parse_table_csv
 from neckfield.svgplot import log_log_plot
 
 CASE_B_CFG = """
@@ -86,6 +89,20 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("old,new,named", [
+        ("r1 = 1.0", "r1 = abc", "[case] r1"),
+        ("base_n = 96", "base_n = abc", "[mesh] base_n"),
+        ("base_n = 96", "cap = 1e5", "[mesh] cap"),
+        ("[case]\nr1 = 1.0\nr2 = 1.0\neps = 0.001\n",
+         "[body x]\ncenter = 0, 0\nradius = 1\n", "[body x]"),
+    ], ids=["case_value", "mesh_base_n", "mesh_cap", "body_section"])
+    def test_malformed_values(self, tmp_path, capsys, old, new, named):
+        assert old in PAIR_CFG
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(PAIR_CFG.replace(old, new))
+        assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
     def test_overwrite_refused_then_forced(self, pair_cfg, tmp_path):
         out = tmp_path / "out"
         assert main(["solve", str(pair_cfg), "--out", str(out)]) == 0
@@ -116,6 +133,16 @@ class TestSweepPipeline:
         assert main(["sweep", str(pair_cfg), "--out", str(out_direct)]) == 0
         assert main(["plot", str(pair_cfg), "--out", str(out_direct)]) == 0
         assert (out_direct / "plot.svg").read_bytes() == svg_stored
+
+    def test_background_reaches_the_rows(self, tmp_path):
+        # two equal disks in x^2 - y^2: equal potentials by symmetry
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text(PAIR_CFG + "\n[background]\ncoeffs = 0, 0, 1\n")
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+        _, cols, errors = parse_table_csv((out / "sweep.csv").read_text())
+        assert errors == [None] * 4
+        assert np.max(np.abs(cols["potential_difference_21"])) <= 1e-12
 
     def test_missing_sweep_section(self, tmp_path):
         cfg = tmp_path / "nosweep.cfg"
@@ -151,6 +178,33 @@ class TestVerify:
         out = tmp_path / "outc"
         assert main(["verify", str(cfg), "--out", str(out),
                      "--mesh-base", "24"]) == 1
+
+
+class TestEmittedScene:
+    """An emitted scene is free-form: it keeps its case tag but not the
+    case parameters that sweeps and the verify suite rebuild it from."""
+
+    @pytest.fixture
+    def emitted_a(self, tmp_path):
+        p = tmp_path / "a.cfg"
+        p.write_text(emit_configuration(build_case_a(1.0, 0.05, 1.0, 0.05, 1e-3))
+                     + "\n[sweep]\nvary = eps\ngrid = 1e-4, 1e-3, 4\n"
+                       "quantities = potential_difference_21\n")
+        return p
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_case_a_exits_with_usage_error(self, emitted_a, tmp_path, capsys, command):
+        assert main([command, str(emitted_a), "--out", str(tmp_path / "o")]) == 2
+        assert "case A missing parameter 'r1'" in capsys.readouterr().err
+
+    def test_case_d_verify_exits_with_usage_error(self, tmp_path, capsys):
+        ell = SmoothBoundary.ellipse
+        p = tmp_path / "d.cfg"
+        p.write_text(emit_configuration(build_case_d(
+            ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+            ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3)))
+        assert main(["verify", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "case D missing parameter 'r2'" in capsys.readouterr().err
 
 
 class TestSvg:

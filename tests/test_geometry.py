@@ -9,6 +9,7 @@ from neckfield import (Body, Configuration, Disk, HarmonicBackground,
                        ScaleRegimeWarning, SmoothBoundary, body_gap,
                        build_case_a, build_case_b, build_case_c, build_case_d,
                        build_two_disks, gap)
+from neckfield.geometry.config import build_case
 from neckfield.geometry.serialize import (ConfigParseError, emit_configuration,
                                           parse_configuration, parse_run)
 from neckfield.solver.mesh import build_mesh
@@ -316,6 +317,54 @@ class TestCaseCD:
             build_case_d(peanut(), Disk((0.0, 0.0), 1.0),
                          Disk((0.0, 0.0), 1.0), 0.05, 1e-3, 1e-3)
 
+    def test_mirror_is_valid_by_construction(self, monkeypatch):
+        # the benchmark's case-D scene: a reflected valid curve, its
+        # parameter reversed, is valid and is not validated again
+        ell = SmoothBoundary.ellipse
+        cfg = build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                           ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3)
+        validated = []
+        validate = SmoothBoundary.validate
+        monkeypatch.setattr(SmoothBoundary, "validate",
+                            lambda self, samples=720: validated.append(validate(self, samples)))
+        mirrored = cfg.mirrored_x()
+        assert validated == []
+        for body, flipped in zip(cfg.bodies, mirrored.bodies):
+            s = body.smooth
+            rebuilt = SmoothBoundary((-s.center[0], s.center[1]),
+                                     tuple(-v for v in s.cos_x), s.sin_x, s.cos_y,
+                                     tuple(-v for v in s.sin_y))
+            assert flipped.smooth == rebuilt and hash(flipped.smooth) == hash(rebuilt)
+        assert len(validated) == 3
+
+
+class TestBuildCase:
+    @pytest.mark.parametrize("build", [
+        lambda: build_two_disks(1.0, 0.5, 1e-3),
+        lambda: build_case_a(1.0, 0.05, 1.0, 0.05, 1e-3),
+        lambda: build_case_b(1.0, 0.05, 1.0, 1e-3, 2e-3,
+                             background=HarmonicBackground((0j, 0j, 1 + 0j))),
+    ], ids=["pair", "A", "B"])
+    def test_recorded_parameters_rebuild_the_scene(self, build):
+        cfg = build()
+        assert build_case(cfg.case_tag, cfg.params, cfg.background) == cfg
+
+    def test_nominal_disks_of_cases_c_and_d(self):
+        p = {"r1": 1.0, "r2": 0.05, "r3": 1.0, "left_x": -3.0, "right_x": 1.0}
+        c = build_case("C", dict(p, eps=1e-3))
+        assert c.case_tag == "C" and c.bodies[1].kind == "lens"
+        assert c.conductor_gap(0, 1).distance == pytest.approx(1e-3, rel=1e-10)
+        d = build_case("D", dict(p, right_x=3.0, eps1=1e-3, eps2=2e-3))
+        assert d.case_tag == "D" and d.bodies[1].disk.radius == 0.05
+        assert d.conductor_gap(0, 1).distance == pytest.approx(1e-3, rel=1e-10)
+        assert d.conductor_gap(1, 2).distance == pytest.approx(2e-3, rel=1e-10)
+
+    def test_unknown_tag_and_missing_parameter(self):
+        with pytest.raises(InvalidParameterError, match="no canonical case 'BC'"):
+            build_case("BC", {})
+        with pytest.raises(InvalidParameterError, match="case A missing parameter 'a'"):
+            build_case("A", {"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps": 1e-3})
+
 
 class TestSmoothBoundary:
     def test_ellipse_curvature(self):
@@ -424,6 +473,17 @@ class TestSerialization:
         text = emit_configuration(cfg)
         cfg2 = parse_configuration(text)
         assert emit_configuration(cfg2) == text
+
+    def test_round_trip_pair(self):
+        cfg = build_two_disks(1, 0.5, 1e-3)
+        assert parse_configuration(emit_configuration(cfg)) == cfg
+
+    def test_tag_outside_the_table_is_free(self):
+        text = emit_configuration(build_case_b(1, 0.05, 1, 1e-3, 1e-3))
+        assert parse_configuration(text).case_tag == "B"
+        assert parse_configuration(text.replace("case = B", "case = BC")).case_tag == "free"
+        with pytest.raises(InvalidParameterError, match="no canonical case 'E'"):
+            parse_run("[scene]\ncase = E\n\n[case]\nr1 = 1.0\n")
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ConfigParseError) as err:
