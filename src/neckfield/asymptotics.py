@@ -10,7 +10,7 @@ of a specific constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,62 +39,49 @@ class BoundPrediction:
             raise InvalidParameterError("bound scales must be positive")
 
 
-def _radii_prefactor(r1: float, r3: float) -> float:
-    return r1 * r3 / (r1 + r3)
+def _scale_law(tag: str, formula: str, gaps: dict[str, float], r2: float = 1.0,
+               radii: tuple[float, ...] = ()) -> tuple[BoundPrediction, ...]:
+    """One prediction per gap eps: gradient pref / sqrt(r2 eps) and potential
+    difference pref sqrt(eps / r2), where pref = r1 r3 / (r1 + r3) for the
+    given outer radii and 1 without them. Every input must be positive; a
+    ``{i}`` in the formula becomes the gap's index."""
+    for name, v in dict(zip(("r1", "r3"), radii), r2=r2, **gaps).items():
+        if v <= 0:
+            raise InvalidParameterError(f"{name} must be positive")
+    pref = radii[0] * radii[1] / (radii[0] + radii[1]) if radii else 1.0
+    out = []
+    for i, eps in enumerate(gaps.values(), 1):
+        grad = pref / np.sqrt(r2 * eps)
+        out.append(BoundPrediction(tag, grad, grad, pref * np.sqrt(eps / r2),
+                                   formula.format(i=i)))
+    return tuple(out)
 
 
 def bound_case_a(r1: float, r2: float, r3: float, eps: float) -> BoundPrediction:
     """Scales (r1 r3/(r1+r3)) r2^(-1/2) eps^(-1/2) for the gradient and
     (r1 r3/(r1+r3)) r2^(-1/2) eps^(+1/2) for the potential difference."""
-    for name, v in (("r1", r1), ("r2", r2), ("r3", r3), ("eps", eps)):
-        if v <= 0:
-            raise InvalidParameterError(f"{name} must be positive")
-    pref = _radii_prefactor(r1, r3)
-    grad = pref / np.sqrt(r2 * eps)
-    return BoundPrediction("A", grad, grad, pref * np.sqrt(eps / r2),
-                           "r1*r3/(r1+r3) / sqrt(r2*eps)")
+    return _scale_law("A", "r1*r3/(r1+r3) / sqrt(r2*eps)", {"eps": eps}, r2, (r1, r3))[0]
 
 
 def bound_case_b(r1: float, r2: float, r3: float, eps1: float,
                  eps2: float) -> tuple[BoundPrediction, BoundPrediction]:
-    for name, v in (("r1", r1), ("r2", r2), ("r3", r3), ("eps1", eps1), ("eps2", eps2)):
-        if v <= 0:
-            raise InvalidParameterError(f"{name} must be positive")
-    pref = _radii_prefactor(r1, r3)
-    out = []
-    for eps in (eps1, eps2):
-        grad = pref / np.sqrt(r2 * eps)
-        out.append(BoundPrediction("B", grad, grad, pref * np.sqrt(eps / r2),
-                                   "r1*r3/(r1+r3) / sqrt(r2*eps_i)"))
-    return tuple(out)
+    return _scale_law("B", "r1*r3/(r1+r3) / sqrt(r2*eps_i)",
+                      {"eps1": eps1, "eps2": eps2}, r2, (r1, r3))
 
 
 def bound_case_c(r2: float, eps: float) -> BoundPrediction:
     """General shapes absorb the radii prefactor into the constant."""
-    if r2 <= 0 or eps <= 0:
-        raise InvalidParameterError("r2 and eps must be positive")
-    return BoundPrediction("C", 1 / np.sqrt(r2 * eps), 1 / np.sqrt(r2 * eps),
-                           np.sqrt(eps / r2), "1/sqrt(r2*eps)")
+    return _scale_law("C", "1/sqrt(r2*eps)", {"eps": eps}, r2)[0]
 
 
 def bound_case_d(r2: float, eps1: float, eps2: float) -> tuple[BoundPrediction, BoundPrediction]:
-    if min(r2, eps1, eps2) <= 0:
-        raise InvalidParameterError("r2 and gaps must be positive")
-    return (BoundPrediction("D", 1 / np.sqrt(r2 * eps1), 1 / np.sqrt(r2 * eps1),
-                            np.sqrt(eps1 / r2), "1/sqrt(r2*eps_1)"),
-            BoundPrediction("D", 1 / np.sqrt(r2 * eps2), 1 / np.sqrt(r2 * eps2),
-                            np.sqrt(eps2 / r2), "1/sqrt(r2*eps_2)"))
+    return _scale_law("D", "1/sqrt(r2*eps_{i})", {"eps1": eps1, "eps2": eps2}, r2)
 
 
 def bound_three_general(eps1: float, eps2: float) -> tuple[BoundPrediction, BoundPrediction]:
     """Three comparable conductors: the middle body is not assumed small, so
     the scales carry no r2 factor."""
-    if min(eps1, eps2) <= 0:
-        raise InvalidParameterError("gaps must be positive")
-    return (BoundPrediction("three", 1 / np.sqrt(eps1), 1 / np.sqrt(eps1),
-                            np.sqrt(eps1), "1/sqrt(eps_1)"),
-            BoundPrediction("three", 1 / np.sqrt(eps2), 1 / np.sqrt(eps2),
-                            np.sqrt(eps2), "1/sqrt(eps_2)"))
+    return _scale_law("three", "1/sqrt(eps_{i})", {"eps1": eps1, "eps2": eps2})
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +148,10 @@ class DiagnosticReport:
         return "\n".join(lines) + "\n"
 
 
+# Largest spread max/min over the gap grid of a ratio checked as bounded.
+_SPREAD_LIMIT = 10.0
+
+
 def _nu_grad(field, pts, normals_out):
     """nu . grad of an images field, with nu pointing into the body."""
     return -np.einsum("ij,ij->i", field.gradient(pts), normals_out)
@@ -168,14 +159,14 @@ def _nu_grad(field, pts, normals_out):
 
 def lemma_suite(cfg: Configuration, controls: MeshControls = MeshControls(),
                 eps_grid: Optional[Sequence[float]] = None,
-                spread_limit: float = 10.0, seed: int = 0) -> DiagnosticReport:
+                seed: int = 0) -> DiagnosticReport:
     """Run the named comparison diagnostics appropriate to the scene's case
     over a gap sweep (the case parameters stored by the builder are reused
     with the gap replaced by each grid value)."""
     if cfg.case_tag == "A":
-        return _suite_case_a(cfg, controls, eps_grid, spread_limit, seed)
+        return _suite_case_a(cfg, controls, eps_grid, seed)
     if cfg.case_tag == "B":
-        return _suite_case_b(cfg, controls, eps_grid, spread_limit)
+        return _suite_case_b(cfg, controls, eps_grid)
     if cfg.case_tag == "D":
         return _suite_case_d(cfg, controls, eps_grid)
     raise InvalidUsageError(f"no diagnostic suite for case {cfg.case_tag!r}")
@@ -200,7 +191,7 @@ def _identity_residual(op: SceneOperator, h, u, groups) -> float:
     return abs(total - du) / max(abs(du), 1e-300)
 
 
-def _suite_case_a(cfg, controls, eps_grid, spread_limit, seed) -> DiagnosticReport:
+def _suite_case_a(cfg, controls, eps_grid, seed) -> DiagnosticReport:
     p = cfg.params
     grid = _eps_grid(eps_grid)
     rep = DiagnosticReport("A")
@@ -243,7 +234,7 @@ def _suite_case_a(cfg, controls, eps_grid, spread_limit, seed) -> DiagnosticRepo
         "potential_difference_identity", max(ident) <= 1e-6, max(ident),
         "max relative residual over sweep"))
     rep.checks.append(DiagnosticCheck.from_ratios(
-        "flux_decay_off_lump", corner_decay, spread_limit,
+        "flux_decay_off_lump", corner_decay, _SPREAD_LIMIT,
         "max |d_nu h| off the lump / sqrt(eps)"))
     rep.checks.append(DiagnosticCheck.from_flag(
         "comparison_ratio_range", all(0 < m <= 1 + 1e-9 for m in m_vals),
@@ -252,7 +243,7 @@ def _suite_case_a(cfg, controls, eps_grid, spread_limit, seed) -> DiagnosticRepo
         "comparison_sign_condition", all(sign_ok), float(all(sign_ok)),
         "d_nu h <= M d_nu psi_outer on the left boundary"))
     rep.checks.append(DiagnosticCheck.from_ratios(
-        "lump_pair_difference_match", gapdiff, spread_limit,
+        "lump_pair_difference_match", gapdiff, _SPREAD_LIMIT,
         "|h diff - lump-pair diff| / eps"))
     rep.checks.append(_monotonicity_check(seed))
     return rep
@@ -298,7 +289,7 @@ def _enclosing_disk(c: Configuration, factor: float = 1.75) -> Disk:
     return d4
 
 
-def _suite_case_b(cfg, controls, eps_grid, spread_limit) -> DiagnosticReport:
+def _suite_case_b(cfg, controls, eps_grid) -> DiagnosticReport:
     p = cfg.params
     grid = _eps_grid(eps_grid)
     rep = DiagnosticReport("B")
@@ -367,25 +358,25 @@ def _suite_case_b(cfg, controls, eps_grid, spread_limit) -> DiagnosticReport:
         "far_boundary_flux_sign", all(v >= -1e-10 for v in d3_flux), min(d3_flux),
         "flux of the split field through the far boundary is nonnegative"))
     rep.checks.append(DiagnosticCheck.from_ratios(
-        "far_boundary_flux_decay", d3_flux, spread_limit,
+        "far_boundary_flux_decay", d3_flux, _SPREAD_LIMIT,
         "flux through far boundary / sqrt(eps1)"))
     rep.checks.append(DiagnosticCheck.from_ratios(
-        "weighted_flux_decay", wflux, spread_limit,
+        "weighted_flux_decay", wflux, _SPREAD_LIMIT,
         "|sum of H-weighted fluxes| / sqrt(eps1)"))
     rep.checks.append(DiagnosticCheck.from_ratios(
-        "split_difference_scale_12", h1_diff_ratio, spread_limit,
+        "split_difference_scale_12", h1_diff_ratio, _SPREAD_LIMIT,
         "first split-field difference / sqrt(eps1)"))
     rep.checks.append(DiagnosticCheck.from_ratios(
-        "split_difference_scale_23", h2_diff_ratio, spread_limit,
+        "split_difference_scale_23", h2_diff_ratio, _SPREAD_LIMIT,
         "second split-field difference / sqrt(eps2)"))
     rep.checks.append(DiagnosticCheck.from_ratios(
-        "own_gap_gradient_growth_12", grad_h1_gap12, spread_limit,
+        "own_gap_gradient_growth_12", grad_h1_gap12, _SPREAD_LIMIT,
         "max |grad h1| in gap12 * sqrt(eps1)"))
     rep.checks.append(DiagnosticCheck.from_upper_ratios(
         "cross_gap_gradient_decay_12", grid, grad_h2_gap12,
         "max |grad h2| in gap12 / sqrt(eps2)"))
     rep.checks.append(DiagnosticCheck.from_ratios(
-        "own_gap_gradient_growth_23", grad_h2_gap23, spread_limit,
+        "own_gap_gradient_growth_23", grad_h2_gap23, _SPREAD_LIMIT,
         "max |grad h2| in gap23 * sqrt(eps2)"))
     rep.checks.append(DiagnosticCheck.from_upper_ratios(
         "cross_gap_gradient_decay_23", grid, grad_h1_gap23,
@@ -394,7 +385,7 @@ def _suite_case_b(cfg, controls, eps_grid, spread_limit) -> DiagnosticReport:
         "adjacent_pair_domination", all(dominate_ok), float(all(dominate_ok)),
         "0 <= d_nu h1 <= d_nu pair field on the middle boundary"))
     rep.checks.append(DiagnosticCheck.from_ratios(
-        "enclosing_disk_comparison", enclose_ratio, spread_limit,
+        "enclosing_disk_comparison", enclose_ratio, _SPREAD_LIMIT,
         "d_nu h1 / d_nu enclosing-pair field on the left boundary"))
     rep.checks.append(DiagnosticCheck.from_flag(
         "enclosing_disk_difference", all(enclose_diff_ok), float(all(enclose_diff_ok)),

@@ -226,7 +226,7 @@ def cmd_verify(manifest: RunManifest) -> int:
     run = _load(manifest)
     cfg = run.cfg
     controls = _controls_for(manifest, run)
-    report = lemma_suite(cfg, controls)
+    report = lemma_suite(cfg, controls, seed=manifest.seed)
     # conservation spot check on the standard solve: independent quadrature
     # of the conductor fluxes
     op = SceneOperator(cfg, controls)

@@ -188,13 +188,13 @@ class SmoothBoundary:
         if _polyline_self_intersects(p):
             raise InvalidGeometryError("curve is not simple (self-intersection detected)")
 
-    def require_convex_arc(self, t_center: float, half_width: float, samples: int = 129) -> None:
+    def require_convex_arc(self, t_center: float, half_width: float) -> None:
         """Raise unless curvature is strictly positive on the given arc.
 
         Used for arcs that face a narrow gap, where strict convexity is a
         standing hypothesis of the rate laws.
         """
-        t = t_center + np.linspace(-half_width, half_width, samples)
+        t = t_center + np.linspace(-half_width, half_width, 129)
         if np.min(self.curvature(t)) <= 0:
             raise InvalidGeometryError("gap-facing arc is not strictly convex")
 
@@ -352,11 +352,11 @@ class HarmonicBackground:
                 new[j] += a * comb(deg, j) * w ** (deg - j)
         return HarmonicBackground(tuple(new))
 
-    def sup_on_disks(self, disks: Sequence[Disk], samples: int = 512) -> float:
+    def sup_on_disks(self, disks: Sequence[Disk]) -> float:
         """Sampled sup of |H| over a union of disks (max principle: the sup
         over a disk is attained on its circle)."""
         best = 0.0
-        t = np.linspace(0, 2 * np.pi, samples, endpoint=False)
+        t = np.linspace(0, 2 * np.pi, 512, endpoint=False)
         for d in disks:
             best = max(best, float(np.max(np.abs(self(d.point(t))))))
         return best

@@ -143,8 +143,7 @@ def psi_gap_difference(d1: Disk, d2: Disk) -> float:
 
 
 def two_disk_potential_difference(d1: Disk, d2: Disk,
-                                  background: HarmonicBackground,
-                                  mirrored_first_point: bool = False) -> float:
+                                  background: HarmonicBackground) -> float:
     """Exact potential difference u|_2 - u|_1 of the exterior conductor
     problem for two disks under the given background: H(p2) - H(p1).
 
@@ -153,13 +152,10 @@ def two_disk_potential_difference(d1: Disk, d2: Disk,
 
         2 sqrt(2) dH/dx1(0,0) sqrt(r1 r2/(r1+r2)) sqrt(eps) + O(eps)
 
-    in the collinear small-gap normalization. ``mirrored_first_point``
-    evaluates H(p2) - H(-p1) instead; that variant vanishes identically for
-    equal radii and is kept only as a diagnostic.
+    in the collinear small-gap normalization.
     """
     fp = fixed_points(d1, d2)
-    p1 = -fp.a1 if mirrored_first_point else fp.a1
-    return float(background(fp.a2) - background(p1))
+    return float(background(fp.a2) - background(fp.a1))
 
 
 def two_disk_asymptotic_difference(r1: float, r2: float, eps: float,

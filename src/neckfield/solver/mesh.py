@@ -41,7 +41,7 @@ from scipy.special import elliprf
 from ..errors import RefinementFailureError
 from ..geometry.body import Body, BoundaryChart
 from ..geometry.config import Configuration
-from ..geometry.gap import GapFoot, GapInfo
+from ..geometry.gap import GapFoot
 
 _TWO_PI = 2.0 * np.pi
 
@@ -367,11 +367,10 @@ def _resolution_ok(cm: CurveMesh, base_n: int) -> bool:
 
 @dataclass
 class BoundaryMesh:
-    """All curve meshes of a scene plus the recorded gaps, with concatenated
-    node arrays for assembly."""
+    """All curve meshes of a scene, with concatenated node arrays for
+    assembly."""
 
     curves: list[CurveMesh]
-    gaps: dict[tuple[int, int], GapInfo]
     controls: MeshControls
 
     def __post_init__(self):
@@ -398,9 +397,8 @@ def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls(),
                extra_bodies: Sequence[Body] = ()) -> BoundaryMesh:
     """Mesh every body of the configuration (and any extra enclosing bodies,
     used by the interior decomposition solver)."""
-    gaps = cfg.all_conductor_gaps()
     per_body: dict[int, list] = {i: [] for i in range(len(cfg.bodies))}
-    for info in gaps.values():
+    for info in cfg.all_conductor_gaps().values():
         for foot, point in zip(info.feet, (info.point_i, info.point_j)):
             per_body[foot.body].append((foot, np.asarray(point), info.distance))
 
@@ -418,5 +416,5 @@ def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls(),
         feats = _body_features(body, [])
         cm = _mesh_curve(body, len(cfg.bodies) + k, feats, controls, controls.base_n)
         curves.append(cm)
-    return BoundaryMesh(curves, gaps, controls)
+    return BoundaryMesh(curves, controls)
 

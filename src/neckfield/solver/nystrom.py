@@ -527,14 +527,14 @@ class FieldSolution:
         fv = np.asarray(f(self.mesh.nodes[idx]), dtype=float)
         return float(np.sum(self.mesh.weights[idx] * fv * dnu))
 
-    def boundary_constancy_error(self, samples_per_curve: int = 64) -> float:
-        """Max off-node deviation of the boundary trace from its group
-        constant, relative to the spread of the constants (floored)."""
+    def boundary_constancy_error(self) -> float:
+        """Max deviation of the boundary trace from its group constant at 64
+        off-node points per curve, relative to the constants' spread (floored)."""
         scale = max(float(np.max(self.constants) - np.min(self.constants)), 1e-12)
         worst = 0.0
         node_group = self.op._node_group(self.groups)
+        ts = (np.arange(64) + 0.31) * (_TWO_PI / 64)
         for ci, cm in enumerate(self.mesh.curves):
-            ts = (np.arange(samples_per_curve) + 0.31) * (_TWO_PI / samples_per_curve)
             vals = self.op.on_surface_potential(self.g, ci, ts)
             if self.background is not None:
                 pts, _, _ = cm.frame_at(ts)
@@ -572,6 +572,8 @@ _ON_BODY_TOL = 1e-9
 _REFINE_POINTS = 16
 # Points of the segment tested against the bodies it must not cross.
 _CROSSING_PROBES = 129
+# Chebyshev points of the first profile round of the gap-maximum search.
+_PROFILE_SAMPLES = 33
 
 
 def _end_on_body(sol: FieldSolution, p: np.ndarray, seg_len: float):
@@ -613,8 +615,7 @@ def _profile_max(mag: Callable, lo: float, hi: float, samples: int):
         vals = np.concatenate([vals[left:right + 1], mag(new)])[idx]
 
 
-def max_gap_gradient(sol: FieldSolution, gap_info: GapInfo,
-                     samples: int = 33) -> GapGradient:
+def max_gap_gradient(sol: FieldSolution, gap_info: GapInfo) -> GapGradient:
     """Maximum of |grad field| over the closed neck segment.
 
     An end of the segment that lies on a body takes its value from the
@@ -623,8 +624,6 @@ def max_gap_gradient(sol: FieldSolution, gap_info: GapInfo,
     batched profile evaluations (see ``_profile_max``); an end in the
     exterior is sampled itself. A segment that passes through a body
     raises DomainError: it is not a gap of the exterior domain."""
-    if samples < 5:
-        raise InvalidParameterError("need at least 5 samples")
     a, b = gap_info.segment
     seg_len = float(np.hypot(*(b - a)))
     ends = [_end_on_body(sol, p, seg_len) for p in (a, b)]
@@ -646,6 +645,6 @@ def max_gap_gradient(sol: FieldSolution, gap_info: GapInfo,
         out[inner] = np.hypot(gr[:, 0], gr[:, 1])
         return out
 
-    s_best, v_best = _profile_max(mag, 0.0, 1.0, samples)
+    s_best, v_best = _profile_max(mag, 0.0, 1.0, _PROFILE_SAMPLES)
     p = (1.0 - s_best) * a + s_best * b
     return GapGradient(v_best, (float(p[0]), float(p[1])))

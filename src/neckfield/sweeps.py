@@ -9,7 +9,8 @@ reproduce tables exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,149 +70,73 @@ def log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
     return tuple(float(v) for v in np.geomspace(lo, hi, points))
 
 
-def build_scene(case_tag: str, params: dict,
-                builder: Optional[Callable] = None) -> Configuration:
-    return builder(params) if builder is not None else build_case(case_tag, params)
-
-
 class RowContext:
-    """Lazy per-row solves shared by the recorded quantities."""
+    """Lazy per-row solves shared by the recorded quantities: each is made
+    on first use and kept for the rest of the row. The mesh size and rcond
+    are those of the operator, which every solve factors, once it is built."""
 
     def __init__(self, cfg: Configuration, controls: MeshControls, seed: int):
         self.cfg = cfg
         self.controls = controls
         self.seed = seed
-        self._op = None
-        self._u = None
-        self._rep = None
-        self._hc = None
-        self._dec = None
 
-    @property
+    @cached_property
     def op(self) -> SceneOperator:
-        if self._op is None:
-            self._op = SceneOperator(self.cfg, self.controls)
-        return self._op
+        return SceneOperator(self.cfg, self.controls)
 
-    @property
+    @cached_property
     def u(self):
-        if self._u is None:
-            self._u = self.op.solve_u()
-        return self._u
+        return self.op.solve_u()
 
-    @property
+    @cached_property
     def rep(self):
-        if self._rep is None:
-            self._rep = representation_coeffs(self.cfg, self.controls, op=self.op)
-        return self._rep
+        return representation_coeffs(self.cfg, self.controls, op=self.op)
 
-    @property
+    @cached_property
     def hc(self):
-        if self._hc is None:
-            self._hc = self.op.solve_hc()
-        return self._hc
+        return self.op.solve_hc()
 
-    @property
+    @cached_property
     def dec(self):
-        if self._dec is None:
-            max_diam = max(b.diameter() for b in self.cfg.bodies)
-            disk0 = Disk((0.0, 0.0), self.cfg.scene_radius() + 2.5 * max_diam)
-            self._dec = decompose_u(self.cfg, disk0, self.controls, u=self.u)
-        return self._dec
-
-    def gap(self, i: int, j: int):
-        return self.cfg.conductor_gap(i, j)
+        max_diam = max(b.diameter() for b in self.cfg.bodies)
+        disk0 = Disk((0.0, 0.0), self.cfg.scene_radius() + 2.5 * max_diam)
+        return decompose_u(self.cfg, disk0, self.controls, u=self.u)
 
     def mesh_nodes(self) -> int:
-        return self.op.mesh.n_total if self._op is not None else 0
+        return self.op.mesh.n_total if "op" in vars(self) else 0
 
     def rcond(self) -> float:
-        return self._u.rcond if self._u is not None else np.nan
+        return self.op.rcond if "op" in vars(self) else np.nan
 
 
-def _q_potential_difference(j, i):
-    def fn(ctx: RowContext) -> float:
-        return ctx.u.potential_difference(j, i)
-    return fn
-
-
-def _q_max_gradient(i, j):
-    def fn(ctx: RowContext) -> float:
-        return max_gap_gradient(ctx.u, ctx.gap(i, j)).max_magnitude
-    return fn
-
-
-def _q_gap_distance(i, j):
-    def fn(ctx: RowContext) -> float:
-        return ctx.gap(i, j).distance
-    return fn
-
-
-def _require_disks(cfg, count) -> list:
-    disks = [b.disk for b in cfg.bodies[:count]]
+def _pair_disks(cfg: Configuration) -> list:
+    disks = [b.disk for b in cfg.bodies[:2]]
     if any(d is None for d in disks):
         raise InvalidParameterError("closed-form pair quantities need disk bodies")
     return disks
 
 
-def _q_psi_gap_difference(ctx: RowContext) -> float:
-    d1, d2 = _require_disks(ctx.cfg, 2)
-    return images.psi_gap_difference(d1, d2)
+def _rep_residual(ctx: RowContext) -> float:
+    """Probe-point residual of the reconstruction, relative to the
+    conductor-induced part of the field."""
+    rep = ctx.rep
+    pts = _exterior_probes(ctx.cfg, 200, np.random.default_rng(ctx.seed))
+    uv = ctx.u.potential(pts)
+    scale = float(np.max(np.abs(uv - rep.hc.potential(pts))))
+    return float(np.max(np.abs(uv - rep.potential(pts)))) / max(scale, 1e-300)
 
 
-def _q_u_difference_oracle(ctx: RowContext) -> float:
-    d1, d2 = _require_disks(ctx.cfg, 2)
-    return images.two_disk_potential_difference(d1, d2, ctx.cfg.background)
+def _v0_max_grad(ctx: RowContext) -> float:
+    """Max |grad v0| on a deterministic probe ring between the bodies and
+    the enclosing circle."""
+    dec = ctx.dec
+    radius = 0.5 * (ctx.cfg.scene_radius() + dec.disk0.radius)
+    th = np.random.default_rng(ctx.seed).uniform(0, 2 * np.pi, 100)
+    gr = dec.v0.gradient(radius * np.stack([np.cos(th), np.sin(th)], axis=-1))
+    return float(np.max(np.hypot(gr[:, 0], gr[:, 1])))
 
 
-def _q_rep(name):
-    def fn(ctx: RowContext) -> float:
-        rep = ctx.rep
-        if name == "c1":
-            return rep.c1
-        if name == "c2":
-            return rep.c2
-        # probe-point residual of the reconstruction, relative to the
-        # conductor-induced part of the field
-        rng = np.random.default_rng(ctx.seed)
-        pts = _exterior_probes(ctx.cfg, 200, rng)
-        uv = ctx.u.potential(pts)
-        rv = rep.potential(pts)
-        scale = float(np.max(np.abs(uv - rep.hc.potential(pts))))
-        return float(np.max(np.abs(uv - rv))) / max(scale, 1e-300)
-    return fn
-
-
-def _q_hc_constant(ctx: RowContext) -> float:
-    return ctx.hc.constant(0)
-
-
-def _q_flux_residual_max(ctx: RowContext) -> float:
-    return float(np.max(np.abs(ctx.u.flux_quadrature())))
-
-
-def _q_decomp(name):
-    def fn(ctx: RowContext) -> float:
-        dec = ctx.dec
-        if name == "c1_abs":
-            return abs(dec.C1)
-        if name == "c3_abs":
-            return abs(dec.C3)
-        # max |grad v0| on a deterministic probe ring between the bodies
-        # and the enclosing circle
-        rng = np.random.default_rng(ctx.seed)
-        radius = 0.5 * (ctx.cfg.scene_radius() + dec.disk0.radius)
-        pts = _exterior_probes(ctx.cfg, 100, rng, radius=radius)
-        gr = dec.v0.gradient(pts)
-        return float(np.max(np.hypot(gr[:, 0], gr[:, 1])))
-    return fn
-
-
-def _exterior_probes(cfg: Configuration, count: int, rng,
-                     radius: Optional[float] = None) -> np.ndarray:
-    if radius is not None:
-        th = rng.uniform(0, 2 * np.pi, count)
-        return np.stack([radius * np.cos(th), radius * np.sin(th)], axis=-1)
+def _exterior_probes(cfg: Configuration, count: int, rng) -> np.ndarray:
     r_scene = cfg.scene_radius()
     pts = []
     while len(pts) < count:
@@ -223,23 +148,30 @@ def _exterior_probes(cfg: Configuration, count: int, rng,
     return np.asarray(pts[:count])
 
 
+# The entries are lambdas, so each looks up max_gap_gradient and the images
+# functions by module-level name when it runs. The benchmark's tracer
+# (benchmarks/spans.py) replaces those names with timing wrappers; a table
+# that held the function objects themselves would bypass them.
 QUANTITIES: dict[str, Callable[[RowContext], float]] = {
-    "gap_distance_12": _q_gap_distance(0, 1),
-    "gap_distance_23": _q_gap_distance(1, 2),
-    "potential_difference_21": _q_potential_difference(1, 0),
-    "potential_difference_32": _q_potential_difference(2, 1),
-    "max_gap_gradient_12": _q_max_gradient(0, 1),
-    "max_gap_gradient_23": _q_max_gradient(1, 2),
-    "psi_gap_difference": _q_psi_gap_difference,
-    "u_difference_oracle": _q_u_difference_oracle,
-    "rep_c1": _q_rep("c1"),
-    "rep_c2": _q_rep("c2"),
-    "rep_residual": _q_rep("residual"),
-    "hc_constant": _q_hc_constant,
-    "flux_residual_max": _q_flux_residual_max,
-    "decomp_c1_abs": _q_decomp("c1_abs"),
-    "decomp_c3_abs": _q_decomp("c3_abs"),
-    "decomp_v0_max_grad": _q_decomp("v0_max_grad"),
+    "gap_distance_12": lambda ctx: ctx.cfg.conductor_gap(0, 1).distance,
+    "gap_distance_23": lambda ctx: ctx.cfg.conductor_gap(1, 2).distance,
+    "potential_difference_21": lambda ctx: ctx.u.potential_difference(1, 0),
+    "potential_difference_32": lambda ctx: ctx.u.potential_difference(2, 1),
+    "max_gap_gradient_12":
+        lambda ctx: max_gap_gradient(ctx.u, ctx.cfg.conductor_gap(0, 1)).max_magnitude,
+    "max_gap_gradient_23":
+        lambda ctx: max_gap_gradient(ctx.u, ctx.cfg.conductor_gap(1, 2)).max_magnitude,
+    "psi_gap_difference": lambda ctx: images.psi_gap_difference(*_pair_disks(ctx.cfg)),
+    "u_difference_oracle": lambda ctx: images.two_disk_potential_difference(
+        *_pair_disks(ctx.cfg), ctx.cfg.background),
+    "rep_c1": lambda ctx: ctx.rep.c1,
+    "rep_c2": lambda ctx: ctx.rep.c2,
+    "rep_residual": _rep_residual,
+    "hc_constant": lambda ctx: ctx.hc.constant(0),
+    "flux_residual_max": lambda ctx: float(np.max(np.abs(ctx.u.flux_quadrature()))),
+    "decomp_c1_abs": lambda ctx: abs(ctx.dec.C1),
+    "decomp_c3_abs": lambda ctx: abs(ctx.dec.C3),
+    "decomp_v0_max_grad": _v0_max_grad,
 }
 
 
@@ -279,7 +211,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     for k, val in enumerate(values):
         t0 = time.perf_counter()
         try:
-            cfg = build_scene(spec.case_tag, spec.params_at(val), spec.builder)
+            p = spec.params_at(val)
+            cfg = spec.builder(p) if spec.builder else build_case(spec.case_tag, p)
             ctx = RowContext(cfg, spec.controls, spec.seed)
             for q in spec.quantities:
                 columns[q][k] = QUANTITIES[q](ctx)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neckfield import SmoothBoundary, build_case_a, build_case_d
+from neckfield import SmoothBoundary, asymptotics, build_case_a, build_case_d
 from neckfield.cli import main
 from neckfield.geometry.serialize import emit_configuration
 from neckfield.sweeps import parse_table_csv
@@ -170,6 +170,18 @@ class TestVerify:
         assert main(["verify", str(cfg), "--out", str(out)]) == 0
         text = (out / "verify.csv").read_text()
         assert "flux_residual_quadrature" in text
+
+    def test_seed_reaches_the_suite(self, tmp_path, monkeypatch):
+        # case A's random nestings draw from the run's --seed
+        seen = []
+        check = asymptotics._monotonicity_check
+        monkeypatch.setattr(asymptotics, "_monotonicity_check",
+                            lambda seed: seen.append(seed) or check(seed))
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("[scene]\ncase = A\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
+                       "r3 = 1.0\na = 0.05\neps = 0.001\n")
+        main(["verify", str(cfg), "--out", str(tmp_path / "out"), "--seed", "7"])
+        assert seen == [7]
 
     def test_coarse_mesh_fails(self, tmp_path):
         cfg = tmp_path / "a.cfg"

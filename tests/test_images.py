@@ -161,12 +161,6 @@ class TestPotentialDifference:
         assert two_disk_potential_difference(
             d1, d2, HarmonicBackground.constant(3.7)) == 0.0
 
-    def test_mirrored_variant_vanishes_for_equal_radii(self):
-        d1, d2 = pair(1e-3)
-        v = two_disk_potential_difference(d1, d2, HarmonicBackground.linear_x(),
-                                          mirrored_first_point=True)
-        assert abs(v) < 1e-15
-
     def test_residual_rate(self):
         # relative deviation from the leading-order value decays like
         # sqrt(eps); the fitted slope must be at least 0.4

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from neckfield import (DomainError, InvalidParameterError, MeshControls,
-                       SweepSpec, SweepTable, Tie, fit_rate, log_grid,
-                       run_sweep, sandwich_check)
+                       SweepSpec, SweepTable, Tie, build_case_b, fit_rate, log_grid,
+                       representation_coeffs, run_sweep, sandwich_check, solve_hc)
 from neckfield.sweeps import parse_table_csv, serialize_table
 
 
@@ -144,6 +146,25 @@ class TestRunSweep:
                     if not ln.startswith("#")]
 
         assert body(a) == body(b)
+
+    def test_representation_quantities(self):
+        # the rows give what direct solves give; a row that solves no u
+        # still reports the rcond of the operator its solves factored
+        spec = SweepSpec(case_tag="B", vary="eps1", grid=(1e-3,),
+                         fixed={"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps2": 1e-3},
+                         quantities=("rep_c1", "rep_c2", "hc_constant"))
+        table = run_sweep(spec)
+        cfg = build_case_b(1.0, 0.05, 1.0, 1e-3, 1e-3)
+        rep = representation_coeffs(cfg)
+        hc = solve_hc(cfg)
+        assert table.columns["rep_c1"][0] == rep.c1
+        assert table.columns["rep_c2"][0] == rep.c2
+        assert table.columns["hc_constant"][0] == hc.constant(0)
+        assert table.mesh_nodes[0] == hc.mesh.n_total
+        # a condition estimate, reproducible to roundoff across factorizations
+        assert table.rcond[0] == pytest.approx(hc.rcond, rel=1e-9)
+        residual = run_sweep(replace(spec, quantities=("rep_residual",)))
+        assert residual.columns["rep_residual"][0] < 1e-10
 
     def test_exponent_stability_drop_largest(self):
         spec = SweepSpec(case_tag="pair", vary="eps",

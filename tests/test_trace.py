@@ -73,3 +73,29 @@ def test_sweep_builds_are_traced(spans):
         if s.parent >= 0:
             parent = tracer.spans[s.parent]
             assert parent.start <= s.start <= s.end <= parent.end, (s.name, parent.name)
+
+
+def test_sweep_quantities_are_traced(spans):
+    # the quantity table reaches the gap-maximum search and the surface
+    # derivative through the traced names, inside the sweep's span
+    spec = neckfield.SweepSpec(case_tag="B", vary="eps1", grid=(1e-3, 1e-2),
+                               fixed={"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps2": 1e-3},
+                               quantities=("max_gap_gradient_12", "potential_difference_21",
+                                           "flux_residual_max"))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        neckfield.run_sweep(spec)
+    finally:
+        tracer.uninstall()
+
+    def ancestors(s):
+        while s.parent >= 0:
+            s = tracer.spans[s.parent]
+            yield s.name
+
+    for name in ("max_gap_gradient", "FieldSolution.normal_derivative_nodes"):
+        assert tracer.calls[name] == 2, name
+        for s in tracer.spans:
+            if s.name == name:
+                assert "run_sweep" in ancestors(s), name
