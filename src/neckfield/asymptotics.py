@@ -98,12 +98,23 @@ class DiagnosticCheck:
     detail: str = ""
 
     @staticmethod
+    def _unjudged(name: str, r: np.ndarray, least: int,
+                  detail: str) -> Optional["DiagnosticCheck"]:
+        """A failed check if the ratios cannot be judged: one is not finite
+        or not positive, or there are fewer than ``least``; else None."""
+        fault = ("non-finite ratio" if not np.all(np.isfinite(r))
+                 else "nonpositive ratio" if np.any(r <= 0)
+                 else "no data" if r.size < least else "")
+        if not fault:
+            return None
+        return DiagnosticCheck(name, r, np.inf, False, f"{detail} ({fault})" if detail else fault)
+
+    @staticmethod
     def from_ratios(name: str, ratios, limit: float, detail: str = "") -> "DiagnosticCheck":
         r = np.asarray(ratios, dtype=float)
-        finite = r[np.isfinite(r)]
-        if finite.size == 0 or np.any(finite <= 0):
-            return DiagnosticCheck(name, r, np.inf, False, detail or "nonpositive ratio")
-        spread = float(np.max(finite) / np.min(finite))
+        if failed := DiagnosticCheck._unjudged(name, r, 1, detail):
+            return failed
+        spread = float(np.max(r) / np.min(r))
         return DiagnosticCheck(name, r, spread, spread <= limit, detail)
 
     @staticmethod
@@ -117,16 +128,15 @@ class DiagnosticCheck:
         closes (the bound is then slack) but must not grow; tested as a
         nonnegative fitted slope of log(ratio) against log(gap)."""
         r = np.asarray(ratios, dtype=float)
+        if failed := DiagnosticCheck._unjudged(name, r, 2, detail):
+            return failed
         e = np.asarray(eps_grid, dtype=float)
-        good = np.isfinite(r) & (r > 0)
-        if np.count_nonzero(good) < 2:
-            return DiagnosticCheck(name, r, np.inf, False, detail or "no data")
-        slope = np.polyfit(np.log(e[good]), np.log(r[good]), 1)[0]
-        spread = float(np.max(r[good]) / np.min(r[good]))
+        slope = np.polyfit(np.log(e), np.log(r), 1)[0]
+        spread = float(np.max(r) / np.min(r))
         # pass when the ratio stays under the scale outright (the true
         # quantity may sit below the numerical floor, leaving noise-driven
         # slopes), or when it at least does not grow as the gap closes
-        passed = bool(np.max(r[good]) <= 1.0) or bool(slope >= -0.1)
+        passed = bool(np.max(r) <= 1.0) or bool(slope >= -0.1)
         return DiagnosticCheck(name, r, spread, passed,
                                detail + f" (ratio-vs-gap slope {slope:.2f})")
 

@@ -108,9 +108,8 @@ class Decomposition:
             cand = c0 + (rng.random((4 * count, 2)) - 0.5) * 2 * 0.92 * r0
             keep = np.hypot(cand[:, 0] - c0[0], cand[:, 1] - c0[1]) < 0.92 * r0
             cand = cand[keep]
-            ext = self.u.op.cfg.exterior_mask(cand)
-            for b in self.u.op.cfg.bodies:
-                ext &= ~b.contains(cand, pad=0.02 * b.diameter())
+            ext = ~np.any([b.contains(cand, pad=0.02 * b.diameter())
+                           for b in self.u.op.cfg.bodies], axis=0)
             pts.extend(cand[ext][: count - len(pts)])
         return np.asarray(pts[:count])
 

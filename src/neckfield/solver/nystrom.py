@@ -16,8 +16,11 @@ spectral derivative and antiderivative in t (``_spectral``) drop the
 Nyquist mode, whose derivative on the grid is ambiguous.
 
 Off-curve rule: one evaluator serves every target of every curve, the
-cross blocks of S and K' in assembly as much as ``potential`` and
-``gradient``, at any distance. Each curve's single layer is written as
+cross blocks of S in assembly as much as ``potential``, ``gradient`` and
+the normal derivative on the boundary, at any distance. K' is never
+assembled: its cross part is this evaluator's derivative applied to the
+other curves' densities, its own-curve part a block applied to the curve's
+own density. Each curve's single layer is written as
 ``Re F + (Q/2pi) log|z - z_c|`` with F analytic off the curve, Q the
 curve's charge and z_c a point well inside its body. F and F' are built
 once per operator at the nodes, as linear maps of the curve's g
@@ -158,8 +161,6 @@ class SceneOperator:
         self.controls = controls
         self.mesh = mesh if mesh is not None else build_mesh(cfg, controls)
         self._data: dict[int, _CurveData] = {}
-        self._kprime_rows: dict[int, np.ndarray] = {}
-        self._kprime: Optional[np.ndarray] = None
         self._lu = None
         self._assemble_slp()
 
@@ -264,37 +265,6 @@ class SceneOperator:
         np.fill_diagonal(K2, 2.0 * np.log(cm.speed))
         return (R + cm.h * K2) / (4.0 * np.pi)
 
-    def kprime_rows(self, curve_index: int) -> np.ndarray:
-        """Rows of ``kprime_matrix`` at one curve's nodes; from the full
-        matrix when it is built, else assembled alone and kept."""
-        if self._kprime is not None:
-            return self._kprime[self.mesh.curve_slice(curve_index)]
-        if curve_index not in self._kprime_rows:
-            mesh = self.mesh
-            cm = mesh.curves[curve_index]
-            z = _complex(cm.nodes)
-            nu = _complex(cm.normal_out)
-            rows = np.empty((cm.n, mesh.n_total))
-            for cj in range(len(mesh.curves)):
-                sj = mesh.curve_slice(cj)
-                if cj == curve_index:
-                    rows[:, sj] = _kprime_self_block(cm)
-                else:
-                    rows[:, sj] = (self._layer(cj, z, derivative=True) * nu[:, None]).real
-            self._kprime_rows[curve_index] = rows
-        return self._kprime_rows[curve_index]
-
-    def kprime_matrix(self) -> np.ndarray:
-        """Adjoint double-layer matrix acting on g: (K'sigma)(x_i) =
-        sum_j (1/2pi) n_i.(x_i - y_j)/|x_i - y_j|^2 g_j h_j on each curve's
-        own block (smooth diagonal limit kappa_i/(4pi)), and the normal
-        derivative of the compensated Cauchy sums across curves."""
-        if self._kprime is None:
-            self._kprime = np.vstack([self.kprime_rows(ci)
-                                      for ci in range(len(self.mesh.curves))])
-            self._kprime_rows.clear()
-        return self._kprime
-
     # -- bordered solves -----------------------------------------------------
 
     def _factor(self):
@@ -318,7 +288,11 @@ class SceneOperator:
 
     @property
     def rcond(self) -> float:
-        """Reciprocal 1-norm condition number of the bordered factor."""
+        """Reciprocal 1-norm condition number of the bordered factor.
+
+        LAPACK's estimate is not bit-reproducible: two operators of one
+        scene in one process can differ in its last bit while their fields
+        agree exactly. Compare it relatively, never exactly."""
         return self._factor()[2]
 
     def _solve(self, node_group: np.ndarray, rhs: np.ndarray, charges: np.ndarray):
@@ -392,14 +366,12 @@ class SceneOperator:
 
     # -- evaluation --------------------------------------------------------
 
-    def layer_field(self, g: np.ndarray, pts: np.ndarray, kind: str = "log") -> np.ndarray:
-        """S[g] at points (``kind`` "log"), or its gradient as an (m, 2)
-        array (``kind`` "grad")."""
-        z = _complex(np.atleast_2d(pts))
-        grad = kind == "grad"
-        out = sum(self._layer(ci, z, g[self.mesh.curve_slice(ci)], grad)
-                  for ci in range(len(self.mesh.curves)))
-        return np.stack([out.real, -out.imag], axis=-1) if grad else out
+    def _layers(self, g: np.ndarray, z: np.ndarray, derivative: bool = False,
+                skip: Optional[int] = None) -> np.ndarray:
+        """Sum of the curves' single layers of g at complex targets z, or
+        with ``derivative`` of their u_x - i u_y; curve ``skip`` left out."""
+        return sum(self._layer(ci, z, g[self.mesh.curve_slice(ci)], derivative)
+                   for ci in range(len(self.mesh.curves)) if ci != skip)
 
     def on_surface_potential(self, g: np.ndarray, curve_index: int,
                              ts: np.ndarray) -> np.ndarray:
@@ -414,8 +386,7 @@ class SceneOperator:
         own = _dirichlet_rows(cm.t, ts) @ (d.F @ g_own).real
         if d.zc is not None:
             own += d.h * g_own.sum() / _TWO_PI * np.log(np.abs(z - d.zc))
-        return own + sum(self._layer(cj, z, g[self.mesh.curve_slice(cj)])
-                         for cj in range(len(self.mesh.curves)) if cj != curve_index)
+        return own + self._layers(g, z, skip=curve_index)
 
 
 @dataclass
@@ -452,32 +423,27 @@ class FieldSolution:
         """Boundary constant of group_b minus that of group_a."""
         return float(self.constants[group_b] - self.constants[group_a])
 
-    def _check_exterior(self, pts: np.ndarray) -> None:
-        for b in self.op.cfg.bodies:
-            if np.any(b.contains(pts)):
-                raise DomainError("evaluation point lies inside a body")
+    def _evaluate(self, pts, check_domain: bool, derivative: bool) -> np.ndarray:
+        """The field at (m, 2) points, or with ``derivative`` its gradient
+        as an (m, 2) array."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if check_domain and not np.all(self.op.cfg.exterior_mask(pts)):
+            raise DomainError("evaluation point lies inside a body")
+        out = self.op._layers(self.g, _complex(pts), derivative)
+        if derivative:
+            out = np.stack([out.real, -out.imag], axis=-1)
+        if self.background is not None:
+            out = out + (self.background.gradient(pts) if derivative
+                         else self.background(pts))
+        return out
 
     def potential(self, pts, check_domain: bool = True):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if check_domain:
-            self._check_exterior(pts)
-        out = self.op.layer_field(self.g, pts, "log")
-        if self.background is not None:
-            out = out + self.background(pts)
-        return float(out[0]) if single else out
+        out = self._evaluate(pts, check_domain, derivative=False)
+        return float(out[0]) if np.ndim(pts) == 1 else out
 
     def gradient(self, pts, check_domain: bool = True):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if check_domain:
-            self._check_exterior(pts)
-        out = self.op.layer_field(self.g, pts, "grad")
-        if self.background is not None:
-            out = out + self.background.gradient(pts)
-        return out[0] if single else out
+        out = self._evaluate(pts, check_domain, derivative=True)
+        return out[0] if np.ndim(pts) == 1 else out
 
     # -- boundary functionals ------------------------------------------------
 
@@ -495,16 +461,21 @@ class FieldSolution:
 
     def normal_derivative_nodes(self) -> np.ndarray:
         """nu.grad of the field at all nodes (exterior-side limit)."""
-        return self._normal_derivative(slice(None), self.op.kprime_matrix())
+        return np.concatenate([self._normal_derivative(ci)
+                               for ci in range(len(self.mesh.curves))])
 
-    def _normal_derivative(self, rows: slice, kprime_rows: np.ndarray) -> np.ndarray:
-        """nu.grad of the field at the nodes ``rows``, given those rows of
-        the K' matrix."""
-        val = self.sigma[rows] / 2 + kprime_rows @ self.g
+    def _normal_derivative(self, curve_index: int) -> np.ndarray:
+        """nu.grad of the field at one curve's nodes: the jump sigma/2 and
+        the curve's own K' block applied to its g, plus the normal
+        component of the other curves' layer gradients there."""
+        cm = self.mesh.curves[curve_index]
+        own = self.mesh.curve_slice(curve_index)
+        cross = self.op._layers(self.g, _complex(cm.nodes), True, skip=curve_index)
+        val = (self.sigma[own] / 2 + _kprime_self_block(cm) @ self.g[own]
+               + (cross * _complex(cm.normal_out)).real)
         if self.background is not None:
-            val = val + np.einsum("ij,ij->i",
-                                  self.background.gradient(self.mesh.nodes[rows]),
-                                  self.mesh.normals[rows])
+            val = val + np.einsum("ij,ij->i", self.background.gradient(cm.nodes),
+                                  cm.normal_out)
         return -val
 
     def flux_quadrature(self) -> np.ndarray:
@@ -521,9 +492,9 @@ class FieldSolution:
 
     def boundary_flux_weighted(self, body_index: int, f: Callable) -> float:
         """int_dB f nu.grad field dS by node quadrature; f maps (m,2) points
-        to values."""
+        to values. A body's curve has the body's index."""
         idx = self.mesh.body_nodes(body_index)
-        dnu = self.normal_derivative_nodes()[idx]
+        dnu = self._normal_derivative(body_index)
         fv = np.asarray(f(self.mesh.nodes[idx]), dtype=float)
         return float(np.sum(self.mesh.weights[idx] * fv * dnu))
 
@@ -583,14 +554,14 @@ def _end_on_body(sol: FieldSolution, p: np.ndarray, seg_len: float):
     On a body the field is constant, so grad = (d_nu field) nu. The
     normal derivative is interpolated to the foot point in the curve
     parameter, speed-weighted since g = sigma |dx/dt| is the smooth
-    quantity in t. It needs only the K' rows of the foot's curve."""
+    quantity in t. It needs the normal derivative on the foot's curve
+    alone."""
     mesh = sol.mesh
     for ci, cm in enumerate(mesh.curves):
         t, dist = cm.foot_parameter(p)
         if dist > max(_ON_BODY_TOL * seg_len, 16 * np.finfo(float).eps * cm.perimeter):
             continue
-        rows = mesh.curve_slice(ci)
-        dnu = sol._normal_derivative(rows, sol.op.kprime_rows(ci))
+        dnu = sol._normal_derivative(ci)
         _, _, speed = cm.frame_at(t)
         weighted = _dirichlet_rows(cm.t, np.array([t]))[0] @ (dnu * cm.speed)
         return cm.body_index, abs(float(weighted)) / float(speed[0])

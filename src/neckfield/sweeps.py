@@ -141,9 +141,8 @@ def _exterior_probes(cfg: Configuration, count: int, rng) -> np.ndarray:
     pts = []
     while len(pts) < count:
         cand = (rng.random((4 * count, 2)) - 0.5) * 4 * r_scene
-        ok = cfg.exterior_mask(cand)
-        for b in cfg.bodies:
-            ok &= ~b.contains(cand, pad=0.02 * b.diameter())
+        ok = ~np.any([b.contains(cand, pad=0.02 * b.diameter()) for b in cfg.bodies],
+                     axis=0)
         pts.extend(cand[ok][: count - len(pts)])
     return np.asarray(pts[:count])
 

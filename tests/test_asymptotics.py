@@ -133,3 +133,14 @@ class TestDiagnostics:
         growing = DiagnosticCheck.from_upper_ratios("x", [1e-5, 1e-4, 1e-3],
                                                     [200.0, 20.0, 2.0])
         assert not growing.passed
+
+    def test_a_ratio_that_cannot_be_judged_fails(self):
+        # a suite writes nan where its sign condition fails at one gap
+        spread = DiagnosticCheck.from_ratios("x", [3.0, np.nan, 3.1], 10.0, "d_nu ratio")
+        assert not spread.passed
+        assert "non-finite ratio" in spread.detail and "d_nu ratio" in spread.detail
+        upper = DiagnosticCheck.from_upper_ratios("x", [1e-5, 1e-4, 1e-3], [np.nan, 2.0, 2.1])
+        assert not upper.passed and upper.detail == "non-finite ratio"
+        signed = DiagnosticCheck.from_upper_ratios("x", [1e-5, 1e-4, 1e-3], [-1.0, 2.0, 2.1])
+        assert not signed.passed and signed.detail == "nonpositive ratio"
+        assert DiagnosticCheck.from_ratios("x", [3.0, 3.1], 10.0).passed

@@ -9,13 +9,13 @@ import scipy.linalg
 from scipy.integrate import quad
 
 import neckfield
-from neckfield import (Body, Configuration, Disk, DomainError, GapInfo,
-                       HarmonicBackground, MeshControls, RefinementFailureError,
-                       SceneOperator, SmoothBoundary, SweepSpec, build_case_a,
-                       build_case_b, build_case_c, build_case_d,
-                       build_two_disks, decompose_u, images, max_gap_gradient,
-                       representation_coeffs, run_sweep, solve_h, solve_hc,
-                       solve_u)
+from neckfield import (Body, Configuration, Disk, DomainError, FieldSolution,
+                       GapInfo, HarmonicBackground, MeshControls,
+                       RefinementFailureError, SceneOperator, SmoothBoundary,
+                       SweepSpec, build_case_a, build_case_b, build_case_c,
+                       build_case_d, build_two_disks, decompose_u, images,
+                       max_gap_gradient, representation_coeffs, run_sweep,
+                       solve_h, solve_hc, solve_u)
 from neckfield.errors import InvalidUsageError, NumericFailureError
 from neckfield.solver import mesh as mesh_module
 from neckfield.solver import nystrom
@@ -431,6 +431,18 @@ class TestCloseEvaluation:
         assert np.max(np.hypot(*(h.gradient(pts) - exact).T)) \
             <= 1e-6 * np.max(np.hypot(*exact.T))
 
+    @pytest.mark.parametrize("r2,eps,tol", [(1.0, 1e-2, 1e-11), (1.0, 1e-3, 1e-11),
+                                            (1.0, 1e-6, 1e-8), (0.3, 1e-2, 1e-11),
+                                            (0.3, 1e-3, 1e-11), (0.3, 1e-6, 1e-8)])
+    def test_normal_derivative_at_every_node(self, r2, eps, tol):
+        cfg = build_two_disks(1, r2, eps)
+        h = solve_h(cfg, ((0,), (1,)))
+        f = images.psi_two_disks(*(b.disk for b in cfg.bodies))
+        mesh = h.mesh
+        exact = -np.einsum("ij,ij->i", mesh.normals, f.gradient(mesh.nodes))
+        err = np.max(np.abs(h.normal_derivative_nodes() - exact))
+        assert err <= tol * np.max(np.abs(exact))
+
     def test_peanut_next_to_a_disk(self):
         # the log center must lie well inside the body: here a center 0.1
         # from the lobe's tip leaves 5e-6 in the potential below, and one
@@ -550,23 +562,26 @@ class TestGapMaximum:
     def test_foot_values_need_only_their_curves_rows(self, monkeypatch):
         cfg = build_case_c(SmoothBoundary.ellipse((0.0, 0.0), 1.2, 0.9),
                            Disk((0.0, 0.0), 1.0), Disk((1.0, 0.0), 1.0), 0.05, 1e-6)
-        op = SceneOperator(cfg)
-        u = op.solve_u()
+        u = SceneOperator(cfg).solve_u()
         a, b = cfg.conductor_gap(0, 1).segment
         seg_len = float(np.hypot(*(b - a)))
 
-        def full_matrix_refused(self):
-            raise AssertionError("kprime_matrix called")
+        def all_nodes_refused(self):
+            raise AssertionError("normal_derivative_nodes called")
 
         with monkeypatch.context() as m:
-            m.setattr(SceneOperator, "kprime_matrix", full_matrix_refused)
+            m.setattr(FieldSolution, "normal_derivative_nodes", all_nodes_refused)
             max_gap_gradient(u, cfg.conductor_gap(0, 1))
             feet = [nystrom._end_on_body(u, p, seg_len) for p in (a, b)]
-        op.kprime_matrix()
+        dnu = u.normal_derivative_nodes()
         for p, (body, value) in zip((a, b), feet):
-            again = nystrom._end_on_body(u, p, seg_len)
-            assert again[0] == body
-            assert again[1] == pytest.approx(value, rel=1e-13)
+            cm = u.mesh.curves[body]
+            assert cm.body_index == body
+            t, _ = cm.foot_parameter(p)
+            _, _, speed = cm.frame_at(t)
+            weighted = _dirichlet_rows(cm.t, np.array([t]))[0] \
+                @ (dnu[u.mesh.curve_slice(body)] * cm.speed)
+            assert value == pytest.approx(abs(weighted) / speed[0], rel=1e-13)
 
 
 @pytest.fixture
