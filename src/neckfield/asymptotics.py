@@ -216,7 +216,8 @@ def _suite_case_a(cfg, controls, eps_grid, seed) -> DiagnosticReport:
         # flux density away from the protruding lump decays like sqrt(eps)
         mesh = op.mesh
         lens_cm = mesh.curves[1]
-        dnu = h.normal_derivative_nodes()[mesh.curve_slice(1)]
+        dnu_h = h.normal_derivative_nodes()
+        dnu = dnu_h[mesh.curve_slice(1)]
         small = c.bodies[1].lens_disks[0]
         on_big = ~small.contains(lens_cm.nodes, pad=1e-12)
         corner_decay.append(float(np.max(np.abs(dnu[on_big]))) / np.sqrt(eps))
@@ -230,7 +231,7 @@ def _suite_case_a(cfg, controls, eps_grid, seed) -> DiagnosticReport:
         m = h_diff / psi3_diff
         m_vals.append(m)
         cm1 = mesh.curves[0]
-        lhs = h.normal_derivative_nodes()[mesh.curve_slice(0)]
+        lhs = dnu_h[mesh.curve_slice(0)]
         rhs = m * _nu_grad(psi3, cm1.nodes, cm1.normal_out)
         scale = float(np.max(np.abs(lhs)))
         sign_ok.append(bool(np.all(lhs - rhs <= 1e-8 * scale)))
@@ -339,7 +340,8 @@ def _suite_case_b(cfg, controls, eps_grid) -> DiagnosticReport:
         pair = images.psi_two_disks(d1, d2)
         mesh = op.mesh
         cm2 = mesh.curves[1]
-        lhs = h1.normal_derivative_nodes()[mesh.curve_slice(1)]
+        dnu_h1 = h1.normal_derivative_nodes()
+        lhs = dnu_h1[mesh.curve_slice(1)]
         rhs = _nu_grad(pair, cm2.nodes, cm2.normal_out)
         scale = float(np.max(np.abs(rhs)))
         dominate_ok.append(bool(np.all(lhs >= -1e-8 * scale))
@@ -351,7 +353,7 @@ def _suite_case_b(cfg, controls, eps_grid) -> DiagnosticReport:
         d4 = _enclosing_disk(c)
         psi4 = images.psi_two_disks(d1, d4)
         cm1 = mesh.curves[0]
-        lhs1 = h1.normal_derivative_nodes()[mesh.curve_slice(0)]
+        lhs1 = dnu_h1[mesh.curve_slice(0)]
         rhs1 = _nu_grad(psi4, cm1.nodes, cm1.normal_out)
         ok = bool(np.all(lhs1 <= 1e-8 * np.max(np.abs(lhs1))))
         # compare only where the comparison density is not negligible

@@ -233,7 +233,7 @@ def cmd_verify(manifest: RunManifest) -> int:
     u = op.solve_u()
     dnu = u.normal_derivative_nodes()
     scale = max(float(np.sum(u.mesh.weights * np.abs(dnu))), 1e-300)
-    worst = float(np.max(np.abs(u.flux_quadrature())))
+    worst = float(np.max(np.abs(u._group_quadrature(dnu))))
     from .asymptotics import DiagnosticCheck
 
     report.checks.append(DiagnosticCheck.from_flag(

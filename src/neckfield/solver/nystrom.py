@@ -22,10 +22,12 @@ assembled: its cross part is this evaluator's derivative applied to the
 other curves' densities, its own-curve part a block applied to the curve's
 own density. Each curve's single layer is written as
 ``Re F + (Q/2pi) log|z - z_c|`` with F analytic off the curve, Q the
-curve's charge and z_c a point well inside its body. F and F' are built
-once per operator at the nodes, as linear maps of the curve's g
-(``_CurveData``); off the curve they follow from the globally compensated
-Cauchy sum ``F(z) = sum_j F_j w_j/(y_j - z) / (sum_j w_j/(y_j - z) - 2pi i)``,
+curve's charge and z_c a point well inside its body. F is built once per
+operator at the nodes as a linear map of the curve's g, stored once as the
+real stack [Re F; -Im F]; F' g is taken per call as the spectral derivative
+of F g over y' (``_CurveData``). Off the curve both follow from the globally
+compensated Cauchy sum
+``F(z) = sum_j F_j w_j/(y_j - z) / (sum_j w_j/(y_j - z) - 2pi i)``,
 ``w_j = y'(t_j) h`` (Helsing & Ojala, J. Comput. Phys. 227 (2008) 2899;
 Barnett, SIAM J. Sci. Comput. 36 (2014) A427), whose errors in numerator
 and denominator cancel next to the curve. That sum takes F to vanish at
@@ -86,13 +88,11 @@ def kussmaul_row(n_nodes: int) -> np.ndarray:
     degree."""
     if n_nodes % 2 != 0:
         raise InvalidParameterError("log-kernel rule needs an even node count")
-    n = n_nodes // 2
-    k = np.arange(n_nodes)
-    m = np.arange(1, n)
-    # rho_k = -(4pi/N) [ sum_m cos(m k h)/m + cos(n k h)/(2n) ],  h = 2pi/N
-    cos_table = np.cos(np.outer(k, m) * (_TWO_PI / n_nodes))
-    rho = cos_table @ (1.0 / m) + np.cos(k * np.pi) / (2.0 * n)
-    return -(4.0 * np.pi / n_nodes) * rho
+    # rho_k = -(4pi/N) [ sum_{0<m<N/2} cos(m k h)/m + cos(N k h/2)/N ], h = 2pi/N:
+    # the inverse real FFT of the coefficients 1/m, m = 1 .. N/2
+    coef = np.zeros(n_nodes // 2 + 1)
+    coef[1:] = 1.0 / np.arange(1, coef.size)
+    return -_TWO_PI * np.fft.irfft(coef, n_nodes)
 
 
 def _dirichlet_rows(t_nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -114,13 +114,11 @@ def _complex(xy: np.ndarray) -> np.ndarray:
 
 def _spectral(values: np.ndarray, power: int) -> np.ndarray:
     """Spectral derivative (power 1) or zero-mean antiderivative (power -1)
-    in t of node values along the first axis, without the Nyquist mode."""
+    in t of the real columns of node values, without the Nyquist mode."""
     n = values.shape[0]
-    k = np.fft.fftfreq(n, 1.0 / n)
-    k[n // 2] = 0.0
-    mult = np.zeros(n, dtype=complex)
-    mult[k != 0] = (1j * k[k != 0]) ** power
-    return np.fft.ifft(np.fft.fft(values, axis=0) * mult[:, None], axis=0)
+    mult = np.zeros(n // 2 + 1, dtype=complex)
+    mult[1:n // 2] = (1j * np.arange(1, n // 2)) ** power
+    return np.fft.irfft(np.fft.rfft(values, axis=0) * mult[:, None], n, axis=0)
 
 
 def _kprime_self_block(cm: CurveMesh) -> np.ndarray:
@@ -139,16 +137,25 @@ def _kprime_self_block(cm: CurveMesh) -> np.ndarray:
 class _CurveData:
     """Boundary data of one curve's single layer S_c g for the compensated
     Cauchy sums: ``S_c g = Re F + (Q/2pi) log|z - zc|`` off the curve, Q = h
-    sum(g). ``F`` and ``dF`` map g to F and F' at the nodes; ``y`` are the
-    nodes and ``w`` = y'(t_j) h the Cauchy weights, as complex numbers.
-    ``zc`` is None on an enclosing curve, whose domain lies inside it."""
+    sum(g). ``F`` maps g to F at the nodes, stored once as a real stack:
+    rows 2j and 2j+1 are Re F and -Im F at node j. F' g is taken per call,
+    the spectral derivative of F g over y'. ``y`` are the nodes and ``w`` =
+    y'(t_j) h the Cauchy weights, as complex numbers. ``zc`` is None on an
+    enclosing curve, whose domain lies inside it."""
 
     y: np.ndarray
     w: np.ndarray
     zc: Optional[complex]
     h: float
     F: np.ndarray
-    dF: np.ndarray
+
+    def values(self, g: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """F g at the nodes, or with ``derivative`` F' g."""
+        fg = (self.F @ g).reshape(-1, 2)
+        if derivative:
+            fg = _spectral(fg, 1)
+        out = fg[:, 0] - 1j * fg[:, 1]
+        return out * (self.h / self.w) if derivative else out
 
 
 class SceneOperator:
@@ -185,9 +192,9 @@ class SceneOperator:
         return complex(*cand[int(np.argmax(clearance))])
 
     def _curve_data(self, curve_index: int) -> _CurveData:
-        """F and F' of one curve at its nodes, as maps of its g, built on
-        first use. Re F is the own-block rule minus the log term; Im F is
-        the antiderivative in t of speed * d(Re F)/dn_out, the normal
+        """F of one curve at its nodes, as a map of its g, built on first
+        use. Re F is the own-block rule minus the log term; Im F is the
+        antiderivative in t of speed * d(Re F)/dn_out, the normal
         derivative on the curve's side of the domain (all curves run
         counterclockwise). Exterior data are shifted so F vanishes at
         infinity, which the exterior Cauchy sum assumes."""
@@ -207,35 +214,37 @@ class SceneOperator:
                 zc = self._log_center(cm)
                 re -= (cm.h / _TWO_PI) * np.log(np.abs(y - zc))[:, None]
                 flux -= (cm.h / _TWO_PI) * (dy / (y - zc)).imag[:, None]
-            F = re + 1j * _spectral(flux, -1).real
+            F = np.stack([re, -_spectral(flux, -1)], axis=1)
             if zc is not None:
                 # F(inf) is the Cauchy integral at the interior point zc
-                F -= ((w / (y - zc)) @ F / (2j * np.pi))[None, :]
-            self._data[curve_index] = _CurveData(y, w, zc, cm.h, F,
-                                                 _spectral(F, 1) / dy[:, None])
+                c = w / (y - zc) / (2j * np.pi)
+                shift = c @ F[:, 0] - 1j * (c @ F[:, 1])
+                F -= np.stack([shift.real, -shift.imag])
+            self._data[curve_index] = _CurveData(y, w, zc, cm.h, F.reshape(2 * cm.n, cm.n))
         return self._data[curve_index]
 
     def _layer(self, curve_index: int, z: np.ndarray, g: Optional[np.ndarray] = None,
                derivative: bool = False) -> np.ndarray:
         """One curve's single layer at complex targets z by the compensated
         Cauchy sum: S_c g, or with ``derivative`` its u_x - i u_y. With g
-        None, the block acting on the curve's g."""
+        None, the block acting on the curve's g: the Cauchy weights are
+        scaled by the denominator first, so Re(c F) is one real product of
+        [Re c, Im c] with the stack [Re F; -Im F]."""
         d = self._curve_data(curve_index)
-        data = d.dF if derivative else d.F
-        if g is not None:
-            data = (data @ g)[:, None]
-        charge = d.h * (np.ones(data.shape[1]) if g is None else np.array([g.sum()]))
         c = d.y[None, :] - z[:, None]
         np.divide(d.w, c, out=c)
-        out = c @ data
         den = c.sum(axis=1) - (0.0 if d.zc is None else 2j * np.pi)
-        out /= den[:, None]
-        if not derivative:
-            out = out.real
+        if g is None:
+            c /= den[:, None]
+            out = c.view(float) @ d.F
+            if d.zc is not None:
+                out += (np.log(np.abs(z - d.zc)) / _TWO_PI * d.h)[:, None]
+            return out
+        out = c @ d.values(g, derivative) / den
         if d.zc is not None:
             log_part = 1.0 / (z - d.zc) if derivative else np.log(np.abs(z - d.zc))
-            out += np.outer(log_part / _TWO_PI, charge)
-        return out if g is None else out[:, 0]
+            out += log_part / _TWO_PI * (d.h * g.sum())
+        return out if derivative else out.real
 
     # -- assembly ---------------------------------------------------------
 
@@ -383,7 +392,7 @@ class SceneOperator:
         z = _complex(cm.point_at(ts))
         d = self._curve_data(curve_index)
         g_own = g[self.mesh.curve_slice(curve_index)]
-        own = _dirichlet_rows(cm.t, ts) @ (d.F @ g_own).real
+        own = _dirichlet_rows(cm.t, ts) @ d.values(g_own).real
         if d.zc is not None:
             own += d.h * g_own.sum() / _TWO_PI * np.log(np.abs(z - d.zc))
         return own + self._layers(g, z, skip=curve_index)
@@ -482,13 +491,13 @@ class FieldSolution:
         """Flux through each group's boundary by node quadrature of the
         normal derivative (jump relation plus adjoint double layer), which
         the solve does not enforce directly."""
-        dnu = self.normal_derivative_nodes()
-        w = self.mesh.weights
-        out = []
-        for members in self.groups:
-            idx = np.concatenate([self.mesh.body_nodes(b) for b in members])
-            out.append(float(np.sum(w[idx] * dnu[idx])))
-        return np.array(out)
+        return self._group_quadrature(self.normal_derivative_nodes())
+
+    def _group_quadrature(self, dnu: np.ndarray) -> np.ndarray:
+        """Node quadrature of the normal derivative dnu over each group."""
+        wd = self.mesh.weights * dnu
+        return np.array([np.sum(wd[np.concatenate([self.mesh.body_nodes(b) for b in m])])
+                         for m in self.groups])
 
     def boundary_flux_weighted(self, body_index: int, f: Callable) -> float:
         """int_dB f nu.grad field dS by node quadrature; f maps (m,2) points

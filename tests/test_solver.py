@@ -93,6 +93,24 @@ class TestQuadratureCore:
         dense_t = w @ P
         assert np.max(np.abs(adjoint - dense_t)) < 1e-12 * np.max(np.abs(dense_t))
 
+    def test_spectral_derivative_and_antiderivative(self):
+        # a real trigonometric polynomial with a Nyquist mode on the even
+        # midpoint grid: the derivative and the zero-mean antiderivative
+        # are exact for the modes below Nyquist, which alone they keep
+        n = 384
+        k = np.arange(1, n // 2)[:, None]
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((2, k.size, 2))
+        nyquist = rng.standard_normal(2)
+        t = (np.arange(n) + 0.5) * 2 * np.pi / n
+        cos, sin = np.cos(np.outer(t, k)), np.sin(np.outer(t, k))
+        values = 1.3 + cos @ a + sin @ b + np.outer(np.sin(n * t / 2), nyquist)
+        deriv = sin @ (-k * a) + cos @ (k * b)
+        anti = sin @ (a / k) - cos @ (b / k)
+        for power, exact in ((1, deriv), (-1, anti)):
+            got = nystrom._spectral(values, power)
+            assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
     def test_on_surface_potential_at_nodes(self):
         # at the node parameters the interpolated rule is the node rule
         op = SceneOperator(single_disk(1.5))
@@ -466,6 +484,25 @@ class TestCloseEvaluation:
         # at infinity for the exterior sum, or this misses by 0.38
         taylor = u.constant(0) + 1e-6 * np.einsum("ij,ij->i", grad, n_out)
         assert np.max(np.abs(u.potential(q) - taylor)) <= 1e-9
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_case_b(1.0, 0.05, 1.0, 1e-5, 1e-3),
+        lambda: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
+                             SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
+                             SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9), 0.05, 1e-4, 1e-4)],
+        ids=["B", "D"])
+    def test_cross_blocks_match_the_layer_of_a_density(self, build):
+        # assembly takes each cross block as one real product with F's
+        # stack; the layer of a given density sums F g in complex numbers
+        op = SceneOperator(build())
+        u = op.solve_u()
+        z = op.mesh.nodes[:, 0] + 1j * op.mesh.nodes[:, 1]
+        for ci in range(len(op.mesh.curves)):
+            own = op.mesh.curve_slice(ci)
+            others = op.mesh.body_of_node != ci
+            block = op._slp[others, own] @ u.g[own]
+            layer = op._layer(ci, z[others], u.g[own])
+            assert np.max(np.abs(block - layer)) <= 1e-12 * np.max(np.abs(layer))
 
 
 class TestChainMap:
