@@ -195,9 +195,9 @@ def _as_body(shape) -> Body:
 
 
 def _solve_translation(moving: Body, fixed: Body, direction: np.ndarray,
-                       eps: float, tol: float = 1e-13) -> Body:
+                       eps: float, tol: float = 1e-13) -> tuple[Body, GapInfo]:
     """Translate ``moving`` along ``direction`` until its gap to ``fixed``
-    equals eps.
+    equals eps. Returns the last translate probed and its measured gap.
 
     The gap g(t) of ``moving + t direction`` is first bracketed,
     g(t_lo) <= eps < g(t_hi), by doubling steps (an overlap counts as a gap
@@ -205,21 +205,24 @@ def _solve_translation(moving: Body, fixed: Body, direction: np.ndarray,
     Its derivative is exact by the envelope theorem: the closest points are
     stationary, so only the moving point's own motion counts and
     dg/dt = -direction . GapInfo.direction. A step that leaves the bracket,
-    or a start without a gap, is replaced by bisection.
+    or a start without a gap, is replaced by bisection. The solve ends at
+    the probe whose Newton step is below ``tol`` of the scene size, or, if
+    the bracket closes first, at its upper end.
     """
     direction = np.asarray(direction, dtype=float)
-    probed: dict[float, Optional[GapInfo]] = {}
+    probed: dict[float, tuple[Body, Optional[GapInfo]]] = {}
 
-    def probe(t: float) -> Optional[GapInfo]:
+    def probe(t: float) -> tuple[Body, Optional[GapInfo]]:
         if t not in probed:
+            body = moving.translated(t * direction)
             try:
-                probed[t] = body_gap(moving.translated(t * direction), fixed)
+                probed[t] = body, body_gap(body, fixed)
             except InvalidGeometryError:
-                probed[t] = None
+                probed[t] = body, None
         return probed[t]
 
     def gdist(t: float) -> float:
-        info = probe(t)
+        info = probe(t)[1]
         return -1.0 if info is None else info.distance
 
     scale = max(moving.diameter(), fixed.diameter(), eps)
@@ -234,14 +237,14 @@ def _solve_translation(moving: Body, fixed: Body, direction: np.ndarray,
     step_tol = tol * max(1.0, scale)
     t = t_hi
     for _ in range(200):
-        info = probe(t)
+        body, info = probe(t)
         t_new = np.nan
         if info is not None:
             slope = -float(direction @ info.direction)
             if slope > 0:
                 t_new = t - (info.distance - eps) / slope
                 if abs(t_new - t) < step_tol and t_lo <= t_new <= t_hi:
-                    return moving.translated(t_new * direction)
+                    return body, info
         if not (t_lo < t_new < t_hi):
             t_new = 0.5 * (t_lo + t_hi)
         if gdist(t_new) > eps:
@@ -251,7 +254,7 @@ def _solve_translation(moving: Body, fixed: Body, direction: np.ndarray,
         t = t_new
         if t_hi - t_lo < step_tol:
             break
-    return moving.translated(0.5 * (t_lo + t_hi) * direction)
+    return probe(t_hi)
 
 
 def _halfplane_check(left: Body, rights: Sequence[Body]) -> None:
@@ -273,25 +276,25 @@ def _halfplane_check(left: Body, rights: Sequence[Body]) -> None:
 def place_around(mid: Body, left: Body, eps1: float, right: Optional[Body] = None,
                  eps2: float = 0.0) -> tuple[list[Body], GapInfo]:
     """Translate ``left`` (and ``right``) along the x-axis until its gap to
-    ``mid`` is eps1 (eps2), check each gap to 1e-10 and each smooth body's
-    convexity at its gap foot, recenter on the first gap and check the
-    half-planes. Returns the bodies from left to right and the first gap
-    before recentering."""
-    left = _solve_translation(left, mid, np.array([-1.0, 0.0]), eps1)
-    pairs = [(left, mid, eps1)]
+    ``mid`` is eps1 (eps2), check each gap, as the translation solve
+    measured it, to 1e-10 and each smooth body's convexity at its gap foot,
+    recenter on the first gap and check the half-planes. Returns the bodies
+    from left to right and the first gap before recentering."""
+    left, gap_left = _solve_translation(left, mid, np.array([-1.0, 0.0]), eps1)
+    # (moving body, fixed body, requested gap, measured gap), feet in body order
+    placed = [(left, mid, eps1, gap_left)]
     if right is not None:
-        right = _solve_translation(right, mid, np.array([1.0, 0.0]), eps2)
-        pairs.append((mid, right, eps2))
-    gaps = [body_gap(a, b) for a, b, _ in pairs]
-    for g, (a, b, eps) in zip(gaps, pairs):
+        right, gap_right = _solve_translation(right, mid, np.array([1.0, 0.0]), eps2)
+        placed.append((right, mid, eps2, gap_right))
+    for a, b, eps, g in placed:
         if abs(g.distance - eps) > 1e-10 * max(1.0, eps):
             raise InvalidGeometryError("gap positioning did not converge")
         for body, foot in zip((a, b), g.feet):
             if body.kind == "smooth":
                 body.smooth.require_convex_arc(foot.u, half_width=0.35)
-    bodies = [b.translated(-gaps[0].midpoint) for b in (left, mid, right) if b is not None]
+    bodies = [b.translated(-gap_left.midpoint) for b in (left, mid, right) if b is not None]
     _halfplane_check(bodies[0], bodies[1:])
-    return bodies, gaps[0]
+    return bodies, gap_left
 
 
 def build_case_c(left, center: Disk, right: Disk, r2: float, eps: float,

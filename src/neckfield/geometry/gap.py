@@ -139,10 +139,12 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart):
     """Damped Newton on D(u, v) = |A(u) - B(v)|^2 from the ``_RUNS`` best of
     ``_STARTS``^2 sampled start pairs, all runs at once: each iteration
     evaluates ``point``, ``deriv`` and ``second`` of each chart once on the
-    array of live runs, and each run halves its own step until D does not
-    increase. A run with a non-finite step, or whose damping fails, is
-    dropped. Returns (distance, point on a, point on b, u, v) of the best
-    run."""
+    array of live runs, and each run tries its full step, then halves it
+    until D does not increase. A failed full step that does not descend
+    (g . step >= 0 for the gradient g, as at a saddle, where the Hessian
+    is indefinite) is not halved. A run with a non-finite step, or whose
+    full step or damping fails, is dropped. Returns (distance, point on a,
+    point on b, u, v) of the best run."""
     us = np.linspace(ca.u0, ca.u1, _STARTS, endpoint=not ca.closed)
     vs = np.linspace(cb.u0, cb.u1, _STARTS, endpoint=not cb.closed)
     d2 = ((ca.point(us)[:, None, :] - cb.point(vs)[None, :, :]) ** 2).sum(axis=2)
@@ -165,15 +167,15 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart):
         with np.errstate(divide="ignore", invalid="ignore"):
             du = (hab * gb - hbb * ga) / det
             dv = (hab * ga - haa * gb) / det
+            descends = ga * du + gb * dv < 0
         f0 = _dot(r, r)
         un, vn = uk.copy(), vk.copy()
         lam = np.ones(k.size)
-        # damping: each run halves its own step until D does not increase;
-        # a non-finite step is not tried and fails
-        finite = np.isfinite(du + dv)
+        # damping: a non-finite step is not tried and fails
+        trying = np.isfinite(du + dv)
         failed = np.ones(k.size, dtype=bool)
         for _ in range(30):
-            j = np.flatnonzero(failed & finite)
+            j = np.flatnonzero(failed & trying)
             if j.size == 0:
                 break
             un[j] = _clamp(uk[j] + lam[j] * du[j], ca)
@@ -182,6 +184,8 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart):
             done = _dot(rn, rn) <= f0[j] + 1e-15
             failed[j[done]] = False
             lam[j[~done]] *= 0.5
+            # only a descent direction is worth halving
+            trying &= descends
         live[k[failed]] = moving[k[failed]] = False
         ok = ~failed
         moved = _param_move(uk, un, ca) + _param_move(vk, vn, cb)

@@ -10,6 +10,7 @@ on a smooth curve the distance is exact, from a closest-point Newton.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -131,30 +132,33 @@ class SmoothBoundary:
     def degree(self) -> int:
         return max(len(self.cos_x), len(self.sin_x), len(self.cos_y), len(self.sin_y))
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """The mode numbers k = 1..K and, per derivative order 0, 1, 2, the
+        (K, 2) tables that multiply cos(kt) and sin(kt): the coefficients
+        zero-padded to the degree, times k^order with the signs of d/dt."""
+        def padded(name_x: str, name_y: str) -> np.ndarray:
+            out = np.zeros((self.degree, 2))
+            for col, name in enumerate((name_x, name_y)):
+                vals = getattr(self, name)
+                out[:len(vals), col] = vals
+            return out
+
+        on_cos, on_sin = padded("cos_x", "cos_y"), padded("sin_x", "sin_y")
+        k = np.arange(1.0, self.degree + 1)
+        k1, k2 = k[:, None], (k * k)[:, None]
+        return k, ((on_cos, on_sin), (k1 * on_sin, -k1 * on_cos), (-k2 * on_cos, -k2 * on_sin))
+
     def _series(self, t, mode: int):
-        """mode 0: value, 1: d/dt, 2: d2/dt2."""
-        t = np.asarray(t, dtype=float)
-        x = np.zeros_like(t)
-        y = np.zeros_like(t)
-        for k in range(1, self.degree + 1):
-            kk = float(k)
-            cxk = self.cos_x[k - 1] if k <= len(self.cos_x) else 0.0
-            sxk = self.sin_x[k - 1] if k <= len(self.sin_x) else 0.0
-            cyk = self.cos_y[k - 1] if k <= len(self.cos_y) else 0.0
-            syk = self.sin_y[k - 1] if k <= len(self.sin_y) else 0.0
-            ckt, skt = np.cos(kk * t), np.sin(kk * t)
-            if mode == 0:
-                bx, by = cxk * ckt + sxk * skt, cyk * ckt + syk * skt
-            elif mode == 1:
-                bx, by = kk * (-cxk * skt + sxk * ckt), kk * (-cyk * skt + syk * ckt)
-            else:
-                bx, by = -kk * kk * (cxk * ckt + sxk * skt), -kk * kk * (cyk * ckt + syk * skt)
-            x = x + bx
-            y = y + by
+        """mode 0: value, 1: d/dt, 2: d2/dt2, from one cos and one sin of
+        t k and two products with the mode's coefficient tables."""
+        k, tables = self._tables
+        kt = np.asarray(t, dtype=float)[..., None] * k
+        on_cos, on_sin = tables[mode]
+        out = np.cos(kt) @ on_cos + np.sin(kt) @ on_sin
         if mode == 0:
-            x = x + self.center[0]
-            y = y + self.center[1]
-        return np.stack([x, y], axis=-1)
+            out += self.center
+        return out
 
     def point(self, t):
         return self._series(t, 0)

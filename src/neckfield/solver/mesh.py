@@ -240,15 +240,19 @@ class CurveMesh:
     def foot_parameter(self, p) -> tuple[float, float]:
         """Mesh parameter of the curve point closest to p, with its
         distance: Gauss-Newton from the nearest node, which converges
-        quadratically for points on or very near the curve."""
+        quadratically for points on or very near the curve. It stops at a
+        step of 1e-15 or at one that has not halved since the last: steps
+        at the chain map's rounding level do not shrink."""
         p = np.asarray(p, dtype=float)
         t = float(self.t[np.argmin(np.hypot(*(self.nodes - p).T))])
+        last = np.inf
         for _ in range(8):
             x, vel, speed = self.frame_at(t)
             step = float((p - x[0]) @ vel[0]) / float(speed[0]) ** 2
             t += step
-            if abs(step) <= 1e-15:
+            if abs(step) <= 1e-15 or abs(step) > 0.5 * last:
                 break
+            last = abs(step)
         return t % _TWO_PI, float(np.hypot(*(self.point_at(t)[0] - p)))
 
     def feature_node_index(self, feat: FeatureSpec) -> int:

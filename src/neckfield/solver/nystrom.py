@@ -564,9 +564,12 @@ def _end_on_body(sol: FieldSolution, p: np.ndarray, seg_len: float):
     normal derivative is interpolated to the foot point in the curve
     parameter, speed-weighted since g = sigma |dx/dt| is the smooth
     quantity in t. It needs the normal derivative on the foot's curve
-    alone."""
-    mesh = sol.mesh
-    for ci, cm in enumerate(mesh.curves):
+    alone. Curves are tried nearest node first: across a positive gap at
+    most one of them lies within the tolerance."""
+    curves = sol.mesh.curves
+    near = [float(np.min(np.hypot(*(cm.nodes - p).T))) for cm in curves]
+    for ci in sorted(range(len(curves)), key=near.__getitem__):
+        cm = curves[ci]
         t, dist = cm.foot_parameter(p)
         if dist > max(_ON_BODY_TOL * seg_len, 16 * np.finfo(float).eps * cm.perimeter):
             continue

@@ -234,7 +234,7 @@ class TestGap:
 
     def test_newton_search_is_batched(self, monkeypatch):
         # each Newton iteration evaluates the charts once on all its runs:
-        # case D's three pairs at eps 1e-3 take 68 to 154 curve evaluations
+        # case D's three pairs at eps 1e-3 take 54 to 76 curve evaluations
         ell = SmoothBoundary.ellipse
         cfg = build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
                            ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3)
@@ -252,6 +252,48 @@ class TestGap:
                                                cfg.bodies[b].charts()[0])
             assert 0 < len(calls) <= 200
             assert found[0] == pytest.approx(cfg.body_pair_gap(a, b).distance, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-4])
+    def test_ellipse_circle_search(self, eps):
+        # criterion 5's left ellipse against the small circle. One of the
+        # Newton starts sits at a saddle of the squared distance, where the
+        # step does not descend: the run is dropped after its full step
+        # fails, where 30 halvings of it cost 30 curve evaluations alone
+        ell = SmoothBoundary.ellipse
+        cfg = build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                           ell((0.0, 0.0), 1.1, 0.9), 0.05, eps, eps)
+        ellipse, circle = cfg.bodies[0].smooth, cfg.bodies[1].smooth
+        chart = cfg.bodies[0].charts()[0]
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return chart.point(u)
+
+        dist, _, _, u, v = gap_module._arc_arc_newton(replace(chart, point=counted),
+                                                      cfg.bodies[1].charts()[0])
+        assert len(calls) <= 40
+
+        # reference: the distance from the ellipse to the circle's center,
+        # sampled densely and refined by golden-section search
+        center, radius = np.array(circle.center), circle.cos_x[0]
+
+        def reach(s):
+            return float(np.hypot(*(ellipse.point(s) - center)))
+
+        s = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+        i = int(np.argmin(np.hypot(*(ellipse.point(s) - center).T)))
+        lo, hi = s[i] - 2 * np.pi / 4096, s[i] + 2 * np.pi / 4096
+        g = (np.sqrt(5.0) - 1) / 2
+        while hi - lo > 1e-12:
+            a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+            lo, hi = (lo, b) if reach(a) < reach(b) else (a, hi)
+        u_ref = 0.5 * (lo + hi)
+        foot = ellipse.point(u_ref) - center
+        v_ref = np.arctan2(foot[1], foot[0]) % (2 * np.pi)
+        assert dist == pytest.approx(reach(u_ref) - radius, rel=1e-9, abs=1e-15)
+        assert abs((u - u_ref + np.pi) % (2 * np.pi) - np.pi) < 1e-6
+        assert abs((v - v_ref + np.pi) % (2 * np.pi) - np.pi) < 1e-6
 
 
 class TestCaseCD:
@@ -289,7 +331,7 @@ class TestCaseCD:
     def test_case_d_geometry_work(self, monkeypatch):
         # the benchmark's case-D scene: its ellipses are valid by
         # construction and are not validated at all, and the translation
-        # solve needs few gap searches (19 at eps 1e-3)
+        # solve needs few gap searches (17 at eps 1e-3)
         calls = {"validate": 0, "body_gap": 0}
 
         def counted(name, fn):
@@ -311,6 +353,37 @@ class TestCaseCD:
         assert calls["body_gap"] <= 60
         assert cfg.conductor_gap(0, 1).distance == pytest.approx(eps, rel=1e-12)
         assert cfg.conductor_gap(1, 2).distance == pytest.approx(eps, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_translation_returns_its_measured_gap(self, eps):
+        ell = SmoothBoundary.ellipse
+        mid = Body.from_smooth(ell((0.0, 0.0), 1.0, 1.0).scaled(0.05))
+        for moving, direction in ((ell((0.0, 0.0), 1.0, 0.8), (-1.0, 0.0)),
+                                  (ell((0.0, 0.0), 1.1, 0.9), (1.0, 0.0))):
+            body, info = config_module._solve_translation(Body.from_smooth(moving), mid,
+                                                          np.array(direction), eps)
+            assert info == body_gap(body, mid)
+            assert info.distance == pytest.approx(eps, rel=1e-9)
+
+    def test_place_around_reuses_the_measured_gaps(self, monkeypatch):
+        # the gap checks of place_around read the translation solves' last
+        # probes: a two-sided placement makes the two solves' 7 gap searches
+        # each and no more (16 when both gaps were searched again)
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return gap_module.body_gap(a, b)
+
+        monkeypatch.setattr(config_module, "body_gap", counted)
+        ell = SmoothBoundary.ellipse
+        mid = Body.from_smooth(ell((0.0, 0.0), 1.0, 1.0).scaled(0.05))
+        bodies, _ = config_module.place_around(mid, Body.from_smooth(ell((0.0, 0.0), 1.0, 0.8)),
+                                               1e-3, Body.from_smooth(ell((0.0, 0.0), 1.1, 0.9)),
+                                               1e-3)
+        assert len(calls) == 14
+        for pair in (bodies[:2], bodies[1:]):
+            assert body_gap(*pair).distance == pytest.approx(1e-3, rel=1e-12)
 
     def test_nonconvex_gap_arc_rejected(self):
         with pytest.raises(InvalidGeometryError):
@@ -448,6 +521,60 @@ class TestSmoothBoundary:
             assert not np.any(curve.contains(outer, pad=0.999 * depth))
             assert np.all(curve.contains(inner, pad=-0.999 * depth))
             assert not np.any(curve.contains(inner, pad=-1.001 * depth))
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)], ids=["scalar", "1-D", "2-D"])
+    def test_series_matches_per_mode_sum(self, shape):
+        # a random degree-5 curve, an ellipse perturbed in every mode,
+        # against the series summed mode by mode for each derivative order
+        rng = np.random.default_rng(5)
+        coeffs = [0.02 * rng.standard_normal(5) for _ in range(4)]
+        coeffs[0][0] += 1.0
+        coeffs[3][0] += 0.8
+        curve = SmoothBoundary((0.3, -0.7), *coeffs)
+        t = rng.uniform(-7.0, 7.0, shape)
+        k = np.arange(1, 6)
+        ckt, skt = np.cos(k * t[..., None]), np.sin(k * t[..., None])
+        cx, sx, cy, sy = coeffs
+        naive = {
+            "point": (curve.center[0] + ckt @ cx + skt @ sx,
+                      curve.center[1] + ckt @ cy + skt @ sy),
+            "deriv": (skt @ (-k * cx) + ckt @ (k * sx), skt @ (-k * cy) + ckt @ (k * sy)),
+            "second": (-(ckt @ (k * k * cx) + skt @ (k * k * sx)),
+                       -(ckt @ (k * k * cy) + skt @ (k * k * sy))),
+        }
+        for name, (x, y) in naive.items():
+            got = getattr(curve, name)(t)
+            assert got.shape == shape + (2,)
+            want = np.stack([x, y], axis=-1)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_ellipse_series_is_bit_identical(self):
+        # degree 1 keeps the per-mode loop's arithmetic exactly: the loop
+        # below is the earlier implementation of SmoothBoundary._series
+        def per_mode(s, t, mode):
+            x, y = np.zeros_like(t), np.zeros_like(t)
+            for k in range(1, s.degree + 1):
+                kk = float(k)
+                cxk, sxk, cyk, syk = (c[k - 1] if k <= len(c) else 0.0
+                                      for c in (s.cos_x, s.sin_x, s.cos_y, s.sin_y))
+                ckt, skt = np.cos(kk * t), np.sin(kk * t)
+                if mode == 0:
+                    bx, by = cxk * ckt + sxk * skt, cyk * ckt + syk * skt
+                elif mode == 1:
+                    bx, by = kk * (-cxk * skt + sxk * ckt), kk * (-cyk * skt + syk * ckt)
+                else:
+                    bx, by = (-kk * kk * (cxk * ckt + sxk * skt),
+                              -kk * kk * (cyk * ckt + syk * skt))
+                x, y = x + bx, y + by
+            if mode == 0:
+                x, y = x + s.center[0], y + s.center[1]
+            return np.stack([x, y], axis=-1)
+
+        t = np.random.default_rng(1).uniform(-10.0, 10.0, 1000)
+        base = SmoothBoundary.ellipse((0.3, -0.2), 1.1, 0.9)
+        for curve in (base, base.scaled(0.05), base.mirrored_x().translated((-1.0, 0.5))):
+            for mode, name in enumerate(("point", "deriv", "second")):
+                assert np.array_equal(getattr(curve, name)(t), per_mode(curve, t, mode))
 
     def test_peanut_is_valid_but_not_convex(self):
         p = peanut()

@@ -620,6 +620,28 @@ class TestGapMaximum:
                 @ (dnu[u.mesh.curve_slice(body)] * cm.speed)
             assert value == pytest.approx(abs(weighted) / speed[0], rel=1e-13)
 
+    def test_gap_ends_search_their_own_curve_only(self, monkeypatch):
+        # each gap end is projected onto its nearest curve alone, and the
+        # projection stops once its steps reach the chain map's rounding
+        # level, where they no longer shrink: at most 5 steps, a final
+        # point and the speed at the foot, where all 8 steps were taken
+        cfg = build_case_b(1, 0.05, 1, 1e-4, 1e-3)
+        u = solve_u(cfg)
+        feet, frames = [], []
+        foot_parameter, frame_at = mesh_module.CurveMesh.foot_parameter, \
+            mesh_module.CurveMesh.frame_at
+        monkeypatch.setattr(mesh_module.CurveMesh, "foot_parameter",
+                            lambda cm, p: feet.append(cm.body_index) or foot_parameter(cm, p))
+        monkeypatch.setattr(mesh_module.CurveMesh, "frame_at",
+                            lambda cm, t: frames.append(1) or frame_at(cm, t))
+        for i, j in ((0, 1), (1, 2)):
+            a, b = cfg.conductor_gap(i, j).segment
+            seg_len = float(np.hypot(*(b - a)))
+            feet.clear()
+            ends = [nystrom._end_on_body(u, p, seg_len) for p in (a, b)]
+            assert feet == [i, j] and [e[0] for e in ends] == [i, j]
+        assert len(frames) <= 4 * 7
+
 
 @pytest.fixture
 def lu_calls(monkeypatch):
