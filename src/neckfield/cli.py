@@ -25,7 +25,7 @@ import numpy as np
 from .asymptotics import lemma_suite
 from .errors import DomainError, NeckfieldError
 from .geometry.config import build_case
-from .geometry.serialize import ConfigParseError, RunInput, parse_run
+from .geometry.serialize import ConfigParseError, RunInput, _number, parse_run
 from .solver.mesh import MeshControls
 from .solver.nystrom import SceneOperator, max_gap_gradient
 from .svgplot import log_log_plot
@@ -192,7 +192,7 @@ def cmd_rates(manifest: RunManifest) -> int:
 
 def _guide_slope_for(name: str, run: RunInput) -> float:
     if "guide_slope" in run.sweep:
-        return float(run.sweep["guide_slope"])
+        return _number("sweep", "guide_slope", run.sweep["guide_slope"])
     return -0.5 if "gradient" in name else 0.5
 
 
@@ -202,6 +202,9 @@ def cmd_plot(manifest: RunManifest) -> int:
     if not quantity:
         candidates = [c for c in cols if c not in (vary, "mesh_nodes", "rcond")]
         quantity = candidates[0]
+    if quantity not in cols:
+        raise ConfigParseError(f"[sweep] plot_quantity: {quantity!r} is not a column "
+                               "of the sweep")
     fits = _fit_columns(vary, cols, errors)
     fit = fits.get(quantity)
     guide = _guide_slope_for(quantity, run)

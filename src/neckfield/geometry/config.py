@@ -38,7 +38,9 @@ class Configuration:
     background: HarmonicBackground
     case_tag: str = "free"
     params: dict = field(default_factory=dict, compare=False)
-    # GapInfo of every body pair (a, b), a < b, from the disjointness check
+    # GapInfo of every ordered body pair (a, b), a != b, from the
+    # disjointness check: point_i and feet[0] on body a, feet in the
+    # configuration's body indices
     _body_gaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -51,17 +53,18 @@ class Configuration:
         # positive gap (raises InvalidGeometryError through GapInfo if not)
         for a in range(len(self.bodies)):
             for b in range(a + 1, len(self.bodies)):
-                self._body_gaps[(a, b)] = body_gap(self.bodies[a], self.bodies[b])
+                g = body_gap(self.bodies[a], self.bodies[b])
+                foot_a, foot_b = g.feet[0]._replace(body=a), g.feet[1]._replace(body=b)
+                self._body_gaps[(a, b)] = GapInfo(g.distance, g.point_i, g.point_j,
+                                                  (foot_a, foot_b))
+                self._body_gaps[(b, a)] = GapInfo(g.distance, g.point_j, g.point_i,
+                                                  (foot_b, foot_a))
 
     def body_pair_gap(self, a: int, b: int) -> GapInfo:
         """Gap between bodies a and b as measured on construction, with
-        point_i on body a (feet carry 0 for a and 1 for b, as from
-        ``body_gap``)."""
-        if a < b:
-            return self._body_gaps[(a, b)]
-        g = self._body_gaps[(b, a)]
-        return GapInfo(g.distance, g.point_j, g.point_i,
-                       tuple(f._replace(body=1 - f.body) for f in g.feet[::-1]))
+        point_i and the first foot on body a; the feet carry the
+        configuration's body indices."""
+        return self._body_gaps[(a, b)]
 
     @property
     def n_conductors(self) -> int:

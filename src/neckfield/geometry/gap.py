@@ -11,7 +11,7 @@ which the mesh planner grades toward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,8 +32,10 @@ _STARTS, _RUNS = 8, 6
 
 class GapFoot(NamedTuple):
     """Where a closest point lies: ``Body.charts()[chart].point(u)`` of body
-    ``body``. From :func:`gap` the body index is the configuration's; from
-    :func:`body_gap` it is 0 for ``body_a`` and 1 for ``body_b``."""
+    ``body``. Every ``Configuration`` accessor (:func:`gap`,
+    ``conductor_gap``, ``body_pair_gap``) gives the configuration's body
+    index; only :func:`body_gap` gives 0 for ``body_a`` and 1 for
+    ``body_b``."""
 
     body: int
     chart: int
@@ -44,7 +46,8 @@ class GapFoot(NamedTuple):
 class GapInfo:
     """Gap between two bodies: the closest boundary points, the straight
     neck segment joining them and, from the gap search, one :class:`GapFoot`
-    per point. A hand-built GapInfo has no feet and cannot be meshed."""
+    per point. A hand-built GapInfo has no feet: it cannot be meshed, and
+    ``max_gap_gradient`` takes both its ends to lie in the exterior."""
 
     distance: float
     point_i: tuple[float, float]
@@ -257,21 +260,14 @@ def body_gap(body_a: Body, body_b: Body) -> GapInfo:
 
 def gap(cfg, i: int, j: int) -> GapInfo:
     """Gap between conductors i and j of a configuration (0-based indices
-    in conductor order; equal indices are rejected). Its feet carry the
-    configuration's body indices. Body pairs reuse the gaps the
-    configuration measured when it was built."""
+    in conductor order; equal indices are rejected): the closest of the
+    body-pair gaps the configuration measured when it was built, with its
+    feet in the configuration's body indices."""
     if i == j:
         raise InvalidParameterError("gap requires two distinct conductor indices")
     groups = cfg.groups
     for k in (i, j):
         if not (0 <= k < len(groups)):
             raise InvalidParameterError(f"conductor index {k} out of range")
-    best = None
-    for a in groups[i]:
-        for b in groups[j]:
-            g = cfg.body_pair_gap(a, b)
-            if best is None or g.distance < best[0].distance:
-                best = (g, a, b)
-    g, a, b = best
-    foot_a, foot_b = g.feet
-    return replace(g, feet=(foot_a._replace(body=a), foot_b._replace(body=b)))
+    return min((cfg.body_pair_gap(a, b) for a in groups[i] for b in groups[j]),
+               key=lambda g: g.distance)

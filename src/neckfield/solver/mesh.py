@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import elliprf
 
-from ..errors import RefinementFailureError
+from ..errors import InvalidParameterError, RefinementFailureError
 from ..geometry.body import Body, BoundaryChart
 from ..geometry.config import Configuration
 from ..geometry.gap import GapFoot
@@ -69,6 +69,12 @@ class MeshControls:
 
     base_n: int = 192               # below 64: taken literally, resolution targets bypassed
     cap_total: int = 65536
+
+    def __post_init__(self):
+        for name in ("base_n", "cap_total"):
+            if getattr(self, name) < 1:
+                raise InvalidParameterError(
+                    f"mesh {name} must be at least 1, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,11 @@ class _ChainMap:
         v = np.unique(v)
         return self.mass(v), v
 
+    def t_of_v(self, v):
+        """The mesh parameter t = 2 pi * mass(v) / mass(v_total) of chain
+        coordinates v in [0, v_total]."""
+        return _TWO_PI * self.mass(v) / self._m_tab[-1]
+
     def v_of_t(self, t):
         """Invert t = 2 pi * mass(v) / mass(v_total): seed by interpolating
         the forward table, then three Newton steps (quadratic from a seed
@@ -236,24 +247,6 @@ class CurveMesh:
 
     def point_at(self, t):
         return self.frame_at(t)[0]
-
-    def foot_parameter(self, p) -> tuple[float, float]:
-        """Mesh parameter of the curve point closest to p, with its
-        distance: Gauss-Newton from the nearest node, which converges
-        quadratically for points on or very near the curve. It stops at a
-        step of 1e-15 or at one that has not halved since the last: steps
-        at the chain map's rounding level do not shrink."""
-        p = np.asarray(p, dtype=float)
-        t = float(self.t[np.argmin(np.hypot(*(self.nodes - p).T))])
-        last = np.inf
-        for _ in range(8):
-            x, vel, speed = self.frame_at(t)
-            step = float((p - x[0]) @ vel[0]) / float(speed[0]) ** 2
-            t += step
-            if abs(step) <= 1e-15 or abs(step) > 0.5 * last:
-                break
-            last = abs(step)
-        return t % _TWO_PI, float(np.hypot(*(self.point_at(t)[0] - p)))
 
     def feature_node_index(self, feat: FeatureSpec) -> int:
         p = feat.point

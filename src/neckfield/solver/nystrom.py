@@ -70,7 +70,7 @@ import scipy.linalg
 from ..errors import (DomainError, InvalidParameterError, InvalidUsageError,
                       NumericFailureError)
 from ..geometry.config import Configuration
-from ..geometry.gap import GapInfo
+from ..geometry.gap import GapFoot, GapInfo
 from ..geometry.shapes import HarmonicBackground
 from .mesh import BoundaryMesh, CurveMesh, MeshControls, build_mesh
 
@@ -543,10 +543,11 @@ class GapGradient:
     argmax: tuple[float, float]
 
 
-# A segment end closer than this to a curve, relative to the segment
-# length, is a foot point on that body; farther, it lies in the exterior.
-# Boundary points carry rounding errors on the scale of the body, so the
-# tolerance never drops below a few ulps of its perimeter.
+# A gap foot's mesh point must lie this close to its segment end, relative
+# to the segment length; farther, the foot names the wrong body. A
+# hand-built segment without feet must end at least this far outside every
+# body. Boundary points carry rounding errors on the scale of the body, so
+# the foot tolerance never drops below a few ulps of its curve's perimeter.
 _ON_BODY_TOL = 1e-9
 # Profile points evaluated per refinement round of the search.
 _REFINE_POINTS = 16
@@ -556,28 +557,27 @@ _CROSSING_PROBES = 129
 _PROFILE_SAMPLES = 33
 
 
-def _end_on_body(sol: FieldSolution, p: np.ndarray, seg_len: float):
-    """For a segment end on a body: that body's index and |grad| there;
-    None for an end in the exterior.
+def _foot_gradient(sol: FieldSolution, foot: GapFoot, p: np.ndarray,
+                   seg_len: float) -> float:
+    """|grad| of the field at the gap foot that ends the segment at p.
 
-    On a body the field is constant, so grad = (d_nu field) nu. The
-    normal derivative is interpolated to the foot point in the curve
-    parameter, speed-weighted since g = sigma |dx/dt| is the smooth
-    quantity in t. It needs the normal derivative on the foot's curve
-    alone. Curves are tried nearest node first: across a positive gap at
-    most one of them lies within the tolerance."""
-    curves = sol.mesh.curves
-    near = [float(np.min(np.hypot(*(cm.nodes - p).T))) for cm in curves]
-    for ci in sorted(range(len(curves)), key=near.__getitem__):
-        cm = curves[ci]
-        t, dist = cm.foot_parameter(p)
-        if dist > max(_ON_BODY_TOL * seg_len, 16 * np.finfo(float).eps * cm.perimeter):
-            continue
-        dnu = sol._normal_derivative(ci)
-        _, _, speed = cm.frame_at(t)
-        weighted = _dirichlet_rows(cm.t, np.array([t]))[0] @ (dnu * cm.speed)
-        return cm.body_index, abs(float(weighted)) / float(speed[0])
-    return None
+    On a body the field is constant, so grad = (d_nu field) nu. The foot's
+    chain coordinate maps to its mesh parameter t by the chain map's
+    forward map, and the normal derivative on the foot's curve alone is
+    interpolated there, speed-weighted since g = sigma |dx/dt| is the
+    smooth quantity in t. A foot whose mesh point misses p names the wrong
+    body and raises InvalidUsageError."""
+    cm = sol.mesh.curves[foot.body]
+    chain = cm.chain
+    t = chain.t_of_v(chain.v_edges[foot.chart] + (foot.u - chain.charts[foot.chart].u0))
+    q, _, speed = cm.frame_at(t)
+    miss = float(np.hypot(*(q[0] - p)))
+    if miss > max(_ON_BODY_TOL * seg_len, 16 * np.finfo(float).eps * cm.perimeter):
+        raise InvalidUsageError(f"the gap foot on body {foot.body} lies {miss:.3g} "
+                                "from its segment end")
+    weighted = _dirichlet_rows(cm.t, np.atleast_1d(t))[0] \
+        @ (sol._normal_derivative(foot.body) * cm.speed)
+    return abs(float(weighted)) / float(speed[0])
 
 
 def _profile_max(mag: Callable, lo: float, hi: float, samples: int):
@@ -601,29 +601,30 @@ def _profile_max(mag: Callable, lo: float, hi: float, samples: int):
 def max_gap_gradient(sol: FieldSolution, gap_info: GapInfo) -> GapGradient:
     """Maximum of |grad field| over the closed neck segment.
 
-    An end of the segment that lies on a body takes its value from the
-    on-surface normal derivative; there ``argmax`` is that foot point when
-    it wins. The rest of the segment, up to such an end, is searched on
-    batched profile evaluations (see ``_profile_max``); an end in the
-    exterior is sampled itself. A segment that passes through a body
-    raises DomainError: it is not a gap of the exterior domain."""
+    An end at a gap foot (every ``Configuration`` gap has both) takes its
+    value from the on-surface normal derivative there; ``argmax`` is that
+    foot point when it wins. The rest of the segment is searched on batched
+    profile evaluations (see ``_profile_max``). A hand-built GapInfo has no
+    feet; its ends are sampled and must lie in the exterior. A segment that
+    passes through a body other than its feet's raises DomainError: it is
+    not a gap of the exterior domain. Feet away from the segment ends raise
+    InvalidUsageError."""
     a, b = gap_info.segment
     seg_len = float(np.hypot(*(b - a)))
-    ends = [_end_on_body(sol, p, seg_len) for p in (a, b)]
-    carriers = {found[0] for found in ends if found is not None}
+    ends = [_foot_gradient(sol, foot, p, seg_len) for foot, p in zip(gap_info.feet, (a, b))]
+    carriers = {foot.body for foot in gap_info.feet}
     probes = a + np.outer(np.linspace(0.0, 1.0, _CROSSING_PROBES), b - a)
     for k, body in enumerate(sol.op.cfg.bodies):
-        if k not in carriers and np.any(body.contains(probes)):
+        if k not in carriers and np.any(body.contains(probes, _ON_BODY_TOL * seg_len)):
             raise DomainError(f"the gap segment passes through body {k}")
 
     def mag(sv):
         out = np.empty(sv.size)
         inner = np.ones(sv.size, dtype=bool)
-        for s_end, found in zip((0.0, 1.0), ends):
-            if found is not None:
-                at = sv == s_end
-                out[at] = found[1]
-                inner &= ~at
+        for s_end, value in zip((0.0, 1.0), ends):
+            at = sv == s_end
+            out[at] = value
+            inner &= ~at
         gr = sol.gradient(a + np.outer(sv[inner], b - a), check_domain=False)
         out[inner] = np.hypot(gr[:, 0], gr[:, 1])
         return out

@@ -93,15 +93,29 @@ class TestSolve:
         ("r1 = 1.0", "r1 = abc", "[case] r1"),
         ("base_n = 96", "base_n = abc", "[mesh] base_n"),
         ("base_n = 96", "cap = 1e5", "[mesh] cap"),
+        ("base_n = 96", "base_n = 0", "base_n must be at least 1"),
         ("[case]\nr1 = 1.0\nr2 = 1.0\neps = 0.001\n",
          "[body x]\ncenter = 0, 0\nradius = 1\n", "[body x]"),
-    ], ids=["case_value", "mesh_base_n", "mesh_cap", "body_section"])
+    ], ids=["case_value", "mesh_base_n", "mesh_cap", "mesh_base_n_zero", "body_section"])
     def test_malformed_values(self, tmp_path, capsys, old, new, named):
         assert old in PAIR_CFG
         bad = tmp_path / "bad.cfg"
         bad.write_text(PAIR_CFG.replace(old, new))
         assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,nodes", [("0", None), ("-4", None), ("1", 4), ("3", 8)])
+    def test_mesh_base_floor(self, pair_cfg, tmp_path, capsys, flag, nodes):
+        # a base count below 1 is a usage error; 1 and 3 are taken
+        # literally, rounded up to an even count per curve
+        out = tmp_path / "o"
+        code = main(["solve", str(pair_cfg), "--out", str(out), "--mesh-base", flag])
+        if nodes is None:
+            assert code == 2
+            assert "base_n must be at least 1" in capsys.readouterr().err
+        else:
+            assert code == 0
+            assert f"mesh_nodes,{nodes}" in (out / "solution.csv").read_text()
 
     def test_overwrite_refused_then_forced(self, pair_cfg, tmp_path):
         out = tmp_path / "out"
@@ -159,6 +173,16 @@ class TestSweepPipeline:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(PAIR_CFG.replace(old, new))
         assert main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("line,named", [
+        ("plot_quantity = bogus\n", "[sweep] plot_quantity"),
+        ("guide_slope = steep\n", "[sweep] guide_slope"),
+    ], ids=["plot_quantity", "guide_slope"])
+    def test_malformed_plot_keys(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(PAIR_CFG.replace("[mesh]", line + "\n[mesh]"))
+        assert main(["plot", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestVerify:

@@ -142,16 +142,18 @@ class TestGap:
         assert body_gap(other, lens).distance == pytest.approx(1e-3, rel=1e-9)
 
     @pytest.mark.parametrize("newton", [False, True])
-    @pytest.mark.parametrize("scene", ["pair", "A", "C", "D", "grouped", "reversed"])
+    @pytest.mark.parametrize("scene", ["pair", "A", "B", "C", "D", "grouped", "reversed"])
     def test_feet_name_the_points(self, scene, newton):
         # with ``newton`` the generic chart-pair search is called directly on
         # the charts of the feet, disk and lens arcs included: it must find
-        # the same gap, and its feet must name its points
+        # the same gap, and its feet must name its points. On case B a body
+        # pair is also read against the order it was measured in
         ell = SmoothBoundary.ellipse
         disk = Body.from_disk
         cfg = {
             "pair": lambda: build_two_disks(1, 1, 1e-3),
             "A": lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
+            "B": lambda: build_case_b(1, 0.05, 1, 1e-4, 1e-3),
             "C": lambda: build_case_c(ell((0.0, 0.0), 1.2, 0.9), Disk((0.0, 0.0), 1.0),
                                       Disk((1.0, 0.0), 1.0), 0.05, 1e-3),
             "D": lambda: build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
@@ -167,24 +169,28 @@ class TestGap:
                 HarmonicBackground.linear_x()),
         }[scene]()
         scale = cfg.scene_radius()
-        for i in range(cfg.n_conductors):
-            for j in range(i + 1, cfg.n_conductors):
-                info = gap(cfg, i, j)
-                if newton:
-                    charts = [cfg.bodies[f.body].charts()[f.chart] for f in info.feet]
-                    dist, pa, pb, ua, ub = gap_module._arc_arc_newton(*charts)
-                    assert dist == pytest.approx(info.distance, rel=1e-12)
-                    info = replace(info, distance=dist, point_i=tuple(pa), point_j=tuple(pb),
-                                   feet=(info.feet[0]._replace(u=ua),
-                                         info.feet[1]._replace(u=ub)))
-                assert len(info.feet) == 2
-                for foot, p, group in zip(info.feet, (info.point_i, info.point_j),
-                                          (cfg.groups[i], cfg.groups[j])):
-                    assert foot.body in group
-                    chart = cfg.bodies[foot.body].charts()[foot.chart]
-                    assert chart.u0 <= foot.u <= chart.u1
-                    q = chart.point(np.array([foot.u]))[0]
-                    assert np.hypot(*(q - p)) <= 1e-12 * scale
+        gaps = [(gap(cfg, i, j), cfg.groups[i], cfg.groups[j])
+                for i in range(cfg.n_conductors) for j in range(i + 1, cfg.n_conductors)]
+        if scene == "B":
+            gaps.append((cfg.body_pair_gap(2, 1), (2,), (1,)))
+        for info, group_i, group_j in gaps:
+            if newton:
+                charts = [cfg.bodies[f.body].charts()[f.chart] for f in info.feet]
+                dist, pa, pb, ua, ub = gap_module._arc_arc_newton(*charts)
+                assert dist == pytest.approx(info.distance, rel=1e-12)
+                info = replace(info, distance=dist, point_i=tuple(pa), point_j=tuple(pb),
+                               feet=(info.feet[0]._replace(u=ua),
+                                     info.feet[1]._replace(u=ub)))
+            assert len(info.feet) == 2
+            for foot, p, group in zip(info.feet, (info.point_i, info.point_j),
+                                      (group_i, group_j)):
+                assert foot.body in group
+                chart = cfg.bodies[foot.body].charts()[foot.chart]
+                assert chart.u0 <= foot.u <= chart.u1
+                q = chart.point(np.array([foot.u]))[0]
+                assert np.hypot(*(q - p)) <= 1e-12 * scale
+        if scene == "B":
+            assert [f.body for f in info.feet] == [2, 1]
         if scene == "grouped":
             assert [f.body for f in info.feet] == [1, 2]
         if scene == "reversed":

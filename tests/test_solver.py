@@ -13,7 +13,7 @@ from neckfield import (Body, Configuration, Disk, DomainError, FieldSolution,
                        GapInfo, HarmonicBackground, MeshControls,
                        RefinementFailureError, SceneOperator, SmoothBoundary,
                        SweepSpec, build_case_a, build_case_b, build_case_c,
-                       build_case_d, build_two_disks, decompose_u, images,
+                       body_gap, build_case_d, build_two_disks, decompose_u, images,
                        max_gap_gradient, representation_coeffs, run_sweep,
                        solve_h, solve_hc, solve_u)
 from neckfield.errors import InvalidUsageError, NumericFailureError
@@ -590,17 +590,27 @@ class TestGapMaximum:
         assert found == pytest.approx(2098.305, rel=1e-6)
 
     def test_segment_through_a_conductor_raises(self):
-        # case B's outer pair (0, 2) is joined through the middle disk
+        # case B's outer pair (0, 2) is joined through the middle disk. A
+        # feet-less segment must end in the exterior, and feet must lie at
+        # the segment ends: body_gap names bodies 1 and 2 as 0 and 1
         cfg = build_case_b(1, 0.05, 1, 1e-3, 1e-3)
         u = solve_u(cfg)
         with pytest.raises(DomainError, match="passes through body 1"):
             max_gap_gradient(u, cfg.conductor_gap(0, 2))
+        info = cfg.conductor_gap(0, 1)
+        with pytest.raises(DomainError, match="passes through body 0"):
+            max_gap_gradient(u, GapInfo(info.distance, info.point_i, info.point_j))
+        with pytest.raises(InvalidUsageError, match="gap foot on body 0"):
+            max_gap_gradient(u, body_gap(cfg.bodies[1], cfg.bodies[2]))
 
     def test_foot_values_need_only_their_curves_rows(self, monkeypatch):
+        # each foot's value is its own curve's normal derivative,
+        # interpolated speed-weighted to the foot's mesh parameter
         cfg = build_case_c(SmoothBoundary.ellipse((0.0, 0.0), 1.2, 0.9),
                            Disk((0.0, 0.0), 1.0), Disk((1.0, 0.0), 1.0), 0.05, 1e-6)
         u = SceneOperator(cfg).solve_u()
-        a, b = cfg.conductor_gap(0, 1).segment
+        info = cfg.conductor_gap(0, 1)
+        a, b = info.segment
         seg_len = float(np.hypot(*(b - a)))
 
         def all_nodes_refused(self):
@@ -608,39 +618,61 @@ class TestGapMaximum:
 
         with monkeypatch.context() as m:
             m.setattr(FieldSolution, "normal_derivative_nodes", all_nodes_refused)
-            max_gap_gradient(u, cfg.conductor_gap(0, 1))
-            feet = [nystrom._end_on_body(u, p, seg_len) for p in (a, b)]
+            max_gap_gradient(u, info)
+            values = [nystrom._foot_gradient(u, foot, p, seg_len)
+                      for foot, p in zip(info.feet, (a, b))]
         dnu = u.normal_derivative_nodes()
-        for p, (body, value) in zip((a, b), feet):
-            cm = u.mesh.curves[body]
-            assert cm.body_index == body
-            t, _ = cm.foot_parameter(p)
+        for foot, value in zip(info.feet, values):
+            cm = u.mesh.curves[foot.body]
+            t = _foot_t(cm, foot)
             _, _, speed = cm.frame_at(t)
             weighted = _dirichlet_rows(cm.t, np.array([t]))[0] \
-                @ (dnu[u.mesh.curve_slice(body)] * cm.speed)
+                @ (dnu[u.mesh.curve_slice(foot.body)] * cm.speed)
             assert value == pytest.approx(abs(weighted) / speed[0], rel=1e-13)
 
-    def test_gap_ends_search_their_own_curve_only(self, monkeypatch):
-        # each gap end is projected onto its nearest curve alone, and the
-        # projection stops once its steps reach the chain map's rounding
-        # level, where they no longer shrink: at most 5 steps, a final
-        # point and the speed at the foot, where all 8 steps were taken
+    def test_gap_ends_read_their_own_curve_once(self, monkeypatch):
+        # each gap end reads the normal derivative of its own curve alone
+        # and takes one chain-map frame there
         cfg = build_case_b(1, 0.05, 1, 1e-4, 1e-3)
         u = solve_u(cfg)
-        feet, frames = [], []
-        foot_parameter, frame_at = mesh_module.CurveMesh.foot_parameter, \
-            mesh_module.CurveMesh.frame_at
-        monkeypatch.setattr(mesh_module.CurveMesh, "foot_parameter",
-                            lambda cm, p: feet.append(cm.body_index) or foot_parameter(cm, p))
+        curves, frames = [], []
+        normal_derivative = FieldSolution._normal_derivative
+        frame_at = mesh_module.CurveMesh.frame_at
+        monkeypatch.setattr(FieldSolution, "_normal_derivative",
+                            lambda sol, ci: curves.append(ci) or normal_derivative(sol, ci))
         monkeypatch.setattr(mesh_module.CurveMesh, "frame_at",
-                            lambda cm, t: frames.append(1) or frame_at(cm, t))
+                            lambda cm, t: frames.append(cm.body_index) or frame_at(cm, t))
         for i, j in ((0, 1), (1, 2)):
-            a, b = cfg.conductor_gap(i, j).segment
-            seg_len = float(np.hypot(*(b - a)))
-            feet.clear()
-            ends = [nystrom._end_on_body(u, p, seg_len) for p in (a, b)]
-            assert feet == [i, j] and [e[0] for e in ends] == [i, j]
-        assert len(frames) <= 4 * 7
+            curves.clear()
+            frames.clear()
+            max_gap_gradient(u, cfg.conductor_gap(i, j))
+            assert curves == [i, j] and frames == [i, j]
+
+    @pytest.mark.parametrize("scene", ["pair", "A", "B", "C", "D"])
+    def test_forward_map_puts_each_foot_at_its_gap_end(self, scene):
+        ell = SmoothBoundary.ellipse
+        cfg = {
+            "pair": lambda: build_two_disks(1, 1, 1e-6),
+            "A": lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
+            "B": lambda: build_case_b(1, 0.05, 1, 1e-4, 1e-3),
+            "C": lambda: build_case_c(ell((0.0, 0.0), 1.2, 0.9), Disk((0.0, 0.0), 1.0),
+                                      Disk((1.0, 0.0), 1.0), 0.05, 1e-6),
+            "D": lambda: build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                                      ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3),
+        }[scene]()
+        mesh = build_mesh(cfg)
+        for info in cfg.all_conductor_gaps().values():
+            for foot, p in zip(info.feet, info.segment):
+                cm = mesh.curves[foot.body]
+                q = cm.point_at(_foot_t(cm, foot))[0]
+                assert np.hypot(*(q - p)) <= 16 * np.finfo(float).eps * cm.perimeter
+
+
+def _foot_t(cm, foot) -> float:
+    """Mesh parameter of a gap foot by the chain map's forward map."""
+    chain = cm.chain
+    return float(chain.t_of_v(chain.v_edges[foot.chart]
+                              + (foot.u - chain.charts[foot.chart].u0)))
 
 
 @pytest.fixture
