@@ -151,18 +151,20 @@ def cmd_sweep(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _table_or_run(manifest: RunManifest):
-    """Fits and plots reuse a previously written sweep.csv when present so
-    they are pure functions of that artifact."""
+def _sweep_source(manifest: RunManifest):
+    """The run, the varying parameter, the column names and a thunk for the
+    columns and row errors. Fits and plots reuse a written sweep.csv so they
+    are pure functions of it; else the thunk runs the sweep and reads its
+    table back as that file would hold it."""
     path = manifest.out / "sweep.csv"
     run = _load(manifest)
     if path.exists():
         vary, cols, errors = parse_table_csv(path.read_text())
-        return run, vary, cols, errors
+        return run, vary, list(cols), lambda: (cols, errors)
     spec = _spec_from_run(run, manifest)
-    table = run_sweep(spec)
-    cols = {spec.vary: table.values, **table.columns}
-    return run, spec.vary, cols, table.errors
+    names = [spec.vary, *spec.quantities, "mesh_nodes", "rcond"]
+    return run, spec.vary, names, \
+        lambda: parse_table_csv(serialize_table(run_sweep(spec)))[1:]
 
 
 def _fit_columns(vary, cols, errors) -> dict[str, RateFit]:
@@ -180,8 +182,8 @@ def _fit_columns(vary, cols, errors) -> dict[str, RateFit]:
 
 
 def cmd_rates(manifest: RunManifest) -> int:
-    run, vary, cols, errors = _table_or_run(manifest)
-    fits = _fit_columns(vary, cols, errors)
+    _, vary, _, table = _sweep_source(manifest)
+    fits = _fit_columns(vary, *table())
     lines = ["# neckfield-rates v1", f"# generated: {_stamp()}",
              "quantity,exponent,intercept,r_squared,n_points"]
     for name, f in fits.items():
@@ -197,17 +199,18 @@ def _guide_slope_for(name: str, run: RunInput) -> float:
 
 
 def cmd_plot(manifest: RunManifest) -> int:
-    run, vary, cols, errors = _table_or_run(manifest)
+    # both keys are checked before a sweep runs
+    run, vary, names, table = _sweep_source(manifest)
     quantity = run.sweep.get("plot_quantity")
     if not quantity:
-        candidates = [c for c in cols if c not in (vary, "mesh_nodes", "rcond")]
-        quantity = candidates[0]
-    if quantity not in cols:
+        quantity = next(c for c in names if c not in (vary, "mesh_nodes", "rcond"))
+    if quantity not in names:
         raise ConfigParseError(f"[sweep] plot_quantity: {quantity!r} is not a column "
                                "of the sweep")
+    guide = _guide_slope_for(quantity, run)
+    cols, errors = table()
     fits = _fit_columns(vary, cols, errors)
     fit = fits.get(quantity)
-    guide = _guide_slope_for(quantity, run)
     x = np.asarray(cols[vary])
     y = np.abs(np.asarray(cols[quantity]))
     good = np.array([e is None for e in errors]) & np.isfinite(y) & (y > 0)

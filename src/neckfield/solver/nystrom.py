@@ -17,10 +17,11 @@ Nyquist mode, whose derivative on the grid is ambiguous.
 
 Off-curve rule: one evaluator serves every target of every curve, the
 cross blocks of S in assembly as much as ``potential``, ``gradient`` and
-the normal derivative on the boundary, at any distance. K' is never
-assembled: its cross part is this evaluator's derivative applied to the
-other curves' densities, its own-curve part a block applied to the curve's
-own density. Each curve's single layer is written as
+the normal derivative on the boundary, at any distance. Only K''s own
+blocks are assembled, each once per curve with S's from one pairwise node
+difference (``SceneOperator._build_curve``); K''s cross part is this
+evaluator's derivative applied to the other curves' densities. Each
+curve's single layer is written as
 ``Re F + (Q/2pi) log|z - z_c|`` with F analytic off the curve, Q the
 curve's charge and z_c a point well inside its body. F is built once per
 operator at the nodes as a linear map of the curve's g, stored once as the
@@ -38,11 +39,13 @@ Inside a body the exterior denominator vanishes; ``potential`` and
 
 Sign conventions (used consistently everywhere):
 
-  * the boundary normal ``nu`` points INTO a body (outward normal of the
-    exterior domain), so the flux of the field through a body boundary is
-    minus the enclosed single-layer charge: ``int_dB nu.grad u dS = -q_B``;
-  * exterior-side jump relation: d/dn_out S = +sigma/2 + K'sigma, hence
-    ``nu.grad u = -(dH/dn_out + sigma/2 + K'sigma)`` on body boundaries.
+  * the boundary normal ``nu`` is the domain's outward normal, INTO a body
+    and out of an enclosing curve; the flux of the field through a body
+    boundary is minus the enclosed single-layer charge: ``int_dB nu.grad u
+    dS = -q_B``;
+  * jump relation on the domain's side, side +1 on a body and -1 on an
+    enclosing curve: d/dn_out S = side sigma/2 + K'sigma and nu = -side
+    n_out, hence ``nu.grad u = -(dH/dn_out + sigma/2 + K'sigma)`` on bodies.
 
 Every problem is a bordered system: collocation rows hold the field at a
 constant per group of bodies, plus the group's given data, and one charge
@@ -61,7 +64,7 @@ factor, follows every solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -121,33 +124,25 @@ def _spectral(values: np.ndarray, power: int) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(values, axis=0) * mult[:, None], n, axis=0)
 
 
-def _kprime_self_block(cm: CurveMesh) -> np.ndarray:
-    """Own-curve block of K' acting on g: (1/2pi) Re(nu_i/(y_i - y_j)) h,
-    with the smooth diagonal limit kappa_i/(4pi) h."""
-    y = _complex(cm.nodes)
-    diff = y[:, None] - y[None, :]
-    np.fill_diagonal(diff, 1.0)
-    blk = _complex(cm.normal_out)[:, None] / diff
-    blk = blk.real * (cm.h / _TWO_PI)
-    np.fill_diagonal(blk, cm.curvature / (4.0 * np.pi) * cm.h)
-    return blk
-
-
 @dataclass(frozen=True)
 class _CurveData:
-    """Boundary data of one curve's single layer S_c g for the compensated
-    Cauchy sums: ``S_c g = Re F + (Q/2pi) log|z - zc|`` off the curve, Q = h
-    sum(g). ``F`` maps g to F at the nodes, stored once as a real stack:
-    rows 2j and 2j+1 are Re F and -Im F at node j. F' g is taken per call,
-    the spectral derivative of F g over y'. ``y`` are the nodes and ``w`` =
-    y'(t_j) h the Cauchy weights, as complex numbers. ``zc`` is None on an
-    enclosing curve, whose domain lies inside it."""
+    """One curve's record, built with its block of S (``_build_curve``).
+    Off the curve ``S_c g = Re F + (Q/2pi) log|z - zc|``, Q = h sum(g).
+    ``F`` maps g to F at the nodes as a real stack: rows 2j and 2j+1 are
+    Re F and -Im F at node j; F' g is the spectral derivative of F g over
+    y'. ``kprime`` is K''s own block acting on g, (1/2pi) Re(n_out_i/(y_i -
+    y_j)) h with the diagonal limit kappa_i/(4pi) h. ``y`` are the nodes and
+    ``w`` = y'(t_j) h the Cauchy weights, as complex numbers. ``side`` is
+    +1 on a body and -1 on an enclosing curve, whose domain lies inside it
+    and which has no ``zc``."""
 
     y: np.ndarray
     w: np.ndarray
     zc: Optional[complex]
     h: float
     F: np.ndarray
+    kprime: np.ndarray
+    side: float
 
     def values(self, g: np.ndarray, derivative: bool = False) -> np.ndarray:
         """F g at the nodes, or with ``derivative`` F' g."""
@@ -167,7 +162,6 @@ class SceneOperator:
         self.cfg = cfg
         self.controls = controls
         self.mesh = mesh if mesh is not None else build_mesh(cfg, controls)
-        self._data: dict[int, _CurveData] = {}
         self._lu = None
         self._assemble_slp()
 
@@ -191,37 +185,47 @@ class SceneOperator:
         clearance = np.min(np.hypot(*(cand[:, None, :] - cm.nodes[None, :, :]).T), axis=0)
         return complex(*cand[int(np.argmax(clearance))])
 
-    def _curve_data(self, curve_index: int) -> _CurveData:
-        """F of one curve at its nodes, as a map of its g, built on first
-        use. Re F is the own-block rule minus the log term; Im F is the
-        antiderivative in t of speed * d(Re F)/dn_out, the normal
-        derivative on the curve's side of the domain (all curves run
-        counterclockwise). Exterior data are shifted so F vanishes at
-        infinity, which the exterior Cauchy sum assumes."""
-        if curve_index not in self._data:
-            cm = self.mesh.curves[curve_index]
-            sl = self.mesh.curve_slice(curve_index)
-            y = _complex(cm.nodes)
-            dy = _complex(cm.velocity)
-            w = dy * cm.h
-            enclosing = curve_index >= len(self.cfg.bodies)
-            # jump relation with sigma = g/speed: speed (+-sigma/2 + K' sigma)
-            flux = cm.speed[:, None] * _kprime_self_block(cm)
-            flux[np.diag_indices(cm.n)] += -0.5 if enclosing else 0.5
-            re = self._slp[sl, sl].copy()
-            zc = None
-            if not enclosing:
-                zc = self._log_center(cm)
-                re -= (cm.h / _TWO_PI) * np.log(np.abs(y - zc))[:, None]
-                flux -= (cm.h / _TWO_PI) * (dy / (y - zc)).imag[:, None]
-            F = np.stack([re, -_spectral(flux, -1)], axis=1)
-            if zc is not None:
-                # F(inf) is the Cauchy integral at the interior point zc
-                c = w / (y - zc) / (2j * np.pi)
-                shift = c @ F[:, 0] - 1j * (c @ F[:, 1])
-                F -= np.stack([shift.real, -shift.imag])
-            self._data[curve_index] = _CurveData(y, w, zc, cm.h, F.reshape(2 * cm.n, cm.n))
-        return self._data[curve_index]
+    def _build_curve(self, curve_index: int) -> _CurveData:
+        """Write the curve's own block of S into ``_slp`` and return its
+        record, both from one pairwise node difference y_i - y_j. S's block
+        is the Kussmaul-Martensen rule plus the smooth part
+        log(|y_i - y_j|^2 / 4 sin^2((t_i - t_j)/2)). Re F is that block
+        minus the log term; Im F is the antiderivative in t of speed *
+        d(Re F)/dn_out, the normal derivative on the curve's side of the
+        domain (all curves run counterclockwise). Exterior data are shifted
+        so F vanishes at infinity, which the exterior Cauchy sum assumes."""
+        cm = self.mesh.curves[curve_index]
+        sl = self.mesh.curve_slice(curve_index)
+        y = _complex(cm.nodes)
+        dy = _complex(cm.velocity)
+        w = dy * cm.h
+        diff = y[:, None] - y[None, :]
+        np.fill_diagonal(diff, 1.0)
+        s2 = 4.0 * np.sin(0.5 * np.subtract.outer(cm.t, cm.t)) ** 2
+        np.fill_diagonal(s2, 1.0)
+        smooth = np.log((diff.real * diff.real + diff.imag * diff.imag) / s2)
+        np.fill_diagonal(smooth, 2.0 * np.log(cm.speed))
+        re = (scipy.linalg.circulant(kussmaul_row(cm.n)) + cm.h * smooth) / (4.0 * np.pi)
+        self._slp[sl, sl] = re
+        kprime = (_complex(cm.normal_out)[:, None] / diff).real * (cm.h / _TWO_PI)
+        np.fill_diagonal(kprime, cm.curvature / (4.0 * np.pi) * cm.h)
+        del diff, s2, smooth
+        side = 1.0 if curve_index < len(self.cfg.bodies) else -1.0
+        # jump relation with sigma = g/speed: speed (side sigma/2 + K' sigma)
+        flux = cm.speed[:, None] * kprime
+        flux[np.diag_indices(cm.n)] += side / 2
+        zc = None
+        if side > 0:
+            zc = self._log_center(cm)
+            re -= (cm.h / _TWO_PI) * np.log(np.abs(y - zc))[:, None]
+            flux -= (cm.h / _TWO_PI) * (dy / (y - zc)).imag[:, None]
+        F = np.stack([re, -_spectral(flux, -1)], axis=1)
+        if zc is not None:
+            # F(inf) is the Cauchy integral at the interior point zc
+            c = w / (y - zc) / (2j * np.pi)
+            shift = c @ F[:, 0] - 1j * (c @ F[:, 1])
+            F -= np.stack([shift.real, -shift.imag])
+        return _CurveData(y, w, zc, cm.h, F.reshape(2 * cm.n, cm.n), kprime, side)
 
     def _layer(self, curve_index: int, z: np.ndarray, g: Optional[np.ndarray] = None,
                derivative: bool = False) -> np.ndarray:
@@ -230,7 +234,7 @@ class SceneOperator:
         None, the block acting on the curve's g: the Cauchy weights are
         scaled by the denominator first, so Re(c F) is one real product of
         [Re c, Im c] with the stack [Re F; -Im F]."""
-        d = self._curve_data(curve_index)
+        d = self._curves[curve_index]
         c = d.y[None, :] - z[:, None]
         np.divide(d.w, c, out=c)
         den = c.sum(axis=1) - (0.0 if d.zc is None else 2j * np.pi)
@@ -249,30 +253,16 @@ class SceneOperator:
     # -- assembly ---------------------------------------------------------
 
     def _assemble_slp(self) -> None:
-        """Own blocks by the Kussmaul-Martensen rule, then each curve's
-        cross column block at the nodes of all other curves."""
+        """Curve by curve: its own block and record (``_build_curve``),
+        then its cross column block at the nodes of all other curves."""
         mesh = self.mesh
         self._slp = np.empty((mesh.n_total, mesh.n_total))
+        self._curves: list[_CurveData] = []
         z = _complex(mesh.nodes)
-        for ci, cm in enumerate(mesh.curves):
-            si = mesh.curve_slice(ci)
-            self._slp[si, si] = self._self_block(cm)
         for cj in range(len(mesh.curves)):
+            self._curves.append(self._build_curve(cj))
             others = mesh.body_of_node != cj
             self._slp[others, mesh.curve_slice(cj)] = self._layer(cj, z[others])
-
-    def _self_block(self, cm: CurveMesh) -> np.ndarray:
-        R = scipy.linalg.circulant(kussmaul_row(cm.n))
-        dt = cm.t[:, None] - cm.t[None, :]
-        s2 = 4.0 * np.sin(0.5 * dt) ** 2
-        dx = cm.nodes[:, 0][:, None] - cm.nodes[:, 0][None, :]
-        dy = cm.nodes[:, 1][:, None] - cm.nodes[:, 1][None, :]
-        d2 = dx * dx + dy * dy
-        np.fill_diagonal(d2, 1.0)
-        np.fill_diagonal(s2, 1.0)
-        K2 = np.log(d2 / s2)
-        np.fill_diagonal(K2, 2.0 * np.log(cm.speed))
-        return (R + cm.h * K2) / (4.0 * np.pi)
 
     # -- bordered solves -----------------------------------------------------
 
@@ -390,7 +380,7 @@ class SceneOperator:
         cm = self.mesh.curves[curve_index]
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         z = _complex(cm.point_at(ts))
-        d = self._curve_data(curve_index)
+        d = self._curves[curve_index]
         g_own = g[self.mesh.curve_slice(curve_index)]
         own = _dirichlet_rows(cm.t, ts) @ d.values(g_own).real
         if d.zc is not None:
@@ -416,6 +406,8 @@ class FieldSolution:
     constants: np.ndarray
     background: Optional[HarmonicBackground]
     rcond: float
+    # nu.grad of the field per curve, computed on first use
+    _dnu: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def mesh(self) -> BoundaryMesh:
@@ -469,23 +461,26 @@ class FieldSolution:
         return sum(self.boundary_flux(b) for b in self.groups[group])
 
     def normal_derivative_nodes(self) -> np.ndarray:
-        """nu.grad of the field at all nodes (exterior-side limit)."""
+        """nu.grad of the field at all nodes, nu the domain's outward normal."""
         return np.concatenate([self._normal_derivative(ci)
                                for ci in range(len(self.mesh.curves))])
 
     def _normal_derivative(self, curve_index: int) -> np.ndarray:
-        """nu.grad of the field at one curve's nodes: the jump sigma/2 and
-        the curve's own K' block applied to its g, plus the normal
-        component of the other curves' layer gradients there."""
-        cm = self.mesh.curves[curve_index]
-        own = self.mesh.curve_slice(curve_index)
-        cross = self.op._layers(self.g, _complex(cm.nodes), True, skip=curve_index)
-        val = (self.sigma[own] / 2 + _kprime_self_block(cm) @ self.g[own]
-               + (cross * _complex(cm.normal_out)).real)
-        if self.background is not None:
-            val = val + np.einsum("ij,ij->i", self.background.gradient(cm.nodes),
-                                  cm.normal_out)
-        return -val
+        """nu.grad of the field at one curve's nodes, computed once: the
+        jump side sigma/2 and the curve's own K' block applied to its g,
+        plus the normal component of the other curves' layer gradients
+        there, give d/dn_out on the domain's side; nu = -side n_out."""
+        if curve_index not in self._dnu:
+            cm, d = self.mesh.curves[curve_index], self.op._curves[curve_index]
+            own = self.mesh.curve_slice(curve_index)
+            cross = self.op._layers(self.g, _complex(cm.nodes), True, skip=curve_index)
+            val = (d.side * self.sigma[own] / 2 + d.kprime @ self.g[own]
+                   + (cross * _complex(cm.normal_out)).real)
+            if self.background is not None:
+                val = val + np.einsum("ij,ij->i", self.background.gradient(cm.nodes),
+                                      cm.normal_out)
+            self._dnu[curve_index] = -d.side * val
+        return self._dnu[curve_index]
 
     def flux_quadrature(self) -> np.ndarray:
         """Flux through each group's boundary by node quadrature of the

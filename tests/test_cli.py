@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from neckfield import SmoothBoundary, asymptotics, build_case_a, build_case_d
+from neckfield import cli
 from neckfield.cli import main
 from neckfield.geometry.serialize import emit_configuration
 from neckfield.sweeps import parse_table_csv
@@ -178,11 +179,26 @@ class TestSweepPipeline:
         ("plot_quantity = bogus\n", "[sweep] plot_quantity"),
         ("guide_slope = steep\n", "[sweep] guide_slope"),
     ], ids=["plot_quantity", "guide_slope"])
-    def test_malformed_plot_keys(self, tmp_path, capsys, line, named):
+    def test_malformed_plot_keys(self, tmp_path, capsys, monkeypatch, line, named):
+        # a bad key is refused before any sweep runs
+        sweeps = []
+        run_sweep = cli.run_sweep
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: sweeps.append(spec) or run_sweep(spec))
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(PAIR_CFG.replace("[mesh]", line + "\n[mesh]"))
         assert main(["plot", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+        assert sweeps == []
+
+    def test_plot_reads_the_same_columns_with_or_without_a_table(self, tmp_path):
+        # the freshly run sweep has every column of a written sweep.csv
+        cfg = tmp_path / "rcond.cfg"
+        cfg.write_text(PAIR_CFG.replace("[mesh]", "plot_quantity = rcond\n\n[mesh]"))
+        fresh, stored = tmp_path / "fresh", tmp_path / "stored"
+        assert main(["plot", str(cfg), "--out", str(fresh)]) == 0
+        assert main(["sweep", str(cfg), "--out", str(stored)]) == 0
+        assert main(["plot", str(cfg), "--out", str(stored)]) == 0
+        assert (fresh / "plot.svg").read_bytes() == (stored / "plot.svg").read_bytes()
 
 
 class TestVerify:

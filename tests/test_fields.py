@@ -72,6 +72,20 @@ class TestDecomposition:
         assert dec.C1 == pytest.approx(-u.potential_difference(1, 0), abs=1e-12)
         assert dec.C3 == pytest.approx(u.potential_difference(2, 1), abs=1e-12)
 
+    def test_normal_derivative_on_the_enclosing_circle(self, case_b):
+        # nu is the domain's outward normal, out of the enclosing circle:
+        # the interior-side value there matches the gradient just inside,
+        # and the harmonic basis has no net flux through the whole boundary
+        cfg, op, u = case_b
+        dec = decompose_u(cfg, Disk((0.5, 0.0), 8.0), u=u)
+        for v in (dec.v0, dec.v1, dec.v3):
+            ring = v.mesh.curve_slice(3)
+            nodes, nu = v.mesh.nodes[ring], v.mesh.normals[ring]
+            dnu = v.normal_derivative_nodes()[ring]
+            inside = np.einsum("ij,ij->i", v.gradient(nodes - 1e-4 * nu), nu)
+            assert np.max(np.abs(dnu - inside)) <= 1e-4 * np.max(np.abs(dnu))
+            assert abs(v.flux_quadrature()[0]) < 1e-10
+
     def test_clearance_enforced(self, case_b):
         cfg, op, u = case_b
         with pytest.raises(InvalidGeometryError):

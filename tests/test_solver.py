@@ -46,6 +46,39 @@ class TestQuadratureCore:
         with pytest.raises(Exception):
             kussmaul_row(33)
 
+    @pytest.mark.parametrize("scene", ["pair", "A", "D"])
+    def test_own_blocks_match_their_formulas(self, scene):
+        # S's and K''s own blocks share one pairwise node difference; here
+        # each is written out on its own, S's from real coordinate
+        # differences. A is a lens with corners, D three ellipses
+        ell = SmoothBoundary.ellipse
+        cfg = {
+            "pair": lambda: build_two_disks(1, 1, 1e-6),
+            "A": lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
+            "D": lambda: build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                                      ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3),
+        }[scene]()
+        op = SceneOperator(cfg)
+        for ci, cm in enumerate(op.mesh.curves):
+            dt = cm.t[:, None] - cm.t[None, :]
+            s2 = 4.0 * np.sin(0.5 * dt) ** 2
+            dx, dy = (cm.nodes[:, k][:, None] - cm.nodes[:, k][None, :] for k in (0, 1))
+            d2 = dx * dx + dy * dy
+            np.fill_diagonal(d2, 1.0)
+            np.fill_diagonal(s2, 1.0)
+            smooth = np.log(d2 / s2)
+            np.fill_diagonal(smooth, 2.0 * np.log(cm.speed))
+            slp = (scipy.linalg.circulant(kussmaul_row(cm.n)) + cm.h * smooth) / (4 * np.pi)
+            y = cm.nodes[:, 0] + 1j * cm.nodes[:, 1]
+            diff = y[:, None] - y[None, :]
+            np.fill_diagonal(diff, 1.0)
+            kprime = ((cm.normal_out[:, 0] + 1j * cm.normal_out[:, 1])[:, None] / diff).real
+            kprime *= cm.h / (2 * np.pi)
+            np.fill_diagonal(kprime, cm.curvature / (4 * np.pi) * cm.h)
+            sl = op.mesh.curve_slice(ci)
+            for built, ref in ((op._slp[sl, sl], slp), (op._curves[ci].kprime, kprime)):
+                assert np.max(np.abs(built - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_dirichlet_rows_reproduce_trig_polynomials(self):
         # on the midpoint grid the Nyquist mode samples as sin(N t/2),
         # which the evenly split interpolant reproduces between the nodes
@@ -647,6 +680,40 @@ class TestGapMaximum:
             frames.clear()
             max_gap_gradient(u, cfg.conductor_gap(i, j))
             assert curves == [i, j] and frames == [i, j]
+
+    def test_boundary_reads_build_no_curve(self, monkeypatch):
+        # every curve's own blocks are built with the operator; reading
+        # nu.grad afterwards builds none again
+        cfg = build_case_b(1, 0.05, 1, 1e-4, 1e-3)
+        op = SceneOperator(cfg)
+        u, h = op.solve_u(), op.solve_h(((0,), (1, 2)))
+        builds = []
+        build = SceneOperator._build_curve
+        monkeypatch.setattr(SceneOperator, "_build_curve",
+                            lambda op, ci: builds.append(ci) or build(op, ci))
+        u.normal_derivative_nodes()
+        max_gap_gradient(h, cfg.conductor_gap(0, 1))
+        h.boundary_flux_weighted(2, cfg.background)
+        assert builds == []
+
+    def test_sweep_row_computes_each_curve_once(self, monkeypatch):
+        # both gap maxima and the flux residual read the conductor field's
+        # normal derivative; each curve's is computed once per field
+        computed = []
+        layers = SceneOperator._layers
+
+        def counted(op, g, z, derivative=False, skip=None):
+            if skip is not None:
+                computed.append(skip)
+            return layers(op, g, z, derivative, skip)
+
+        monkeypatch.setattr(SceneOperator, "_layers", counted)
+        spec = SweepSpec(case_tag="B", vary="eps1", grid=(1e-4,),
+                         fixed={"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps2": 1e-3},
+                         quantities=("max_gap_gradient_12", "max_gap_gradient_23",
+                                     "flux_residual_max"))
+        assert run_sweep(spec).errors == [None]
+        assert computed == [0, 1, 2]
 
     @pytest.mark.parametrize("scene", ["pair", "A", "B", "C", "D"])
     def test_forward_map_puts_each_foot_at_its_gap_end(self, scene):
