@@ -248,9 +248,13 @@ class SmoothBoundary:
     def _similar(self, center, s: float) -> "SmoothBoundary":
         """This curve moved to ``center`` with its coefficients scaled by
         s > 0. A positive similarity keeps the curve simple, counterclockwise
-        and regular, so ``validate()`` is not run again."""
-        return _unchecked(center, tuple(tuple(float(s * v) for v in getattr(self, name))
-                                        for name in _COEFFS))
+        and regular, so ``validate()`` is not run again. A translate
+        (s == 1) shares this curve's coefficient tables."""
+        out = _unchecked(center, tuple(tuple(float(s * v) for v in getattr(self, name))
+                                       for name in _COEFFS))
+        if s == 1.0:
+            object.__setattr__(out, "_tables", self._tables)
+        return out
 
 
 def _unchecked(center, coeffs) -> SmoothBoundary:

@@ -1,5 +1,6 @@
 import importlib
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -359,6 +360,26 @@ class TestCaseCD:
         assert calls["body_gap"] <= 60
         assert cfg.conductor_gap(0, 1).distance == pytest.approx(eps, rel=1e-12)
         assert cfg.conductor_gap(1, 2).distance == pytest.approx(eps, rel=1e-12)
+
+    def test_case_d_builds_one_table_per_coefficient_set(self, monkeypatch):
+        # the translates of the translation solve and of the recentering
+        # share their curve's coefficient tables, so the three coefficient
+        # sets (two ellipses, the scaled middle one) are tabulated once each
+        ell = SmoothBoundary.ellipse
+        shapes = (ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                  ell((0.0, 0.0), 1.1, 0.9))
+        built = []
+        tables = SmoothBoundary._tables.func
+
+        def counted(curve):
+            built.append((curve.cos_x, curve.sin_x, curve.cos_y, curve.sin_y))
+            return tables(curve)
+
+        prop = cached_property(counted)
+        prop.__set_name__(SmoothBoundary, "_tables")
+        monkeypatch.setattr(SmoothBoundary, "_tables", prop)
+        build_case_d(*shapes, 0.05, 1e-3, 1e-3)
+        assert len(built) == len(set(built)) == 3
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-3])
     def test_translation_returns_its_measured_gap(self, eps):

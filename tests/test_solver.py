@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -23,42 +24,67 @@ from neckfield.solver.mesh import _clustered_mass, build_mesh
 from neckfield.solver.nystrom import _dirichlet_rows, kussmaul_row
 
 
-def single_disk(radius=1.0):
-    return Configuration((Body.from_disk(Disk((0, 0), radius)),), ((0,),),
+def single_disk(radius=1.0, center=(0, 0)):
+    return Configuration((Body.from_disk(Disk(center, radius)),), ((0,),),
                          HarmonicBackground.linear_x())
+
+
+# Moves a scene off the x-axis, so that it keeps the full system.
+OFF_AXIS = (0.0, 0.37)
+
+
+def kept_rows(op):
+    """The nodes whose rows op._slp holds: all, or the upper-half nodes."""
+    return np.arange(op.mesh.n_total) if op._fold is None else op._fold.top
+
+
+def folded(op, block):
+    """One curve's own block of the full matrix as op._slp holds it: all
+    of it, or on a mirror-symmetric scene its upper-half rows, each column
+    plus its mirror's (node N-1-k mirrors node k)."""
+    if op._fold is None:
+        return block
+    top = np.arange(block.shape[0] // 2)
+    partner = block.shape[0] - 1 - top
+    return block[top][:, top] + block[top][:, partner]
 
 
 class TestQuadratureCore:
     def test_log_rule_eigenvalues(self):
         # on a circle of radius a the single layer maps cos(mt) to
-        # -a cos(mt)/(2m) and constants to a log(a)
-        for a in (1.0, 2.0):
-            op = SceneOperator(single_disk(a), MeshControls(base_n=64))
-            A = op._slp
+        # -a cos(mt)/(2m) and constants to a log(a). Both are even in t,
+        # so the folded rows of a centered disk map their upper halves alike
+        for a, center in itertools.product((1.0, 2.0), ((0.0, 0.0), OFF_AXIS)):
+            op = SceneOperator(single_disk(a, center), MeshControls(base_n=64))
+            assert (op._fold is None) == (center == OFF_AXIS)
+            A, keep = op._slp, kept_rows(op)
             t = op.mesh.curves[0].t
             for m in (1, 3, 7):
                 g = np.cos(m * t) * a
-                err = np.max(np.abs(A @ g + a * np.cos(m * t) / (2 * m)))
+                err = np.max(np.abs(A @ g[keep] + a * np.cos(m * t[keep]) / (2 * m)))
                 assert err < 1e-13
-            assert np.max(np.abs(A @ (np.ones_like(t) * a) - a * np.log(a))) < 1e-13
+            assert np.max(np.abs(A @ np.full(keep.size, a) - a * np.log(a))) < 1e-13
 
     def test_log_rule_needs_even_count(self):
         with pytest.raises(Exception):
             kussmaul_row(33)
 
-    @pytest.mark.parametrize("scene", ["pair", "A", "D"])
+    @pytest.mark.parametrize("scene", ["pair", "A", "D", "pair off axis"])
     def test_own_blocks_match_their_formulas(self, scene):
         # S's and K''s own blocks share one pairwise node difference; here
         # each is written out on its own, S's from real coordinate
-        # differences. A is a lens with corners, D three ellipses
+        # differences and the full sin^2 table. A is a lens with corners,
+        # D three ellipses; the pair and D keep folded rows
         ell = SmoothBoundary.ellipse
         cfg = {
             "pair": lambda: build_two_disks(1, 1, 1e-6),
             "A": lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
             "D": lambda: build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
                                       ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3),
+            "pair off axis": lambda: build_two_disks(1, 1, 1e-6).translated(OFF_AXIS),
         }[scene]()
         op = SceneOperator(cfg)
+        assert (op._fold is None) == (scene in ("A", "pair off axis"))
         for ci, cm in enumerate(op.mesh.curves):
             dt = cm.t[:, None] - cm.t[None, :]
             s2 = 4.0 * np.sin(0.5 * dt) ** 2
@@ -75,8 +101,9 @@ class TestQuadratureCore:
             kprime = ((cm.normal_out[:, 0] + 1j * cm.normal_out[:, 1])[:, None] / diff).real
             kprime *= cm.h / (2 * np.pi)
             np.fill_diagonal(kprime, cm.curvature / (4 * np.pi) * cm.h)
-            sl = op.mesh.curve_slice(ci)
-            for built, ref in ((op._slp[sl, sl], slp), (op._curves[ci].kprime, kprime)):
+            own = op._unknowns(ci)
+            for built, ref in ((op._slp[own, own], folded(op, slp)),
+                               (op._curves[ci].kprime, kprime)):
                 assert np.max(np.abs(built - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_dirichlet_rows_reproduce_trig_polynomials(self):
@@ -145,12 +172,18 @@ class TestQuadratureCore:
             assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     def test_on_surface_potential_at_nodes(self):
-        # at the node parameters the interpolated rule is the node rule
-        op = SceneOperator(single_disk(1.5))
-        g = np.random.default_rng(5).standard_normal(op.mesh.n_total)
-        ref = op._slp @ g
-        got = op.on_surface_potential(g, 0, op.mesh.curves[0].t)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # at the node parameters the interpolated rule is the node rule; a
+        # folded operator holds the upper-half rows, so its g is even
+        for center in ((0.0, 0.0), OFF_AXIS):
+            op = SceneOperator(single_disk(1.5, center))
+            assert (op._fold is None) == (center == OFF_AXIS)
+            g = np.random.default_rng(5).standard_normal(op.mesh.n_total)
+            keep = kept_rows(op)
+            if op._fold is not None:
+                g = g + g[::-1]
+            ref = op._slp @ g[keep]
+            got = op.on_surface_potential(g, 0, op.mesh.curves[0].t[keep])
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestSingleDisk:
@@ -522,18 +555,23 @@ class TestCloseEvaluation:
         lambda: build_case_b(1.0, 0.05, 1.0, 1e-5, 1e-3),
         lambda: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
                              SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
-                             SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9), 0.05, 1e-4, 1e-4)],
-        ids=["B", "D"])
+                             SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9), 0.05, 1e-4, 1e-4),
+        lambda: build_case_b(1.0, 0.05, 1.0, 1e-5, 1e-3).translated(OFF_AXIS)],
+        ids=["B", "D", "B off axis"])
     def test_cross_blocks_match_the_layer_of_a_density(self, build):
         # assembly takes each cross block as one real product with F's
-        # stack; the layer of a given density sums F g in complex numbers
+        # stack, with folded columns at the upper-half rows of B and D; the
+        # layer of a given density sums F g in complex numbers
         op = SceneOperator(build())
         u = op.solve_u()
-        z = op.mesh.nodes[:, 0] + 1j * op.mesh.nodes[:, 1]
+        keep = kept_rows(op)
+        z = op.mesh.nodes[keep, 0] + 1j * op.mesh.nodes[keep, 1]
         for ci in range(len(op.mesh.curves)):
             own = op.mesh.curve_slice(ci)
-            others = op.mesh.body_of_node != ci
-            block = op._slp[others, own] @ u.g[own]
+            others = op.mesh.body_of_node[keep] != ci
+            cols = op._unknowns(ci)
+            # an even g's upper half on a folded operator
+            block = op._slp[others, cols] @ u.g[own][:cols.stop - cols.start]
             layer = op._layer(ci, z[others], u.g[own])
             assert np.max(np.abs(block - layer)) <= 1e-12 * np.max(np.abs(layer))
 
@@ -842,3 +880,51 @@ class TestOneFactorization:
                                  capture_output=True, text=True, check=True)
             values.append(float(out.stdout.strip().splitlines()[-1]))
         assert values[1] == pytest.approx(values[0], rel=1e-9)
+
+
+class TestMirrorFold:
+    """A scene even under y -> -y solves on its upper-half nodes; any other
+    scene keeps the full system."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_two_disks(1.0, 1.0, 1e-4),
+        lambda: build_case_b(1.0, 0.05, 1.0, 1e-4, 1e-3)], ids=["pair", "B"])
+    def test_folded_and_full_paths_agree(self, build):
+        # the twin moved off the axis has the same nodes up to the shift
+        # and solves the full system. u has no charge on any body, the
+        # unit-flux field h charges +-1
+        cfg = build()
+        twin = cfg.translated(OFF_AXIS)
+        op, op_full = SceneOperator(cfg), SceneOperator(twin)
+        assert op._fold is not None and op_full._fold is None
+        u, u_full = op.solve_u(), op_full.solve_u()
+        part = ((0,), tuple(range(1, len(cfg.bodies))))
+        h, h_full = op.solve_h(part), op_full.solve_h(part)
+        for f, f_full in ((u, u_full), (h, h_full)):
+            assert np.max(np.abs(f.g - f_full.g)) <= 1e-10 * np.max(np.abs(f_full.g))
+        assert h.potential_difference(1, 0) == pytest.approx(h_full.potential_difference(1, 0),
+                                                             rel=1e-10, abs=0)
+        for i in range(len(cfg.bodies) - 1):
+            du, du_full = (f.potential_difference(i + 1, i) for f in (u, u_full))
+            assert du == pytest.approx(du_full, rel=1e-10, abs=0)
+            grad, grad_full = (max_gap_gradient(f, c.conductor_gap(i, i + 1)).max_magnitude
+                               for f, c in ((u, cfg), (u_full, twin)))
+            assert grad == pytest.approx(grad_full, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
+        lambda: build_two_disks(1.0, 1.0, 1e-3,
+                                background=HarmonicBackground((0j, 1 + 0j, 0.25j)))],
+        ids=["A", "odd background"])
+    def test_no_fold(self, build):
+        # case A's lens mesh does not mirror its nodes; x + 0.25i z^2 has
+        # the odd part -xy/2
+        op = SceneOperator(build())
+        assert op._fold is None
+        assert op._slp.shape == (op.mesh.n_total, op.mesh.n_total)
+
+    def test_odd_data_raise(self):
+        op = SceneOperator(build_two_disks(1.0, 1.0, 1e-2))
+        n = op.mesh.n_total
+        with pytest.raises(InvalidUsageError):
+            op._solve(np.zeros(n, dtype=int), op.mesh.nodes[:, 1], np.zeros(1))
