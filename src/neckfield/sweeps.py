@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, InvalidParameterError, NeckfieldError,
-                     SweepFailureError)
+from .errors import (DomainError, InvalidParameterError, InvalidUsageError,
+                     NeckfieldError, SweepFailureError)
 from .geometry.config import Configuration, build_case
 from .geometry.shapes import Disk
 from . import images
@@ -49,6 +49,8 @@ class SweepSpec:
         g = np.asarray(self.grid, dtype=float)
         if g.size == 0:
             raise InvalidParameterError("sweep grid is empty")
+        if not np.all(np.isfinite(g)):
+            raise InvalidParameterError("sweep grid values must be finite")
         if np.any(np.diff(g) <= 0):
             raise InvalidParameterError("sweep grid must be strictly increasing")
         if not self.quantities:
@@ -56,6 +58,9 @@ class SweepSpec:
         unknown = [q for q in self.quantities if q not in QUANTITIES]
         if unknown:
             raise InvalidParameterError(f"unknown sweep quantities: {', '.join(unknown)}")
+        wrong = [q for q in self.quantities if _CASE_OF.get(q, self.case_tag) != self.case_tag]
+        if wrong:
+            raise InvalidParameterError(f"quantities of another case: {', '.join(wrong)}")
 
     def params_at(self, value: float) -> dict:
         p = {self.vary: float(value)}
@@ -65,15 +70,18 @@ class SweepSpec:
 
 
 def log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
-    if points < 1 or lo <= 0 or hi <= lo:
+    if points < 1 or not 0 < lo < hi < np.inf:
         raise InvalidParameterError("bad log grid specification")
     return tuple(float(v) for v in np.geomspace(lo, hi, points))
 
 
 class RowContext:
     """Lazy per-row solves shared by the recorded quantities: each is made
-    on first use and kept for the rest of the row. The mesh size and rcond
-    are those of the operator, which every solve factors, once it is built."""
+    on first use and kept for the rest of the row. h1 and h2 are the
+    unit-flux fields of the first and of the last body against the rest;
+    u_split is u with h1's two groups as its conductors. The mesh size and
+    rcond are those of the operator, which every solve factors, once it is
+    built."""
 
     def __init__(self, cfg: Configuration, controls: MeshControls, seed: int):
         self.cfg = cfg
@@ -87,6 +95,23 @@ class RowContext:
     @cached_property
     def u(self):
         return self.op.solve_u()
+
+    @cached_property
+    def u_split(self):
+        return self.op.solve_u(groups=self._first_split)
+
+    @cached_property
+    def h1(self):
+        return self.op.solve_h(self._first_split)
+
+    @cached_property
+    def h2(self):
+        n = len(self.cfg.bodies)
+        return self.op.solve_h((tuple(range(n - 1)), (n - 1,)))
+
+    @property
+    def _first_split(self):
+        return (0,), tuple(range(1, len(self.cfg.bodies)))
 
     @cached_property
     def rep(self):
@@ -147,19 +172,99 @@ def _exterior_probes(cfg: Configuration, count: int, rng) -> np.ndarray:
     return np.asarray(pts[:count])
 
 
-# The entries are lambdas, so each looks up max_gap_gradient and the images
-# functions by module-level name when it runs. The benchmark's tracer
-# (benchmarks/spans.py) replaces those names with timing wrappers; a table
-# that held the function objects themselves would bypass them.
+def _gap_gradient(name: str, i: int) -> Callable[[RowContext], float]:
+    """Max |grad| of the row's field ``name`` in the gap of conductors i, i + 1."""
+    return lambda ctx: max_gap_gradient(getattr(ctx, name),
+                                        ctx.cfg.conductor_gap(i, i + 1)).max_magnitude
+
+
+def _weighted_flux(ctx: RowContext) -> float:
+    """Sum of h1's H-weighted fluxes; it equals u_split's difference."""
+    return sum(ctx.h1.boundary_flux_weighted(b, ctx.cfg.background)
+               for b in range(len(ctx.cfg.bodies)))
+
+
+def _identity_residual(ctx: RowContext) -> float:
+    du = ctx.u_split.constants[1] - ctx.u_split.constants[0]
+    return abs(_weighted_flux(ctx) - du) / max(abs(du), 1e-300)
+
+
+def _dnu_h1_and(ctx: RowContext, pair, curve: int) -> tuple[np.ndarray, np.ndarray]:
+    """nu.grad of h1 and of the images field ``pair`` at one curve's nodes,
+    nu pointing into the body."""
+    cm = ctx.op.mesh.curves[curve]
+    return (ctx.h1.normal_derivative_nodes()[ctx.op.mesh.curve_slice(curve)],
+            -np.einsum("ij,ij->i", pair.gradient(cm.nodes), cm.normal_out))
+
+
+def _flux_off_lump(ctx: RowContext) -> float:
+    """Max |nu.grad h1| on the lens away from its small disk (case A)."""
+    dnu = ctx.h1.normal_derivative_nodes()[ctx.op.mesh.curve_slice(1)]
+    on_big = ~ctx.cfg.bodies[1].lens_disks[0].contains(ctx.op.mesh.curves[1].nodes, pad=1e-12)
+    return float(np.max(np.abs(dnu[on_big])))
+
+
+def _outer_pair(ctx: RowContext):
+    """Pair field of the left disk and the lens's big disk (case A), and
+    h1's difference over the pair's boundary-value difference."""
+    psi = images.psi_two_disks(ctx.cfg.bodies[0].disk, ctx.cfg.bodies[1].lens_disks[1])
+    return psi, ctx.h1.potential_difference(1, 0) / (psi.boundary_value_2 - psi.boundary_value_1)
+
+
+def _outer_pair_sign(ctx: RowContext) -> float:
+    """1 if d_nu h1 <= M d_nu psi_outer on the left boundary; else 0."""
+    psi, m = _outer_pair(ctx)
+    lhs, rhs = _dnu_h1_and(ctx, psi, 0)
+    return float(np.all(lhs - m * rhs <= 1e-8 * np.max(np.abs(lhs))))
+
+
+def _adjacent_pair_domination(ctx: RowContext) -> float:
+    """1 if 0 <= d_nu h1 <= d_nu of the adjacent pair field on the middle
+    boundary and h1's difference lies in (0, the pair's]; else 0 (case B)."""
+    pair = images.psi_two_disks(ctx.cfg.bodies[0].disk, ctx.cfg.bodies[1].disk)
+    lhs, rhs = _dnu_h1_and(ctx, pair, 1)
+    tol = 1e-8 * np.max(np.abs(rhs))
+    diff = ctx.h1.potential_difference(1, 0)
+    return float(np.all(lhs >= -tol) and np.all(lhs - rhs <= tol) and 0 < diff
+                 <= (pair.boundary_value_2 - pair.boundary_value_1) * (1 + 1e-9))
+
+
+def _enclosing_disks(ctx: RowContext) -> tuple[Disk, Disk]:
+    """The left disk and a disk of radius 1.75 r3 around the middle and
+    right bodies, whose gap to the left disk is eps1 (case B)."""
+    p, bodies = ctx.cfg.params, ctx.cfg.bodies
+    radius = 1.75 * p["r3"]
+    x = p["eps1"] / 2 + radius
+    # containment is tangential at the gap point by construction: allow roundoff
+    for b in (bodies[1].disk, bodies[2].disk):
+        if np.hypot(b.center[0] - x, b.center[1]) + b.radius - radius > 1e-9 * radius:
+            raise InvalidUsageError("enclosing comparison disk does not contain the bodies")
+    return bodies[0].disk, Disk((x, 0.0), radius)
+
+
+def _enclosing_pair_ratio(ctx: RowContext) -> float:
+    """Max of d_nu h1 over d_nu of the enclosing pair field on the left
+    boundary where the latter is not negligible; nan if d_nu h1 > 0 there."""
+    lhs, rhs = _dnu_h1_and(ctx, images.psi_two_disks(*_enclosing_disks(ctx)), 0)
+    if not np.all(lhs <= 1e-8 * np.max(np.abs(lhs))):
+        return np.nan
+    meaningful = np.abs(rhs) >= 1e-3 * np.max(np.abs(rhs))
+    return float(np.max(lhs[meaningful] / rhs[meaningful]))
+
+
+# Each entry is a raw per-row value. The verify suites are check tables
+# over these columns (asymptotics.lemma_suite), so a value a suite judges
+# can be swept, fitted and plotted too. Entries look up max_gap_gradient and
+# the images functions by module-level name when they run: the benchmark's
+# tracer (benchmarks/spans.py) replaces those names with timing wrappers,
+# and a table that held the function objects themselves would bypass them.
 QUANTITIES: dict[str, Callable[[RowContext], float]] = {
     "gap_distance_12": lambda ctx: ctx.cfg.conductor_gap(0, 1).distance,
     "gap_distance_23": lambda ctx: ctx.cfg.conductor_gap(1, 2).distance,
     "potential_difference_21": lambda ctx: ctx.u.potential_difference(1, 0),
     "potential_difference_32": lambda ctx: ctx.u.potential_difference(2, 1),
-    "max_gap_gradient_12":
-        lambda ctx: max_gap_gradient(ctx.u, ctx.cfg.conductor_gap(0, 1)).max_magnitude,
-    "max_gap_gradient_23":
-        lambda ctx: max_gap_gradient(ctx.u, ctx.cfg.conductor_gap(1, 2)).max_magnitude,
+    "max_gap_gradient_12": _gap_gradient("u", 0),
+    "max_gap_gradient_23": _gap_gradient("u", 1),
     "psi_gap_difference": lambda ctx: images.psi_gap_difference(*_pair_disks(ctx.cfg)),
     "u_difference_oracle": lambda ctx: images.two_disk_potential_difference(
         *_pair_disks(ctx.cfg), ctx.cfg.background),
@@ -171,7 +276,31 @@ QUANTITIES: dict[str, Callable[[RowContext], float]] = {
     "decomp_c1_abs": lambda ctx: abs(ctx.dec.C1),
     "decomp_c3_abs": lambda ctx: abs(ctx.dec.C3),
     "decomp_v0_max_grad": _v0_max_grad,
+    "identity_residual": _identity_residual,
+    "far_flux": lambda ctx: ctx.h1.boundary_flux(2),
+    "weighted_flux": lambda ctx: abs(_weighted_flux(ctx)),
+    "split_difference_12": lambda ctx: ctx.h1.potential_difference(1, 0),
+    "split_difference_23": lambda ctx: ctx.h2.potential_difference(1, 0),
+    "h1_gap_gradient_12": _gap_gradient("h1", 0),
+    "h2_gap_gradient_12": _gap_gradient("h2", 0),
+    "h1_gap_gradient_23": _gap_gradient("h1", 1),
+    "h2_gap_gradient_23": _gap_gradient("h2", 1),
+    "flux_off_lump": _flux_off_lump,
+    "outer_pair_ratio": lambda ctx: _outer_pair(ctx)[1],
+    "outer_pair_sign": _outer_pair_sign,
+    "lump_pair_mismatch": lambda ctx: abs(ctx.h1.potential_difference(1, 0) - (
+        images.psi_gap_difference(ctx.cfg.bodies[0].disk, ctx.cfg.bodies[1].lens_disks[0]))),
+    "adjacent_pair_domination": _adjacent_pair_domination,
+    "enclosing_pair_ratio": _enclosing_pair_ratio,
+    # 1 if h1's difference is at least the enclosing pair's; else 0
+    "enclosing_pair_difference": lambda ctx: float(ctx.h1.potential_difference(1, 0) >= (
+        images.psi_gap_difference(*_enclosing_disks(ctx)) * (1 - 1e-9))),
 }
+# The quantities that read one case's bodies by position, and that case.
+_CASE_OF = dict.fromkeys(("flux_off_lump", "outer_pair_ratio", "outer_pair_sign",
+                          "lump_pair_mismatch"), "A") | dict.fromkeys(
+    ("far_flux", "adjacent_pair_domination", "enclosing_pair_ratio",
+     "enclosing_pair_difference"), "B")
 
 
 @dataclass

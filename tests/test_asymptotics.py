@@ -3,12 +3,14 @@ import pytest
 
 from neckfield import (InvalidParameterError, SmoothBoundary, bound_case_a,
                        bound_case_b, bound_case_c, bound_case_d,
-                       bound_three_general, build_case_a, build_case_d,
-                       build_two_disks, lemma_suite)
-from neckfield import asymptotics
+                       bound_three_general, build_case_a, build_case_b,
+                       build_case_d, build_two_disks, lemma_suite)
+from neckfield import sweeps
 from neckfield.asymptotics import DiagnosticCheck
-from neckfield.errors import InvalidUsageError
+from neckfield.cli import main
+from neckfield.errors import InvalidUsageError, NeckfieldError, NumericFailureError
 from neckfield.solver.mesh import MeshControls
+from neckfield.solver.nystrom import SceneOperator
 
 
 class TestBoundFormulas:
@@ -110,13 +112,13 @@ class TestDiagnostics:
         cfg = build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
                            ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3)
         scenes = []
-        operator = asymptotics.SceneOperator
+        operator = sweeps.SceneOperator
 
         def spy(c, *args, **kwargs):
             scenes.append(c)
             return operator(c, *args, **kwargs)
 
-        monkeypatch.setattr(asymptotics, "SceneOperator", spy)
+        monkeypatch.setattr(sweeps, "SceneOperator", spy)
         grid = [1e-4, 1e-3]
         a = lemma_suite(cfg, eps_grid=grid).to_csv()
         assert lemma_suite(cfg, eps_grid=grid).to_csv() == a
@@ -125,6 +127,32 @@ class TestDiagnostics:
             assert c.case_tag == "D" and (c.params["eps1"], c.params["eps2"]) == (eps, eps)
             for i in (0, 1):
                 assert abs(c.body_pair_gap(i, i + 1).distance - eps) <= 1e-10
+
+    def test_a_failed_row_stays_loud(self, tmp_path, monkeypatch, capsys):
+        # a solve that fails at one gap of the grid is an error of the
+        # suite, never a failed check
+        solve_h = SceneOperator.solve_h
+
+        def failing(op, partition):
+            if op.cfg.params["eps1"] == 1e-4:
+                raise NumericFailureError("injected solve failure")
+            return solve_h(op, partition)
+
+        monkeypatch.setattr(SceneOperator, "solve_h", failing)
+        cfg = build_case_b(1.0, 0.05, 1.0, 1e-3, 1e-3)
+        with pytest.raises(NeckfieldError, match="injected solve failure"):
+            lemma_suite(cfg, eps_grid=[1e-4, 1e-3])
+        path = tmp_path / "b.cfg"
+        path.write_text("[scene]\ncase = B\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
+                        "r3 = 1.0\neps1 = 0.001\neps2 = 0.001\n")
+        assert main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "injected solve failure" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "verify.csv").exists()
+
+    @pytest.mark.parametrize("grid", [[1e-3, 1e-4], [1e-4, 1e-4], [1e-4, np.inf], []])
+    def test_bad_gap_grid(self, grid):
+        with pytest.raises(InvalidParameterError):
+            lemma_suite(build_case_b(1.0, 0.05, 1.0, 1e-3, 1e-3), eps_grid=grid)
 
     def test_upper_ratio_check_semantics(self):
         shrinking = DiagnosticCheck.from_upper_ratios("x", [1e-5, 1e-4, 1e-3],

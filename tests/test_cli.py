@@ -175,6 +175,34 @@ class TestSweepPipeline:
         cfg.write_text(PAIR_CFG.replace(old, new))
         assert main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_finite_grid_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(PAIR_CFG.replace("grid = 1e-3, 1e-2, 4", "grid = 1e-4, inf, 4"))
+        out = tmp_path / "o"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+        assert "bad log grid" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_suite_quantities_sweep_and_fit(self, tmp_path):
+        # the verify suite's per-gap values are sweep columns: the split
+        # field's far flux and difference scale like sqrt(eps1), its own
+        # gap maximum like 1/sqrt(eps1)
+        cfg = tmp_path / "split.cfg"
+        cfg.write_text(CASE_B_CFG.replace("grid = 1e-4, 1e-2, 4",
+                                          "tie = eps2:1\ngrid = 1e-5, 1e-3, 4")
+                       .replace("potential_difference_21, max_gap_gradient_12",
+                                "far_flux, split_difference_12, h1_gap_gradient_12")
+                       .replace("plot_quantity = max_gap_gradient_12\n", ""))
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+        assert main(["rates", str(cfg), "--out", str(out)]) == 0
+        rates = {ln.split(",")[0]: float(ln.split(",")[1])
+                 for ln in (out / "rates.csv").read_text().splitlines()
+                 if not ln.startswith(("#", "quantity"))}
+        assert abs(rates["far_flux"] - 0.5) <= 0.1
+        assert abs(rates["split_difference_12"] - 0.5) <= 0.1
+        assert abs(rates["h1_gap_gradient_12"] + 0.5) <= 0.1
+
     @pytest.mark.parametrize("line,named", [
         ("plot_quantity = bogus\n", "[sweep] plot_quantity"),
         ("guide_slope = steep\n", "[sweep] guide_slope"),

@@ -84,12 +84,24 @@ class TestSpec:
             SweepSpec(case_tag="pair", vary="eps", grid=(1e-2, 1e-3),
                       quantities=("psi_gap_difference",))
 
+    def test_quantities_of_another_case(self):
+        # the verify suites' quantities read one case's bodies by position
+        for tag, q in (("pair", "far_flux"), ("B", "flux_off_lump"), ("D", "enclosing_pair_ratio")):
+            with pytest.raises(InvalidParameterError, match="another case"):
+                SweepSpec(case_tag=tag, vary="eps", grid=(1e-3,), quantities=(q,))
+
     def test_log_grid(self):
         g = log_grid(1e-4, 1e-2, 5)
         assert len(g) == 5
         assert g[0] == pytest.approx(1e-4) and g[-1] == pytest.approx(1e-2)
-        with pytest.raises(InvalidParameterError):
-            log_grid(1e-2, 1e-4, 5)
+        for lo, hi in ((1e-2, 1e-4), (1e-4, np.inf), (np.nan, 1e-2), (1e-4, np.nan),
+                       (0.0, 1e-2), (-np.inf, 1e-2)):
+            with pytest.raises(InvalidParameterError):
+                log_grid(lo, hi, 5)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InvalidParameterError):
+                SweepSpec(case_tag="pair", vary="eps", grid=(1e-4, bad),
+                          quantities=("psi_gap_difference",))
 
     def test_tie(self):
         spec = SweepSpec(case_tag="pair", vary="r2",
