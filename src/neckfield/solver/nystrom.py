@@ -18,8 +18,8 @@ Nyquist mode, whose derivative on the grid is ambiguous.
 Off-curve rule: one evaluator serves every target of every curve, the
 cross blocks of S in assembly as much as ``potential``, ``gradient`` and
 the normal derivative on the boundary, at any distance. Only K''s own
-blocks are assembled, each once per curve with S's from one pairwise node
-difference (``SceneOperator._build_curve``); K''s cross part is this
+blocks are assembled, each once per curve with S's from the same pairwise
+node differences (``SceneOperator._build_curve``); K''s cross part is this
 evaluator's derivative applied to the other curves' densities. Each
 curve's single layer is written as
 ``Re F + (Q/2pi) log|z - z_c|`` with F analytic off the curve, Q the
@@ -67,8 +67,16 @@ are even) factors the folded matrix instead: the rows of the upper-half
 nodes, each column plus its mirror's, S[top, top] + S[top, mirror(top)],
 bordered by a charge row of weight 2h. It is a quarter of the full matrix,
 and its rcond is about twice the full matrix's (1.75-2.14x over the
-two-disk pair and the acceptance grids of cases B and D). Evaluation and
-the normal derivative take the full, even g.
+two-disk pair and the acceptance grids of cases B and D). Each curve's
+record is half-built alike: F and K' hold the rows of the upper-half
+nodes with folded columns, (N/2)^2 entries per table, a quarter of the
+full ones, built from the N^2/2 differences of the upper-half nodes to
+the upper-half nodes and to their mirrors. Every log center lies on the
+axis, so F(conj z) = conj F(z): the lower rows of F g are the mirrored
+conjugates of the upper rows, and a cross block folds the Cauchy weights
+of mirror nodes onto the upper rows instead of expanding F. Evaluation
+takes the full g and refuses an odd one; the normal derivative is
+computed at the upper-half nodes and mirrored.
 """
 
 from __future__ import annotations
@@ -166,6 +174,13 @@ def _mirror_fold(cfg: Configuration, mesh: BoundaryMesh) -> Optional[_Fold]:
     return _Fold(np.concatenate(top), np.concatenate(partner))
 
 
+def _odd(values: np.ndarray, upper, mirror) -> bool:
+    """Whether values differ between the upper-half nodes and their mirrors
+    by more than ``_EVEN_TOL`` of their largest entry."""
+    return bool(np.max(np.abs(values[upper] - values[mirror]), initial=0.0)
+                > _EVEN_TOL * np.max(np.abs(values), initial=0.0))
+
+
 @dataclass(frozen=True)
 class _CurveData:
     """One curve's record, built with its block of S (``_build_curve``).
@@ -176,7 +191,15 @@ class _CurveData:
     y_j)) h with the diagonal limit kappa_i/(4pi) h. ``y`` are the nodes and
     ``w`` = y'(t_j) h the Cauchy weights, as complex numbers. ``side`` is
     +1 on a body and -1 on an enclosing curve, whose domain lies inside it
-    and which has no ``zc``."""
+    and which has no ``zc``.
+
+    On a folded operator the record is half-built: ``F`` and ``kprime``
+    hold the rows of the N/2 upper-half nodes, and their columns act on the
+    upper half of an even g, each column plus its mirror's; F is an
+    N x N/2 stack, (N/2)^2 per part, and K' is (N/2)^2, a quarter of the
+    full tables each. ``zc`` lies on the axis, so F(conj z) = conj F(z):
+    the lower rows of F g are the conjugates of the upper rows, in mirror
+    order."""
 
     y: np.ndarray
     w: np.ndarray
@@ -186,9 +209,22 @@ class _CurveData:
     kprime: np.ndarray
     side: float
 
+    def kept(self, g: np.ndarray) -> np.ndarray:
+        """The part of the curve's g that the record's columns act on: all
+        of it, or on a half-built record the upper half of an even g. An
+        odd g raises InvalidUsageError, since only its even part would
+        act."""
+        m = self.F.shape[1]
+        if m < g.size and _odd(g, np.s_[:m], np.s_[:m - 1:-1]):
+            raise InvalidUsageError("a density on a mirror-symmetric scene must be "
+                                    "even under y -> -y")
+        return g[:m]
+
     def values(self, g: np.ndarray, derivative: bool = False) -> np.ndarray:
         """F g at the nodes, or with ``derivative`` F' g."""
-        fg = (self.F @ g).reshape(-1, 2)
+        fg = (self.F @ self.kept(g)).reshape(-1, 2)
+        if fg.shape[0] < g.size:
+            fg = np.vstack([fg, fg[::-1] * [1.0, -1.0]])
         if derivative:
             fg = _spectral(fg, 1)
         out = fg[:, 0] - 1j * fg[:, 1]
@@ -199,7 +235,9 @@ class SceneOperator:
     """Assembled single-layer operator for one mesh; solves the exterior
     problems of a configuration and evaluates the represented fields. On a
     mirror-symmetric scene (``_fold`` not None) ``_slp`` holds the folded
-    rows of the upper-half nodes (see the module docstring)."""
+    rows of the upper-half nodes, (n/2)^2 entries for n nodes in all, and
+    each curve's record its half-built F and K', (N/2)^2 entries per table
+    for a curve of N nodes (see the module docstring and ``_CurveData``)."""
 
     def __init__(self, cfg: Configuration, controls: MeshControls = MeshControls(),
                  mesh: Optional[BoundaryMesh] = None):
@@ -215,10 +253,22 @@ class SceneOperator:
     def _log_center(self, cm: CurveMesh) -> complex:
         """A point well inside the curve's body: a disk's center; otherwise,
         of the area centroid and a grid over the nodes' bounding box, the
-        point inside the body that lies farthest from the nodes."""
+        point inside the body that lies farthest from the nodes. On a folded
+        operator the point lies on the axis, which makes the curve's F
+        conjugate-symmetric: a disk's center, otherwise the point of a grid
+        between the curve's two axis crossings, at t = 0 and pi, that lies
+        farthest from the nodes. The segment between the crossings lies
+        inside the body, since a simple curve meets its mirror image on the
+        axis alone."""
         body = self.cfg.bodies[cm.body_index]
         if body.kind == "disk":
-            return complex(*body.disk.center)
+            x, y = body.disk.center
+            return complex(x, 0.0 if self._fold is not None else y)
+        if self._fold is not None:
+            # nodes 0 and N/2-1 are the nodes next to the crossings
+            x = np.linspace(cm.nodes[0, 0], cm.nodes[cm.n // 2 - 1, 0], _CENTER_GRID + 2)[1:-1]
+            clearance = np.min(np.hypot(x[:, None] - cm.nodes[:, 0], cm.nodes[:, 1]), axis=1)
+            return complex(x[int(np.argmax(clearance))], 0.0)
         x, y = cm.nodes.T
         vx, vy = cm.velocity.T
         area = 0.5 * cm.h * np.sum(x * vy - y * vx)
@@ -239,57 +289,77 @@ class SceneOperator:
         sl = self.mesh.curve_slice(curve_index)
         return sl if self._fold is None else slice(sl.start // 2, sl.stop // 2)
 
-    def _fold_columns(self, block: np.ndarray) -> np.ndarray:
-        """The columns of a block acting on one curve's g; on a folded
-        operator those of the upper-half nodes, each plus its mirror's."""
-        if self._fold is None:
-            return block
-        half = block.shape[1] // 2
-        return block[:, :half] + block[:, :half - 1:-1]
-
     def _build_curve(self, curve_index: int) -> _CurveData:
         """Write the curve's own block of S into ``_slp`` and return its
-        record, both from one pairwise node difference y_i - y_j. S's block
-        is the Kussmaul-Martensen rule plus the smooth part
+        record, both from the pairwise node differences y_i - y_j. S's
+        block is the Kussmaul-Martensen rule plus the smooth part
         log|y_i - y_j|^2 - log 4 sin^2((t_i - t_j)/2), whose second term is
         circulant in t and joins the rule's row. Re F is that block minus
         the log term; Im F is the antiderivative in t of speed *
         d(Re F)/dn_out, the normal derivative on the curve's side of the
         domain (all curves run counterclockwise). Exterior data are shifted
-        so F vanishes at infinity, which the exterior Cauchy sum assumes."""
+        so F vanishes at infinity, which the exterior Cauchy sum assumes.
+
+        On a folded operator only the rows i of the upper-half nodes are
+        built, with folded columns: node j plus its mirror N-1-j, from the
+        differences y_i - y_j and y_i - y_{N-1-j}, N^2/2 entries in all.
+        The circulant part of a folded column is row[(i - j) % N] +
+        row[(i + j + 1) % N]; Im F is the antiderivative of the column's
+        even extension; the shift, the sum over all rows, is
+        2 Re sum_top c F, since the mirror rows add its conjugate."""
         cm = self.mesh.curves[curve_index]
+        n = cm.n
+        m = n if self._fold is None else n // 2
         y = _complex(cm.nodes)
         dy = _complex(cm.velocity)
         w = dy * cm.h
-        diff = y[:, None] - y[None, :]
+        k = np.arange(m)
+        row = kussmaul_row(n)
+        row[1:] -= cm.h * np.log(4.0 * np.sin(0.5 * cm.h * np.arange(1, n)) ** 2)
+        re = scipy.linalg.toeplitz(row[:m], row[-k % n])
+        nrm = _complex(cm.normal_out[:m])[:, None]
+        diff = y[:m, None] - y[None, :m]
         np.fill_diagonal(diff, 1.0)
-        sin_row = np.zeros(cm.n)
-        sin_row[1:] = np.log(4.0 * np.sin(0.5 * cm.h * np.arange(1, cm.n)) ** 2)
         smooth = np.log(diff.real * diff.real + diff.imag * diff.imag)
-        np.fill_diagonal(smooth, 2.0 * np.log(cm.speed))
-        re = (scipy.linalg.circulant(kussmaul_row(cm.n) - cm.h * sin_row)
-              + cm.h * smooth) / (4.0 * np.pi)
-        own = self._unknowns(curve_index)
-        self._slp[own, own] = self._fold_columns(re[:own.stop - own.start])
-        kprime = (_complex(cm.normal_out)[:, None] / diff).real * (cm.h / _TWO_PI)
-        np.fill_diagonal(kprime, cm.curvature / (4.0 * np.pi) * cm.h)
+        np.fill_diagonal(smooth, 2.0 * np.log(cm.speed[:m]))
+        kprime = (nrm / diff).real
+        np.fill_diagonal(kprime, 0.5 * cm.curvature[:m])
+        if m < n:
+            re += row[np.add.outer(k, k) + 1]
+            diff = y[:m, None] - y[None, :m - 1:-1]
+            smooth += np.log(diff.real * diff.real + diff.imag * diff.imag)
+            kprime += (nrm / diff).real
+        re += cm.h * smooth
+        re /= 4.0 * np.pi
+        kprime *= cm.h / _TWO_PI
         del diff, smooth
+        own = self._unknowns(curve_index)
+        self._slp[own, own] = re
         side = 1.0 if curve_index < len(self.cfg.bodies) else -1.0
         # jump relation with sigma = g/speed: speed (side sigma/2 + K' sigma)
-        flux = cm.speed[:, None] * kprime
-        flux[np.diag_indices(cm.n)] += side / 2
+        flux = cm.speed[:m, None] * kprime
+        flux[np.diag_indices(m)] += side / 2
         zc = None
         if side > 0:
             zc = self._log_center(cm)
-            re -= (cm.h / _TWO_PI) * np.log(np.abs(y - zc))[:, None]
-            flux -= (cm.h / _TWO_PI) * (dy / (y - zc)).imag[:, None]
-        F = np.stack([re, -_spectral(flux, -1)], axis=1)
+            # a folded column carries a node's charge and its mirror's
+            charge = self._nodes_per_unknown * cm.h / _TWO_PI
+            re -= charge * np.log(np.abs(y[:m] - zc))[:, None]
+            flux -= charge * (dy[:m] / (y[:m] - zc)).imag[:, None]
+        # a folded column, extended evenly, is a function of t on all nodes
+        ext = flux if m == n else np.vstack([flux, flux[::-1]])
+        F = np.stack([re, -_spectral(ext, -1)[:m]], axis=1)
         if zc is not None:
-            # F(inf) is the Cauchy integral at the interior point zc
-            c = w / (y - zc) / (2j * np.pi)
-            shift = c @ F[:, 0] - 1j * (c @ F[:, 1])
-            F -= np.stack([shift.real, -shift.imag])
-        return _CurveData(y, w, zc, cm.h, F.reshape(2 * cm.n, cm.n), kprime, side)
+            # F(inf) is the Cauchy integral at the interior point zc, taken
+            # in real arithmetic on the stack [Re F; -Im F]
+            c = w[:m] / (y[:m] - zc) / (2j * np.pi)
+            (a0, a1), (b0, b1) = (np.stack([c.real, c.imag])
+                                  @ F.reshape(m, 2 * m)).reshape(2, 2, m)
+            if m == n:
+                F -= np.stack([a0 + b1, a1 - b0])
+            else:
+                F[:, 0] -= 2.0 * (a0 + b1)
+        return _CurveData(y, w, zc, cm.h, F.reshape(2 * m, m), kprime, side)
 
     def _layer(self, curve_index: int, z: np.ndarray, g: Optional[np.ndarray] = None,
                derivative: bool = False) -> np.ndarray:
@@ -298,15 +368,20 @@ class SceneOperator:
         None, the block acting on the curve's g, its columns folded on a
         folded operator: the Cauchy weights are scaled by the denominator
         first, so Re(c F) is one real product of [Re c, Im c] with the
-        stack [Re F; -Im F]."""
+        stack [Re F; -Im F]. A half-built record's mirror rows are the
+        conjugates of its rows, so the mirror weights fold onto them:
+        Re c_top + Re c_mirror against Re F, Im c_top - Im c_mirror
+        against Im F."""
         d = self._curves[curve_index]
         c = d.y[None, :] - z[:, None]
         np.divide(d.w, c, out=c)
         den = c.sum(axis=1) - (0.0 if d.zc is None else 2j * np.pi)
         if g is None:
             c /= den[:, None]
-            F = self._fold_columns(d.F)
-            out = c.view(float) @ F
+            m = d.F.shape[1]
+            if m < d.y.size:
+                c = c[:, :m] + c[:, :m - 1:-1].conj()
+            out = c.view(float) @ d.F
             if d.zc is not None:
                 charge = d.h * self._nodes_per_unknown
                 out += (np.log(np.abs(z - d.zc)) / _TWO_PI * charge)[:, None]
@@ -389,9 +464,7 @@ class SceneOperator:
         fold = self._fold
         if fold is not None:
             top, partner = fold
-            odd = np.max(np.abs(rhs[top] - rhs[partner]), initial=0.0)
-            if (np.any(node_group[top] != node_group[partner])
-                    or odd > _EVEN_TOL * np.max(np.abs(rhs), initial=0.0)):
+            if np.any(node_group[top] != node_group[partner]) or _odd(rhs, top, partner):
                 raise InvalidUsageError("the data of a mirror-symmetric scene must be "
                                         "even under y -> -y")
             node_group, rhs = node_group[top], rhs[top]
@@ -574,17 +647,26 @@ class FieldSolution:
         """nu.grad of the field at one curve's nodes, computed once: the
         jump side sigma/2 and the curve's own K' block applied to its g,
         plus the normal component of the other curves' layer gradients
-        there, give d/dn_out on the domain's side; nu = -side n_out."""
+        there, give d/dn_out on the domain's side; nu = -side n_out. On a
+        folded operator, where the record's K' block holds the rows of the
+        upper-half nodes, all but the jump term are computed there and
+        mirrored. The jump term sigma/2 = g/(2 speed) keeps each node's own
+        speed, so that times the quadrature weight speed h it stays h g/2:
+        the speeds of the lower half carry the rounding of chain coordinates
+        near the chain's end (5.5e-10 relative next to a gap of 1e-6)."""
         if curve_index not in self._dnu:
             cm, d = self.mesh.curves[curve_index], self.op._curves[curve_index]
             own = self.mesh.curve_slice(curve_index)
-            cross = self.op._layers(self.g, _complex(cm.nodes), True, skip=curve_index)
-            val = (d.side * self.sigma[own] / 2 + d.kprime @ self.g[own]
-                   + (cross * _complex(cm.normal_out)).real)
+            g = self.g[own]
+            top = d.kept(g)
+            nodes, normal = cm.nodes[:top.size], cm.normal_out[:top.size]
+            cross = self.op._layers(self.g, _complex(nodes), True, skip=curve_index)
+            val = d.kprime @ top + (cross * _complex(normal)).real
             if self.background is not None:
-                val = val + np.einsum("ij,ij->i", self.background.gradient(cm.nodes),
-                                      cm.normal_out)
-            self._dnu[curve_index] = -d.side * val
+                val += np.einsum("ij,ij->i", self.background.gradient(nodes), normal)
+            if top.size < g.size:
+                val = np.concatenate([val, val[::-1]])
+            self._dnu[curve_index] = -d.side * (d.side * self.sigma[own] / 2 + val)
         return self._dnu[curve_index]
 
     def flux_quadrature(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -71,10 +72,11 @@ class TestQuadratureCore:
 
     @pytest.mark.parametrize("scene", ["pair", "A", "D", "pair off axis"])
     def test_own_blocks_match_their_formulas(self, scene):
-        # S's and K''s own blocks share one pairwise node difference; here
+        # S's and K''s own blocks share their pairwise node differences; here
         # each is written out on its own, S's from real coordinate
         # differences and the full sin^2 table. A is a lens with corners,
-        # D three ellipses; the pair and D keep folded rows
+        # D three ellipses; the pair and D keep the upper-half rows of both
+        # blocks, with folded columns
         ell = SmoothBoundary.ellipse
         cfg = {
             "pair": lambda: build_two_disks(1, 1, 1e-6),
@@ -103,7 +105,7 @@ class TestQuadratureCore:
             np.fill_diagonal(kprime, cm.curvature / (4 * np.pi) * cm.h)
             own = op._unknowns(ci)
             for built, ref in ((op._slp[own, own], folded(op, slp)),
-                               (op._curves[ci].kprime, kprime)):
+                               (op._curves[ci].kprime, folded(op, kprime))):
                 assert np.max(np.abs(built - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_dirichlet_rows_reproduce_trig_polynomials(self):
@@ -882,17 +884,27 @@ class TestOneFactorization:
         assert values[1] == pytest.approx(values[0], rel=1e-9)
 
 
+# Mirror-symmetric scenes: the pair, case B's three disks and the
+# benchmark's case-D ellipses, whose Fourier curves search a log center.
+FOLDED_SCENES = pytest.mark.parametrize("build", [
+    lambda: build_two_disks(1.0, 1.0, 1e-4),
+    lambda: build_case_b(1.0, 0.05, 1.0, 1e-4, 1e-3),
+    lambda: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
+                         SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
+                         SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9), 0.05, 1e-4, 1e-4)],
+    ids=["pair", "B", "D"])
+
+
 class TestMirrorFold:
     """A scene even under y -> -y solves on its upper-half nodes; any other
     scene keeps the full system."""
 
-    @pytest.mark.parametrize("build", [
-        lambda: build_two_disks(1.0, 1.0, 1e-4),
-        lambda: build_case_b(1.0, 0.05, 1.0, 1e-4, 1e-3)], ids=["pair", "B"])
+    @FOLDED_SCENES
     def test_folded_and_full_paths_agree(self, build):
         # the twin moved off the axis has the same nodes up to the shift
         # and solves the full system. u has no charge on any body, the
-        # unit-flux field h charges +-1
+        # unit-flux field h charges +-1. D's Fourier curves take their log
+        # centers on the axis when folded and from the grid search when not
         cfg = build()
         twin = cfg.translated(OFF_AXIS)
         op, op_full = SceneOperator(cfg), SceneOperator(twin)
@@ -910,6 +922,51 @@ class TestMirrorFold:
             grad, grad_full = (max_gap_gradient(f, c.conductor_gap(i, i + 1)).max_magnitude
                                for f, c in ((u, cfg), (u_full, twin)))
             assert grad == pytest.approx(grad_full, rel=1e-10, abs=0)
+
+    @FOLDED_SCENES
+    def test_half_built_records_match_the_full_build(self, build, monkeypatch):
+        # a folded operator builds the upper-half rows of each curve's
+        # records with folded columns. The full build on the same mesh and
+        # log centers, folded afterwards, must give the same tables, and
+        # the lower rows rebuilt by conjugation the full rows
+        cfg = build()
+        op = SceneOperator(cfg)
+        assert op._fold is not None
+        centers = [d.zc for d in op._curves]
+        assert all(zc.imag == 0.0 for zc in centers)
+        monkeypatch.setattr(nystrom, "_mirror_fold", lambda cfg, mesh: None)
+        monkeypatch.setattr(SceneOperator, "_log_center",
+                            lambda self, cm: centers[cm.body_index])
+        full = SceneOperator(cfg, mesh=op.mesh)
+        assert full._fold is None
+        rng = np.random.default_rng(7)
+        for ci, cm in enumerate(op.mesh.curves):
+            half, ref = op._curves[ci], full._curves[ci]
+            m = cm.n // 2
+            assert half.F.shape == (cm.n, m) and half.kprime.shape == (m, m)
+            F = ref.F.reshape(cm.n, 2, cm.n)
+            F = (F[:m, :, :m] + F[:m, :, :m - 1:-1]).reshape(cm.n, m)
+            sl = op.mesh.curve_slice(ci)
+            for built, want in ((op._slp[op._unknowns(ci), op._unknowns(ci)],
+                                 folded(op, full._slp[sl, sl])),
+                                (half.F, F), (half.kprime, folded(op, ref.kprime))):
+                assert np.max(np.abs(built - want)) <= 1e-13 * np.max(np.abs(want))
+            g = rng.standard_normal(cm.n)
+            g += g[::-1]
+            for derivative in (False, True):
+                got, want = half.values(g, derivative), ref.values(g, derivative)
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_odd_density_raises(self):
+        # a half-built record acts on the upper half of an even density;
+        # evaluation and the on-surface potential refuse an odd one
+        op = SceneOperator(build_two_disks(1.0, 1.0, 1e-2))
+        u = op.solve_u()
+        odd = dataclasses.replace(u, g=u.g * np.sign(op.mesh.nodes[:, 1]))
+        with pytest.raises(InvalidUsageError):
+            odd.potential(np.array([[0.0, 2.0]]))
+        with pytest.raises(InvalidUsageError):
+            op.on_surface_potential(odd.g, 0, np.array([0.3]))
 
     @pytest.mark.parametrize("build", [
         lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
