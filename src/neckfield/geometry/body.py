@@ -162,6 +162,9 @@ class Body:
         return da.contains(pts, pad) | db.contains(pts, pad)
 
     def bounding_circle(self) -> tuple[np.ndarray, float]:
+        """A circle containing the body: exact for a disk and a lens; for a
+        smooth curve it is taken from 512 samples, so it can miss an
+        extreme between two samples by about 2e-5 of its radius."""
         if self.kind == "disk":
             return self.disk.c, self.disk.radius
         if self.kind == "smooth":

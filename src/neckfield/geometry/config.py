@@ -197,92 +197,82 @@ def _as_body(shape) -> Body:
     raise InvalidParameterError(f"expected Disk, SmoothBoundary or Body, got {type(shape)!r}")
 
 
+# The translation solve starts with the bounding circles eps plus this share
+# of the scene size apart, more than a 512-sample circle misses (2e-5 of its
+# radius). Newton from above takes a few steps; only a nonconvex body whose
+# overlapping steps keep halving back reaches the step cap.
+_START_MARGIN, _MAX_STEPS = 1e-3, 60
+
+
 def _solve_translation(moving: Body, fixed: Body, direction: np.ndarray,
                        eps: float, tol: float = 1e-13) -> tuple[Body, GapInfo]:
     """Translate ``moving`` along ``direction`` until its gap to ``fixed``
-    equals eps. Returns the last translate probed and its measured gap.
+    equals eps; returns the last translate measured and its gap.
 
-    The gap g(t) of ``moving + t direction`` is first bracketed,
-    g(t_lo) <= eps < g(t_hi), by doubling steps (an overlap counts as a gap
-    of -1). Inside the bracket a safeguarded Newton step solves g(t) = eps.
-    Its derivative is exact by the envelope theorem: the closest points are
-    stationary, so only the moving point's own motion counts and
-    dg/dt = -direction . GapInfo.direction. A step that leaves the bracket,
-    or a start without a gap, is replaced by bisection. The solve ends at
-    the probe whose Newton step is below ``tol`` of the scene size, or, if
-    the bracket closes first, at its upper end.
+    Newton solves g(t) = eps, g the gap of ``moving + t direction``, from
+    the larger t where the bounding circles are eps plus a margin apart, so
+    g >= eps at the start. The slope dg/dt = -direction . GapInfo.direction
+    is exact by the envelope theorem: the closest points are stationary. For
+    convex bodies g is the distance from the point t direction to the convex
+    set fixed - moving, so g is convex in t: every tangent lies below g, and
+    Newton approaches the root from above without measuring an overlap. An
+    overlapping step, which only a nonconvex body allows, is halved back; an
+    overlapping start (a sampled bounding circle missed an extreme) steps
+    outward. The solve ends once a Newton step is below ``tol`` of the scene
+    size, at the translate that step starts from.
     """
     direction = np.asarray(direction, dtype=float)
-    probed: dict[float, tuple[Body, Optional[GapInfo]]] = {}
-
-    def probe(t: float) -> tuple[Body, Optional[GapInfo]]:
-        if t not in probed:
-            body = moving.translated(t * direction)
-            try:
-                probed[t] = body, body_gap(body, fixed)
-            except InvalidGeometryError:
-                probed[t] = body, None
-        return probed[t]
-
-    def gdist(t: float) -> float:
-        info = probe(t)[1]
-        return -1.0 if info is None else info.distance
-
-    scale = max(moving.diameter(), fixed.diameter(), eps)
-    t_hi = 0.0
-    while gdist(t_hi) <= eps and t_hi < 100 * scale:
-        t_hi = max(2 * t_hi, 0.1 * scale)
-    t_lo = t_hi
-    while gdist(t_lo) > eps and t_lo > -100 * scale:
-        t_lo = min(2 * t_lo, -0.1 * scale) if t_lo < 0 else -0.1 * scale
-    if not (gdist(t_lo) <= eps < gdist(t_hi)):
-        raise InvalidGeometryError("could not bracket the requested gap by translation")
-    step_tol = tol * max(1.0, scale)
-    t = t_hi
-    for _ in range(200):
-        body, info = probe(t)
-        t_new = np.nan
-        if info is not None:
-            slope = -float(direction @ info.direction)
-            if slope > 0:
-                t_new = t - (info.distance - eps) / slope
-                if abs(t_new - t) < step_tol and t_lo <= t_new <= t_hi:
-                    return body, info
-        if not (t_lo < t_new < t_hi):
-            t_new = 0.5 * (t_lo + t_hi)
-        if gdist(t_new) > eps:
-            t_hi = t_new
-        else:
-            t_lo = t_new
-        t = t_new
-        if t_hi - t_lo < step_tol:
+    (c_moving, r_moving), (c_fixed, r_fixed) = moving.bounding_circle(), fixed.bounding_circle()
+    scale = max(2 * r_moving, 2 * r_fixed, eps)
+    # the larger root t of |c_moving + t direction - c_fixed| = reach
+    w = c_moving - c_fixed
+    wd, dd = float(w @ direction), float(direction @ direction)
+    reach = r_moving + r_fixed + eps + _START_MARGIN * scale
+    radicand = wd * wd - dd * (float(w @ w) - reach * reach)
+    if not radicand > 0:
+        raise InvalidGeometryError("no translation brings the bodies within the requested gap")
+    t, t_good, outward, last = (np.sqrt(radicand) - wd) / dd, None, _START_MARGIN * scale, None
+    for _ in range(_MAX_STEPS):
+        body = moving.translated(t * direction)
+        try:
+            info = body_gap(body, fixed)
+        except InvalidGeometryError:
+            t = t + outward if t_good is None else 0.5 * (t_good + t)
+            outward *= 2
+            continue
+        last, slope = (body, info), -float(direction @ info.direction)
+        if not slope > 0:
+            raise InvalidGeometryError("the translation does not close the gap")
+        step = (info.distance - eps) / slope
+        if abs(step) < tol * max(1.0, scale):
             break
-    return probe(t_hi)
+        t_good, t = t, t - step
+    if last is None:
+        raise InvalidGeometryError("every translate overlaps the fixed body")
+    return last
 
 
 def _halfplane_check(left: Body, rights: Sequence[Body]) -> None:
-    def max_x(b: Body) -> float:
-        return max(float(np.max(ch.point(np.linspace(ch.u0, ch.u1, 1024))[:, 0]))
-                   for ch in b.charts())
+    def xs(b: Body) -> np.ndarray:
+        return np.concatenate([ch.point(np.linspace(ch.u0, ch.u1, 1024))[:, 0]
+                               for ch in b.charts()])
 
-    def min_x(b: Body) -> float:
-        return min(float(np.min(ch.point(np.linspace(ch.u0, ch.u1, 1024))[:, 0]))
-                   for ch in b.charts())
-
-    if max_x(left) > 1e-9:
+    if np.max(xs(left)) > 1e-9:
         raise InvalidGeometryError("left body crosses into the right half-plane")
-    for b in rights:
-        if min_x(b) < -1e-9:
-            raise InvalidGeometryError("right-side body crosses into the left half-plane")
+    if any(np.min(xs(b)) < -1e-9 for b in rights):
+        raise InvalidGeometryError("right-side body crosses into the left half-plane")
 
 
 def place_around(mid: Body, left: Body, eps1: float, right: Optional[Body] = None,
                  eps2: float = 0.0) -> tuple[list[Body], GapInfo]:
     """Translate ``left`` (and ``right``) along the x-axis until its gap to
-    ``mid`` is eps1 (eps2), check each gap, as the translation solve
-    measured it, to 1e-10 and each smooth body's convexity at its gap foot,
-    recenter on the first gap and check the half-planes. Returns the bodies
-    from left to right and the first gap before recentering."""
+    ``mid`` is eps1 (eps2) and recenter on the first gap. Each solve starts
+    from bounding-circle contact and, for convex bodies, Newton approaches
+    the gap from above, so a thin body never passes through ``mid``; a step
+    into an overlap is halved back. Checks each gap, as the solve measured
+    it, to 1e-10, each smooth body's convexity at its gap foot and the
+    half-planes. Returns the bodies from left to right and the first gap
+    before recentering."""
     left, gap_left = _solve_translation(left, mid, np.array([-1.0, 0.0]), eps1)
     # (moving body, fixed body, requested gap, measured gap), feet in body order
     placed = [(left, mid, eps1, gap_left)]

@@ -62,10 +62,12 @@ class FixedPointPair:
 def fixed_points(d1: Disk, d2: Disk) -> FixedPointPair:
     """Common inverse-point pair of two disjoint disks.
 
-    Reduced to the center line: with centers at a1 < a2 on that axis, the
-    two conditions (f - a_i)(g - a_i) = r_i^2 give a quadratic whose roots
-    are the two points. Near-tangent pairs (gap below 1e-12 of the smaller
-    radius) are rejected; the discriminant degenerates there.
+    Reduced to the center line: with centers at a1 = 0 and a2 = d on that
+    axis, the two conditions (f - a_i)(g - a_i) = r_i^2 give a quadratic
+    whose roots are the two points, s/2 -+ sqrt((s/2 - r1)(s/2 + r1)) with
+    s = f + g. Its factor s/2 - r1 = gap (d - r1 + r2) / (2d) is formed
+    from the gap, not by cancellation. Near-tangent pairs (gap below 1e-12
+    of the smaller radius) are rejected; the discriminant degenerates there.
     """
     c1, c2 = d1.c, d2.c
     axis = c2 - c1
@@ -76,13 +78,11 @@ def fixed_points(d1: Disk, d2: Disk) -> FixedPointPair:
     if gap < 1e-12 * min(d1.radius, d2.radius):
         raise InvalidGeometryError("disks are numerically tangent; inverse points degenerate")
     e = axis / dist_centers
-    a1, a2 = 0.0, dist_centers  # coordinates along the center line from c1
-    s = (a1 + a2) - (d2.radius**2 - d1.radius**2) / (a2 - a1)
-    prod = d1.radius**2 + a1 * s - a1**2
-    disc = s * s / 4 - prod
-    root = np.sqrt(disc)
-    f = s / 2 - root   # inside disk 1
-    g = s / 2 + root   # inside disk 2
+    # s/2 - r1, the distance from circle 1 to the midpoint of the two roots
+    h = gap * (dist_centers - d1.radius + d2.radius) / (2 * dist_centers)
+    root = np.sqrt(h * (h + 2 * d1.radius))
+    f = d1.radius + h - root   # inside disk 1
+    g = d1.radius + h + root   # inside disk 2
     p1 = c1 + f * e
     p2 = c1 + g * e
     return FixedPointPair((float(p1[0]), float(p1[1])), (float(p2[0]), float(p2[1])))

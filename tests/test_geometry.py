@@ -338,7 +338,8 @@ class TestCaseCD:
     def test_case_d_geometry_work(self, monkeypatch):
         # the benchmark's case-D scene: its ellipses are valid by
         # construction and are not validated at all, and the translation
-        # solve needs few gap searches (17 at eps 1e-3)
+        # solve needs few gap searches (7 at eps 1e-3: a start and the root
+        # on each side, and the configuration's three pairs)
         calls = {"validate": 0, "body_gap": 0}
 
         def counted(name, fn):
@@ -357,7 +358,7 @@ class TestCaseCD:
         cfg = build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
                            ell((0.0, 0.0), 1.1, 0.9), 0.05, eps, eps)
         assert calls["validate"] <= 4
-        assert calls["body_gap"] <= 60
+        assert calls["body_gap"] <= 9
         assert cfg.conductor_gap(0, 1).distance == pytest.approx(eps, rel=1e-12)
         assert cfg.conductor_gap(1, 2).distance == pytest.approx(eps, rel=1e-12)
 
@@ -394,8 +395,9 @@ class TestCaseCD:
 
     def test_place_around_reuses_the_measured_gaps(self, monkeypatch):
         # the gap checks of place_around read the translation solves' last
-        # probes: a two-sided placement makes the two solves' 7 gap searches
-        # each and no more (16 when both gaps were searched again)
+        # probes: a two-sided placement makes the two solves' 2 gap searches
+        # each, a start and the root, and no more (6 when both gaps were
+        # searched again)
         calls = []
 
         def counted(a, b):
@@ -408,9 +410,63 @@ class TestCaseCD:
         bodies, _ = config_module.place_around(mid, Body.from_smooth(ell((0.0, 0.0), 1.0, 0.8)),
                                                1e-3, Body.from_smooth(ell((0.0, 0.0), 1.1, 0.9)),
                                                1e-3)
-        assert len(calls) == 14
+        assert len(calls) == 4
         for pair in (bodies[:2], bodies[1:]):
             assert body_gap(*pair).distance == pytest.approx(1e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    @pytest.mark.parametrize("width", [0.14, 0.1, 0.05])
+    def test_thin_left_body_places(self, width, eps):
+        # left bodies far thinner than the scene are placed from
+        # bounding-circle contact: no step carries them across the middle
+        ell = SmoothBoundary.ellipse
+        cfg = build_case_d(ell((0.0, 0.0), width, 1.0), Disk((0.0, 0.0), 1.0),
+                           ell((0.0, 0.0), 1.1, 0.9), 0.05, eps, eps)
+        assert cfg.conductor_gap(0, 1).distance == pytest.approx(eps, rel=1e-10)
+        assert cfg.conductor_gap(1, 2).distance == pytest.approx(eps, rel=1e-10)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_tilted_offset_body_places(self, eps):
+        # a 1.0 x 0.3 ellipse rotated by 1.4 rad, off the line of motion:
+        # its gap direction is oblique to the translation
+        c, s = np.cos(1.4), np.sin(1.4)
+        tilted = SmoothBoundary((0.3, 0.2), cos_x=(c,), sin_x=(-0.3 * s,),
+                                cos_y=(s,), sin_y=(0.3 * c,))
+        disk = Body.from_disk(Disk((0.0, 0.0), 0.05))
+        body, info = config_module._solve_translation(Body.from_smooth(tilted), disk,
+                                                      np.array([-1.0, 0.0]), eps)
+        assert info == body_gap(body, disk)
+        assert info.distance == pytest.approx(eps, rel=1e-10)
+
+    @pytest.mark.parametrize("offset", [5.0, 2.001])
+    def test_translation_that_never_reaches_the_gap_rejected(self, offset):
+        # at offset 5 the bounding circles never come within reach; at
+        # 2.001 they do, but the disks pass 1e-3 apart and never reach 1e-4
+        fixed = Body.from_disk(Disk((0.0, 0.0), 1.0))
+        moving = Body.from_disk(Disk((0.0, offset), 1.0))
+        with pytest.raises(InvalidGeometryError):
+            config_module._solve_translation(moving, fixed, np.array([1.0, 0.0]), 1e-4)
+
+    @pytest.mark.parametrize("overlapping_call", [0, 1])
+    def test_translation_backs_off_an_overlap(self, monkeypatch, overlapping_call):
+        # a gap search that reports an overlap at the start (steps outward)
+        # or on the first Newton step (halves back) still ends at eps
+        calls = []
+
+        def overlap_once(a, b):
+            calls.append(a)
+            if len(calls) == overlapping_call + 1:
+                raise InvalidGeometryError("gap distance must be positive")
+            return gap_module.body_gap(a, b)
+
+        monkeypatch.setattr(config_module, "body_gap", overlap_once)
+        ell = SmoothBoundary.ellipse
+        mid = Body.from_smooth(ell((0.0, 0.0), 1.0, 1.0).scaled(0.05))
+        body, info = config_module._solve_translation(
+            Body.from_smooth(ell((0.0, 0.0), 1.0, 0.8)), mid, np.array([-1.0, 0.0]), 1e-3)
+        assert len(calls) > 2
+        assert info == gap_module.body_gap(body, mid)
+        assert info.distance == pytest.approx(1e-3, rel=1e-10)
 
     def test_nonconvex_gap_arc_rejected(self):
         with pytest.raises(InvalidGeometryError):

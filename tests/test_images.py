@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,22 @@ class TestFixedPoints:
             d1, d2 = pair(eps)
             s = fixed_points(d1, d2).p2[0]
             assert s / np.sqrt(eps) == pytest.approx(1.0, rel=2e-3)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_separation_against_decimal_reference(self, eps):
+        # the separation p2 - p1 = 2 sqrt(s^2/4 - r1^2) of the same float
+        # disks in 50-digit arithmetic; forming s^2/4 - r1^2 by subtraction
+        # in floats would lose 1.2e-9 of it at eps 1e-8
+        d1, d2 = pair(eps)
+        fp = fixed_points(d1, d2)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            d = Decimal(d2.center[0]) - Decimal(d1.center[0])
+            r1, r2 = Decimal(d1.radius), Decimal(d2.radius)
+            half_s = (d * d + r1 * r1 - r2 * r2) / (2 * d)
+            ref = 2 * (half_s * half_s - r1 * r1).sqrt()
+            err = abs(Decimal(fp.p2[0] - fp.p1[0]) - ref) / ref
+        assert err < Decimal("1e-11")
 
     def test_overlapping_rejected(self):
         with pytest.raises(InvalidGeometryError):
