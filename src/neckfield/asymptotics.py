@@ -263,8 +263,8 @@ def lemma_suite(cfg: Configuration, controls: MeshControls = MeshControls(),
 
         def builder(q: dict) -> Configuration:
             # a case-D scene records no recipe for its shapes: re-gap the bodies
-            bodies, _ = place_around(mid, left, q["eps1"], right, q["eps2"])
-            return Configuration(tuple(bodies), cfg.groups, cfg.background, "D", q)
+            bodies, gaps = place_around(mid, left, q["eps1"], right, q["eps2"])
+            return Configuration._placed(tuple(bodies), gaps, cfg.groups, cfg.background, "D", q)
     else:
         builder = partial(build_case, tag, background=cfg.background)
     checks = _CHECKS[tag]

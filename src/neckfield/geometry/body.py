@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import InvalidGeometryError
-from .shapes import Disk, SmoothBoundary
+from .shapes import Disk, SmoothBoundary, curvature
 
 # Gauss-Legendre rule of the chart arclength estimate
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(256)
@@ -24,7 +24,8 @@ class BoundaryChart:
     """One smooth piece of a body boundary.
 
     ``point/deriv/second`` are vectorized over the chart parameter
-    u in [u0, u1]; for full closed curves the parameter is 2*pi-periodic and
+    u in [u0, u1], and ``jet`` gives all three at once, bit for bit, from
+    one trigonometric table; for full closed curves the parameter is 2*pi-periodic and
     ``closed`` is True. ``corner_start``/``corner_end`` mark endpoints where
     the body boundary has a genuine corner. ``circle`` is the disk whose
     circle the chart traces (a disk's one chart, both arcs of a lens), and
@@ -34,6 +35,7 @@ class BoundaryChart:
     point: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     second: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     u0: float
     u1: float
     closed: bool = False
@@ -46,10 +48,7 @@ class BoundaryChart:
         return self.u1 - self.u0
 
     def curvature(self, u):
-        d = self.deriv(u)
-        s = self.second(u)
-        sp = np.hypot(d[..., 0], d[..., 1])
-        return (d[..., 0] * s[..., 1] - d[..., 1] * s[..., 0]) / sp**3
+        return curvature(self.deriv(u), self.second(u))
 
     def arclength(self) -> float:
         # Gauss-Legendre estimate, plenty for mesh planning
@@ -163,15 +162,11 @@ class Body:
 
     def bounding_circle(self) -> tuple[np.ndarray, float]:
         """A circle containing the body: exact for a disk and a lens; for a
-        smooth curve it is taken from 512 samples, so it can miss an
-        extreme between two samples by about 2e-5 of its radius."""
+        smooth curve it is sampled (``SmoothBoundary.bounding_circle``)."""
         if self.kind == "disk":
             return self.disk.c, self.disk.radius
         if self.kind == "smooth":
-            t = np.linspace(0, 2 * np.pi, 512, endpoint=False)
-            p = self.smooth.point(t)
-            c = 0.5 * (p.min(axis=0) + p.max(axis=0))
-            return c, float(np.max(np.hypot(p[:, 0] - c[0], p[:, 1] - c[1])))
+            return self.smooth.bounding_circle()
         da, db = self.lens_disks
         c = 0.5 * (da.c + db.c)
         r = max(float(np.hypot(*(da.c - c))) + da.radius,
@@ -185,11 +180,12 @@ class Body:
     def charts(self) -> list[BoundaryChart]:
         if self.kind == "disk":
             d = self.disk
-            return [BoundaryChart(d.point, d.deriv, d.second, 0.0, 2 * np.pi, closed=True,
-                                  circle=d)]
+            return [BoundaryChart(d.point, d.deriv, d.second, d.jet, 0.0, 2 * np.pi,
+                                  closed=True, circle=d)]
         if self.kind == "smooth":
             s = self.smooth
-            return [BoundaryChart(s.point, s.deriv, s.second, 0.0, 2 * np.pi, closed=True)]
+            return [BoundaryChart(s.point, s.deriv, s.second, s.jet, 0.0, 2 * np.pi,
+                                  closed=True)]
         return self._lens_charts()
 
     def _lens_charts(self) -> list[BoundaryChart]:
@@ -216,9 +212,9 @@ class Body:
         rb = outer_range(db, da)
 
         charts = [
-            BoundaryChart(da.point, da.deriv, da.second, ra[0], ra[1],
+            BoundaryChart(da.point, da.deriv, da.second, da.jet, ra[0], ra[1],
                           corner_start=True, corner_end=True, circle=da),
-            BoundaryChart(db.point, db.deriv, db.second, rb[0], rb[1],
+            BoundaryChart(db.point, db.deriv, db.second, db.jet, rb[0], rb[1],
                           corner_start=True, corner_end=True, circle=db),
         ]
         # order the two arcs so the traversal is a single CCW loop: the end

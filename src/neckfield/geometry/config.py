@@ -44,6 +44,24 @@ class Configuration:
     _body_gaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check({})
+
+    @classmethod
+    def _placed(cls, bodies: tuple[Body, ...], measured: dict, groups, background,
+                case_tag: str, params: dict) -> "Configuration":
+        """The configuration of bodies whose builder measured some of their
+        gaps (``place_around``): ``measured`` maps body pairs (a, b), a < b,
+        to their GapInfo, point_i and the first foot on body a, feet in the
+        configuration's body indices. Those pairs are taken as measured;
+        every other pair is searched."""
+        out = cls.__new__(cls)
+        for name, value in (("bodies", bodies), ("groups", groups), ("background", background),
+                            ("case_tag", case_tag), ("params", params), ("_body_gaps", {})):
+            object.__setattr__(out, name, value)
+        out._check(measured)
+        return out
+
+    def _check(self, measured: dict) -> None:
         if len(self.bodies) == 0:
             raise InvalidParameterError("configuration needs at least one body")
         seen = sorted(i for g in self.groups for i in g)
@@ -53,12 +71,11 @@ class Configuration:
         # positive gap (raises InvalidGeometryError through GapInfo if not)
         for a in range(len(self.bodies)):
             for b in range(a + 1, len(self.bodies)):
-                g = body_gap(self.bodies[a], self.bodies[b])
-                foot_a, foot_b = g.feet[0]._replace(body=a), g.feet[1]._replace(body=b)
-                self._body_gaps[(a, b)] = GapInfo(g.distance, g.point_i, g.point_j,
-                                                  (foot_a, foot_b))
-                self._body_gaps[(b, a)] = GapInfo(g.distance, g.point_j, g.point_i,
-                                                  (foot_b, foot_a))
+                g = measured.get((a, b))
+                if g is None:
+                    g = body_gap(self.bodies[a], self.bodies[b])._relabeled(a, b)
+                self._body_gaps[(a, b)] = g
+                self._body_gaps[(b, a)] = g._reversed()
 
     def body_pair_gap(self, a: int, b: int) -> GapInfo:
         """Gap between bodies a and b as measured on construction, with
@@ -264,15 +281,18 @@ def _halfplane_check(left: Body, rights: Sequence[Body]) -> None:
 
 
 def place_around(mid: Body, left: Body, eps1: float, right: Optional[Body] = None,
-                 eps2: float = 0.0) -> tuple[list[Body], GapInfo]:
+                 eps2: float = 0.0) -> tuple[list[Body], dict]:
     """Translate ``left`` (and ``right``) along the x-axis until its gap to
     ``mid`` is eps1 (eps2) and recenter on the first gap. Each solve starts
     from bounding-circle contact and, for convex bodies, Newton approaches
     the gap from above, so a thin body never passes through ``mid``; a step
     into an overlap is halved back. Checks each gap, as the solve measured
     it, to 1e-10, each smooth body's convexity at its gap foot and the
-    half-planes. Returns the bodies from left to right and the first gap
-    before recentering."""
+    half-planes. Returns the bodies from left to right and the gaps the
+    solves measured, moved with the recentering: body pair (a, b), a < b,
+    in that order maps to its GapInfo, point_i and the first foot on body
+    a, which ``Configuration._placed`` takes instead of searching them
+    again."""
     left, gap_left = _solve_translation(left, mid, np.array([-1.0, 0.0]), eps1)
     # (moving body, fixed body, requested gap, measured gap), feet in body order
     placed = [(left, mid, eps1, gap_left)]
@@ -285,9 +305,13 @@ def place_around(mid: Body, left: Body, eps1: float, right: Optional[Body] = Non
         for body, foot in zip((a, b), g.feet):
             if body.kind == "smooth":
                 body.smooth.require_convex_arc(foot.u, half_width=0.35)
-    bodies = [b.translated(-gap_left.midpoint) for b in (left, mid, right) if b is not None]
+    shift = -gap_left.midpoint
+    bodies = [b.translated(shift) for b in (left, mid, right) if b is not None]
     _halfplane_check(bodies[0], bodies[1:])
-    return bodies, gap_left
+    gaps = {(0, 1): gap_left._relabeled(0, 1, shift)}
+    if right is not None:
+        gaps[(1, 2)] = gap_right._relabeled(2, 1, shift)._reversed()
+    return bodies, gaps
 
 
 def build_case_c(left, center: Disk, right: Disk, r2: float, eps: float,
@@ -304,22 +328,20 @@ def build_case_c(left, center: Disk, right: Disk, r2: float, eps: float,
     _check_positive(r2=r2, eps=eps)
     if not isinstance(center, Disk) or not isinstance(right, Disk):
         raise InvalidParameterError("the protruding pair must be disks (lens union)")
-    sc = center.scaled(r2)
-    bodies, g = place_around(Body.lens(sc, right), _as_body(left), eps)
+    bodies, gaps = place_around(Body.lens(center.scaled(r2), right), _as_body(left), eps)
     # the narrow gap must face the scaled lump, not the big right disk
-    if abs(np.hypot(g.point_j[0] - sc.center[0], g.point_j[1] - sc.center[1]) - sc.radius) \
-            > 1e-8 * sc.radius:
+    lump, big = bodies[1].lens_disks
+    foot = gaps[(0, 1)].point_j
+    if abs(np.hypot(foot[0] - lump.center[0], foot[1] - lump.center[1]) - lump.radius) \
+            > 1e-8 * lump.radius:
         raise InvalidGeometryError("closest approach is not on the protruding lump")
-    eps_outer = body_gap(bodies[0], Body.from_disk(bodies[1].lens_disks[1])).distance
+    eps_outer = body_gap(bodies[0], Body.from_disk(big)).distance
     if not (0.2 * r2 <= eps_outer <= 5 * r2):
         warnings.warn("outer-pair separation is not comparable to r2",
                       ScaleRegimeWarning, stacklevel=2)
-    return Configuration(
-        bodies=tuple(bodies), groups=((0,), (1,)),
-        background=background or HarmonicBackground.linear_x(),
-        case_tag="C",
-        params={"r2": r2, "eps": eps},
-    )
+    return Configuration._placed(tuple(bodies), gaps, ((0,), (1,)),
+                                 background or HarmonicBackground.linear_x(), "C",
+                                 {"r2": r2, "eps": eps})
 
 
 def build_case_d(left, center, right, r2: float, eps1: float, eps2: float,
@@ -335,13 +357,10 @@ def build_case_d(left, center, right, r2: float, eps1: float, eps2: float,
         mid = Body.from_smooth(mid.smooth.scaled(r2))
     else:
         raise InvalidParameterError("middle body must be a disk or a smooth curve")
-    bodies, _ = place_around(mid, _as_body(left), eps1, _as_body(right), eps2)
-    return Configuration(
-        bodies=tuple(bodies), groups=((0,), (1,), (2,)),
-        background=background or HarmonicBackground.linear_x(),
-        case_tag="D",
-        params={"r2": r2, "eps1": eps1, "eps2": eps2},
-    )
+    bodies, gaps = place_around(mid, _as_body(left), eps1, _as_body(right), eps2)
+    return Configuration._placed(tuple(bodies), gaps, ((0,), (1,), (2,)),
+                                 background or HarmonicBackground.linear_x(), "D",
+                                 {"r2": r2, "eps1": eps1, "eps2": eps2})
 
 
 def _nominal_disks(p: dict) -> tuple[Disk, Disk, Disk]:

@@ -28,6 +28,9 @@ _TOUCH = 1e-14
 # the Newton search samples each chart at this many starts and runs from
 # this many of the closest start pairs
 _STARTS, _RUNS = 8, 6
+# two Newton runs whose (u, v) differ by at most this many ulps of the sum
+# of the chart spans coincide
+_COINCIDE_ULPS = 16
 
 
 class GapFoot(NamedTuple):
@@ -57,6 +60,18 @@ class GapInfo:
     def __post_init__(self):
         if not (self.distance > 0):
             raise InvalidGeometryError(f"gap distance must be positive, got {self.distance}")
+
+    def _relabeled(self, a: int, b: int, shift=(0.0, 0.0)) -> "GapInfo":
+        """This gap moved by ``shift``, its first foot put on body a and its
+        second on body b."""
+        pi, pj = (tuple(float(c + d) for c, d in zip(p, shift))
+                  for p in (self.point_i, self.point_j))
+        fi, fj = self.feet
+        return GapInfo(self.distance, pi, pj, (fi._replace(body=a), fj._replace(body=b)))
+
+    def _reversed(self) -> "GapInfo":
+        """This gap with its ends swapped."""
+        return GapInfo(self.distance, self.point_j, self.point_i, self.feet[::-1])
 
     @property
     def segment(self) -> tuple[np.ndarray, np.ndarray]:
@@ -138,16 +153,19 @@ def _arc_arc_closed_form(ca: BoundaryChart, cb: BoundaryChart):
     return min(candidates, key=lambda c: c[0])
 
 
-def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart):
+def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float = 0.0):
     """Damped Newton on D(u, v) = |A(u) - B(v)|^2 from the ``_RUNS`` best of
     ``_STARTS``^2 sampled start pairs, all runs at once: each iteration
-    evaluates ``point``, ``deriv`` and ``second`` of each chart once on the
-    array of live runs, and each run tries its full step, then halves it
-    until D does not increase. A failed full step that does not descend
-    (g . step >= 0 for the gradient g, as at a saddle, where the Hessian
-    is indefinite) is not halved. A run with a non-finite step, or whose
-    full step or damping fails, is dropped. Returns (distance, point on a,
-    point on b, u, v) of the best run."""
+    evaluates each chart's ``jet`` once on the array of live runs, and each
+    run tries its full step, then halves it until D does not increase. A
+    failed full step that does not descend (g . step >= 0 for the gradient
+    g, as at a saddle, where the Hessian is indefinite) is not halved. A run
+    with a non-finite step, or whose full step or damping fails, is dropped.
+    A run stops where its distance is at most ``touch``: the boundaries
+    touch or cross there, and the Hessian of D is singular where they
+    touch. A run that reaches another live run's (u, v), to rounding of the
+    chart spans, would repeat that run's iterations and is dropped. Returns
+    (distance, point on a, point on b, u, v) of the best run."""
     us = np.linspace(ca.u0, ca.u1, _STARTS, endpoint=not ca.closed)
     vs = np.linspace(cb.u0, cb.u1, _STARTS, endpoint=not cb.closed)
     d2 = ((ca.point(us)[:, None, :] - cb.point(vs)[None, :, :]) ** 2).sum(axis=2)
@@ -155,14 +173,16 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart):
     u, v = us[iu], vs[iv]
     live = np.ones(u.size, dtype=bool)     # not dropped
     moving = live.copy()                   # live and not yet converged
+    same = _COINCIDE_ULPS * np.finfo(float).eps * (ca.span + cb.span)
     for _ in range(60):
         k = np.flatnonzero(moving)
         if k.size == 0:
             break
         uk, vk = u[k], v[k]
-        r = ca.point(uk) - cb.point(vk)
-        ta, tb = ca.deriv(uk), cb.deriv(vk)
-        sa, sb = ca.second(uk), cb.second(vk)
+        (pa, ta, sa), (pb, tb, sb) = ca.jet(uk), cb.jet(vk)
+        r = pa - pb
+        f0 = _dot(r, r)
+        stopped = f0 <= touch * touch
         # Newton step on D/2: gradient (ga, gb), Hessian [[haa, hab], [hab, hbb]]
         ga, gb = _dot(r, ta), -_dot(r, tb)
         haa, hab, hbb = _dot(ta, ta) + _dot(r, sa), -_dot(ta, tb), _dot(tb, tb) - _dot(r, sb)
@@ -171,12 +191,11 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart):
             du = (hab * gb - hbb * ga) / det
             dv = (hab * ga - haa * gb) / det
             descends = ga * du + gb * dv < 0
-        f0 = _dot(r, r)
+            # damping: a non-finite step is not tried and fails
+            trying = np.isfinite(du + dv) & ~stopped
         un, vn = uk.copy(), vk.copy()
         lam = np.ones(k.size)
-        # damping: a non-finite step is not tried and fails
-        trying = np.isfinite(du + dv)
-        failed = np.ones(k.size, dtype=bool)
+        failed = ~stopped
         for _ in range(30):
             j = np.flatnonzero(failed & trying)
             if j.size == 0:
@@ -194,6 +213,13 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart):
         moved = _param_move(uk, un, ca) + _param_move(vk, vn, cb)
         u[k[ok]], v[k[ok]] = un[ok], vn[ok]
         moving[k[ok & (moved < 1e-14)]] = False
+        # a moving run on the point of another live run, converged or of a
+        # lower index, would repeat that run's iterations
+        idx = np.arange(u.size)
+        near = _param_move(u[:, None], u, ca) + _param_move(v[:, None], v, cb) <= same
+        twin = near & live & (idx != idx[:, None]) & (~moving | (idx < idx[:, None]))
+        retired = moving & twin.any(axis=1)
+        live[retired] = moving[retired] = False
     k = np.flatnonzero(live)
     if k.size == 0:
         raise NumericFailureError("gap search failed: every Newton run was dropped",
@@ -242,17 +268,18 @@ def body_gap(body_a: Body, body_b: Body) -> GapInfo:
     if body_a.contains(probe_b)[0] or body_b.contains(probe_a)[0]:
         raise InvalidGeometryError("bodies overlap (one contains the other's boundary)")
 
+    touch = _TOUCH * max(body_a.diameter(), body_b.diameter())
     best = None
     for ia, ca in enumerate(charts_a):
         for ib, cb in enumerate(charts_b):
             if ca.circle is not None and cb.circle is not None:
                 cand = _arc_arc_closed_form(ca, cb)
             else:
-                cand = _arc_arc_newton(ca, cb)
+                cand = _arc_arc_newton(ca, cb, touch)
             if best is None or cand[0] < best[0][0]:
                 best = (cand, ia, ib)
     (dist, pa, pb, ua, ub), ia, ib = best
-    if dist <= _TOUCH * max(body_a.diameter(), body_b.diameter()):
+    if dist <= touch:
         raise InvalidGeometryError("bodies overlap or touch")
     return GapInfo(dist, (float(pa[0]), float(pa[1])), (float(pb[0]), float(pb[1])),
                    (GapFoot(0, ia, float(ua)), GapFoot(1, ib, float(ub))))

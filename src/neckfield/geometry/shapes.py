@@ -65,6 +65,14 @@ class Disk:
         return np.stack([-self.radius * np.cos(theta),
                          -self.radius * np.sin(theta)], axis=-1)
 
+    def jet(self, theta):
+        """``point``, ``deriv`` and ``second`` at theta, bit for bit, from
+        one cos and one sin."""
+        theta = np.asarray(theta, dtype=float)
+        rc, rs = self.radius * np.cos(theta), self.radius * np.sin(theta)
+        return (np.stack([self.center[0] + rc, self.center[1] + rs], axis=-1),
+                np.stack([-rs, rc], axis=-1), np.stack([-rc, -rs], axis=-1))
+
     def contains(self, pts, pad: float = 0.0):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d2 = (pts[:, 0] - self.center[0]) ** 2 + (pts[:, 1] - self.center[1]) ** 2
@@ -149,33 +157,53 @@ class SmoothBoundary:
         k1, k2 = k[:, None], (k * k)[:, None]
         return k, ((on_cos, on_sin), (k1 * on_sin, -k1 * on_cos), (-k2 * on_cos, -k2 * on_sin))
 
-    def _series(self, t, mode: int):
-        """mode 0: value, 1: d/dt, 2: d2/dt2, from one cos and one sin of
-        t k and two products with the mode's coefficient tables."""
-        k, tables = self._tables
-        kt = np.asarray(t, dtype=float)[..., None] * k
-        on_cos, on_sin = tables[mode]
-        out = np.cos(kt) @ on_cos + np.sin(kt) @ on_sin
-        if mode == 0:
-            out += self.center
-        return out
+    def _trig(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """cos(kt) and sin(kt), k = 1..K, the tables every series value
+        multiplies."""
+        kt = np.asarray(t, dtype=float)[..., None] * self._tables[0]
+        return np.cos(kt), np.sin(kt)
+
+    def _series(self, trig, mode: int):
+        """mode 0: value less the center, 1: d/dt, 2: d2/dt2, as two
+        products of ``_trig``'s tables with the mode's coefficient tables."""
+        on_cos, on_sin = self._tables[1][mode]
+        return trig[0] @ on_cos + trig[1] @ on_sin
 
     def point(self, t):
-        return self._series(t, 0)
+        return self._series(self._trig(t), 0) + self.center
 
     def deriv(self, t):
-        return self._series(t, 1)
+        return self._series(self._trig(t), 1)
 
     def second(self, t):
-        return self._series(t, 2)
+        return self._series(self._trig(t), 2)
+
+    def jet(self, t):
+        """``point``, ``deriv`` and ``second`` at t, bit for bit, from one
+        cos and one sin table."""
+        trig = self._trig(t)
+        return self._series(trig, 0) + self.center, self._series(trig, 1), self._series(trig, 2)
+
+    @cached_property
+    def _bounding_offset(self) -> tuple[np.ndarray, float]:
+        """Center, relative to ``center``, and radius of the bounding circle
+        from 512 samples of the series."""
+        p = self._series(self._trig(np.linspace(0, 2 * np.pi, 512, endpoint=False)), 0)
+        c = 0.5 * (p.min(axis=0) + p.max(axis=0))
+        return c, float(np.max(np.hypot(p[:, 0] - c[0], p[:, 1] - c[1])))
+
+    def bounding_circle(self) -> tuple[np.ndarray, float]:
+        """A circle containing the curve, taken from 512 samples, so it can
+        miss an extreme between two samples by about 2e-5 of its radius.
+        The samples are taken once per coefficient set: translates share
+        them."""
+        offset, r = self._bounding_offset
+        return offset + self.center, r
 
     def curvature(self, t):
         """Signed curvature; positive where the curve is locally convex
         (counterclockwise parameterization)."""
-        d = self.deriv(t)
-        s = self.second(t)
-        sp = np.hypot(d[..., 0], d[..., 1])
-        return (d[..., 0] * s[..., 1] - d[..., 1] * s[..., 0]) / sp**3
+        return curvature(self.deriv(t), self.second(t))
 
     def validate(self, samples: int = 720) -> None:
         t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
@@ -217,7 +245,8 @@ class SmoothBoundary:
         run = np.arange(pts.shape[0])
         for _ in range(_FOOT_ITERS):
             tk = t[run]
-            r, d1, d2 = self.point(tk) - pts[run], self.deriv(tk), self.second(tk)
+            p, d1, d2 = self.jet(tk)
+            r = p - pts[run]
             f, fp = np.sum(r * d1, axis=1), np.sum(d1 * d1 + r * d2, axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.clip(np.where(fp > 0, -f / fp, -h * np.sign(f)), -h, h)
@@ -249,11 +278,13 @@ class SmoothBoundary:
         """This curve moved to ``center`` with its coefficients scaled by
         s > 0. A positive similarity keeps the curve simple, counterclockwise
         and regular, so ``validate()`` is not run again. A translate
-        (s == 1) shares this curve's coefficient tables."""
+        (s == 1) shares this curve's coefficient tables and bounding-circle
+        samples."""
         out = _unchecked(center, tuple(tuple(float(s * v) for v in getattr(self, name))
                                        for name in _COEFFS))
         if s == 1.0:
-            object.__setattr__(out, "_tables", self._tables)
+            for name in ("_tables", "_bounding_offset"):
+                object.__setattr__(out, name, getattr(self, name))
         return out
 
 
@@ -266,6 +297,13 @@ def _unchecked(center, coeffs) -> SmoothBoundary:
     for name, vals in zip(_COEFFS, coeffs):
         object.__setattr__(out, name, vals)
     return out
+
+
+def curvature(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Signed curvature from the first and second derivatives d and s of a
+    parameterization; positive where a counterclockwise curve is convex."""
+    sp = np.hypot(d[..., 0], d[..., 1])
+    return (d[..., 0] * s[..., 1] - d[..., 1] * s[..., 0]) / sp**3
 
 
 def _polyline_self_intersects(p: np.ndarray) -> bool:

@@ -40,6 +40,7 @@ from scipy.special import elliprf
 
 from ..errors import InvalidParameterError, RefinementFailureError
 from ..geometry.body import Body, BoundaryChart
+from ..geometry.shapes import curvature
 from ..geometry.config import Configuration
 from ..geometry.gap import GapFoot
 
@@ -60,6 +61,9 @@ _CORNER_FLOOR_LEVELS = 40
 # chain map is verified against quadrature (TestChainMap). Gaps that need
 # a finer floor raise instead.
 _B_MIN = 1e-12
+# Forward seed table of the chain-map inversion: uniform points over the
+# chain, and graded points on each side of each feature
+_SEED_UNIFORM, _SEED_GRADED = 1025, 256
 
 
 @dataclass(frozen=True)
@@ -108,26 +112,25 @@ def _clustered_mass(x, b: float):
     return 2.0 * np.sign(x) * g
 
 
-class _ChainMap:
-    """Analytic clustering map for one closed curve.
+class _ChainTables:
+    """The parts of one curve's chain map that do not depend on the node
+    count, built once per curve and shared by the maps of every doubling:
+    the chain coordinates of the charts, the floor parameters b_f (from the
+    curve's speed at each feature, probed on both sides of a corner only
+    where the curve has one), the masses 4 R_F(0, 1 + b_f^2, b_f^2) of the
+    density terms, each term's constant I(-x_f, b_f) and the forward seed
+    table's per-feature columns J_f = I(x - x_f, b_f) - I(-x_f, b_f). The
+    seed table is uniform in v plus x-offsets graded geometrically from
+    b/100 to pi on both sides of each feature, so every density bump (width
+    about b) is sampled on its own scale; its last entry is v_total."""
 
-    The chain coordinate v traverses the body's charts linearly and is
-    rescaled to the angle x = v * (2 pi / v_total); t is the mesh parameter.
-    t(x) is proportional to the integrated density rho(x), so equispaced
-    t-nodes cluster where the density is large. Amplitudes are calibrated so
-    panels grow like ``growth * (distance to feature)`` with the requested
-    floor at the feature itself; because every amplitude is proportional to
-    the total mass, the total solves in closed form.
-    """
-
-    def __init__(self, charts: Sequence[BoundaryChart], features: Sequence[FeatureSpec],
-                 n_nodes: int):
+    def __init__(self, charts: Sequence[BoundaryChart], features: Sequence[FeatureSpec]):
         self.charts = list(charts)
         spans = np.array([ch.span for ch in charts])
         self.v_edges = np.concatenate([[0.0], np.cumsum(spans)])
         self.v_total = float(self.v_edges[-1])
         self.scale = _TWO_PI / self.v_total
-        h = _TWO_PI / n_nodes
+        self.growth = [f.growth for f in features]
         v_f = np.array([f.v for f in features])
         self.x_f = v_f * self.scale
         # corners join charts of possibly very different speeds; size the
@@ -135,65 +138,24 @@ class _ChainMap:
         def speed(v):
             return np.hypot(*self.frame_of_v(v)[1].T)
 
-        tiny = 1e-9 * self.v_total
+        speeds = speed(v_f)
         corner = np.array([f.kind == "corner" for f in features], dtype=bool)
-        speeds = np.where(corner, np.maximum(speed((v_f - tiny) % self.v_total),
-                                             speed((v_f + tiny) % self.v_total)), speed(v_f))
+        if np.any(corner):
+            tiny = 1e-9 * self.v_total
+            speeds = np.where(corner, np.maximum(speed((v_f - tiny) % self.v_total),
+                                                 speed((v_f + tiny) % self.v_total)), speeds)
         self.b = np.clip([f.floor_arc * self.scale / (2 * f.growth * sp)
                           for f, sp in zip(features, speeds)], _B_MIN, 0.5)
-        masses = 4.0 * elliprf(0.0, 1.0 + self.b ** 2, self.b ** 2)
-        coef = np.array([h / (4 * np.pi * f.growth) for f in features])
-        denom = 1.0 - float(np.sum(coef * masses))
-        # a small denominator means the clustering would eat the whole node
-        # budget; report unresolved so the planner doubles n
-        self.resolved = denom > 0.3
-        denom = max(denom, 0.3)
-        self.mass_total = _TWO_PI / denom
-        self.amps = coef * self.mass_total
-        self._m_tab, self._v_tab = self._seed_table()
-
-    def rho(self, v):
-        x = np.asarray(v, dtype=float) * self.scale
-        out = np.ones_like(x)
-        for xf, A, b in zip(self.x_f, self.amps, self.b):
-            out = out + A / np.sqrt(np.sin((x - xf) / 2) ** 2 + b * b)
-        return out
-
-    def mass(self, v):
-        x = np.asarray(v, dtype=float) * self.scale
-        out = x.astype(float).copy()
-        for xf, A, b in zip(self.x_f, self.amps, self.b):
-            out = out + A * (_clustered_mass(x - xf, b) - _clustered_mass(-xf, b))
-        return out
-
-    def _seed_table(self):
-        """Forward table (mass(v), v) from one mass evaluation: uniform in v,
-        plus x-offsets graded geometrically from b/100 to pi on both sides of
-        each feature, so every density bump (width about b) is sampled on
-        its own scale. Its last entry is v_total."""
-        x_off = [b * np.geomspace(1e-2, np.pi / b, 256) for b in self.b]
-        v = np.concatenate([np.linspace(0.0, self.v_total, 1025)] + [
-            ((xf + s * off) / self.scale) % self.v_total
-            for xf, off in zip(self.x_f, x_off) for s in (1.0, -1.0)])
-        v = np.unique(v)
-        return self.mass(v), v
-
-    def t_of_v(self, v):
-        """The mesh parameter t = 2 pi * mass(v) / mass(v_total) of chain
-        coordinates v in [0, v_total]."""
-        return _TWO_PI * self.mass(v) / self._m_tab[-1]
-
-    def v_of_t(self, t):
-        """Invert t = 2 pi * mass(v) / mass(v_total): seed by interpolating
-        the forward table, then three Newton steps (quadratic from a seed
-        that is close on the scale of every bump)."""
-        t = np.asarray(t, dtype=float) % _TWO_PI
-        target = t / _TWO_PI * self._m_tab[-1]
-        v = np.interp(target, self._m_tab, self._v_tab)
-        for _ in range(3):
-            r = self.mass(v) - target
-            v = np.clip(v - r / (self.rho(v) * self.scale), 0.0, self.v_total)
-        return v
+        self.masses = 4.0 * elliprf(0.0, 1.0 + self.b ** 2, self.b ** 2)
+        self.origin = [_clustered_mass(-xf, b) for xf, b in zip(self.x_f, self.b)]
+        x_off = [b * np.geomspace(1e-2, np.pi / b, _SEED_GRADED) for b in self.b]
+        self.v_seed = np.unique(np.concatenate(
+            [np.linspace(0.0, self.v_total, _SEED_UNIFORM)]
+            + [((xf + s * off) / self.scale) % self.v_total
+               for xf, off in zip(self.x_f, x_off) for s in (1.0, -1.0)]))
+        self.x_seed = self.v_seed * self.scale
+        self.j_seed = [_clustered_mass(self.x_seed - xf, b) - c
+                       for xf, b, c in zip(self.x_f, self.b, self.origin)]
 
     def frame_of_v(self, v):
         """Points, chart derivatives and curvature at chain coordinates."""
@@ -207,11 +169,77 @@ class _ChainMap:
             m = idx == i
             if not np.any(m):
                 continue
-            u = ch.u0 + (v[m] - self.v_edges[i])
-            pts[m] = ch.point(u)
-            der[m] = ch.deriv(u)
-            kap[m] = ch.curvature(u)
+            p, d, s = ch.jet(ch.u0 + (v[m] - self.v_edges[i]))
+            pts[m], der[m], kap[m] = p, d, curvature(d, s)
         return pts, der, kap
+
+
+class _ChainMap:
+    """Analytic clustering map for one closed curve at one node count.
+
+    The chain coordinate v traverses the body's charts linearly and is
+    rescaled to the angle x = v * (2 pi / v_total); t is the mesh parameter.
+    t(x) is proportional to the integrated density rho(x), so equispaced
+    t-nodes cluster where the density is large. Amplitudes are calibrated so
+    panels grow like ``growth * (distance to feature)`` with the requested
+    floor at the feature itself; because every amplitude is proportional to
+    the total mass, the total solves in closed form. All that does not
+    depend on the node count comes from the curve's ``_ChainTables``; the
+    map adds the amplitudes and the forward seed table's masses, x plus
+    sum_f A_f J_f.
+    """
+
+    def __init__(self, tables: _ChainTables, n_nodes: int):
+        self.tables = tables
+        self.charts, self.v_edges, self.v_total = tables.charts, tables.v_edges, tables.v_total
+        self.scale, self.x_f, self.b = tables.scale, tables.x_f, tables.b
+        h = _TWO_PI / n_nodes
+        coef = np.array([h / (4 * np.pi * growth) for growth in tables.growth])
+        denom = 1.0 - float(np.sum(coef * tables.masses))
+        # a small denominator means the clustering would eat the whole node
+        # budget; report unresolved so the planner doubles n
+        self.resolved = denom > 0.3
+        denom = max(denom, 0.3)
+        self.mass_total = _TWO_PI / denom
+        self.amps = coef * self.mass_total
+        m_tab = tables.x_seed.copy()
+        for A, j in zip(self.amps, tables.j_seed):
+            m_tab = m_tab + A * j
+        self._m_tab = m_tab
+
+    def rho(self, v):
+        x = np.asarray(v, dtype=float) * self.scale
+        out = np.ones_like(x)
+        for xf, A, b in zip(self.x_f, self.amps, self.b):
+            out = out + A / np.sqrt(np.sin((x - xf) / 2) ** 2 + b * b)
+        return out
+
+    def mass(self, v):
+        x = np.asarray(v, dtype=float) * self.scale
+        out = x.astype(float).copy()
+        for xf, A, b, c in zip(self.x_f, self.amps, self.b, self.tables.origin):
+            out = out + A * (_clustered_mass(x - xf, b) - c)
+        return out
+
+    def t_of_v(self, v):
+        """The mesh parameter t = 2 pi * mass(v) / mass(v_total) of chain
+        coordinates v in [0, v_total]."""
+        return _TWO_PI * self.mass(v) / self._m_tab[-1]
+
+    def v_of_t(self, t):
+        """Invert t = 2 pi * mass(v) / mass(v_total): seed by interpolating
+        the forward table, then three Newton steps (quadratic from a seed
+        that is close on the scale of every bump)."""
+        t = np.asarray(t, dtype=float) % _TWO_PI
+        target = t / _TWO_PI * self._m_tab[-1]
+        v = np.interp(target, self._m_tab, self.tables.v_seed)
+        for _ in range(3):
+            r = self.mass(v) - target
+            v = np.clip(v - r / (self.rho(v) * self.scale), 0.0, self.v_total)
+        return v
+
+    def frame_of_v(self, v):
+        return self.tables.frame_of_v(v)
 
     def dvdt(self, v):
         return self.mass_total / (_TWO_PI * self.rho(v) * self.scale)
@@ -266,10 +294,10 @@ def _body_features(body: Body,
     spans = np.concatenate([[0.0], np.cumsum([ch.span for ch in charts])])
     perimeter = sum(ch.arclength() for ch in charts)
     feats: list[FeatureSpec] = []
+    _, brad = body.bounding_circle()
     for foot, point, gap_dist in gap_entries:
         ch = charts[foot.chart]
         kappa = float(ch.curvature(np.array([foot.u]))[0])
-        _, brad = body.bounding_circle()
         rho_c = 1.0 / kappa if kappa > 1.0 / (20 * brad) else 20 * brad
         peak = float(np.sqrt(gap_dist * rho_c) + 2 * gap_dist)
         v = spans[foot.chart] + (foot.u - ch.u0)
@@ -296,13 +324,13 @@ def _body_features(body: Body,
 
 def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
                 controls: MeshControls, n_start: int) -> CurveMesh:
-    charts = body.charts()
+    tables = _ChainTables(body.charts(), feats)
     # a base count below 64 requests a deliberately coarse mesh: use it
     # literally instead of refining to the resolution targets
     literal = controls.base_n < 64
     n = n_start + (n_start % 2) if literal else max(64, n_start)
     while True:
-        chain = _ChainMap(charts, feats, n)
+        chain = _ChainMap(tables, n)
         h = _TWO_PI / n
         t = (np.arange(n) + 0.5) * h
         v = chain.v_of_t(t)

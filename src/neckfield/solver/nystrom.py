@@ -362,11 +362,12 @@ class SceneOperator:
         return _CurveData(y, w, zc, cm.h, F.reshape(2 * m, m), kprime, side)
 
     def _layer(self, curve_index: int, z: np.ndarray, g: Optional[np.ndarray] = None,
-               derivative: bool = False) -> np.ndarray:
+               derivative: bool = False, fg: Optional[np.ndarray] = None) -> np.ndarray:
         """One curve's single layer at complex targets z by the compensated
-        Cauchy sum: S_c g, or with ``derivative`` its u_x - i u_y. With g
-        None, the block acting on the curve's g, its columns folded on a
-        folded operator: the Cauchy weights are scaled by the denominator
+        Cauchy sum: S_c g, or with ``derivative`` its u_x - i u_y; ``fg``,
+        if given, is the record's ``values`` of g, which is then not
+        computed again. With g None, the block acting on the curve's g, its
+        columns folded on a folded operator: the Cauchy weights are scaled by the denominator
         first, so Re(c F) is one real product of [Re c, Im c] with the
         stack [Re F; -Im F]. A half-built record's mirror rows are the
         conjugates of its rows, so the mirror weights fold onto them:
@@ -386,7 +387,7 @@ class SceneOperator:
                 charge = d.h * self._nodes_per_unknown
                 out += (np.log(np.abs(z - d.zc)) / _TWO_PI * charge)[:, None]
             return out
-        out = c @ d.values(g, derivative) / den
+        out = c @ (d.values(g, derivative) if fg is None else fg) / den
         if d.zc is not None:
             log_part = 1.0 / (z - d.zc) if derivative else np.log(np.abs(z - d.zc))
             out += log_part / _TWO_PI * (d.h * g.sum())
@@ -542,10 +543,14 @@ class SceneOperator:
     # -- evaluation --------------------------------------------------------
 
     def _layers(self, g: np.ndarray, z: np.ndarray, derivative: bool = False,
-                skip: Optional[int] = None) -> np.ndarray:
+                skip: Optional[int] = None,
+                values: Optional[Callable[[int, bool], np.ndarray]] = None) -> np.ndarray:
         """Sum of the curves' single layers of g at complex targets z, or
-        with ``derivative`` of their u_x - i u_y; curve ``skip`` left out."""
-        return sum(self._layer(ci, z, g[self.mesh.curve_slice(ci)], derivative)
+        with ``derivative`` of their u_x - i u_y; curve ``skip`` left out.
+        ``values(curve, derivative)``, if given, supplies each curve's F g
+        or F' g (a field's memo)."""
+        return sum(self._layer(ci, z, g[self.mesh.curve_slice(ci)], derivative,
+                               None if values is None else values(ci, derivative))
                    for ci in range(len(self.mesh.curves)) if ci != skip)
 
     def on_surface_potential(self, g: np.ndarray, curve_index: int,
@@ -586,6 +591,8 @@ class FieldSolution:
     rcond: float
     # nu.grad of the field per curve, computed on first use
     _dnu: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # each curve's F g and F' g, by (curve, derivative), computed on first use
+    _fg: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def mesh(self) -> BoundaryMesh:
@@ -608,13 +615,22 @@ class FieldSolution:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if check_domain and not np.all(self.op.cfg.exterior_mask(pts)):
             raise DomainError("evaluation point lies inside a body")
-        out = self.op._layers(self.g, _complex(pts), derivative)
+        out = self.op._layers(self.g, _complex(pts), derivative, values=self._curve_values)
         if derivative:
             out = np.stack([out.real, -out.imag], axis=-1)
         if self.background is not None:
             out = out + (self.background.gradient(pts) if derivative
                          else self.background(pts))
         return out
+
+    def _curve_values(self, curve_index: int, derivative: bool) -> np.ndarray:
+        """The curve record's ``values`` of the field's g, F g or with
+        ``derivative`` F' g, computed once per field."""
+        key = (curve_index, derivative)
+        if key not in self._fg:
+            g = self.g[self.mesh.curve_slice(curve_index)]
+            self._fg[key] = self.op._curves[curve_index].values(g, derivative)
+        return self._fg[key]
 
     def potential(self, pts, check_domain: bool = True):
         out = self._evaluate(pts, check_domain, derivative=False)
@@ -660,7 +676,8 @@ class FieldSolution:
             g = self.g[own]
             top = d.kept(g)
             nodes, normal = cm.nodes[:top.size], cm.normal_out[:top.size]
-            cross = self.op._layers(self.g, _complex(nodes), True, skip=curve_index)
+            cross = self.op._layers(self.g, _complex(nodes), True, skip=curve_index,
+                                    values=self._curve_values)
             val = d.kprime @ top + (cross * _complex(normal)).real
             if self.background is not None:
                 val += np.einsum("ij,ij->i", self.background.gradient(nodes), normal)
