@@ -63,7 +63,7 @@ _CORNER_FLOOR_LEVELS = 40
 _B_MIN = 1e-12
 # Forward seed table of the chain-map inversion: uniform points over the
 # chain, and graded points on each side of each feature
-_SEED_UNIFORM, _SEED_GRADED = 1025, 256
+_SEED_UNIFORM, _SEED_GRADED = 129, 48
 
 
 @dataclass(frozen=True)
