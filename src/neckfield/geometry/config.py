@@ -39,8 +39,8 @@ class Configuration:
     case_tag: str = "free"
     params: dict = field(default_factory=dict, compare=False)
     # GapInfo of every ordered body pair (a, b), a != b, from the
-    # disjointness check: point_i and feet[0] on body a, feet in the
-    # configuration's body indices
+    # disjointness check or, for a placed scene, from its builder: point_i
+    # and feet[0] on body a, feet in the configuration's body indices
     _body_gaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -28,6 +28,13 @@ Node counts double until measured targets hold:
 Exceeding the total node cap raises RefinementFailureError rather than
 returning a silently under-resolved mesh; so does a gap whose floor panel
 the clamped b cannot bring below gap/4, which no node count mends.
+
+What does not depend on the node count is built once per curve
+(``_ChainTables``): the floor parameters b_f, the masses of the density
+terms, their constants at x = 0 and the columns of the forward seed table,
+``_SEED_UNIFORM`` points uniform over the chain plus ``_SEED_GRADED`` on
+each side of each feature. A doubling then only forms the amplitudes, the
+seed table's masses x + sum_f A_f J_f, and inverts its nodes.
 """
 
 from __future__ import annotations
@@ -62,7 +69,10 @@ _CORNER_FLOOR_LEVELS = 40
 # a finer floor raise instead.
 _B_MIN = 1e-12
 # Forward seed table of the chain-map inversion: uniform points over the
-# chain, and graded points on each side of each feature
+# chain, and graded points on each side of each feature. From it the three
+# Newton steps of ``_ChainMap.v_of_t`` reach rounding level on every
+# benchmark scene and on the lens (1025 and 256 points gave the same node
+# counts, and nodes within 7e-16 of the perimeter).
 _SEED_UNIFORM, _SEED_GRADED = 129, 48
 
 

@@ -25,8 +25,10 @@ curve's single layer is written as
 ``Re F + (Q/2pi) log|z - z_c|`` with F analytic off the curve, Q the
 curve's charge and z_c a point well inside its body. F is built once per
 operator at the nodes as a linear map of the curve's g, stored once as the
-real stack [Re F; -Im F]; F' g is taken per call as the spectral derivative
-of F g over y' (``_CurveData``). Off the curve both follow from the globally
+real stack [Re F; -Im F]; F' g is the spectral derivative of F g over y'
+(``_CurveData``). A field computes each curve's F g and F' g of its own g
+once, on first use, and every later evaluation of it reuses them
+(``FieldSolution._curve_values``). Off the curve both follow from the globally
 compensated Cauchy sum
 ``F(z) = sum_j F_j w_j/(y_j - z) / (sum_j w_j/(y_j - z) - 2pi i)``,
 ``w_j = y'(t_j) h`` (Helsing & Ojala, J. Comput. Phys. 227 (2008) 2899;
@@ -580,6 +582,13 @@ class FieldSolution:
     factorization, the same for every field solved on it; on a
     mirror-symmetric scene that is the folded matrix's, about twice the
     full matrix's.
+
+    A field keeps what its evaluations share, each computed on first use:
+    per curve the normal derivative at the nodes, and the record's F g and
+    F' g of the field's g (``_curve_values``), which every ``potential``,
+    ``gradient`` and normal-derivative call sums against its Cauchy
+    weights. So a gap-maximum search's many gradient calls apply each
+    curve's F once, with one FFT for F'.
     """
 
     op: SceneOperator

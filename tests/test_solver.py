@@ -592,24 +592,74 @@ class TestChainMap:
             assert _clustered_mass(x, b) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_one_mass_table_per_chain_map(self, monkeypatch):
-        calls = {"maps": 0, "mass": 0}
+        # the n-independent tables (floor parameters, masses, feature
+        # constants, seed columns) are built once per curve; a doubling's
+        # map forms its seed masses from them and evaluates mass only in
+        # the three Newton steps of its inversion
+        calls = {"tables": 0, "maps": 0, "mass": 0}
+        tables_init = mesh_module._ChainTables.__init__
         init, mass = mesh_module._ChainMap.__init__, mesh_module._ChainMap.mass
 
-        def counted_init(self, *args, **kwargs):
-            calls["maps"] += 1
-            init(self, *args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        def counted_mass(self, v):
-            calls["mass"] += 1
-            return mass(self, v)
-
-        monkeypatch.setattr(mesh_module._ChainMap, "__init__", counted_init)
-        monkeypatch.setattr(mesh_module._ChainMap, "mass", counted_mass)
+        monkeypatch.setattr(mesh_module._ChainTables, "__init__", counted("tables", tables_init))
+        monkeypatch.setattr(mesh_module._ChainMap, "__init__", counted("maps", init))
+        monkeypatch.setattr(mesh_module._ChainMap, "mass", counted("mass", mass))
         ell = SmoothBoundary.ellipse
-        build_mesh(build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
-                                ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3))
-        assert calls["maps"] >= 3
-        assert calls["mass"] <= 6 * calls["maps"]
+        mesh = build_mesh(build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                                       ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-5, 1e-5))
+        assert calls["tables"] == len(mesh.curves) == 3
+        # one map per node count tried, from the base 192 up
+        assert calls["maps"] == sum(1 + int(np.log2(cm.n // 192)) for cm in mesh.curves) > 3
+        assert calls["mass"] == 3 * calls["maps"]
+
+    def test_shared_tables_give_a_fresh_chain(self):
+        # build_mesh reuses a curve's tables over its doublings; a chain
+        # built at the final node count from new tables is the same, bit
+        # for bit
+        cfg = build_case_b(1.0, 0.05, 1.0, 1e-5, 1e-3)
+        mesh = build_mesh(cfg)
+        assert [cm.n for cm in mesh.curves] == [384, 384, 192]
+        for cm, body in zip(mesh.curves, cfg.bodies):
+            fresh = mesh_module._ChainMap(
+                mesh_module._ChainTables(body.charts(), cm.features), cm.n)
+            v = fresh.v_of_t(cm.t)
+            assert np.array_equal(v, cm.v)
+            assert np.array_equal(fresh.frame_of_v(v)[0], cm.nodes)
+            assert np.array_equal(fresh.dvdt(v), cm.chain.dvdt(cm.v))
+
+    @pytest.mark.parametrize("build,counts", [
+        *[(lambda e=e: build_two_disks(1.0, 1.0, e), [n, n])
+          for e, n in zip(np.geomspace(1e-6, 1e-2, 9), [384] * 5 + [192] * 4)],
+        *[(lambda e=e: build_case_b(1.0, 0.05, 1.0, e, 1e-3), [n, 384, 192])
+          for e, n in zip(np.geomspace(1e-5, 1e-3, 6), [384] * 4 + [192] * 2)],
+        *[(lambda e=e: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
+                                    SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
+                                    SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9),
+                                    0.05, e, e), counts)
+          for e, counts in zip(np.geomspace(1e-4, 1e-2, 5),
+                               [[384, 384, 384]] + [[192, 384, 192]] * 2
+                               + [[192, 192, 192]] * 2)],
+        *[(lambda e=e: build_case_a(1.0, 0.05, 1.0, 0.05, e), counts)
+          for e, counts in ((1e-2, [192, 768]), (1e-5, [384, 1536]))]])
+    def test_inversion_at_rounding_level(self, build, counts):
+        # the benchmark's grids and a lens: from the trimmed seed table the
+        # three Newton steps of v_of_t reach t_of_v(v) = t to rounding. Its
+        # residual is read through the map's slope dv/dt: next to a
+        # feature t(v) is so steep that the nearest float v leaves a
+        # residual in t of up to 1e5 ulps (two disks) and 3e9 (a lens
+        # corner), while v is found within 8 ulps of the chain length
+        mesh = build_mesh(build())
+        assert [cm.n for cm in mesh.curves] == counts
+        for cm in mesh.curves:
+            chain = cm.chain
+            v = chain.v_of_t(cm.t)
+            miss = np.abs(chain.t_of_v(v) - cm.t) * chain.dvdt(v)
+            assert np.max(miss) <= 8 * np.spacing(chain.v_total)
 
 
 class TestGapMaximum:
@@ -742,10 +792,10 @@ class TestGapMaximum:
         computed = []
         layers = SceneOperator._layers
 
-        def counted(op, g, z, derivative=False, skip=None):
+        def counted(op, g, z, derivative=False, skip=None, **kwargs):
             if skip is not None:
                 computed.append(skip)
-            return layers(op, g, z, derivative, skip)
+            return layers(op, g, z, derivative, skip, **kwargs)
 
         monkeypatch.setattr(SceneOperator, "_layers", counted)
         spec = SweepSpec(case_tag="B", vary="eps1", grid=(1e-4,),
@@ -754,6 +804,25 @@ class TestGapMaximum:
                                      "flux_residual_max"))
         assert run_sweep(spec).errors == [None]
         assert computed == [0, 1, 2]
+
+    def test_sweep_row_computes_each_curve_value_once(self, monkeypatch):
+        # the benchmark's three quantities on a case-B row: the gap maximum
+        # evaluates the gradient many times, each of them through every
+        # curve's F' g, which the field computes once per curve
+        computed = []
+        values = nystrom._CurveData.values
+
+        def counted(record, g, derivative=False):
+            computed.append((id(record), derivative))
+            return values(record, g, derivative)
+
+        monkeypatch.setattr(nystrom._CurveData, "values", counted)
+        spec = SweepSpec(case_tag="B", vary="eps1", grid=(1e-4,),
+                         fixed={"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps2": 1e-3},
+                         quantities=("max_gap_gradient_12", "potential_difference_21",
+                                     "flux_residual_max"))
+        assert run_sweep(spec).errors == [None]
+        assert len(computed) == len(set(computed)) == 3
 
     @pytest.mark.parametrize("scene", ["pair", "A", "B", "C", "D"])
     def test_forward_map_puts_each_foot_at_its_gap_end(self, scene):
