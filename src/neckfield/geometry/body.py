@@ -23,18 +23,17 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(256)
 class BoundaryChart:
     """One smooth piece of a body boundary.
 
-    ``point/deriv/second`` are vectorized over the chart parameter
-    u in [u0, u1], and ``jet`` gives all three at once, bit for bit, from
-    one trigonometric table; for full closed curves the parameter is 2*pi-periodic and
-    ``closed`` is True. ``corner_start``/``corner_end`` mark endpoints where
-    the body boundary has a genuine corner. ``circle`` is the disk whose
-    circle the chart traces (a disk's one chart, both arcs of a lens), and
-    None for a smooth curve: the gap search takes its closed form from it.
+    ``point`` and ``jet`` (the point, first and second derivative, from one
+    trigonometric table) are vectorized over the chart parameter u in
+    [u0, u1]; for full closed curves the parameter is 2*pi-periodic and
+    ``closed`` is True. ``corner_start``/``corner_end``
+    mark endpoints where the body boundary has a genuine corner. ``circle``
+    is the disk whose circle the chart traces (a disk's one chart, both
+    arcs of a lens), and None for a smooth curve: the gap search takes its
+    closed form from it.
     """
 
     point: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-    second: Callable[[np.ndarray], np.ndarray]
     jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     u0: float
     u1: float
@@ -48,12 +47,12 @@ class BoundaryChart:
         return self.u1 - self.u0
 
     def curvature(self, u):
-        return curvature(self.deriv(u), self.second(u))
+        return curvature(*self.jet(u)[1:])
 
     def arclength(self) -> float:
         # Gauss-Legendre estimate, plenty for mesh planning
         u = 0.5 * (self.u0 + self.u1) + 0.5 * self.span * _GAUSS_X
-        d = self.deriv(u)
+        d = self.jet(u)[1]
         return float(0.5 * self.span * np.sum(_GAUSS_W * np.hypot(d[:, 0], d[:, 1])))
 
 
@@ -180,12 +179,10 @@ class Body:
     def charts(self) -> list[BoundaryChart]:
         if self.kind == "disk":
             d = self.disk
-            return [BoundaryChart(d.point, d.deriv, d.second, d.jet, 0.0, 2 * np.pi,
-                                  closed=True, circle=d)]
+            return [BoundaryChart(d.point, d.jet, 0.0, 2 * np.pi, closed=True, circle=d)]
         if self.kind == "smooth":
             s = self.smooth
-            return [BoundaryChart(s.point, s.deriv, s.second, s.jet, 0.0, 2 * np.pi,
-                                  closed=True)]
+            return [BoundaryChart(s.point, s.jet, 0.0, 2 * np.pi, closed=True)]
         return self._lens_charts()
 
     def _lens_charts(self) -> list[BoundaryChart]:
@@ -212,9 +209,9 @@ class Body:
         rb = outer_range(db, da)
 
         charts = [
-            BoundaryChart(da.point, da.deriv, da.second, da.jet, ra[0], ra[1],
+            BoundaryChart(da.point, da.jet, ra[0], ra[1],
                           corner_start=True, corner_end=True, circle=da),
-            BoundaryChart(db.point, db.deriv, db.second, db.jet, rb[0], rb[1],
+            BoundaryChart(db.point, db.jet, rb[0], rb[1],
                           corner_start=True, corner_end=True, circle=db),
         ]
         # order the two arcs so the traversal is a single CCW loop: the end

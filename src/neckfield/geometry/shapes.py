@@ -55,18 +55,8 @@ class Disk:
         return np.stack([self.center[0] + self.radius * np.cos(theta),
                          self.center[1] + self.radius * np.sin(theta)], axis=-1)
 
-    def deriv(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.stack([-self.radius * np.sin(theta),
-                         self.radius * np.cos(theta)], axis=-1)
-
-    def second(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.stack([-self.radius * np.cos(theta),
-                         -self.radius * np.sin(theta)], axis=-1)
-
     def jet(self, theta):
-        """``point``, ``deriv`` and ``second`` at theta, bit for bit, from
+        """The point and its first and second derivatives at theta, from
         one cos and one sin."""
         theta = np.asarray(theta, dtype=float)
         rc, rs = self.radius * np.cos(theta), self.radius * np.sin(theta)
@@ -203,7 +193,7 @@ class SmoothBoundary:
     def curvature(self, t):
         """Signed curvature; positive where the curve is locally convex
         (counterclockwise parameterization)."""
-        return curvature(self.deriv(t), self.second(t))
+        return curvature(*self.jet(t)[1:])
 
     def validate(self, samples: int = 720) -> None:
         t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)

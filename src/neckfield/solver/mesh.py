@@ -30,11 +30,9 @@ returning a silently under-resolved mesh; so does a gap whose floor panel
 the clamped b cannot bring below gap/4, which no node count mends.
 
 What does not depend on the node count is built once per curve
-(``_ChainTables``): the floor parameters b_f, the masses of the density
-terms, their constants at x = 0 and the columns of the forward seed table,
-``_SEED_UNIFORM`` points uniform over the chain plus ``_SEED_GRADED`` on
-each side of each feature. A doubling then only forms the amplitudes, the
-seed table's masses x + sum_f A_f J_f, and inverts its nodes.
+(``_ChainTables``), the inversion's forward seed table among it: 129 points
+uniform over the chain plus 48 on each side of each feature. A doubling
+only forms its amplitudes and the seed's masses, and inverts its nodes.
 """
 
 from __future__ import annotations

@@ -719,6 +719,9 @@ class TestSmoothBoundary:
         for curve in (base, base.scaled(0.05), base.mirrored_x().translated((-1.0, 0.5))):
             for mode, name in enumerate(("point", "deriv", "second")):
                 assert np.array_equal(getattr(curve, name)(t), per_mode(curve, t, mode))
+            # the gap search and the mesh take all three from one table
+            for mode, got in enumerate(curve.jet(t)):
+                assert np.array_equal(got, per_mode(curve, t, mode))
 
     def test_peanut_is_valid_but_not_convex(self):
         p = peanut()
