@@ -633,18 +633,20 @@ class TestChainMap:
             assert np.array_equal(fresh.dvdt(v), cm.chain.dvdt(cm.v))
 
     @pytest.mark.parametrize("build,counts", [
-        *[(lambda e=e: build_two_disks(1.0, 1.0, e), [n, n])
+        *[pytest.param(lambda e=e: build_two_disks(1.0, 1.0, e), [n, n], id=f"pair-{e:.1e}")
           for e, n in zip(np.geomspace(1e-6, 1e-2, 9), [384] * 5 + [192] * 4)],
-        *[(lambda e=e: build_case_b(1.0, 0.05, 1.0, e, 1e-3), [n, 384, 192])
+        *[pytest.param(lambda e=e: build_case_b(1.0, 0.05, 1.0, e, 1e-3), [n, 384, 192],
+                       id=f"B-{e:.1e}")
           for e, n in zip(np.geomspace(1e-5, 1e-3, 6), [384] * 4 + [192] * 2)],
-        *[(lambda e=e: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
-                                    SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
-                                    SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9),
-                                    0.05, e, e), counts)
+        *[pytest.param(lambda e=e: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
+                                                SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
+                                                SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9),
+                                                0.05, e, e), counts, id=f"D-{e:.1e}")
           for e, counts in zip(np.geomspace(1e-4, 1e-2, 5),
                                [[384, 384, 384]] + [[192, 384, 192]] * 2
                                + [[192, 192, 192]] * 2)],
-        *[(lambda e=e: build_case_a(1.0, 0.05, 1.0, 0.05, e), counts)
+        *[pytest.param(lambda e=e: build_case_a(1.0, 0.05, 1.0, 0.05, e), counts,
+                       id=f"A-{e:.1e}")
           for e, counts in ((1e-2, [192, 768]), (1e-5, [384, 1536]))]])
     def test_inversion_at_rounding_level(self, build, counts):
         # the benchmark's grids and a lens: from the trimmed seed table the
