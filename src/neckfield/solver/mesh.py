@@ -17,7 +17,7 @@ which keeps full relative accuracy as the floor parameter b -> 0; so node
 placement is exact and the map stays analytic, which the global quadrature
 rule requires.
 
-Node counts double until measured targets hold:
+Every mesh must meet these measured targets:
 
   * panels within one gap distance of a gap point are shorter than gap/4,
   * at least ``_PEAK_NODES`` nodes lie within the neck scale
@@ -25,14 +25,22 @@ Node counts double until measured targets hold:
   * panels elsewhere resolve the body at the base density,
   * toward each corner the innermost panels decay geometrically.
 
+Node counts lie on a ladder of multiples of ``_NODE_LADDER``. The clustering
+spends a share sum_f masses_f / (2 growth_f n) of the node budget on its
+features, and the map needs that share below 1 - ``_BUDGET_FLOOR``; this
+closed form gives each curve's least count on the ladder, at least the base
+count. A curve is meshed once, at that count; the targets are checked on
+the mesh, and only a mesh that misses them doubles its count.
+
 Exceeding the total node cap raises RefinementFailureError rather than
 returning a silently under-resolved mesh; so does a gap whose floor panel
 the clamped b cannot bring below gap/4, which no node count mends.
 
 What does not depend on the node count is built once per curve
 (``_ChainTables``), the inversion's forward seed table among it: 129 points
-uniform over the chain plus 48 on each side of each feature. A doubling
-only forms its amplitudes and the seed's masses, and inverts its nodes.
+uniform over the chain plus 48 on each side of each feature. A chain map
+at one count only forms its amplitudes and the seed's masses, and inverts
+its nodes.
 """
 
 from __future__ import annotations
@@ -72,12 +80,19 @@ _B_MIN = 1e-12
 # benchmark scene and on the lens (1025 and 256 points gave the same node
 # counts, and nodes within 7e-16 of the perimeter).
 _SEED_UNIFORM, _SEED_GRADED = 129, 48
+# Node counts of a graded mesh are multiples of this step (so even, as the
+# log-kernel rule requires).
+_NODE_LADDER = 16
+# Least share of a chain map's node budget left to the uniform term: below
+# it the clustering would eat the whole budget.
+_BUDGET_FLOOR = 0.3
 
 
 @dataclass(frozen=True)
 class MeshControls:
-    """Named mesh parameters: ``base_n`` is the starting node count per
-    curve and ``cap_total`` the hard cap over all curves of one scene."""
+    """Named mesh parameters: ``base_n`` is the least node count per curve
+    (rounded up to the node ladder; the chain budget may ask for more) and
+    ``cap_total`` the hard cap over all curves of one scene."""
 
     base_n: int = 192               # below 64: taken literally, resolution targets bypassed
     cap_total: int = 65536
@@ -122,15 +137,19 @@ def _clustered_mass(x, b: float):
 
 class _ChainTables:
     """The parts of one curve's chain map that do not depend on the node
-    count, built once per curve and shared by the maps of every doubling:
-    the chain coordinates of the charts, the floor parameters b_f (from the
-    curve's speed at each feature, probed on both sides of a corner only
-    where the curve has one), the masses 4 R_F(0, 1 + b_f^2, b_f^2) of the
-    density terms, each term's constant I(-x_f, b_f) and the forward seed
-    table's per-feature columns J_f = I(x - x_f, b_f) - I(-x_f, b_f). The
-    seed table is uniform in v plus x-offsets graded geometrically from
-    b/100 to pi on both sides of each feature, so every density bump (width
-    about b) is sampled on its own scale; its last entry is v_total."""
+    count, built once per curve: the chain coordinates of the charts, the
+    floor parameters b_f (from the curve's speed at each feature, probed on
+    both sides of a corner only where the curve has one), the masses
+    4 R_F(0, 1 + b_f^2, b_f^2) of the density terms, each term's constant
+    I(-x_f, b_f) and the forward seed table's per-feature columns
+    J_f = I(x - x_f, b_f) - I(-x_f, b_f). The seed table is uniform in v
+    plus x-offsets graded geometrically from b/100 to pi on both sides of
+    each feature, so every density bump (width about b) is sampled on its
+    own scale; its last entry is v_total.
+
+    The features take the share sum_f masses_f / (2 growth_f n) of a map's
+    node budget (``budget``), so ``least_n`` reads the least count on the
+    node ladder that leaves the budget above its floor from the tables."""
 
     def __init__(self, charts: Sequence[BoundaryChart], features: Sequence[FeatureSpec]):
         self.charts = list(charts)
@@ -164,6 +183,24 @@ class _ChainTables:
         self.x_seed = self.v_seed * self.scale
         self.j_seed = [_clustered_mass(self.x_seed - xf, b) - c
                        for xf, b, c in zip(self.x_f, self.b, self.origin)]
+
+    def budget(self, n_nodes: int):
+        """Each density term's amplitude per unit total mass,
+        h / (4 pi growth_f), and the share of the node budget that the
+        uniform term keeps at this count, 1 - sum_f of them times masses_f."""
+        h = _TWO_PI / n_nodes
+        coef = np.array([h / (4 * np.pi * growth) for growth in self.growth])
+        return coef, 1.0 - float(np.sum(coef * self.masses))
+
+    def least_n(self, n_min: int) -> int:
+        """The least count on the node ladder, at least ``n_min`` (itself on
+        the ladder), whose budget stays above the floor: the share is
+        sum_f masses_f / (2 growth_f n), so n > that sum / (1 - floor)."""
+        load = sum(m / (2 * g) for m, g in zip(self.masses, self.growth))
+        n = max(n_min, int(load / (1.0 - _BUDGET_FLOOR)) // _NODE_LADDER * _NODE_LADDER)
+        while self.budget(n)[1] <= _BUDGET_FLOOR:
+            n += _NODE_LADDER
+        return n
 
     def frame_of_v(self, v):
         """Points, chart derivatives and curvature at chain coordinates."""
@@ -201,13 +238,11 @@ class _ChainMap:
         self.tables = tables
         self.charts, self.v_edges, self.v_total = tables.charts, tables.v_edges, tables.v_total
         self.scale, self.x_f, self.b = tables.scale, tables.x_f, tables.b
-        h = _TWO_PI / n_nodes
-        coef = np.array([h / (4 * np.pi * growth) for growth in tables.growth])
-        denom = 1.0 - float(np.sum(coef * tables.masses))
+        coef, denom = tables.budget(n_nodes)
         # a small denominator means the clustering would eat the whole node
         # budget; report unresolved so the planner doubles n
-        self.resolved = denom > 0.3
-        denom = max(denom, 0.3)
+        self.resolved = denom > _BUDGET_FLOOR
+        denom = max(denom, _BUDGET_FLOOR)
         self.mass_total = _TWO_PI / denom
         self.amps = coef * self.mass_total
         m_tab = tables.x_seed.copy()
@@ -330,34 +365,48 @@ def _body_features(body: Body,
     return kept
 
 
+def _curve_mesh(tables: _ChainTables, body_index: int, feats: list[FeatureSpec],
+                n: int) -> CurveMesh:
+    """The curve's mesh at one node count."""
+    chain = _ChainMap(tables, n)
+    h = _TWO_PI / n
+    t = (np.arange(n) + 0.5) * h
+    v = chain.v_of_t(t)
+    pts, der, kap = chain.frame_of_v(v)
+    vel = der * chain.dvdt(v)[:, None]
+    speed = np.hypot(vel[:, 0], vel[:, 1])
+    normal = np.stack([vel[:, 1], -vel[:, 0]], axis=-1) / speed[:, None]
+    weights = speed * h
+    arc = np.cumsum(weights) - 0.5 * weights
+    perimeter = float(np.sum(weights))
+    return CurveMesh(body_index, chain, n, h, t, v, pts, vel, speed, normal,
+                     kap, weights, arc, perimeter, feats)
+
+
 def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
-                controls: MeshControls, n_start: int) -> CurveMesh:
+                controls: MeshControls) -> CurveMesh:
+    """Mesh one curve at the least ladder count its chain budget allows
+    (at least ``base_n``), doubling only while the mesh misses a target."""
     tables = _ChainTables(body.charts(), feats)
+    base = controls.base_n
     # a base count below 64 requests a deliberately coarse mesh: use it
     # literally instead of refining to the resolution targets
-    literal = controls.base_n < 64
-    n = n_start + (n_start % 2) if literal else max(64, n_start)
+    literal = base < 64
+    if literal:
+        n = n_base = base + (base % 2)
+    else:
+        n_base = -(-base // _NODE_LADDER) * _NODE_LADDER
+        n = tables.least_n(n_base)
     while True:
-        chain = _ChainMap(tables, n)
-        h = _TWO_PI / n
-        t = (np.arange(n) + 0.5) * h
-        v = chain.v_of_t(t)
-        pts, der, kap = chain.frame_of_v(v)
-        vel = der * chain.dvdt(v)[:, None]
-        speed = np.hypot(vel[:, 0], vel[:, 1])
-        normal = np.stack([vel[:, 1], -vel[:, 0]], axis=-1) / speed[:, None]
-        weights = speed * h
-        arc = np.cumsum(weights) - 0.5 * weights
-        perimeter = float(np.sum(weights))
-        cm = CurveMesh(body_index, chain, n, h, t, v, pts, vel, speed, normal,
-                       kap, weights, arc, perimeter, feats)
-        if literal or (chain.resolved and _resolution_ok(cm, controls.base_n)):
-            return cm
-        n *= 2
-        if n > controls.cap_total:
+        # a count beyond the base, predicted or doubled, must fit the cap
+        if n > max(n_base, controls.cap_total):
             raise RefinementFailureError(
                 "node cap reached before gap resolution",
                 {"body": body_index, "requested_n": n, "cap": controls.cap_total})
+        cm = _curve_mesh(tables, body_index, feats, n)
+        if literal or (cm.chain.resolved and _resolution_ok(cm, base)):
+            return cm
+        n *= 2
 
 
 def _resolution_ok(cm: CurveMesh, base_n: int) -> bool:
@@ -439,7 +488,7 @@ def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls(),
     budget_used = 0
     for i, body in enumerate(cfg.bodies):
         feats = _body_features(body, per_body[i])
-        cm = _mesh_curve(body, i, feats, controls, controls.base_n)
+        cm = _mesh_curve(body, i, feats, controls)
         budget_used += cm.n
         if budget_used > controls.cap_total:
             raise RefinementFailureError("total node cap exceeded",
@@ -447,7 +496,7 @@ def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls(),
         curves.append(cm)
     for k, body in enumerate(extra_bodies):
         feats = _body_features(body, [])
-        cm = _mesh_curve(body, len(cfg.bodies) + k, feats, controls, controls.base_n)
+        cm = _mesh_curve(body, len(cfg.bodies) + k, feats, controls)
         curves.append(cm)
     return BoundaryMesh(curves, controls)
 

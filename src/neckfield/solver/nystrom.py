@@ -91,6 +91,7 @@ import scipy.linalg
 
 from ..errors import (DomainError, InvalidParameterError, InvalidUsageError,
                       NumericFailureError)
+from ..geometry.body import Body
 from ..geometry.config import Configuration
 from ..geometry.gap import GapFoot, GapInfo
 from ..geometry.shapes import HarmonicBackground
@@ -233,6 +234,24 @@ class _CurveData:
         return out * (self.h / self.w) if derivative else out
 
 
+def _farthest_inside(cm: CurveMesh, body: Body) -> complex:
+    """Of the area centroid and a grid over the nodes' bounding box, the
+    point inside the body that lies farthest from the nodes."""
+    x, y = cm.nodes.T
+    vx, vy = cm.velocity.T
+    area = 0.5 * cm.h * np.sum(x * vy - y * vx)
+    centroid = np.array([np.sum(x * x * vy), -np.sum(y * y * vx)]) * cm.h / (2 * area)
+    axes = [np.linspace(lo, hi, _CENTER_GRID)
+            for lo, hi in zip(cm.nodes.min(axis=0), cm.nodes.max(axis=0))]
+    cand = np.vstack([centroid, np.stack(np.meshgrid(*axes), -1).reshape(-1, 2)])
+    cand = cand[body.contains(cand)]
+    if cand.shape[0] == 0:
+        raise NumericFailureError("no interior point found for the log center",
+                                  {"body": cm.body_index})
+    clearance = np.min(np.hypot(*(cand[:, None, :] - cm.nodes[None, :, :]).T), axis=0)
+    return complex(*cand[int(np.argmax(clearance))])
+
+
 class SceneOperator:
     """Assembled single-layer operator for one mesh; solves the exterior
     problems of a configuration and evaluates the represented fields. On a
@@ -253,37 +272,27 @@ class SceneOperator:
     # -- close evaluation ----------------------------------------------------
 
     def _log_center(self, cm: CurveMesh) -> complex:
-        """A point well inside the curve's body: a disk's center; otherwise,
-        of the area centroid and a grid over the nodes' bounding box, the
-        point inside the body that lies farthest from the nodes. On a folded
-        operator the point lies on the axis, which makes the curve's F
-        conjugate-symmetric: a disk's center, otherwise the point of a grid
-        between the curve's two axis crossings, at t = 0 and pi, that lies
-        farthest from the nodes. The segment between the crossings lies
-        inside the body, since a simple curve meets its mirror image on the
-        axis alone."""
+        """A point well inside the curve's body: a disk's center, or the
+        center of a lens's larger disk, which lies at least that disk's
+        radius inside the union; for a smooth body the point of
+        ``_farthest_inside``. On a folded operator the point lies on the
+        axis, which makes the curve's F conjugate-symmetric: for a smooth
+        body the point of a grid between the curve's two axis crossings, at
+        t = 0 and pi, that lies farthest from the nodes. The segment between
+        the crossings lies inside the body, since a simple curve meets its
+        mirror image on the axis alone."""
         body = self.cfg.bodies[cm.body_index]
-        if body.kind == "disk":
-            x, y = body.disk.center
+        if body.kind != "smooth":
+            disk = body.disk if body.kind == "disk" else max(body.lens_disks,
+                                                             key=lambda d: d.radius)
+            x, y = disk.center
             return complex(x, 0.0 if self._fold is not None else y)
         if self._fold is not None:
             # nodes 0 and N/2-1 are the nodes next to the crossings
             x = np.linspace(cm.nodes[0, 0], cm.nodes[cm.n // 2 - 1, 0], _CENTER_GRID + 2)[1:-1]
             clearance = np.min(np.hypot(x[:, None] - cm.nodes[:, 0], cm.nodes[:, 1]), axis=1)
             return complex(x[int(np.argmax(clearance))], 0.0)
-        x, y = cm.nodes.T
-        vx, vy = cm.velocity.T
-        area = 0.5 * cm.h * np.sum(x * vy - y * vx)
-        centroid = np.array([np.sum(x * x * vy), -np.sum(y * y * vx)]) * cm.h / (2 * area)
-        axes = [np.linspace(lo, hi, _CENTER_GRID)
-                for lo, hi in zip(cm.nodes.min(axis=0), cm.nodes.max(axis=0))]
-        cand = np.vstack([centroid, np.stack(np.meshgrid(*axes), -1).reshape(-1, 2)])
-        cand = cand[body.contains(cand)]
-        if cand.shape[0] == 0:
-            raise NumericFailureError("no interior point found for the log center",
-                                      {"body": cm.body_index})
-        clearance = np.min(np.hypot(*(cand[:, None, :] - cm.nodes[None, :, :]).T), axis=0)
-        return complex(*cand[int(np.argmax(clearance))])
+        return _farthest_inside(cm, body)
 
     def _unknowns(self, curve_index: int) -> slice:
         """The curve's unknowns in ``_slp``: all its nodes, or on a folded

@@ -16,7 +16,7 @@ from neckfield import (Body, Configuration, Disk, DomainError, FieldSolution,
                        RefinementFailureError, SceneOperator, SmoothBoundary,
                        SweepSpec, build_case_a, build_case_b, build_case_c,
                        body_gap, build_case_d, build_two_disks, decompose_u, images,
-                       max_gap_gradient, representation_coeffs, run_sweep,
+                       log_grid, max_gap_gradient, representation_coeffs, run_sweep,
                        solve_h, solve_hc, solve_u)
 from neckfield.errors import InvalidUsageError, NumericFailureError
 from neckfield.solver import mesh as mesh_module
@@ -468,7 +468,7 @@ class TestMeshInvariants:
 
     def test_clamped_gap_above_the_floor_meshes(self):
         mesh = build_mesh(build_two_disks(1, 1, 2e-7))
-        assert [c.n for c in mesh.curves] == [384, 384]
+        assert [c.n for c in mesh.curves] == [320, 320]
 
     def test_near_boundary_evaluation(self):
         cfg = build_two_disks(1, 1, 1e-3)
@@ -553,6 +553,25 @@ class TestCloseEvaluation:
         taylor = u.constant(0) + 1e-6 * np.einsum("ij,ij->i", grad, n_out)
         assert np.max(np.abs(u.potential(q) - taylor)) <= 1e-9
 
+    def test_lens_log_center_is_its_larger_disks_center(self, monkeypatch):
+        # the larger disk's center lies at least its radius inside the
+        # union; the grid search over the lens's bounding box, which smooth
+        # bodies keep, gives the same potential difference
+        cfg = build_case_a(1.0, 0.05, 1.0, 0.05, 1e-4)
+        op = SceneOperator(cfg)
+        lens = cfg.bodies[1]
+        assert op._fold is None and lens.kind == "lens"
+        big = max(lens.lens_disks, key=lambda d: d.radius)
+        assert op._curves[1].zc == complex(*big.center)
+        du = op.solve_u().potential_difference(1, 0)
+        center = nystrom.SceneOperator._log_center
+        monkeypatch.setattr(nystrom.SceneOperator, "_log_center", lambda self, cm: (
+            nystrom._farthest_inside(cm, lens) if cm.body_index == 1 else center(self, cm)))
+        searched = SceneOperator(cfg)
+        assert searched._curves[0].zc == op._curves[0].zc
+        assert searched._curves[1].zc != op._curves[1].zc
+        assert searched.solve_u().potential_difference(1, 0) == pytest.approx(du, rel=1e-12)
+
     @pytest.mark.parametrize("build", [
         lambda: build_case_b(1.0, 0.05, 1.0, 1e-5, 1e-3),
         lambda: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
@@ -578,6 +597,27 @@ class TestCloseEvaluation:
             assert np.max(np.abs(block - layer)) <= 1e-12 * np.max(np.abs(layer))
 
 
+# The benchmark's grids (pair, case B, case D) and two case-A lenses, with
+# the node count of each curve.
+GRID_SCENES = [
+    *[pytest.param(lambda e=e: build_two_disks(1.0, 1.0, e), [n, n], id=f"pair-{e:.1e}")
+      for e, n in zip(np.geomspace(1e-6, 1e-2, 9), [288, 272, 256, 240, 208] + [192] * 4)],
+    *[pytest.param(lambda e=e: build_case_b(1.0, 0.05, 1.0, e, 1e-3), [n, m, 192],
+                   id=f"B-{e:.1e}")
+      for e, n, m in zip(np.geomspace(1e-5, 1e-3, 6), [256, 240, 224, 208, 192, 192],
+                         [320, 304, 288, 272, 256, 240])],
+    *[pytest.param(lambda e=e: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
+                                            SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
+                                            SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9),
+                                            0.05, e, e), counts, id=f"D-{e:.1e}")
+      for e, counts in zip(np.geomspace(1e-4, 1e-2, 5),
+                           [[208, 320, 208], [192, 272, 192], [192, 240, 192]]
+                           + [[192, 192, 192]] * 2)],
+    *[pytest.param(lambda e=e: build_case_a(1.0, 0.05, 1.0, 0.05, e), counts,
+                   id=f"A-{e:.1e}")
+      for e, counts in ((1e-2, [192, 704]), (1e-5, [256, 832]))]]
+
+
 class TestChainMap:
     @pytest.mark.parametrize("b", [0.5, 1e-2, 1e-4, 1e-7, 1e-8, 1e-12])
     def test_mass_matches_quadrature(self, b):
@@ -593,9 +633,9 @@ class TestChainMap:
 
     def test_one_mass_table_per_chain_map(self, monkeypatch):
         # the n-independent tables (floor parameters, masses, feature
-        # constants, seed columns) are built once per curve; a doubling's
-        # map forms its seed masses from them and evaluates mass only in
-        # the three Newton steps of its inversion
+        # constants, seed columns) are built once per curve; the map forms
+        # its seed masses from them and evaluates mass only in the three
+        # Newton steps of its inversion
         calls = {"tables": 0, "maps": 0, "mass": 0}
         tables_init = mesh_module._ChainTables.__init__
         init, mass = mesh_module._ChainMap.__init__, mesh_module._ChainMap.mass
@@ -613,17 +653,17 @@ class TestChainMap:
         mesh = build_mesh(build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
                                        ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-5, 1e-5))
         assert calls["tables"] == len(mesh.curves) == 3
-        # one map per node count tried, from the base 192 up
-        assert calls["maps"] == sum(1 + int(np.log2(cm.n // 192)) for cm in mesh.curves) > 3
+        # one map per curve, at the count its chain budget predicts
+        assert calls["maps"] == len(mesh.curves)
         assert calls["mass"] == 3 * calls["maps"]
 
     def test_shared_tables_give_a_fresh_chain(self):
-        # build_mesh reuses a curve's tables over its doublings; a chain
-        # built at the final node count from new tables is the same, bit
-        # for bit
+        # build_mesh reads the node count from a curve's tables and builds
+        # its chain from them; a chain built at that count from new tables
+        # is the same, bit for bit
         cfg = build_case_b(1.0, 0.05, 1.0, 1e-5, 1e-3)
         mesh = build_mesh(cfg)
-        assert [cm.n for cm in mesh.curves] == [384, 384, 192]
+        assert [cm.n for cm in mesh.curves] == [256, 320, 192]
         for cm, body in zip(mesh.curves, cfg.bodies):
             fresh = mesh_module._ChainMap(
                 mesh_module._ChainTables(body.charts(), cm.features), cm.n)
@@ -632,22 +672,7 @@ class TestChainMap:
             assert np.array_equal(fresh.frame_of_v(v)[0], cm.nodes)
             assert np.array_equal(fresh.dvdt(v), cm.chain.dvdt(cm.v))
 
-    @pytest.mark.parametrize("build,counts", [
-        *[pytest.param(lambda e=e: build_two_disks(1.0, 1.0, e), [n, n], id=f"pair-{e:.1e}")
-          for e, n in zip(np.geomspace(1e-6, 1e-2, 9), [384] * 5 + [192] * 4)],
-        *[pytest.param(lambda e=e: build_case_b(1.0, 0.05, 1.0, e, 1e-3), [n, 384, 192],
-                       id=f"B-{e:.1e}")
-          for e, n in zip(np.geomspace(1e-5, 1e-3, 6), [384] * 4 + [192] * 2)],
-        *[pytest.param(lambda e=e: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
-                                                SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
-                                                SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9),
-                                                0.05, e, e), counts, id=f"D-{e:.1e}")
-          for e, counts in zip(np.geomspace(1e-4, 1e-2, 5),
-                               [[384, 384, 384]] + [[192, 384, 192]] * 2
-                               + [[192, 192, 192]] * 2)],
-        *[pytest.param(lambda e=e: build_case_a(1.0, 0.05, 1.0, 0.05, e), counts,
-                       id=f"A-{e:.1e}")
-          for e, counts in ((1e-2, [192, 768]), (1e-5, [384, 1536]))]])
+    @pytest.mark.parametrize("build,counts", GRID_SCENES)
     def test_inversion_at_rounding_level(self, build, counts):
         # the benchmark's grids and a lens: from the trimmed seed table the
         # three Newton steps of v_of_t reach t_of_v(v) = t to rounding. Its
@@ -662,6 +687,65 @@ class TestChainMap:
             v = chain.v_of_t(cm.t)
             miss = np.abs(chain.t_of_v(v) - cm.t) * chain.dvdt(v)
             assert np.max(miss) <= 8 * np.spacing(chain.v_total)
+
+
+class TestNodePrediction:
+    """Each curve is meshed once, at the least count on the node ladder
+    that its chain budget allows."""
+
+    @pytest.mark.parametrize("build", [pytest.param(p.values[0], id=p.id) for p in GRID_SCENES])
+    def test_no_curve_is_over_resolved(self, build, monkeypatch):
+        maps = []
+        init = mesh_module._ChainMap.__init__
+        monkeypatch.setattr(mesh_module._ChainMap, "__init__",
+                            lambda self, *args: maps.append(init(self, *args)))
+        cfg = build()
+        mesh = build_mesh(cfg)
+        assert len(maps) == len(mesh.curves)
+        monkeypatch.undo()
+        for cm, body in zip(mesh.curves, cfg.bodies):
+            assert cm.n % mesh_module._NODE_LADDER == 0 and cm.n >= 192
+            if cm.n == 192:
+                continue
+            tables = mesh_module._ChainTables(body.charts(), cm.features)
+            lower = mesh_module._curve_mesh(tables, cm.body_index, cm.features,
+                                            cm.n - mesh_module._NODE_LADDER)
+            assert not (lower.chain.resolved and mesh_module._resolution_ok(lower, 192))
+
+    def test_pair_matches_the_closed_form(self):
+        # criterion 1's probes and the potential difference, nine gaps down
+        # to 1e-6, on the predicted meshes
+        for eps in log_grid(1e-6, 1e-2, 9):
+            cfg = build_two_disks(1.0, 1.0, eps)
+            op = SceneOperator(cfg)
+            h = op.solve_h(((0,), (1,)))
+            f = images.psi_two_disks(*(b.disk for b in cfg.bodies))
+            th = np.linspace(0, 2 * np.pi, 120, endpoint=False)
+            pts = np.vstack([np.stack([3 * np.cos(th), 3 * np.sin(th)], -1),
+                             np.stack([np.zeros(80), np.linspace(2.5 * eps, 1.5, 80)], -1)])
+            exact = f.potential(pts)
+            assert np.max(np.abs(h.potential(pts) - exact)) <= 1e-9 * np.max(np.abs(exact))
+            du = images.two_disk_potential_difference(*(b.disk for b in cfg.bodies),
+                                                      cfg.background)
+            assert op.solve_u().potential_difference(1, 0) == pytest.approx(du, rel=1e-9)
+
+    def test_predicted_count_over_the_cap_builds_no_chain(self, monkeypatch):
+        maps = []
+        init = mesh_module._ChainMap.__init__
+        monkeypatch.setattr(mesh_module._ChainMap, "__init__",
+                            lambda self, *args: maps.append(init(self, *args)))
+        with pytest.raises(RefinementFailureError, match="node cap reached") as err:
+            build_mesh(build_two_disks(1, 1, 1e-6), MeshControls(cap_total=128))
+        assert err.value.diagnostics["requested_n"] == 288
+        assert maps == []
+
+    def test_odd_base_count_rounds_up_the_ladder(self):
+        controls = MeshControls(base_n=101)
+        for cfg in (build_two_disks(1, 1, 1e-2), build_two_disks(1, 1, 1e-5)):
+            op = SceneOperator(cfg, controls)
+            ns = [cm.n for cm in op.mesh.curves]
+            assert all(n % mesh_module._NODE_LADDER == 0 and n >= 112 for n in ns), ns
+            assert np.isfinite(op.solve_u().potential_difference(1, 0))
 
 
 class TestGapMaximum:
