@@ -27,10 +27,13 @@ Every mesh must meet these measured targets:
 
 Node counts lie on a ladder of multiples of ``_NODE_LADDER``. The clustering
 spends a share sum_f masses_f / (2 growth_f n) of the node budget on its
-features, and the map needs that share below 1 - ``_BUDGET_FLOOR``; this
-closed form gives each curve's least count on the ladder, at least the base
-count. A curve is meshed once, at that count; the targets are checked on
-the mesh, and only a mesh that misses them doubles its count.
+features, and the map needs that share below 1 - ``_BUDGET_FLOOR``; the
+tables give each curve's least count on the ladder, at least the base
+count. A scene with a lens corner stays on the counts base * 2^k instead,
+the counts doubling reaches: next to a corner the close evaluator's error
+is first order in n, so any other count moves its answers. A curve is
+meshed once, at that count; the targets are checked on the mesh, and only
+a mesh that misses them doubles its count.
 
 Exceeding the total node cap raises RefinementFailureError rather than
 returning a silently under-resolved mesh; so does a gap whose floor panel
@@ -148,8 +151,8 @@ class _ChainTables:
     own scale; its last entry is v_total.
 
     The features take the share sum_f masses_f / (2 growth_f n) of a map's
-    node budget (``budget``), so ``least_n`` reads the least count on the
-    node ladder that leaves the budget above its floor from the tables."""
+    node budget (``budget``), so ``least_n`` finds the least count that
+    leaves the budget above its floor from the tables, without a map."""
 
     def __init__(self, charts: Sequence[BoundaryChart], features: Sequence[FeatureSpec]):
         self.charts = list(charts)
@@ -192,14 +195,13 @@ class _ChainTables:
         coef = np.array([h / (4 * np.pi * growth) for growth in self.growth])
         return coef, 1.0 - float(np.sum(coef * self.masses))
 
-    def least_n(self, n_min: int) -> int:
-        """The least count on the node ladder, at least ``n_min`` (itself on
-        the ladder), whose budget stays above the floor: the share is
-        sum_f masses_f / (2 growth_f n), so n > that sum / (1 - floor)."""
-        load = sum(m / (2 * g) for m, g in zip(self.masses, self.growth))
-        n = max(n_min, int(load / (1.0 - _BUDGET_FLOOR)) // _NODE_LADDER * _NODE_LADDER)
+    def least_n(self, n_min: int, doubling: bool) -> int:
+        """The least count whose budget stays above the floor, stepping from
+        ``n_min`` (on the node ladder) up the ladder, or with ``doubling``
+        through n_min 2^k: the features' share falls like 1/n."""
+        n = n_min
         while self.budget(n)[1] <= _BUDGET_FLOOR:
-            n += _NODE_LADDER
+            n = 2 * n if doubling else n + _NODE_LADDER
         return n
 
     def frame_of_v(self, v):
@@ -384,9 +386,10 @@ def _curve_mesh(tables: _ChainTables, body_index: int, feats: list[FeatureSpec],
 
 
 def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
-                controls: MeshControls) -> CurveMesh:
-    """Mesh one curve at the least ladder count its chain budget allows
-    (at least ``base_n``), doubling only while the mesh misses a target."""
+                controls: MeshControls, doubling: bool) -> CurveMesh:
+    """Mesh one curve at the least count its chain budget allows, on the
+    node ladder from ``base_n`` up (or with ``doubling`` on base_n 2^k),
+    doubling only while the mesh misses a target."""
     tables = _ChainTables(body.charts(), feats)
     base = controls.base_n
     # a base count below 64 requests a deliberately coarse mesh: use it
@@ -396,7 +399,7 @@ def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
         n = n_base = base + (base % 2)
     else:
         n_base = -(-base // _NODE_LADDER) * _NODE_LADDER
-        n = tables.least_n(n_base)
+        n = tables.least_n(n_base, doubling)
     while True:
         # a count beyond the base, predicted or doubled, must fit the cap
         if n > max(n_base, controls.cap_total):
@@ -484,19 +487,23 @@ def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls(),
         for foot, point in zip(info.feet, (info.point_i, info.point_j)):
             per_body[foot.body].append((foot, np.asarray(point), info.distance))
 
+    feats = [_body_features(body, per_body[i]) for i, body in enumerate(cfg.bodies)]
+    extra_feats = [_body_features(body, []) for body in extra_bodies]
+    # next to a lens corner the close evaluator's error is first order in n,
+    # and through the cross blocks every curve's count moves the answers:
+    # a scene with a corner keeps the counts that doubling reaches
+    doubling = any(f.kind == "corner" for fs in feats + extra_feats for f in fs)
     curves = []
     budget_used = 0
     for i, body in enumerate(cfg.bodies):
-        feats = _body_features(body, per_body[i])
-        cm = _mesh_curve(body, i, feats, controls)
+        cm = _mesh_curve(body, i, feats[i], controls, doubling)
         budget_used += cm.n
         if budget_used > controls.cap_total:
             raise RefinementFailureError("total node cap exceeded",
                                          {"used": budget_used, "cap": controls.cap_total})
         curves.append(cm)
     for k, body in enumerate(extra_bodies):
-        feats = _body_features(body, [])
-        cm = _mesh_curve(body, len(cfg.bodies) + k, feats, controls)
+        cm = _mesh_curve(body, len(cfg.bodies) + k, extra_feats[k], controls, doubling)
         curves.append(cm)
     return BoundaryMesh(curves, controls)
 

@@ -597,8 +597,8 @@ class TestCloseEvaluation:
             assert np.max(np.abs(block - layer)) <= 1e-12 * np.max(np.abs(layer))
 
 
-# The benchmark's grids (pair, case B, case D) and two case-A lenses, with
-# the node count of each curve.
+# The benchmark's grids (pair, case B, case D), two case-A lenses and a
+# case-C scene, with the node count of each curve.
 GRID_SCENES = [
     *[pytest.param(lambda e=e: build_two_disks(1.0, 1.0, e), [n, n], id=f"pair-{e:.1e}")
       for e, n in zip(np.geomspace(1e-6, 1e-2, 9), [288, 272, 256, 240, 208] + [192] * 4)],
@@ -615,7 +615,10 @@ GRID_SCENES = [
                            + [[192, 192, 192]] * 2)],
     *[pytest.param(lambda e=e: build_case_a(1.0, 0.05, 1.0, 0.05, e), counts,
                    id=f"A-{e:.1e}")
-      for e, counts in ((1e-2, [192, 704]), (1e-5, [256, 832]))]]
+      for e, counts in ((1e-2, [192, 768]), (1e-5, [384, 1536]))],
+    pytest.param(lambda: build_case_c(SmoothBoundary.ellipse((0.0, 0.0), 1.2, 0.9),
+                                      Disk((0.0, 0.0), 1.0), Disk((1.0, 0.0), 1.0), 0.05, 1e-6),
+                 [384, 1536], id="C-1.0e-06")]
 
 
 class TestChainMap:
@@ -691,7 +694,8 @@ class TestChainMap:
 
 class TestNodePrediction:
     """Each curve is meshed once, at the least count on the node ladder
-    that its chain budget allows."""
+    that its chain budget allows; in a scene with a lens corner, on the
+    counts 192 2^k that doubling reaches."""
 
     @pytest.mark.parametrize("build", [pytest.param(p.values[0], id=p.id) for p in GRID_SCENES])
     def test_no_curve_is_over_resolved(self, build, monkeypatch):
@@ -703,13 +707,18 @@ class TestNodePrediction:
         mesh = build_mesh(cfg)
         assert len(maps) == len(mesh.curves)
         monkeypatch.undo()
+        doubling = any(f.kind == "corner" for cm in mesh.curves for f in cm.features)
         for cm, body in zip(mesh.curves, cfg.bodies):
             assert cm.n % mesh_module._NODE_LADDER == 0 and cm.n >= 192
+            if doubling:
+                k = cm.n // 192
+                assert cm.n == 192 * k and k & (k - 1) == 0
             if cm.n == 192:
                 continue
             tables = mesh_module._ChainTables(body.charts(), cm.features)
             lower = mesh_module._curve_mesh(tables, cm.body_index, cm.features,
-                                            cm.n - mesh_module._NODE_LADDER)
+                                            cm.n // 2 if doubling
+                                            else cm.n - mesh_module._NODE_LADDER)
             assert not (lower.chain.resolved and mesh_module._resolution_ok(lower, 192))
 
     def test_pair_matches_the_closed_form(self):
