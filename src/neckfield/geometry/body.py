@@ -159,6 +159,15 @@ class Body:
         da, db = self.lens_disks
         return da.contains(pts, pad) | db.contains(pts, pad)
 
+    @property
+    def convex(self) -> bool:
+        """Whether the body is convex: a disk is, a lens is not (its two
+        corners are reentrant), a smooth body as ``SmoothBoundary.convex``
+        reads."""
+        if self.kind == "disk":
+            return True
+        return self.kind == "smooth" and self.smooth.convex
+
     def bounding_circle(self) -> tuple[np.ndarray, float]:
         """A circle containing the body: exact for a disk and a lens; for a
         smooth curve it is sampled (``SmoothBoundary.bounding_circle``)."""

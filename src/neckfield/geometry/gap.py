@@ -1,11 +1,18 @@
 """Gap measurement between bodies: distance, closest points, neck segment.
 
 Each body declares which of its charts are circular arcs
-(``BoundaryChart.circle``: a disk's one chart, both arcs of a lens). A pair
-of circular arcs takes the closed form; every other chart pair takes one
-damped Newton search on the squared distance that runs all its starts at
-once. Both return the chart and chart parameter of the two closest points,
-which the mesh planner grades toward.
+(``BoundaryChart.circle``: a disk's one chart, both arcs of a lens) and
+whether it is convex (``Body.convex``). Two convex bodies, not both disks,
+take one damped Newton run on the squared distance, from the nearest
+sampled start pair. Its result is certified when the run has converged and
+the outward normals at its two feet face each other: the supporting lines
+there separate the bodies by the distance of the feet, so the gap is the
+global one and the bodies are disjoint. Every other pair, and a convex pair
+whose run is not certified, first rules out containment by a one-point
+probe per body; then a pair of circular arcs takes the closed form and
+every other chart pair one damped Newton search that runs its six best
+starts at once. All return the chart and chart parameter of the two closest
+points, which the mesh planner grades toward.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ _STARTS, _RUNS = 8, 6
 # two Newton runs whose (u, v) differ by at most this many ulps of the sum
 # of the chart spans coincide
 _COINCIDE_ULPS = 16
+# a Newton run has converged once its step moves (u, v) by less than this
+_STOP = 1e-14
 
 
 class GapFoot(NamedTuple):
@@ -153,8 +162,9 @@ def _arc_arc_closed_form(ca: BoundaryChart, cb: BoundaryChart):
     return min(candidates, key=lambda c: c[0])
 
 
-def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float = 0.0):
-    """Damped Newton on D(u, v) = |A(u) - B(v)|^2 from the ``_RUNS`` best of
+def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float = 0.0,
+                    runs: int = _RUNS):
+    """Damped Newton on D(u, v) = |A(u) - B(v)|^2 from the ``runs`` best of
     ``_STARTS``^2 sampled start pairs, all runs at once: each iteration
     evaluates each chart's ``jet`` once on the array of live runs, and each
     run tries its full step, then halves it until D does not increase. A
@@ -169,7 +179,7 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float = 0.0):
     us = np.linspace(ca.u0, ca.u1, _STARTS, endpoint=not ca.closed)
     vs = np.linspace(cb.u0, cb.u1, _STARTS, endpoint=not cb.closed)
     d2 = ((ca.point(us)[:, None, :] - cb.point(vs)[None, :, :]) ** 2).sum(axis=2)
-    iu, iv = np.unravel_index(np.argsort(d2, axis=None)[:_RUNS], d2.shape)
+    iu, iv = np.unravel_index(np.argsort(d2, axis=None)[:runs], d2.shape)
     u, v = us[iu], vs[iv]
     live = np.ones(u.size, dtype=bool)     # not dropped
     moving = live.copy()                   # live and not yet converged
@@ -179,17 +189,10 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float = 0.0):
         if k.size == 0:
             break
         uk, vk = u[k], v[k]
-        (pa, ta, sa), (pb, tb, sb) = ca.jet(uk), cb.jet(vk)
-        r = pa - pb
+        r, ga, gb, du, dv = _newton_step(ca.jet(uk), cb.jet(vk))
         f0 = _dot(r, r)
         stopped = f0 <= touch * touch
-        # Newton step on D/2: gradient (ga, gb), Hessian [[haa, hab], [hab, hbb]]
-        ga, gb = _dot(r, ta), -_dot(r, tb)
-        haa, hab, hbb = _dot(ta, ta) + _dot(r, sa), -_dot(ta, tb), _dot(tb, tb) - _dot(r, sb)
-        det = haa * hbb - hab * hab
-        with np.errstate(divide="ignore", invalid="ignore"):
-            du = (hab * gb - hbb * ga) / det
-            dv = (hab * ga - haa * gb) / det
+        with np.errstate(invalid="ignore"):
             descends = ga * du + gb * dv < 0
             # damping: a non-finite step is not tried and fails
             trying = np.isfinite(du + dv) & ~stopped
@@ -212,7 +215,7 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float = 0.0):
         ok = ~failed
         moved = _param_move(uk, un, ca) + _param_move(vk, vn, cb)
         u[k[ok]], v[k[ok]] = un[ok], vn[ok]
-        moving[k[ok & (moved < 1e-14)]] = False
+        moving[k[ok & (moved < _STOP)]] = False
         # a moving run on the point of another live run, converged or of a
         # lower index, would repeat that run's iterations
         idx = np.arange(u.size)
@@ -228,6 +231,21 @@ def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float = 0.0):
     dist = np.hypot(*(pa - pb).T)
     i = int(np.argmin(dist))
     return float(dist[i]), pa[i], pb[i], float(u[k[i]]), float(v[k[i]])
+
+
+def _newton_step(jet_a, jet_b):
+    """Newton step on D/2 at the chart jets ``jet_a`` and ``jet_b``, as
+    (A - B, gradient (ga, gb), step (du, dv)); the step is not finite where
+    the Hessian [[haa, hab], [hab, hbb]] is singular."""
+    (pa, ta, sa), (pb, tb, sb) = jet_a, jet_b
+    r = pa - pb
+    ga, gb = _dot(r, ta), -_dot(r, tb)
+    haa, hab, hbb = _dot(ta, ta) + _dot(r, sa), -_dot(ta, tb), _dot(tb, tb) - _dot(r, sb)
+    det = haa * hbb - hab * hab
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = (hab * gb - hbb * ga) / det
+        dv = (hab * ga - haa * gb) / det
+    return r, ga, gb, du, dv
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,15 +270,57 @@ def _param_move(u: np.ndarray, un: np.ndarray, chart: BoundaryChart) -> np.ndarr
     return np.abs(d)
 
 
+def _certified_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float):
+    """The gap between the one charts of two convex bodies from a single
+    Newton run, from the nearest sampled start pair, or None unless the run
+    certifies it: its distance is above ``touch``, a Newton step from its
+    feet moves (u, v) by less than ``_STOP``, so they are a stationary pair
+    of D, and the outward normal at each foot points across the gap toward
+    the other foot. The supporting lines at the two feet then separate the
+    bodies by the distance of the feet: the bodies are disjoint and no other
+    pair of points is closer."""
+    try:
+        found = _arc_arc_newton(ca, cb, touch, runs=1)
+    except NumericFailureError:
+        return None
+    dist, _, _, u, v = found
+    if not dist > touch:
+        return None
+    jet_a, jet_b = ca.jet(np.array([u])), cb.jet(np.array([v]))
+    r, _, _, du, dv = _newton_step(jet_a, jet_b)
+    # on a counterclockwise boundary the outward normal is the tangent
+    # turned clockwise; r = A - B points from the foot on b to the foot on a
+    ta, tb = jet_a[1][0], jet_b[1][0]
+    a_faces_b = ta[0] * r[0, 1] - ta[1] * r[0, 0] > 0
+    b_faces_a = tb[0] * r[0, 1] - tb[1] * r[0, 0] < 0
+    if abs(du[0]) + abs(dv[0]) < _STOP and a_faces_b and b_faces_a:
+        return found
+    return None
+
+
 def body_gap(body_a: Body, body_b: Body) -> GapInfo:
     """Gap between two bodies (positive distance required).
 
-    Each chart pair takes its search from what its charts declare: two
-    circular arcs the closed form, any other pair the batched Newton. A gap
-    at or below ``_TOUCH`` of the larger body diameter is two boundaries
-    that cross or touch, and raises InvalidGeometryError.
+    Two convex bodies (``Body.convex``) of which one is not a disk take one
+    Newton run, accepted when ``_certified_newton`` certifies it: the run
+    converged and the outward normals at its feet face each other, which
+    proves the gap global and the bodies disjoint. Every other pair, and a
+    convex pair whose run is not certified, rules out containment by a
+    one-point probe per body, then gives each chart pair the search its
+    charts declare: two circular arcs the closed form, any other pair the
+    batched Newton from ``_RUNS`` starts. A gap at or below ``_TOUCH`` of
+    the larger body diameter is two boundaries that cross or touch, and
+    raises InvalidGeometryError.
     """
     charts_a, charts_b = body_a.charts(), body_b.charts()
+    touch = _TOUCH * max(body_a.diameter(), body_b.diameter())
+    if body_a.convex and body_b.convex:
+        # a convex body has one chart; two circles take the closed form
+        (ca,), (cb,) = charts_a, charts_b
+        if ca.circle is None or cb.circle is None:
+            found = _certified_newton(ca, cb, touch)
+            if found is not None:
+                return _gap_info(found, 0, 0)
     # boundary-to-boundary distance is positive even for nested bodies, so
     # rule out containment first
     probe_a = charts_a[0].point(np.array([charts_a[0].u0]))
@@ -268,7 +328,6 @@ def body_gap(body_a: Body, body_b: Body) -> GapInfo:
     if body_a.contains(probe_b)[0] or body_b.contains(probe_a)[0]:
         raise InvalidGeometryError("bodies overlap (one contains the other's boundary)")
 
-    touch = _TOUCH * max(body_a.diameter(), body_b.diameter())
     best = None
     for ia, ca in enumerate(charts_a):
         for ib, cb in enumerate(charts_b):
@@ -278,9 +337,15 @@ def body_gap(body_a: Body, body_b: Body) -> GapInfo:
                 cand = _arc_arc_newton(ca, cb, touch)
             if best is None or cand[0] < best[0][0]:
                 best = (cand, ia, ib)
-    (dist, pa, pb, ua, ub), ia, ib = best
-    if dist <= touch:
+    if best[0][0] <= touch:
         raise InvalidGeometryError("bodies overlap or touch")
+    return _gap_info(*best)
+
+
+def _gap_info(found, ia: int, ib: int) -> GapInfo:
+    """The GapInfo of a search result (distance, point on a, point on b, u,
+    v) on chart ia of body a and chart ib of body b."""
+    dist, pa, pb, ua, ub = found
     return GapInfo(dist, (float(pa[0]), float(pa[1])), (float(pb[0]), float(pb[1])),
                    (GapFoot(0, ia, float(ua)), GapFoot(1, ib, float(ub))))
 

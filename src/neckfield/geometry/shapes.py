@@ -124,7 +124,9 @@ class SmoothBoundary:
                                         f"got {a!r}, {b!r}")
         if min(a, b) < 1e-8 * max(a, b):
             raise InvalidGeometryError("tangent vector vanishes (curve is not C^2-regular)")
-        return _unchecked(center, ((float(a),), (), (), (float(b),)))
+        out = _unchecked(center, ((float(a),), (), (), (float(b),)))
+        object.__setattr__(out, "convex", True)
+        return out
 
     @property
     def degree(self) -> int:
@@ -210,6 +212,16 @@ class SmoothBoundary:
         if _polyline_self_intersects(p):
             raise InvalidGeometryError("curve is not simple (self-intersection detected)")
 
+    @cached_property
+    def convex(self) -> bool:
+        """Whether the curvature is positive at the 720 samples of
+        ``validate()``, so that the curve, simple and counterclockwise,
+        bounds a convex body. Sampled once per coefficient set: ``ellipse()``
+        sets it without sampling, and ``translated()``, ``scaled()`` and
+        ``mirrored_x()`` carry it over."""
+        t = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+        return bool(np.min(self.curvature(t)) > 0)
+
     def require_convex_arc(self, t_center: float, half_width: float) -> None:
         """Raise unless curvature is strictly positive on the given arc.
 
@@ -259,19 +271,23 @@ class SmoothBoundary:
 
     def mirrored_x(self) -> "SmoothBoundary":
         """Reflection through x = 0, the parameter negated to keep the
-        counterclockwise sense; valid by construction, so not validated."""
-        return _unchecked((-self.center[0], self.center[1]),
-                          (tuple(-v for v in self.cos_x), self.sin_x, self.cos_y,
-                           tuple(-v for v in self.sin_y)))
+        counterclockwise sense; valid by construction, so not validated, and
+        convex if this curve is."""
+        out = _unchecked((-self.center[0], self.center[1]),
+                         (tuple(-v for v in self.cos_x), self.sin_x, self.cos_y,
+                          tuple(-v for v in self.sin_y)))
+        object.__setattr__(out, "convex", self.convex)
+        return out
 
     def _similar(self, center, s: float) -> "SmoothBoundary":
         """This curve moved to ``center`` with its coefficients scaled by
         s > 0. A positive similarity keeps the curve simple, counterclockwise
-        and regular, so ``validate()`` is not run again. A translate
-        (s == 1) shares this curve's coefficient tables and bounding-circle
-        samples."""
+        and regular, so ``validate()`` is not run again, and convex if this
+        curve is. A translate (s == 1) shares this curve's coefficient tables
+        and bounding-circle samples."""
         out = _unchecked(center, tuple(tuple(float(s * v) for v in getattr(self, name))
                                        for name in _COEFFS))
+        object.__setattr__(out, "convex", self.convex)
         if s == 1.0:
             for name in ("_tables", "_bounding_offset"):
                 object.__setattr__(out, name, getattr(self, name))

@@ -4,12 +4,15 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from neckfield import (Body, Configuration, Disk, HarmonicBackground,
                        InvalidGeometryError, InvalidParameterError,
                        ScaleRegimeWarning, SmoothBoundary, body_gap,
                        build_case_a, build_case_b, build_case_c, build_case_d,
-                       build_two_disks, gap)
+                       build_two_disks, gap, log_grid)
+from neckfield.errors import NumericFailureError
 from neckfield.geometry.config import build_case
 from neckfield.geometry.serialize import (ConfigParseError, emit_configuration,
                                           parse_configuration, parse_run)
@@ -271,10 +274,11 @@ class TestGap:
             assert abs((foot.u - u + np.pi) % (2 * np.pi) - np.pi) <= 1e-15
 
     def test_coinciding_newton_runs_retire(self, monkeypatch):
-        # criterion 5's case-D grid: a run that reaches another live run's
-        # point stops, where it used to repeat that run's last iterations;
-        # the Newton searches evaluate 3076 chart parameters over the five
-        # scenes (3634 when every run converges on its own)
+        # criterion 5's case-D grid: its convex pairs take one certified
+        # run, and the Newton searches evaluate 550 chart parameters over the
+        # five scenes (3076 when every pair took the six-run search, whose
+        # run that reaches another live run's point stops; 3634 when every
+        # run converges on its own)
         count = {"on": False, "points": 0}
         trig, newton = SmoothBoundary._trig, gap_module._arc_arc_newton
 
@@ -282,10 +286,10 @@ class TestGap:
             count["points"] += np.size(t) if count["on"] else 0
             return trig(self, t)
 
-        def counted_newton(*args):
+        def counted_newton(*args, **kwargs):
             count["on"] = True
             try:
-                return newton(*args)
+                return newton(*args, **kwargs)
             finally:
                 count["on"] = False
 
@@ -296,7 +300,7 @@ class TestGap:
             cfg = build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
                                ell((0.0, 0.0), 1.1, 0.9), 0.05, eps, eps)
             assert cfg.conductor_gap(0, 1).distance == pytest.approx(eps, rel=1e-10)
-        assert 0 < count["points"] <= 3100
+        assert 0 < count["points"] <= 550
 
     def test_newton_search_is_batched(self, monkeypatch):
         # each Newton iteration evaluates the charts once on all its runs:
@@ -361,6 +365,149 @@ class TestGap:
         assert dist == pytest.approx(reach(u_ref) - radius, rel=1e-9, abs=1e-15)
         assert abs((u - u_ref + np.pi) % (2 * np.pi) - np.pi) < 1e-6
         assert abs((v - v_ref + np.pi) % (2 * np.pi) - np.pi) < 1e-6
+
+
+def newton_runs(monkeypatch):
+    """Record the run count of every ``_arc_arc_newton`` call."""
+    runs, newton = [], gap_module._arc_arc_newton
+
+    def recorded(*args, **kwargs):
+        runs.append(kwargs.get("runs", gap_module._RUNS))
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(gap_module, "_arc_arc_newton", recorded)
+    return runs
+
+
+def six_run_gap(a: Body, b: Body):
+    """The six-run Newton search on the one charts of a and b."""
+    touch = gap_module._TOUCH * max(a.diameter(), b.diameter())
+    return gap_module._arc_arc_newton(a.charts()[0], b.charts()[0], touch)
+
+
+def assert_same_gap(info, found, tol):
+    dist, pa, pb, ua, ub = found
+    assert abs(info.distance - dist) <= tol
+    assert np.allclose(info.point_i, pa, rtol=0, atol=tol)
+    assert np.allclose(info.point_j, pb, rtol=0, atol=tol)
+    for foot, u in zip(info.feet, (ua, ub)):
+        assert abs((foot.u - u + np.pi) % (2 * np.pi) - np.pi) <= tol
+
+
+def rotated_ellipse(a: float, b: float, angle: float) -> SmoothBoundary:
+    c, s = np.cos(angle), np.sin(angle)
+    return SmoothBoundary((0.0, 0.0), cos_x=(a * c,), sin_x=(-b * s,), cos_y=(a * s,),
+                          sin_y=(b * c,))
+
+
+class TestCertifiedGap:
+    """Two convex bodies, one of them not a disk, take one Newton run when
+    its feet are stationary and face each other; every other pair takes the
+    six-run search and the containment probe."""
+
+    def test_convexity(self):
+        ell = SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.4)
+        assert Body.from_disk(Disk((0.0, 0.0), 1.0)).convex
+        assert Body.from_smooth(ell).convex
+        assert Body.from_smooth(rotated_ellipse(1.0, 0.05, 0.7)).convex
+        assert not Body.from_smooth(peanut()).convex
+        assert not build_case_a(1, 0.05, 1, 0.05, 1e-3).bodies[1].convex
+        for similar in (peanut().translated((1.0, 2.0)), peanut().scaled(0.3),
+                        peanut().mirrored_x()):
+            assert not similar.convex
+        for similar in (ell.translated((1.0, 2.0)), ell.scaled(0.3), ell.mirrored_x()):
+            assert similar.convex
+
+    @pytest.mark.parametrize("eps", log_grid(1e-6, 1e-4, 5))
+    def test_case_d_pairs_take_one_run(self, monkeypatch, eps):
+        # criterion 5's case-D grid: every pair is certified with one run,
+        # and it finds the six-run search's gap
+        ell = SmoothBoundary.ellipse
+        cfg = build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                           ell((0.0, 0.0), 1.1, 0.9), 0.05, eps, eps)
+        runs = newton_runs(monkeypatch)
+        for a, b in ((0, 1), (1, 2), (0, 2), (2, 1)):
+            runs.clear()
+            info = body_gap(cfg.bodies[a], cfg.bodies[b])
+            assert runs == [1]
+            assert_same_gap(info, six_run_gap(cfg.bodies[a], cfg.bodies[b]), 1e-15)
+
+    def test_nonconvex_body_takes_the_six_run_search(self, monkeypatch):
+        # the peanut's two lobes are equidistant from the disk
+        runs = newton_runs(monkeypatch)
+        a = Body.from_smooth(peanut())
+        b = Body.from_disk(Disk((1.5, 0.0), 0.5))
+        info = body_gap(a, b)
+        assert runs == [gap_module._RUNS]
+        assert info.distance == 0.458193978929682
+        assert info.point_i == (0.6235835436233468, 0.3873369285896785)
+        assert info.point_j == (1.042672738689287, 0.2021182229835863)
+
+    @pytest.mark.parametrize("outcome", ["dropped", "touch", "unconverged"])
+    def test_uncertified_run_falls_back(self, monkeypatch, outcome):
+        # a one-run result that is not certified is not returned: the pair
+        # takes the probe and the six-run search (the nested-body tests
+        # cover feet that do not face each other)
+        a = Body.from_smooth(SmoothBoundary.ellipse((-1.0, 0.0), 1.0, 0.6))
+        b = Body.from_disk(Disk((0.051, 0.0), 0.05))
+        expected = six_run_gap(a, b)
+        newton, calls = gap_module._arc_arc_newton, []
+
+        def one_run_fails(ca, cb, touch=0.0, runs=gap_module._RUNS):
+            calls.append(runs)
+            found = newton(ca, cb, touch, runs=runs)
+            if runs == gap_module._RUNS:
+                return found
+            _, pa, pb, u, v = found
+            if outcome == "dropped":
+                raise NumericFailureError("gap search failed: every Newton run was dropped")
+            if outcome == "touch":
+                return 0.5 * touch, pa, pb, u, v
+            # a run stopped short of the stationary feet
+            u = u + 1e-6
+            pa = ca.point(np.array([u]))[0]
+            return float(np.hypot(*(pa - pb))), pa, pb, u, v
+
+        monkeypatch.setattr(gap_module, "_arc_arc_newton", one_run_fails)
+        assert_same_gap(body_gap(a, b), expected, 0.0)
+        assert calls == [1, gap_module._RUNS]
+
+    @pytest.mark.parametrize("inner", [
+        SmoothBoundary.ellipse((0.2, 0.1), 0.5, 0.3), Disk((0.3, 0.0), 0.2)],
+        ids=["ellipse", "disk"])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_nested_bodies_rejected(self, monkeypatch, inner, order):
+        # the one run's feet do not face each other, so the probe runs
+        runs = newton_runs(monkeypatch)
+        outer = Body.from_smooth(SmoothBoundary.ellipse((0.0, 0.0), 2.0, 1.5))
+        inner = Body.from_disk(inner) if isinstance(inner, Disk) else Body.from_smooth(inner)
+        with pytest.raises(InvalidGeometryError, match="contains"):
+            body_gap(*(outer, inner)[::order])
+        assert runs == [1]
+
+    def test_lens_never_takes_one_run(self, monkeypatch):
+        runs = newton_runs(monkeypatch)
+        lens = build_case_a(1, 0.05, 1, 0.05, 1e-3).bodies[1]
+        ell = Body.from_smooth(SmoothBoundary.ellipse((-1.2005, 0.0), 1.2, 0.9))
+        assert body_gap(ell, lens).distance == pytest.approx(1e-3, rel=1e-9)
+        assert runs and set(runs) == {gap_module._RUNS}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.floats(0.05, 1.0), st.floats(1.0, 20.0),
+                              st.floats(0.0, np.pi)), min_size=2, max_size=2),
+           st.floats(-8.0, -1.0), st.floats(0.0, 2 * np.pi))
+    def test_certified_gap_is_the_six_run_gap(self, shapes, log_eps, angle):
+        # random disks and rotated ellipses placed at a random gap along a
+        # random direction: whichever search body_gap takes, its distance
+        # is the six-run search's
+        assume(not all(disk for disk, *_ in shapes))
+        moving, fixed = (Body.from_disk(Disk((0.0, 0.0), a)) if disk
+                         else Body.from_smooth(rotated_ellipse(a, a / aspect, turn))
+                         for disk, a, aspect, turn in shapes)
+        body, info = config_module._solve_translation(
+            moving, fixed, np.array([np.cos(angle), np.sin(angle)]), 10.0 ** log_eps)
+        size = max(body.diameter(), fixed.diameter())
+        assert abs(info.distance - six_run_gap(body, fixed)[0]) <= 1e-15 * size
 
 
 class TestCaseCD:
@@ -440,8 +587,26 @@ class TestCaseCD:
         prop = cached_property(counted)
         prop.__set_name__(SmoothBoundary, "_tables")
         monkeypatch.setattr(SmoothBoundary, "_tables", prop)
+        sampled = []
+        convex = SmoothBoundary.convex.func
+
+        def sampled_convex(curve):
+            sampled.append((curve.cos_x, curve.sin_x, curve.cos_y, curve.sin_y))
+            return convex(curve)
+
+        prop = cached_property(sampled_convex)
+        prop.__set_name__(SmoothBoundary, "convex")
+        monkeypatch.setattr(SmoothBoundary, "convex", prop)
         build_case_d(*shapes, 0.05, 1e-3, 1e-3)
         assert len(built) == len(set(built)) == 3
+        # ellipses are convex by construction, and their translates and
+        # scalings carry the flag: the gap searches sample no curvature
+        assert sampled == []
+        # curves built from their coefficients are sampled once per
+        # coefficient set, however many translates the placement measures
+        build_case_d(*(SmoothBoundary(s.center, s.cos_x, s.sin_x, s.cos_y, s.sin_y)
+                       for s in shapes), 0.05, 1e-3, 1e-3)
+        assert 0 < len(sampled) == len(set(sampled)) <= 3
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-3])
     def test_translation_returns_its_measured_gap(self, eps):
