@@ -301,10 +301,10 @@ def _certified_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float):
 def body_gap(body_a: Body, body_b: Body) -> GapInfo:
     """Gap between two bodies (positive distance required).
 
-    Two convex bodies (``Body.convex``) of which one is not a disk take one
-    Newton run, accepted when ``_certified_newton`` certifies it: the run
-    converged and the outward normals at its feet face each other, which
-    proves the gap global and the bodies disjoint. Every other pair, and a
+    Two convex bodies (``Body.convex``), not both disks, take one Newton
+    run, accepted when ``_certified_newton`` certifies it: its feet are
+    stationary and their outward normals face each other, which proves the
+    gap global and the bodies disjoint. Every other pair, and a
     convex pair whose run is not certified, rules out containment by a
     one-point probe per body, then gives each chart pair the search its
     charts declare: two circular arcs the closed form, any other pair the
