@@ -287,12 +287,12 @@ def place_around(mid: Body, left: Body, eps1: float, right: Optional[Body] = Non
     from bounding-circle contact and, for convex bodies, Newton approaches
     the gap from above, so a thin body never passes through ``mid``; a step
     into an overlap is halved back. Checks each gap, as the solve measured
-    it, to 1e-10, each smooth body's convexity at its gap foot and the
-    half-planes. Returns the bodies from left to right and the gaps the
-    solves measured, moved with the recentering: body pair (a, b), a < b,
-    in that order maps to its GapInfo, point_i and the first foot on body
-    a, which ``Configuration._placed`` takes instead of searching them
-    again."""
+    it, to 1e-10, the convexity at its gap foot of each smooth body not
+    known to be convex, and the half-planes. Returns the bodies from left
+    to right and the gaps the solves measured, moved with the recentering:
+    body pair (a, b), a < b, in that order maps to its GapInfo, point_i and
+    the first foot on body a, which ``Configuration._placed`` takes instead
+    of searching them again."""
     left, gap_left = _solve_translation(left, mid, np.array([-1.0, 0.0]), eps1)
     # (moving body, fixed body, requested gap, measured gap), feet in body order
     placed = [(left, mid, eps1, gap_left)]
@@ -303,7 +303,8 @@ def place_around(mid: Body, left: Body, eps1: float, right: Optional[Body] = Non
         if abs(g.distance - eps) > 1e-10 * max(1.0, eps):
             raise InvalidGeometryError("gap positioning did not converge")
         for body, foot in zip((a, b), g.feet):
-            if body.kind == "smooth":
+            # a convex body (an ellipse by construction) needs no sampling
+            if body.kind == "smooth" and not body.convex:
                 body.smooth.require_convex_arc(foot.u, half_width=0.35)
     shift = -gap_left.midpoint
     bodies = [b.translated(shift) for b in (left, mid, right) if b is not None]

@@ -44,6 +44,20 @@ What does not depend on the node count is built once per curve
 uniform over the chain plus 48 on each side of each feature. A chain map
 at one count only forms its amplitudes and the seed's masses, and inverts
 its nodes.
+
+A curve that is its own mirror image across the x-axis is meshed on its
+upper half only and reflected. Such a curve is a disk, or a smooth curve
+without sin_x and cos_y terms, centred on the axis to ``_MIRROR_ULPS``
+ulps of its bounding radius, so that its chain starts on the axis (t = 0),
+and v -> v_total - v maps its density terms onto themselves (``_mirrored``);
+then t_{N-1-k} = 2 pi - t_k lies at v_total - v_k. The nodes k < N/2 are
+inverted and framed as on any curve, bit for bit, and node N-1-k is node
+k reflected exactly: its point (x, -y), velocity (-x', y'), normal
+(n_x, -n_y), and the same speed, curvature and weight. So the lower half
+costs no inversion, and its speeds do not carry the rounding of v near
+v_total. A scene with a lens corner inverts every node of every curve,
+which keeps its meshes those of doubling bit for bit; its lens chain
+starts at a corner, so the scene does not fold anyway.
 """
 
 from __future__ import annotations
@@ -89,6 +103,12 @@ _NODE_LADDER = 16
 # Least share of a chain map's node budget left to the uniform term: below
 # it the clustering would eat the whole budget.
 _BUDGET_FLOOR = 0.3
+# A curve is mirrored when its centre and its density terms sit within this
+# many ulps of their mirror images; a mesh of a mirror-symmetric scene has
+# every node within this many ulps of its curve's perimeter of its mirror
+# node's reflection (the solver's fold test).
+_MIRROR_ULPS = 16
+_ULP = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -367,15 +387,45 @@ def _body_features(body: Body,
     return kept
 
 
+def _mirrored(body: Body, tables: _ChainTables) -> bool:
+    """Whether the curve is its own mirror image across the x-axis with a
+    density that v -> v_total - v keeps: a disk, or a smooth curve without
+    sin_x and cos_y terms, centred within ``_MIRROR_ULPS`` ulps of its
+    bounding radius of the axis, each of whose density terms has a twin of
+    the same growth and floor parameter at the mirrored chain coordinate.
+    Decided from the body and its density terms alone, without sampling
+    the curve."""
+    if body.kind == "disk":
+        centre = body.disk.center
+    elif body.kind == "smooth" and not (body.smooth.sin_x or body.smooth.cos_y):
+        centre = body.smooth.center
+    else:
+        return False
+    if abs(centre[1]) > _MIRROR_ULPS * _ULP * body.bounding_circle()[1]:
+        return False
+    terms = list(zip(tables.x_f, tables.growth, tables.b))
+    tol = _MIRROR_ULPS * _ULP * _TWO_PI
+    return all(any(abs((x + xt + np.pi) % _TWO_PI - np.pi) <= tol and g == gt
+                   and abs(b - bt) <= _MIRROR_ULPS * _ULP * b for xt, gt, bt in terms)
+               for x, g, b in terms)
+
+
 def _curve_mesh(tables: _ChainTables, body_index: int, feats: list[FeatureSpec],
-                n: int) -> CurveMesh:
-    """The curve's mesh at one node count."""
+                n: int, mirrored: bool = False) -> CurveMesh:
+    """The curve's mesh at one node count; a ``mirrored`` curve's upper
+    half reflected (see the module docstring)."""
     chain = _ChainMap(tables, n)
     h = _TWO_PI / n
     t = (np.arange(n) + 0.5) * h
-    v = chain.v_of_t(t)
+    v = chain.v_of_t(t[:n // 2] if mirrored else t)
     pts, der, kap = chain.frame_of_v(v)
     vel = der * chain.dvdt(v)[:, None]
+    if mirrored:
+        # P(2 pi - t) = R P(t) with R the reflection, so P' there is -R P'(t)
+        v = np.concatenate([v, chain.v_total - v[::-1]])
+        pts = np.concatenate([pts, pts[::-1] * [1.0, -1.0]])
+        vel = np.concatenate([vel, vel[::-1] * [-1.0, 1.0]])
+        kap = np.concatenate([kap, kap[::-1]])
     speed = np.hypot(vel[:, 0], vel[:, 1])
     normal = np.stack([vel[:, 1], -vel[:, 0]], axis=-1) / speed[:, None]
     weights = speed * h
@@ -391,6 +441,9 @@ def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
     node ladder from ``base_n`` up (or with ``doubling`` on base_n 2^k),
     doubling only while the mesh misses a target."""
     tables = _ChainTables(body.charts(), feats)
+    # a scene with a corner keeps doubling's meshes bit for bit (see the
+    # module docstring)
+    mirrored = not doubling and _mirrored(body, tables)
     base = controls.base_n
     # a base count below 64 requests a deliberately coarse mesh: use it
     # literally instead of refining to the resolution targets
@@ -406,7 +459,7 @@ def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
             raise RefinementFailureError(
                 "node cap reached before gap resolution",
                 {"body": body_index, "requested_n": n, "cap": controls.cap_total})
-        cm = _curve_mesh(tables, body_index, feats, n)
+        cm = _curve_mesh(tables, body_index, feats, n, mirrored)
         if literal or (cm.chain.resolved and _resolution_ok(cm, base)):
             return cm
         n *= 2

@@ -61,7 +61,12 @@ LU factorization per operator, of the single-constant matrix
 group adds a right-hand column with a unit potential step on its nodes,
 and a small system of group charges fixes the step heights. One step of
 iterative refinement on the problem's own system, through the same
-factor, follows every solve.
+factor, follows every solve. The factor and its solves call LAPACK's
+``getrf``, ``getrs`` and ``gecon`` directly, fetched once per factor with
+``get_lapack_funcs``: ``lu_factor`` and ``lu_solve`` make the same calls,
+bit for bit, behind argument checks that cost half as much as the solve
+itself at the folded pair's size (about 10 us against 20 us for 273
+unknowns, one BLAS thread on a 2-vCPU host).
 
 A mirror-symmetric scene (every curve's node N-1-k the reflection of node
 k under y -> -y, and a background with real coefficients, so all its data
@@ -76,9 +81,15 @@ full ones, built from the N^2/2 differences of the upper-half nodes to
 the upper-half nodes and to their mirrors. Every log center lies on the
 axis, so F(conj z) = conj F(z): the lower rows of F g are the mirrored
 conjugates of the upper rows, and a cross block folds the Cauchy weights
-of mirror nodes onto the upper rows instead of expanding F. Evaluation
-takes the full g and refuses an odd one; the normal derivative is
-computed at the upper-half nodes and mirrored.
+of mirror nodes onto the upper rows instead of expanding F. The circulant
+parts of a folded column are a Toeplitz plus a Hankel view of one
+circulant column: S's Kussmaul-Martensen row, and for Im F the spectral
+antiderivative's column, so Im F is one real product with the folded
+columns instead of FFTs of their even extensions. Evaluation takes the
+full g and refuses an odd one; the normal derivative is computed at the
+upper-half nodes and mirrored. The meshes of such scenes are mirrored by
+construction (see the mesh module), so node N-1-k is node k reflected
+exactly; the fold test takes any other mesh within ``_MIRROR_ULPS``.
 """
 
 from __future__ import annotations
@@ -88,6 +99,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import (DomainError, InvalidParameterError, InvalidUsageError,
                       NumericFailureError)
@@ -95,16 +107,13 @@ from ..geometry.body import Body
 from ..geometry.config import Configuration
 from ..geometry.gap import GapFoot, GapInfo
 from ..geometry.shapes import HarmonicBackground
-from .mesh import BoundaryMesh, CurveMesh, MeshControls, build_mesh
+from .mesh import _MIRROR_ULPS, BoundaryMesh, CurveMesh, MeshControls, build_mesh
 
 _TWO_PI = 2.0 * np.pi
 # Bordered systems with a smaller reciprocal condition number raise.
 _RCOND_FLOOR = 1e-16
 # Candidate log centers per axis of a body's bounding box (see _log_center).
 _CENTER_GRID = 17
-# On a mirror-symmetric mesh every node lies within this many ulps of its
-# curve's perimeter of its mirror node's reflection (see _mirror_fold).
-_MIRROR_ULPS = 16
 # Data of a folded solve must be even to this fraction of their largest
 # entry.
 _EVEN_TOL = 1e-12
@@ -141,13 +150,45 @@ def _complex(xy: np.ndarray) -> np.ndarray:
     return xy[:, 0] + 1j * xy[:, 1]
 
 
+def _multiplier(n: int, power: int) -> np.ndarray:
+    """Fourier multiplier of the spectral derivative (power 1) or zero-mean
+    antiderivative (power -1) in t on n nodes, without the Nyquist mode."""
+    mult = np.zeros(n // 2 + 1, dtype=complex)
+    ik = 1j * np.arange(1, n // 2)
+    mult[1:n // 2] = ik if power == 1 else 1.0 / ik
+    return mult
+
+
 def _spectral(values: np.ndarray, power: int) -> np.ndarray:
     """Spectral derivative (power 1) or zero-mean antiderivative (power -1)
     in t of the real columns of node values, without the Nyquist mode."""
     n = values.shape[0]
-    mult = np.zeros(n // 2 + 1, dtype=complex)
-    mult[1:n // 2] = (1j * np.arange(1, n // 2)) ** power
-    return np.fft.irfft(np.fft.rfft(values, axis=0) * mult[:, None], n, axis=0)
+    return np.fft.irfft(np.fft.rfft(values, axis=0) * _multiplier(n, power)[:, None],
+                        n, axis=0)
+
+
+def _circulant(col: np.ndarray, m: int, fold: bool) -> np.ndarray:
+    """Rows and columns i, j < m of the circulant matrix col[(i - j) % n],
+    n = col.size, and with ``fold`` (m = n/2) each column plus its
+    mirror's, col[i + j + 1]: a Toeplitz and a Hankel view of col, read
+    through strides rather than index tables."""
+    col = np.ascontiguousarray(col)
+    n, step = col.size, col.itemsize
+    # wrapped[n - 1 + d] = col[d % n] for |d| < n
+    wrapped = np.concatenate([col[1:], col])
+    out = as_strided(wrapped[n - 1:], (m, m), (step, -step), writeable=False).copy()
+    if fold:
+        out += as_strided(col[1:], (m, m), (step, step), writeable=False)
+    return out
+
+
+def _folded_antiderivative(flux: np.ndarray) -> np.ndarray:
+    """``_spectral(ext, -1)`` at the upper-half nodes for the even extension
+    ext = [flux; flux reversed] of folded columns on N = 2m nodes: the
+    antiderivative's circulant column folded (``_circulant``), times flux,
+    one real product instead of 2m-point FFTs."""
+    n = 2 * flux.shape[0]
+    return _circulant(np.fft.irfft(_multiplier(n, -1), n), n // 2, True) @ flux
 
 
 class _Fold(NamedTuple):
@@ -159,6 +200,12 @@ class _Fold(NamedTuple):
     partner: np.ndarray
 
 
+def _mirror_miss(cm: CurveMesh) -> float:
+    """Largest distance of a curve's node N-1-k from the reflection of node
+    k across the x-axis: 0 on a mirrored mesh (see the mesh module)."""
+    return float(np.max(np.hypot(*(cm.nodes - cm.nodes[::-1] * [1.0, -1.0]).T)))
+
+
 def _mirror_fold(cfg: Configuration, mesh: BoundaryMesh) -> Optional[_Fold]:
     """The fold of a scene whose background has real coefficients and
     whose every curve's node N-1-k is the reflection of node k across the
@@ -168,8 +215,7 @@ def _mirror_fold(cfg: Configuration, mesh: BoundaryMesh) -> Optional[_Fold]:
         return None
     top, partner = [], []
     for start, cm in zip(mesh.offsets, mesh.curves):
-        miss = np.hypot(*(cm.nodes - cm.nodes[::-1] * [1.0, -1.0]).T)
-        if np.max(miss) > _MIRROR_ULPS * np.finfo(float).eps * cm.perimeter:
+        if _mirror_miss(cm) > _MIRROR_ULPS * np.finfo(float).eps * cm.perimeter:
             return None
         k = np.arange(cm.n // 2)
         top.append(start + k)
@@ -302,10 +348,12 @@ class SceneOperator:
 
     def _build_curve(self, curve_index: int) -> _CurveData:
         """Write the curve's own block of S into ``_slp`` and return its
-        record, both from the pairwise node differences y_i - y_j. S's
-        block is the Kussmaul-Martensen rule plus the smooth part
+        record, both from the pairwise node differences y_i - y_j, formed
+        once in real arithmetic with their squared lengths. S's block is
+        the Kussmaul-Martensen rule plus the smooth part
         log|y_i - y_j|^2 - log 4 sin^2((t_i - t_j)/2), whose second term is
-        circulant in t and joins the rule's row. Re F is that block minus
+        circulant in t and joins the rule's row. K' is
+        (n_out_i . d)/|d|^2 on the same differences. Re F is S's block minus
         the log term; Im F is the antiderivative in t of speed *
         d(Re F)/dn_out, the normal derivative on the curve's side of the
         domain (all curves run counterclockwise). Exterior data are shifted
@@ -313,37 +361,49 @@ class SceneOperator:
 
         On a folded operator only the rows i of the upper-half nodes are
         built, with folded columns: node j plus its mirror N-1-j, from the
-        differences y_i - y_j and y_i - y_{N-1-j}, N^2/2 entries in all.
-        The circulant part of a folded column is row[(i - j) % N] +
-        row[(i + j + 1) % N]; Im F is the antiderivative of the column's
-        even extension; the shift, the sum over all rows, is
-        2 Re sum_top c F, since the mirror rows add its conjugate."""
+        differences y_i - y_j and y_i - y_{N-1-j}, N^2/2 entries in all;
+        the log term takes one log of the two halves' |d|^2 product. The
+        circulant parts of a folded column, S's row and the spectral
+        antiderivative's column, are col[(i - j) % N] + col[i + j + 1]
+        (``_circulant``), so Im F is one real product of the latter with
+        the folded columns (``_folded_antiderivative``). The shift, the sum
+        over all rows, is 2 Re sum_top c F, since the mirror rows add its
+        conjugate."""
         cm = self.mesh.curves[curve_index]
         n = cm.n
-        m = n if self._fold is None else n // 2
+        fold = self._fold is not None
+        m = n // 2 if fold else n
         y = _complex(cm.nodes)
         dy = _complex(cm.velocity)
         w = dy * cm.h
-        k = np.arange(m)
         row = kussmaul_row(n)
         row[1:] -= cm.h * np.log(4.0 * np.sin(0.5 * cm.h * np.arange(1, n)) ** 2)
-        re = scipy.linalg.toeplitz(row[:m], row[-k % n])
-        nrm = _complex(cm.normal_out[:m])[:, None]
-        diff = y[:m, None] - y[None, :m]
-        np.fill_diagonal(diff, 1.0)
-        smooth = np.log(diff.real * diff.real + diff.imag * diff.imag)
-        np.fill_diagonal(smooth, 2.0 * np.log(cm.speed[:m]))
-        kprime = (nrm / diff).real
+        re = _circulant(row, m, fold)
+        (x, yy), (nx, ny) = cm.nodes[:m].T, cm.normal_out[:m].T
+
+        def differences(other):
+            # components and squared lengths of y_i - y_j, i over the upper
+            # nodes, j over ``other``; K' before its diagonal and scaling
+            dx, dv = x[:, None] - other[:, 0], yy[:, None] - other[:, 1]
+            r2 = dx * dx + dv * dv
+            return r2, (nx[:, None] * dx + ny[:, None] * dv)
+
+        r2, kprime = differences(cm.nodes[:m])
+        np.fill_diagonal(r2, 1.0)
+        kprime /= r2
         np.fill_diagonal(kprime, 0.5 * cm.curvature[:m])
-        if m < n:
-            re += row[np.add.outer(k, k) + 1]
-            diff = y[:m, None] - y[None, :m - 1:-1]
-            smooth += np.log(diff.real * diff.real + diff.imag * diff.imag)
-            kprime += (nrm / diff).real
+        if fold:
+            r2_mirror, k_mirror = differences(cm.nodes[:m - 1:-1])
+            kprime += k_mirror / r2_mirror
+            r2 *= r2_mirror
+            del r2_mirror, k_mirror
+        smooth = np.log(r2)
+        # the log term's diagonal limit is 2 log(speed)
+        smooth[np.diag_indices(m)] += 2.0 * np.log(cm.speed[:m])
         re += cm.h * smooth
         re /= 4.0 * np.pi
         kprime *= cm.h / _TWO_PI
-        del diff, smooth
+        del r2, smooth
         own = self._unknowns(curve_index)
         self._slp[own, own] = re
         side = 1.0 if curve_index < len(self.cfg.bodies) else -1.0
@@ -357,16 +417,15 @@ class SceneOperator:
             charge = self._nodes_per_unknown * cm.h / _TWO_PI
             re -= charge * np.log(np.abs(y[:m] - zc))[:, None]
             flux -= charge * (dy[:m] / (y[:m] - zc)).imag[:, None]
-        # a folded column, extended evenly, is a function of t on all nodes
-        ext = flux if m == n else np.vstack([flux, flux[::-1]])
-        F = np.stack([re, -_spectral(ext, -1)[:m]], axis=1)
+        im = _folded_antiderivative(flux) if fold else _spectral(flux, -1)
+        F = np.stack([re, -im], axis=1)
         if zc is not None:
             # F(inf) is the Cauchy integral at the interior point zc, taken
             # in real arithmetic on the stack [Re F; -Im F]
             c = w[:m] / (y[:m] - zc) / (2j * np.pi)
             (a0, a1), (b0, b1) = (np.stack([c.real, c.imag])
                                   @ F.reshape(m, 2 * m)).reshape(2, 2, m)
-            if m == n:
+            if not fold:
                 F -= np.stack([a0 + b1, a1 - b0])
             else:
                 F[:, 0] -= 2.0 * (a0 + b1)
@@ -378,21 +437,24 @@ class SceneOperator:
         Cauchy sum: S_c g, or with ``derivative`` its u_x - i u_y; ``fg``,
         if given, is the record's ``values`` of g, which is then not
         computed again. With g None, the block acting on the curve's g, its
-        columns folded on a folded operator: the Cauchy weights are scaled by the denominator
-        first, so Re(c F) is one real product of [Re c, Im c] with the
-        stack [Re F; -Im F]. A half-built record's mirror rows are the
-        conjugates of its rows, so the mirror weights fold onto them:
-        Re c_top + Re c_mirror against Re F, Im c_top - Im c_mirror
-        against Im F."""
+        columns folded on a folded operator: the Cauchy weights are scaled
+        by the reciprocal of the denominator first, so Re(c F) is one real
+        product of [Re c, Im c] with the stack [Re F; -Im F]. A half-built
+        record's mirror rows are the conjugates of its rows, so the mirror
+        weights fold onto them in place: Re c_top + Re c_mirror against
+        Re F, Im c_top - Im c_mirror against Im F."""
         d = self._curves[curve_index]
         c = d.y[None, :] - z[:, None]
         np.divide(d.w, c, out=c)
         den = c.sum(axis=1) - (0.0 if d.zc is None else 2j * np.pi)
         if g is None:
-            c /= den[:, None]
+            c *= (1.0 / den)[:, None]
             m = d.F.shape[1]
             if m < d.y.size:
-                c = c[:, :m] + c[:, :m - 1:-1].conj()
+                c_re, c_im = c.real, c.imag
+                np.add(c_re[:, :m], c_re[:, :m - 1:-1], out=c_re[:, :m])
+                np.subtract(c_im[:, :m], c_im[:, :m - 1:-1], out=c_im[:, :m])
+                c = c[:, :m]
             out = c.view(float) @ d.F
             if d.zc is not None:
                 charge = d.h * self._nodes_per_unknown
@@ -437,23 +499,28 @@ class SceneOperator:
         return self.mesh.step[self._rows()] * self._nodes_per_unknown
 
     def _factor(self):
-        """LU factors and reciprocal condition number of the single-constant
-        bordered matrix [[S, -1], [h, 0]], folded on a mirror-symmetric
-        scene, built on first use."""
+        """LU factors, reciprocal condition number and the matching LAPACK
+        solve of the single-constant bordered matrix [[S, -1], [h, 0]],
+        folded on a mirror-symmetric scene, built on first use. ``getrf``,
+        ``getrs`` and ``gecon`` are called directly, fetched once per
+        factor: the same LAPACK calls as ``scipy.linalg.lu_factor`` and
+        ``lu_solve``, bit for bit, without their argument checks."""
         if self._lu is None:
             n_tot = self._slp.shape[0]
-            M = np.zeros((n_tot + 1, n_tot + 1))
+            M = np.zeros((n_tot + 1, n_tot + 1), order="F")
             M[:n_tot, :n_tot] = self._slp
             M[:n_tot, n_tot] = -1.0
             M[n_tot, :n_tot] = self._charge_weights()
             norm = np.linalg.norm(M, 1)
-            lu, piv = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
-            gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-            rcond, _ = gecon(lu, norm, norm="1")
+            getrf, getrs, gecon = scipy.linalg.get_lapack_funcs(("getrf", "getrs", "gecon"),
+                                                                (M,))
+            lu, piv, info = getrf(M, overwrite_a=True)
+            # an exactly singular factor (info > 0) has no condition number
+            rcond = gecon(lu, norm, norm="1")[0] if info == 0 else 0.0
             if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
                 raise NumericFailureError("linear system too ill-conditioned",
                                           {"rcond": float(rcond), "n": int(n_tot)})
-            self._lu = (lu, piv, float(rcond))
+            self._lu = (lu, piv, float(rcond), getrs)
         return self._lu
 
     @property
@@ -480,12 +547,11 @@ class SceneOperator:
                 raise InvalidUsageError("the data of a mirror-symmetric scene must be "
                                         "even under y -> -y")
             node_group, rhs = node_group[top], rhs[top]
-        lu, piv, _ = self._factor()
+        lu, piv, _, getrs = self._factor()
         n_tot, h = node_group.size, self._charge_weights()
         unit_steps = (node_group[:, None] == np.arange(1, charges.size)).astype(float)
-        step_sols = scipy.linalg.lu_solve(
-            (lu, piv), np.vstack([unit_steps, np.zeros((1, charges.size - 1))]),
-            check_finite=False)
+        step_sols = getrs(lu, piv, np.vstack([unit_steps, np.zeros((1, charges.size - 1))]),
+                          overwrite_b=True)[0]
         step_charges = (unit_steps * h[:, None]).T
         Q = step_charges @ step_sols[:n_tot]
         if Q.size and not (np.all(np.isfinite(Q))
@@ -494,8 +560,7 @@ class SceneOperator:
                                       {"matrix": Q.tolist()})
 
         def apply(b, q):
-            x = scipy.linalg.lu_solve((lu, piv), np.append(b, q.sum()),
-                                      check_finite=False)
+            x = getrs(lu, piv, np.append(b, q.sum()), overwrite_b=True)[0]
             heights = np.linalg.solve(Q, q[1:] - step_charges @ x[:n_tot])
             x += step_sols @ heights
             return x[:n_tot], x[n_tot] + np.append(0.0, heights)
@@ -517,7 +582,7 @@ class SceneOperator:
         """Conductor problem: u = H + S[sigma], constant per conductor,
         zero net flux per conductor. ``groups`` overrides the configuration's
         conductor partition (equipotential unions of bodies)."""
-        groups = tuple(tuple(g) for g in (groups or self.cfg.groups))
+        groups = self._partition(groups or self.cfg.groups, "groups")
         return self._field("u", groups, -self.cfg.background(self.mesh.nodes),
                            np.zeros(len(groups)), self.cfg.background)
 
@@ -525,11 +590,9 @@ class SceneOperator:
         """Two-group unit-flux problem: h = S[sigma] with h -> 0 at
         infinity, flux -1 through the first group and +1 through the second
         (charges +1 and -1)."""
-        part = tuple(tuple(p) for p in partition)
+        part = self._partition(partition, "partition")
         if len(part) != 2:
             raise InvalidUsageError("partition must have exactly two groups")
-        if sorted(i for p in part for i in p) != list(range(len(self.cfg.bodies))):
-            raise InvalidUsageError("partition must cover all bodies exactly once")
         return self._field("h", part, np.zeros(self.mesh.n_total),
                            np.array([1.0, -1.0]), None)
 
@@ -544,12 +607,20 @@ class SceneOperator:
         g, consts = self._solve(self._node_group(groups), rhs, charges)
         return FieldSolution(self, kind, groups, g, consts, background, self.rcond)
 
+    def _partition(self, groups: Sequence[Sequence[int]], name: str):
+        """``groups`` as a tuple of tuples; raises InvalidUsageError unless
+        they hold every body of the configuration exactly once."""
+        part = tuple(tuple(g) for g in groups)
+        if sorted(i for p in part for i in p) != list(range(len(self.cfg.bodies))):
+            raise InvalidUsageError(f"{name} must cover all bodies exactly once")
+        return part
+
     def _node_group(self, groups: Sequence[Sequence[int]]) -> np.ndarray:
-        body_to_group = {}
+        """The group of every node, from the group of every curve."""
+        group_of = np.empty(len(self.mesh.curves), dtype=int)
         for gi, members in enumerate(groups):
-            for b in members:
-                body_to_group[b] = gi
-        return np.array([body_to_group[b] for b in self.mesh.body_of_node])
+            group_of[list(members)] = gi
+        return group_of[self.mesh.body_of_node]
 
     # -- evaluation --------------------------------------------------------
 
@@ -685,9 +756,7 @@ class FieldSolution:
         folded operator, where the record's K' block holds the rows of the
         upper-half nodes, all but the jump term are computed there and
         mirrored. The jump term sigma/2 = g/(2 speed) keeps each node's own
-        speed, so that times the quadrature weight speed h it stays h g/2:
-        the speeds of the lower half carry the rounding of chain coordinates
-        near the chain's end (5.5e-10 relative next to a gap of 1e-6)."""
+        speed, so that times the quadrature weight speed h it stays h g/2."""
         if curve_index not in self._dnu:
             cm, d = self.mesh.curves[curve_index], self.op._curves[curve_index]
             own = self.mesh.curve_slice(curve_index)
@@ -778,16 +847,19 @@ def _foot_gradient(sol: FieldSolution, foot: GapFoot, p: np.ndarray,
                    seg_len: float) -> float:
     """|grad| of the field at the gap foot that ends the segment at p.
 
-    On a body the field is constant, so grad = (d_nu field) nu. The foot's
-    chain coordinate maps to its mesh parameter t by the chain map's
-    forward map, and the normal derivative on the foot's curve alone is
-    interpolated there, speed-weighted since g = sigma |dx/dt| is the
-    smooth quantity in t. A foot whose mesh point misses p names the wrong
-    body and raises InvalidUsageError."""
+    On a body the field is constant, so grad = (d_nu field) nu. The
+    foot's point and speed |dx/dt| are framed at its chain coordinate v,
+    and v maps to its mesh parameter t by the chain map's forward map; the
+    normal derivative on the foot's curve alone is interpolated there,
+    speed-weighted since g = sigma |dx/dt| is the smooth quantity in t. A
+    foot whose mesh point misses p names the wrong body and raises
+    InvalidUsageError."""
     cm = sol.mesh.curves[foot.body]
     chain = cm.chain
-    t = chain.t_of_v(chain.v_edges[foot.chart] + (foot.u - chain.charts[foot.chart].u0))
-    q, _, speed = cm.frame_at(t)
+    v = chain.v_edges[foot.chart] + (foot.u - chain.charts[foot.chart].u0)
+    t = chain.t_of_v(v)
+    q, der, _ = chain.frame_of_v(v)
+    speed = np.hypot(*der.T) * chain.dvdt(v)
     miss = float(np.hypot(*(q[0] - p)))
     if miss > max(_ON_BODY_TOL * seg_len, 16 * np.finfo(float).eps * cm.perimeter):
         raise InvalidUsageError(f"the gap foot on body {foot.body} lies {miss:.3g} "

@@ -718,6 +718,23 @@ class TestCaseCD:
             build_case_d(peanut(), Disk((0.0, 0.0), 1.0),
                          Disk((0.0, 0.0), 1.0), 0.05, 1e-3, 1e-3)
 
+    def test_convex_feet_take_no_curvature_samples(self, monkeypatch):
+        # the ellipses of the benchmark's case-D scene are convex by
+        # construction, so their four feet sample no curvature; the
+        # peanut's foot on its waist still does, and raises
+        sampled = []
+        curvature = SmoothBoundary.curvature
+        monkeypatch.setattr(SmoothBoundary, "curvature",
+                            lambda self, t: sampled.append(t) or curvature(self, t))
+        ell = SmoothBoundary.ellipse
+        build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                     ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3)
+        assert sampled == []
+        with pytest.raises(InvalidGeometryError, match="gap-facing arc is not strictly convex"):
+            build_case_d(peanut(), Disk((0.0, 0.0), 1.0),
+                         Disk((0.0, 0.0), 1.0), 0.05, 1e-3, 1e-3)
+        assert len(sampled) > 0
+
     def test_mirror_is_valid_by_construction(self, monkeypatch):
         # the benchmark's case-D scene: a reflected valid curve, its
         # parameter reversed, is valid and is not validated again

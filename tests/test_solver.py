@@ -337,6 +337,15 @@ class TestPartitionsAndGroups:
         with pytest.raises(InvalidUsageError):
             op.solve_h(((0,), (1,), (2,)))
 
+    @pytest.mark.parametrize("groups", [((0,),), ((0,), (0, 1)), ((0,), (1,), (1,))],
+                             ids=["missing", "repeated", "twice"])
+    def test_u_groups_must_partition_the_bodies(self, groups):
+        # groups that leave a body out or hold one twice are refused by the
+        # check of solve_h's partition, before any solve
+        op = SceneOperator(build_two_disks(1, 1, 1e-2))
+        with pytest.raises(InvalidUsageError, match="cover all bodies exactly once"):
+            op.solve_u(groups)
+
     def test_grouped_fluxes(self):
         cfg = build_case_b(1, 0.05, 1, 1e-3, 1e-3)
         op = SceneOperator(cfg)
@@ -663,17 +672,21 @@ class TestChainMap:
     def test_shared_tables_give_a_fresh_chain(self):
         # build_mesh reads the node count from a curve's tables and builds
         # its chain from them; a chain built at that count from new tables
-        # is the same, bit for bit
+        # gives the same upper half, bit for bit. Every curve of case B is
+        # mirrored, so its lower half is the exact mirror of the upper
         cfg = build_case_b(1.0, 0.05, 1.0, 1e-5, 1e-3)
         mesh = build_mesh(cfg)
         assert [cm.n for cm in mesh.curves] == [256, 320, 192]
         for cm, body in zip(mesh.curves, cfg.bodies):
             fresh = mesh_module._ChainMap(
                 mesh_module._ChainTables(body.charts(), cm.features), cm.n)
-            v = fresh.v_of_t(cm.t)
-            assert np.array_equal(v, cm.v)
-            assert np.array_equal(fresh.frame_of_v(v)[0], cm.nodes)
-            assert np.array_equal(fresh.dvdt(v), cm.chain.dvdt(cm.v))
+            m = cm.n // 2
+            v = fresh.v_of_t(cm.t[:m])
+            assert np.array_equal(v, cm.v[:m])
+            assert np.array_equal(fresh.frame_of_v(v)[0], cm.nodes[:m])
+            assert np.array_equal(fresh.dvdt(v), cm.chain.dvdt(cm.v[:m]))
+            assert np.array_equal(cm.v[m:], fresh.v_total - v[::-1])
+            assert np.array_equal(cm.nodes[m:], cm.nodes[m - 1::-1] * [1.0, -1.0])
 
     @pytest.mark.parametrize("build,counts", GRID_SCENES)
     def test_inversion_at_rounding_level(self, build, counts):
@@ -690,6 +703,87 @@ class TestChainMap:
             v = chain.v_of_t(cm.t)
             miss = np.abs(chain.t_of_v(v) - cm.t) * chain.dvdt(v)
             assert np.max(miss) <= 8 * np.spacing(chain.v_total)
+
+
+# The scenes of GRID_SCENES that fold: the pair, case B and case D.
+MIRRORED_SCENES = [p for p in GRID_SCENES if p.id[0] in "pBD"]
+
+
+def _is_mirrored(body, feats):
+    return mesh_module._mirrored(body, mesh_module._ChainTables(body.charts(), feats))
+
+
+class TestMirroredMesh:
+    """A curve that is its own mirror image across the x-axis is inverted
+    and framed on its upper half, then reflected."""
+
+    @pytest.mark.parametrize("build,counts", MIRRORED_SCENES)
+    def test_upper_half_inverted_lower_half_reflected(self, build, counts):
+        # the upper half is the full inversion's, bit for bit; node N-1-k
+        # is node k reflected, exactly, and so are its frame's vectors
+        cfg = build()
+        mesh = build_mesh(cfg)
+        assert [cm.n for cm in mesh.curves] == counts
+        flip = np.array([1.0, -1.0])
+        for cm, body in zip(mesh.curves, cfg.bodies):
+            tables = mesh_module._ChainTables(body.charts(), cm.features)
+            assert mesh_module._mirrored(body, tables)
+            full = mesh_module._curve_mesh(tables, cm.body_index, cm.features, cm.n)
+            m = cm.n // 2
+            for name in ("v", "nodes", "velocity", "speed", "normal_out", "curvature",
+                         "weights"):
+                assert np.array_equal(getattr(cm, name)[:m], getattr(full, name)[:m]), name
+            assert np.array_equal(cm.nodes[::-1], cm.nodes * flip)
+            assert np.array_equal(cm.velocity[::-1], -cm.velocity * flip)
+            assert np.array_equal(cm.normal_out[::-1], cm.normal_out * flip)
+            for name in ("speed", "curvature", "weights"):
+                assert np.array_equal(getattr(cm, name)[::-1], getattr(cm, name))
+            assert nystrom._mirror_miss(cm) == 0.0
+        assert nystrom._mirror_fold(cfg, mesh) is not None
+
+    def test_only_mirror_images_are_mirrored(self):
+        # decided from the body and its density terms: a disk or a Fourier
+        # curve without sin_x and cos_y, on the axis, whose features
+        # v -> v_total - v maps onto themselves
+        def feats(*vs):
+            return [mesh_module.FeatureSpec("gap", v, np.zeros(2), floor_arc=1e-4,
+                                            growth=1.0 / 6.0, gap=1e-3) for v in vs]
+
+        disk = Body.from_disk(Disk((0.0, 0.0), 1.0))
+        ellipse = Body.from_smooth(SmoothBoundary.ellipse((0.0, 0.0), 1.2, 0.9))
+        for v in ((0.0,), (np.pi,), (1.0, 2 * np.pi - 1.0), ()):
+            assert _is_mirrored(disk, feats(*v)) and _is_mirrored(ellipse, feats(*v))
+        assert not _is_mirrored(disk, feats(1.0))
+        assert not _is_mirrored(disk.translated(OFF_AXIS), feats(0.0))
+        assert not _is_mirrored(ellipse.translated(OFF_AXIS), feats(0.0))
+        tilted = SmoothBoundary((0.0, 0.0), cos_x=(1.2,), sin_x=(0.1,), sin_y=(0.9,))
+        assert not _is_mirrored(Body.from_smooth(tilted), feats(0.0))
+        lens = build_case_a(1.0, 0.05, 1.0, 0.05, 1e-3).bodies[1]
+        assert not _is_mirrored(lens, [])
+
+    def test_scenes_with_a_corner_keep_the_full_inversion(self):
+        # a scene with a lens keeps doubling's meshes bit for bit: its
+        # disk, a mirror image, is still inverted on both halves
+        cfg = build_case_a(1.0, 0.05, 1.0, 0.05, 1e-3)
+        cm, body = build_mesh(cfg).curves[0], cfg.bodies[0]
+        tables = mesh_module._ChainTables(body.charts(), cm.features)
+        assert mesh_module._mirrored(body, tables)
+        full = mesh_module._curve_mesh(tables, 0, cm.features, cm.n)
+        assert np.array_equal(cm.nodes, full.nodes) and np.array_equal(cm.speed, full.speed)
+
+    @pytest.mark.parametrize("build,counts", MIRRORED_SCENES)
+    def test_folded_antiderivative_matches_the_fft(self, build, counts, monkeypatch):
+        # Im F of a folded curve, one real product with the folded
+        # circulant, against the FFT of the even extension
+        seen = []
+        antiderivative = nystrom._folded_antiderivative
+        monkeypatch.setattr(nystrom, "_folded_antiderivative",
+                            lambda flux: seen.append((flux, antiderivative(flux))) or seen[-1][1])
+        op = SceneOperator(build())
+        assert op._fold is not None and len(seen) == len(counts)
+        for flux, got in seen:
+            want = nystrom._spectral(np.vstack([flux, flux[::-1]]), -1)[:flux.shape[0]]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestNodePrediction:
@@ -850,21 +944,27 @@ class TestGapMaximum:
 
     def test_gap_ends_read_their_own_curve_once(self, monkeypatch):
         # each gap end reads the normal derivative of its own curve alone
-        # and takes one chain-map frame there
+        # and takes one chain-map frame there, at the foot's chain
+        # coordinate, without inverting the chain map
         cfg = build_case_b(1, 0.05, 1, 1e-4, 1e-3)
         u = solve_u(cfg)
-        curves, frames = [], []
+        curves, frames, inversions = [], [], []
         normal_derivative = FieldSolution._normal_derivative
-        frame_at = mesh_module.CurveMesh.frame_at
+        frame_of_v = mesh_module._ChainMap.frame_of_v
+        v_of_t = mesh_module._ChainMap.v_of_t
         monkeypatch.setattr(FieldSolution, "_normal_derivative",
                             lambda sol, ci: curves.append(ci) or normal_derivative(sol, ci))
-        monkeypatch.setattr(mesh_module.CurveMesh, "frame_at",
-                            lambda cm, t: frames.append(cm.body_index) or frame_at(cm, t))
+        monkeypatch.setattr(mesh_module._ChainMap, "frame_of_v",
+                            lambda chain, v: frames.append(chain) or frame_of_v(chain, v))
+        monkeypatch.setattr(mesh_module._ChainMap, "v_of_t",
+                            lambda chain, t: inversions.append(chain) or v_of_t(chain, t))
+        chains = [cm.chain for cm in u.mesh.curves]
         for i, j in ((0, 1), (1, 2)):
             curves.clear()
             frames.clear()
             max_gap_gradient(u, cfg.conductor_gap(i, j))
-            assert curves == [i, j] and frames == [i, j]
+            assert curves == [i, j] and frames == [chains[i], chains[j]]
+        assert inversions == []
 
     def test_boundary_reads_build_no_curve(self, monkeypatch):
         # every curve's own blocks are built with the operator; reading
@@ -948,15 +1048,24 @@ def _foot_t(cm, foot) -> float:
 
 @pytest.fixture
 def lu_calls(monkeypatch):
-    """Counts the LU factorizations made while a test runs."""
+    """Counts the LU factorizations made while a test runs: the calls of
+    the LAPACK ``getrf`` that ``scipy.linalg.get_lapack_funcs`` hands out."""
     calls = []
-    original = scipy.linalg.lu_factor
+    fetch = scipy.linalg.get_lapack_funcs
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(getrf):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return getrf(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    def fetch_counted(names, *args, **kwargs):
+        funcs = fetch(names, *args, **kwargs)
+        if isinstance(names, str):
+            return counted(funcs) if names == "getrf" else funcs
+        return [counted(f) if name == "getrf" else f for name, f in zip(names, funcs)]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", fetch_counted)
     return calls
 
 
@@ -992,6 +1101,24 @@ class TestOneFactorization:
         table = run_sweep(spec)
         assert table.errors == [None]
         assert len(lu_calls) == 2
+
+    @pytest.mark.parametrize("build", [lambda: build_two_disks(1.0, 1.0, 1e-4),
+                                       lambda: build_case_a(1.0, 0.05, 1.0, 0.05, 1e-3)],
+                             ids=["folded pair", "A"])
+    def test_lapack_calls_match_the_scipy_wrappers(self, build):
+        # getrf and getrs, called directly, give lu_factor's factor and
+        # lu_solve's solutions bit for bit
+        op = SceneOperator(build())
+        lu, piv, _, getrs = op._factor()
+        n = op._slp.shape[0]
+        M = np.block([[op._slp, -np.ones((n, 1))],
+                      [op._charge_weights()[None, :], np.zeros((1, 1))]])
+        lu_ref, piv_ref = scipy.linalg.lu_factor(M)
+        assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
+        b = np.random.default_rng(3).standard_normal((n + 1, 2))
+        for rhs in (b, b[:, 0]):
+            got = getrs(lu, piv, rhs.copy(), overwrite_b=True)[0]
+            assert np.array_equal(got, scipy.linalg.lu_solve((lu_ref, piv_ref), rhs))
 
     def test_empty_group_is_a_singular_charge_system(self):
         # a group without nodes has a zero step column, so its charge
