@@ -24,8 +24,7 @@ from .solver.nystrom import (FieldSolution, SceneOperator, max_gap_gradient,
 from .solver.fields import (Decomposition, Representation, decompose_u,
                             representation_coeffs)
 from .asymptotics import (BoundPrediction, DiagnosticReport, bound_case_a,
-                          bound_case_b, bound_case_c, bound_case_d,
-                          bound_three_general, lemma_suite)
+                          bound_case_b, bound_case_c, bound_case_d, lemma_suite)
 from .sweeps import (RateFit, SandwichResult, SweepSpec, SweepTable, Tie,
                      fit_rate, log_grid, run_sweep, sandwich_check)
 

@@ -42,7 +42,7 @@ class BoundPrediction:
             raise InvalidParameterError("bound scales must be positive")
 
 
-def _scale_law(tag: str, formula: str, gaps: dict[str, float], r2: float = 1.0,
+def _scale_law(tag: str, formula: str, gaps: dict[str, float], r2: float,
                radii: tuple[float, ...] = ()) -> tuple[BoundPrediction, ...]:
     """One prediction per gap eps: gradient pref / sqrt(r2 eps) and potential
     difference pref sqrt(eps / r2), where pref = r1 r3 / (r1 + r3) for the
@@ -79,12 +79,6 @@ def bound_case_c(r2: float, eps: float) -> BoundPrediction:
 
 def bound_case_d(r2: float, eps1: float, eps2: float) -> tuple[BoundPrediction, BoundPrediction]:
     return _scale_law("D", "1/sqrt(r2*eps_{i})", {"eps1": eps1, "eps2": eps2}, r2)
-
-
-def bound_three_general(eps1: float, eps2: float) -> tuple[BoundPrediction, BoundPrediction]:
-    """Three comparable conductors: the middle body is not assumed small, so
-    the scales carry no r2 factor."""
-    return _scale_law("three", "1/sqrt(eps_{i})", {"eps1": eps1, "eps2": eps2})
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +215,11 @@ _CHECKS = {
          "informational"),
     ),
 }
+# Every case's report ends with the conservation check: u's fluxes by an
+# independent node quadrature, which the solve does not enforce.
+_FLUX_CHECK = ("flux_residual_quadrature", "flux_residual_rel", 0,
+               (np.max, lambda v: v <= 1e-8),
+               "independent flux quadrature, relative to total absolute flux")
 
 
 def _ratio(col: np.ndarray, eps: np.ndarray, scaling, radii: dict) -> np.ndarray:
@@ -249,7 +248,8 @@ def lemma_suite(cfg: Configuration, controls: MeshControls = MeshControls(),
     """Run the named comparison diagnostics of the scene's case over a gap
     sweep: one ``run_sweep`` over the grid, which rebuilds the scene with
     both gaps set to each grid value, then one check per row of the case's
-    table. A row that fails raises its error."""
+    table and the flux check (``_FLUX_CHECK``), which ends every report. A
+    row that fails raises its error."""
     tag, p = cfg.case_tag, cfg.params
     if tag not in _CHECKS:
         raise InvalidUsageError(f"no diagnostic suite for case {tag!r}")
@@ -267,7 +267,7 @@ def lemma_suite(cfg: Configuration, controls: MeshControls = MeshControls(),
             return Configuration._placed(tuple(bodies), gaps, cfg.groups, cfg.background, "D", q)
     else:
         builder = partial(build_case, tag, background=cfg.background)
-    checks = _CHECKS[tag]
+    checks = _CHECKS[tag] + (_FLUX_CHECK,)
     table = run_sweep(SweepSpec(
         tag, gaps[0], (1e-5, 1e-4, 1e-3) if eps_grid is None else tuple(eps_grid),
         fixed, tuple(dict.fromkeys(c[1] for c in checks)), controls, seed, builder))
@@ -279,7 +279,8 @@ def lemma_suite(cfg: Configuration, controls: MeshControls = MeshControls(),
                table.values, verdict, detail)
         for name, q, scaling, verdict, detail in checks])
     if tag == "A":
-        rep.checks.append(_monotonicity_check(seed))
+        # before the flux check, which ends every report
+        rep.checks.insert(-1, _monotonicity_check(seed))
     return rep
 
 

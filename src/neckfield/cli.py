@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .asymptotics import DiagnosticCheck, lemma_suite
+from .asymptotics import lemma_suite
 from .errors import DomainError, NeckfieldError
 from .geometry.config import build_case
 from .geometry.serialize import ConfigParseError, RunInput, _number, parse_run
@@ -40,7 +40,6 @@ EXIT_REFUSED = 3
 
 @dataclass
 class RunManifest:
-    subcommand: str
     config: Path
     out: Path
     force: bool = False
@@ -230,18 +229,7 @@ def cmd_plot(manifest: RunManifest) -> int:
 
 def cmd_verify(manifest: RunManifest) -> int:
     run = _load(manifest)
-    cfg = run.cfg
-    controls = _controls_for(manifest, run)
-    report = lemma_suite(cfg, controls, seed=manifest.seed)
-    # conservation spot check on the standard solve: independent quadrature
-    # of the conductor fluxes
-    u = SceneOperator(cfg, controls).solve_u()
-    dnu = u.normal_derivative_nodes()
-    scale = max(float(np.sum(u.mesh.weights * np.abs(dnu))), 1e-300)
-    worst = float(np.max(np.abs(u.flux_quadrature())))
-    report.checks.append(DiagnosticCheck.from_flag(
-        "flux_residual_quadrature", worst / scale <= 1e-8, worst / scale,
-        "independent flux quadrature, relative to total absolute flux"))
+    report = lemma_suite(run.cfg, _controls_for(manifest, run), seed=manifest.seed)
     body = report.to_csv()
     _write(manifest, "verify.csv",
            f"# neckfield-verify v1\n# generated: {_stamp()}\n" + body)
@@ -268,8 +256,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--mesh-cap", type=int, default=None)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    manifest = RunManifest(args.subcommand, args.config, args.out, args.force,
-                           args.seed, args.mesh_base, args.mesh_cap)
+    manifest = RunManifest(args.config, args.out, args.force, args.seed,
+                           args.mesh_base, args.mesh_cap)
     try:
         return args.fn(manifest)
     except FileExistsError as exc:

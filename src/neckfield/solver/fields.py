@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import InvalidGeometryError, InvalidUsageError, NumericFailureError
 from ..geometry.body import Body
@@ -65,7 +64,7 @@ def representation_coeffs(cfg: Configuration,
     if abs(det) < 1e-12 * max(1.0, float(np.max(np.abs(A)))) ** 2:
         raise NumericFailureError("singular flux system in the representation",
                                   {"matrix": A.tolist()})
-    c = scipy.linalg.solve(A, rhs)
+    c = np.linalg.solve(A, rhs)
     return Representation(float(c[0]), float(c[1]), h1, h2, hc, A)
 
 
@@ -148,7 +147,7 @@ def decompose_u(cfg: Configuration, disk0: Disk,
         data[ring] = ring_values
         g, c = op._solve(np.zeros(mesh.n_total, dtype=int), data, np.zeros(1))
         return FieldSolution(op, "v", everything, g, -c,
-                             HarmonicBackground.constant(-c[0]), op.rcond)
+                             HarmonicBackground.constant(-c[0]))
 
     u_ring = u.potential(mesh.nodes[ring], check_domain=False)
     v0 = dirichlet(np.zeros(3), u_ring - C0)

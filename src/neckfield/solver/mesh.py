@@ -46,18 +46,20 @@ at one count only forms its amplitudes and the seed's masses, and inverts
 its nodes.
 
 A curve that is its own mirror image across the x-axis is meshed on its
-upper half only and reflected. Such a curve is a disk, or a smooth curve
-without sin_x and cos_y terms, centred on the axis to ``_MIRROR_ULPS``
-ulps of its bounding radius, so that its chain starts on the axis (t = 0),
-and v -> v_total - v maps its density terms onto themselves (``_mirrored``);
+upper half only and reflected, and its mesh records it (``mirrored``).
+Such a curve is a disk, or a smooth curve whose sin_x and cos_y terms are
+all zero or absent, centred on the axis to ``_MIRROR_ULPS`` ulps of its
+bounding radius, so that its chain starts on the axis (t = 0), and
+v -> v_total - v maps its density terms onto themselves (``_mirrored``);
 then t_{N-1-k} = 2 pi - t_k lies at v_total - v_k. The nodes k < N/2 are
 inverted and framed as on any curve, bit for bit, and node N-1-k is node
 k reflected exactly: its point (x, -y), velocity (-x', y'), normal
 (n_x, -n_y), and the same speed, curvature and weight. So the lower half
 costs no inversion, and its speeds do not carry the rounding of v near
-v_total. A scene with a lens corner inverts every node of every curve,
-which keeps its meshes those of doubling bit for bit; its lens chain
-starts at a corner, so the scene does not fold anyway.
+v_total. The solver folds a scene exactly when every curve is mirrored
+and the background is real. A scene with a lens corner inverts every node
+of every curve, which keeps its meshes those of doubling bit for bit; its
+lens chain starts at a corner, so the scene does not fold anyway.
 """
 
 from __future__ import annotations
@@ -104,9 +106,7 @@ _NODE_LADDER = 16
 # it the clustering would eat the whole budget.
 _BUDGET_FLOOR = 0.3
 # A curve is mirrored when its centre and its density terms sit within this
-# many ulps of their mirror images; a mesh of a mirror-symmetric scene has
-# every node within this many ulps of its curve's perimeter of its mirror
-# node's reflection (the solver's fold test).
+# many ulps of their mirror images.
 _MIRROR_ULPS = 16
 _ULP = np.finfo(float).eps
 
@@ -329,6 +329,7 @@ class CurveMesh:
     arc_position: np.ndarray   # cumulative arclength at each node
     perimeter: float
     features: list[FeatureSpec]
+    mirrored: bool             # node N-1-k is node k reflected across the x-axis
 
     def frame_at(self, t):
         """Points, velocities and speeds at arbitrary mesh parameters."""
@@ -337,9 +338,6 @@ class CurveMesh:
         pts, der, _ = self.chain.frame_of_v(v)
         vel = der * self.chain.dvdt(v)[:, None]
         return pts, vel, np.hypot(vel[:, 0], vel[:, 1])
-
-    def point_at(self, t):
-        return self.frame_at(t)[0]
 
     def feature_node_index(self, feat: FeatureSpec) -> int:
         p = feat.point
@@ -389,15 +387,15 @@ def _body_features(body: Body,
 
 def _mirrored(body: Body, tables: _ChainTables) -> bool:
     """Whether the curve is its own mirror image across the x-axis with a
-    density that v -> v_total - v keeps: a disk, or a smooth curve without
-    sin_x and cos_y terms, centred within ``_MIRROR_ULPS`` ulps of its
-    bounding radius of the axis, each of whose density terms has a twin of
-    the same growth and floor parameter at the mirrored chain coordinate.
-    Decided from the body and its density terms alone, without sampling
-    the curve."""
+    density that v -> v_total - v keeps: a disk, or a smooth curve whose
+    sin_x and cos_y terms are all zero or absent, centred within
+    ``_MIRROR_ULPS`` ulps of its bounding radius of the axis, each of whose
+    density terms has a twin of the same growth and floor parameter at the
+    mirrored chain coordinate. Decided from the body and its density terms
+    alone, without sampling the curve."""
     if body.kind == "disk":
         centre = body.disk.center
-    elif body.kind == "smooth" and not (body.smooth.sin_x or body.smooth.cos_y):
+    elif body.kind == "smooth" and not any(body.smooth.sin_x + body.smooth.cos_y):
         centre = body.smooth.center
     else:
         return False
@@ -432,7 +430,7 @@ def _curve_mesh(tables: _ChainTables, body_index: int, feats: list[FeatureSpec],
     arc = np.cumsum(weights) - 0.5 * weights
     perimeter = float(np.sum(weights))
     return CurveMesh(body_index, chain, n, h, t, v, pts, vel, speed, normal,
-                     kap, weights, arc, perimeter, feats)
+                     kap, weights, arc, perimeter, feats, mirrored)
 
 
 def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],

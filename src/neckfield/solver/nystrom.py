@@ -68,13 +68,14 @@ bit for bit, behind argument checks that cost half as much as the solve
 itself at the folded pair's size (about 10 us against 20 us for 273
 unknowns, one BLAS thread on a 2-vCPU host).
 
-A mirror-symmetric scene (every curve's node N-1-k the reflection of node
-k under y -> -y, and a background with real coefficients, so all its data
-are even) factors the folded matrix instead: the rows of the upper-half
-nodes, each column plus its mirror's, S[top, top] + S[top, mirror(top)],
-bordered by a charge row of weight 2h. It is a quarter of the full matrix,
-and its rcond is about twice the full matrix's (1.75-2.14x over the
-two-disk pair and the acceptance grids of cases B and D). Each curve's
+A mirror-symmetric scene (every curve's mesh mirrored, so that node N-1-k
+is the reflection of node k under y -> -y, and a background with real
+coefficients, so all its data are even) factors the folded matrix
+instead: the rows of the upper-half nodes, each column plus its mirror's,
+S[top, top] + S[top, mirror(top)], bordered by a charge row of weight 2h.
+It is a quarter of the full matrix, and its rcond is about twice the full
+matrix's (1.75-2.14x over the two-disk pair and the acceptance grids of
+cases B and D). Each curve's
 record is half-built alike: F and K' hold the rows of the upper-half
 nodes with folded columns, (N/2)^2 entries per table, a quarter of the
 full ones, built from the N^2/2 differences of the upper-half nodes to
@@ -87,9 +88,9 @@ circulant column: S's Kussmaul-Martensen row, and for Im F the spectral
 antiderivative's column, so Im F is one real product with the folded
 columns instead of FFTs of their even extensions. Evaluation takes the
 full g and refuses an odd one; the normal derivative is computed at the
-upper-half nodes and mirrored. The meshes of such scenes are mirrored by
-construction (see the mesh module), so node N-1-k is node k reflected
-exactly; the fold test takes any other mesh within ``_MIRROR_ULPS``.
+upper-half nodes and mirrored. Whether a curve is mirrored is decided
+once, by the mesh, from its body and density terms (see the mesh module);
+the fold reads that decision and samples no node.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ from ..geometry.body import Body
 from ..geometry.config import Configuration
 from ..geometry.gap import GapFoot, GapInfo
 from ..geometry.shapes import HarmonicBackground
-from .mesh import _MIRROR_ULPS, BoundaryMesh, CurveMesh, MeshControls, build_mesh
+from .mesh import BoundaryMesh, CurveMesh, MeshControls, build_mesh
 
 _TWO_PI = 2.0 * np.pi
 # Bordered systems with a smaller reciprocal condition number raise.
@@ -200,23 +201,15 @@ class _Fold(NamedTuple):
     partner: np.ndarray
 
 
-def _mirror_miss(cm: CurveMesh) -> float:
-    """Largest distance of a curve's node N-1-k from the reflection of node
-    k across the x-axis: 0 on a mirrored mesh (see the mesh module)."""
-    return float(np.max(np.hypot(*(cm.nodes - cm.nodes[::-1] * [1.0, -1.0]).T)))
-
-
 def _mirror_fold(cfg: Configuration, mesh: BoundaryMesh) -> Optional[_Fold]:
     """The fold of a scene whose background has real coefficients and
-    whose every curve's node N-1-k is the reflection of node k across the
-    x-axis, to ``_MIRROR_ULPS`` ulps of the curve's perimeter; None for any
-    other scene."""
-    if any(c.imag != 0.0 for c in cfg.background.coeffs):
+    whose every curve's mesh is mirrored (node N-1-k the reflection of node
+    k across the x-axis); None for any other scene."""
+    if any(c.imag != 0.0 for c in cfg.background.coeffs) \
+            or not all(cm.mirrored for cm in mesh.curves):
         return None
     top, partner = [], []
     for start, cm in zip(mesh.offsets, mesh.curves):
-        if _mirror_miss(cm) > _MIRROR_ULPS * np.finfo(float).eps * cm.perimeter:
-            return None
         k = np.arange(cm.n // 2)
         top.append(start + k)
         partner.append(start + cm.n - 1 - k)
@@ -309,7 +302,6 @@ class SceneOperator:
     def __init__(self, cfg: Configuration, controls: MeshControls = MeshControls(),
                  mesh: Optional[BoundaryMesh] = None):
         self.cfg = cfg
-        self.controls = controls
         self.mesh = mesh if mesh is not None else build_mesh(cfg, controls)
         self._fold = _mirror_fold(cfg, self.mesh)
         self._lu = None
@@ -605,7 +597,7 @@ class SceneOperator:
 
     def _field(self, kind, groups, rhs, charges, background) -> "FieldSolution":
         g, consts = self._solve(self._node_group(groups), rhs, charges)
-        return FieldSolution(self, kind, groups, g, consts, background, self.rcond)
+        return FieldSolution(self, kind, groups, g, consts, background)
 
     def _partition(self, groups: Sequence[Sequence[int]], name: str):
         """``groups`` as a tuple of tuples; raises InvalidUsageError unless
@@ -635,21 +627,6 @@ class SceneOperator:
                                None if values is None else values(ci, derivative))
                    for ci in range(len(self.mesh.curves)) if ci != skip)
 
-    def on_surface_potential(self, g: np.ndarray, curve_index: int,
-                             ts: np.ndarray) -> np.ndarray:
-        """S[sigma] evaluated at arbitrary parameters of one curve: the own
-        curve's Re F interpolated in t plus its log term, the other curves
-        through their compensated Cauchy sums."""
-        cm = self.mesh.curves[curve_index]
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        z = _complex(cm.point_at(ts))
-        d = self._curves[curve_index]
-        g_own = g[self.mesh.curve_slice(curve_index)]
-        own = _dirichlet_rows(cm.t, ts) @ d.values(g_own).real
-        if d.zc is not None:
-            own += d.h * g_own.sum() / _TWO_PI * np.log(np.abs(z - d.zc))
-        return own + self._layers(g, z, skip=curve_index)
-
 
 @dataclass
 class FieldSolution:
@@ -658,10 +635,7 @@ class FieldSolution:
     ``kind`` is "u" (conductor problem), "h" (two-group unit-flux problem),
     "hc" (single shared constant) or "v" (Dirichlet data, see
     ``decompose_u``); ``groups`` lists body indices per constant. ``rcond``
-    is the reciprocal 1-norm condition number of the operator's one
-    factorization, the same for every field solved on it; on a
-    mirror-symmetric scene that is the folded matrix's, about twice the
-    full matrix's.
+    is the operator's, the same for every field solved on it.
 
     A field keeps what its evaluations share, each computed on first use:
     per curve the normal derivative at the nodes, and the record's F g and
@@ -677,7 +651,6 @@ class FieldSolution:
     g: np.ndarray
     constants: np.ndarray
     background: Optional[HarmonicBackground]
-    rcond: float
     # nu.grad of the field per curve, computed on first use
     _dnu: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # each curve's F g and F' g, by (curve, derivative), computed on first use
@@ -686,6 +659,10 @@ class FieldSolution:
     @property
     def mesh(self) -> BoundaryMesh:
         return self.op.mesh
+
+    @property
+    def rcond(self) -> float:
+        return self.op.rcond
 
     @property
     def sigma(self) -> np.ndarray:
@@ -792,22 +769,6 @@ class FieldSolution:
         dnu = self._normal_derivative(body_index)
         fv = np.asarray(f(self.mesh.nodes[idx]), dtype=float)
         return float(np.sum(self.mesh.weights[idx] * fv * dnu))
-
-    def boundary_constancy_error(self) -> float:
-        """Max deviation of the boundary trace from its group constant at 64
-        off-node points per curve, relative to the constants' spread (floored)."""
-        scale = max(float(np.max(self.constants) - np.min(self.constants)), 1e-12)
-        worst = 0.0
-        node_group = self.op._node_group(self.groups)
-        ts = (np.arange(64) + 0.31) * (_TWO_PI / 64)
-        for ci, cm in enumerate(self.mesh.curves):
-            vals = self.op.on_surface_potential(self.g, ci, ts)
-            if self.background is not None:
-                pts, _, _ = cm.frame_at(ts)
-                vals = vals + self.background(pts)
-            c = self.constants[node_group[self.mesh.curve_slice(ci)][0]]
-            worst = max(worst, float(np.max(np.abs(vals - c))))
-        return worst / scale
 
 
 def solve_u(cfg: Configuration, controls: MeshControls = MeshControls()) -> FieldSolution:

@@ -189,6 +189,14 @@ def _identity_residual(ctx: RowContext) -> float:
     return abs(_weighted_flux(ctx) - du) / max(abs(du), 1e-300)
 
 
+def _flux_residual_rel(ctx: RowContext) -> float:
+    """u's largest group flux by node quadrature over its total absolute
+    flux, the node quadrature of |nu.grad u|."""
+    u = ctx.u
+    scale = float(np.sum(u.mesh.weights * np.abs(u.normal_derivative_nodes())))
+    return float(np.max(np.abs(u.flux_quadrature()))) / max(scale, 1e-300)
+
+
 def _dnu_h1_and(ctx: RowContext, pair, curve: int) -> tuple[np.ndarray, np.ndarray]:
     """nu.grad of h1 and of the images field ``pair`` at one curve's nodes,
     nu pointing into the body."""
@@ -273,6 +281,7 @@ QUANTITIES: dict[str, Callable[[RowContext], float]] = {
     "rep_residual": _rep_residual,
     "hc_constant": lambda ctx: ctx.hc.constant(0),
     "flux_residual_max": lambda ctx: float(np.max(np.abs(ctx.u.flux_quadrature()))),
+    "flux_residual_rel": _flux_residual_rel,
     "decomp_c1_abs": lambda ctx: abs(ctx.dec.C1),
     "decomp_c3_abs": lambda ctx: abs(ctx.dec.C3),
     "decomp_v0_max_grad": _v0_max_grad,

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from neckfield import (InvalidParameterError, SmoothBoundary, bound_case_a,
-                       bound_case_b, bound_case_c, bound_case_d,
-                       bound_three_general, build_case_a, build_case_b,
-                       build_case_d, build_two_disks, lemma_suite)
+                       bound_case_b, bound_case_c, bound_case_d, build_case_a,
+                       build_case_b, build_case_d, build_two_disks, lemma_suite)
 from neckfield import sweeps
 from neckfield.asymptotics import DiagnosticCheck
 from neckfield.cli import main
@@ -49,20 +48,10 @@ class TestBoundFormulas:
         assert p1.lower_scale == p2.lower_scale
         assert p1.potential_scale == p2.potential_scale
 
-    def test_three_general(self):
-        p1, p2 = bound_three_general(1e-4, 1e-4)
-        assert p1.lower_scale == pytest.approx(100.0)
-        assert p2.lower_scale == pytest.approx(100.0)
-        a, b = bound_three_general(1e-4, 9e-4)
-        c, d = bound_three_general(9e-4, 1e-4)
-        assert a.lower_scale == d.lower_scale and b.lower_scale == c.lower_scale
-
     def test_r2_equal_one_matches_general(self):
         # with a middle body of unit size the small-lump law reduces to the
-        # comparable-bodies law up to the radii prefactor
-        (b1, _) = bound_case_b(1, 1.0, 1, 1e-4, 1e-4)
-        (g1, _) = bound_three_general(1e-4, 1e-4)
-        assert b1.lower_scale == pytest.approx(0.5 * g1.lower_scale)
+        # comparable-bodies law 1/sqrt(eps) times the radii prefactor 1/2
+        assert bound_case_b(1, 1, 1, 1e-4, 1e-4)[0].lower_scale == 50
 
     def test_homogeneity(self):
         # all lengths scaled by lam: potential scale gains lam, gradient
@@ -77,7 +66,7 @@ class TestBoundFormulas:
         with pytest.raises(InvalidParameterError):
             bound_case_a(1, -0.05, 1, 1e-4)
         with pytest.raises(InvalidParameterError):
-            bound_three_general(0.0, 1e-4)
+            bound_case_d(0.05, 0.0, 1e-4)
 
 
 class TestDiagnostics:

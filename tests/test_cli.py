@@ -5,6 +5,7 @@ from neckfield import SmoothBoundary, asymptotics, build_case_a, build_case_d
 from neckfield import cli
 from neckfield.cli import main
 from neckfield.geometry.serialize import emit_configuration
+from neckfield.solver import nystrom
 from neckfield.sweeps import parse_table_csv
 from neckfield.svgplot import log_log_plot
 
@@ -238,6 +239,22 @@ class TestVerify:
         assert main(["verify", str(cfg), "--out", str(out)]) == 0
         text = (out / "verify.csv").read_text()
         assert "flux_residual_quadrature" in text
+
+    def test_one_operator_per_suite_row(self, tmp_path, monkeypatch):
+        # the flux check, last in the report, reads the suite's own rows:
+        # verify builds no operator beyond one per row
+        built = []
+        init = nystrom.SceneOperator.__init__
+        monkeypatch.setattr(nystrom.SceneOperator, "__init__",
+                            lambda self, *args, **kw: built.append(init(self, *args, **kw)))
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("[scene]\ncase = B\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
+                       "r3 = 1.0\neps1 = 0.001\neps2 = 0.001\n")
+        out = tmp_path / "out"
+        assert main(["verify", str(cfg), "--out", str(out)]) == 0
+        # one row per gap of the suite's grid, 1e-5, 1e-4 and 1e-3
+        assert len(built) == 3
+        assert body_lines(out / "verify.csv")[-1].startswith("flux_residual_quadrature,1.0,1,")
 
     def test_seed_reaches_the_suite(self, tmp_path, monkeypatch):
         # case A's random nestings draw from the run's --seed
