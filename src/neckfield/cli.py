@@ -213,6 +213,9 @@ def cmd_plot(manifest: RunManifest) -> int:
     x = np.asarray(cols[vary])
     y = np.abs(np.asarray(cols[quantity]))
     good = np.array([e is None for e in errors]) & np.isfinite(y) & (y > 0)
+    if not good.any():
+        raise ConfigParseError(f"[sweep] plot_quantity: no row of {quantity!r} is finite, "
+                               "nonzero and without error, so there is nothing to plot")
     ratios = y[good] / (y[good][0] * (x[good] / x[good][0]) ** guide)
     spread = float(np.max(ratios) / np.min(ratios))
     caption = (f"fit slope {fit.exponent:.3f}" if fit else "fit n/a")

@@ -2,17 +2,18 @@
 
 Each body declares which of its charts are circular arcs
 (``BoundaryChart.circle``: a disk's one chart, both arcs of a lens) and
-whether it is convex (``Body.convex``). Two convex bodies, not both disks,
-take one damped Newton run on the squared distance, from the nearest
-sampled start pair. Its result is certified when the run has converged and
-the outward normals at its two feet face each other: the supporting lines
-there separate the bodies by the distance of the feet, so the gap is the
-global one and the bodies are disjoint. Every other pair, and a convex pair
-whose run is not certified, first rules out containment by a one-point
-probe per body; then a pair of circular arcs takes the closed form and
-every other chart pair one damped Newton search that runs its six best
-starts at once. All return the chart and chart parameter of the two closest
-points, which the mesh planner grades toward.
+whether it is convex (``Body.convex``). Two circular arcs take the closed
+form; every other chart pair a Newton search on the squared distance whose
+damped (Levenberg-Marquardt) steps never raise it, so every search ends on
+a pair of boundary points. Two convex bodies, not both disks, take one run
+from the nearest sampled start pair. Its result is certified when the run
+has converged and the outward normals at its two feet face each other: the
+supporting lines there separate the bodies by the distance of the feet, so
+the gap is the global one and the bodies are disjoint. Every other pair,
+and a convex pair whose run is not certified, first rules out containment
+by a one-point probe per body, then runs the six best starts at once. All
+return the chart and chart parameter of the two closest points, which the
+mesh planner grades toward.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import InvalidGeometryError, InvalidParameterError, NumericFailureError
+from ..errors import InvalidGeometryError, InvalidParameterError
 from .body import Body, BoundaryChart
 from .shapes import Disk
 
@@ -35,11 +36,11 @@ _TOUCH = 1e-14
 # the Newton search samples each chart at this many starts and runs from
 # this many of the closest start pairs
 _STARTS, _RUNS = 8, 6
-# two Newton runs whose (u, v) differ by at most this many ulps of the sum
-# of the chart spans coincide
-_COINCIDE_ULPS = 16
-# a Newton run has converged once its step moves (u, v) by less than this
+# a run has converged once a step it takes moves (u, v) by less than this
 _STOP = 1e-14
+# a step that D rejects multiplies a run's damping by _RAISE, from at least
+# _DAMP0; a step it takes divides the damping by _LOWER
+_DAMP0, _RAISE, _LOWER = 1e-3, 4.0, 3.0
 
 
 class GapFoot(NamedTuple):
@@ -164,88 +165,75 @@ def _arc_arc_closed_form(ca: BoundaryChart, cb: BoundaryChart):
 
 def _arc_arc_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float = 0.0,
                     runs: int = _RUNS):
-    """Damped Newton on D(u, v) = |A(u) - B(v)|^2 from the ``runs`` best of
-    ``_STARTS``^2 sampled start pairs, all runs at once: each iteration
-    evaluates each chart's ``jet`` once on the array of live runs, and each
-    run tries its full step, then halves it until D does not increase. A
-    failed full step that does not descend (g . step >= 0 for the gradient
-    g, as at a saddle, where the Hessian is indefinite) is not halved. A run
-    with a non-finite step, or whose full step or damping fails, is dropped.
-    A run stops where its distance is at most ``touch``: the boundaries
-    touch or cross there, and the Hessian of D is singular where they
-    touch. A run that reaches another live run's (u, v), to rounding of the
-    chart spans, would repeat that run's iterations and is dropped. Returns
-    (distance, point on a, point on b, u, v) of the best run."""
+    """Levenberg-Marquardt on D(u, v) = |A(u) - B(v)|^2 from the ``runs``
+    best of ``_STARTS``^2 sampled start pairs, all runs at once: each
+    iteration evaluates each chart's ``jet`` once on the moving runs, and
+    each run tries one ``_newton_step`` at its own damping. A run takes its
+    step if D does not rise, and its damping falls; else it stays and its
+    damping grows, until the step descends, at a saddle of D too. Where the
+    step would leave an open chart (a lens arc), the run holds that end and
+    the other parameter takes its own 1-D step. A run stops once a step it
+    takes moves (u, v) by less than ``_STOP``, or at a distance of at most
+    ``touch``: the boundaries touch or cross there, and the Hessian of D is
+    singular where they touch. Returns (distance, point on a, point on b,
+    u, v) of the closest run."""
     us = np.linspace(ca.u0, ca.u1, _STARTS, endpoint=not ca.closed)
     vs = np.linspace(cb.u0, cb.u1, _STARTS, endpoint=not cb.closed)
     d2 = ((ca.point(us)[:, None, :] - cb.point(vs)[None, :, :]) ** 2).sum(axis=2)
     iu, iv = np.unravel_index(np.argsort(d2, axis=None)[:runs], d2.shape)
     u, v = us[iu], vs[iv]
-    live = np.ones(u.size, dtype=bool)     # not dropped
-    moving = live.copy()                   # live and not yet converged
-    same = _COINCIDE_ULPS * np.finfo(float).eps * (ca.span + cb.span)
+    damping = np.zeros(u.size)
+    moving = np.ones(u.size, dtype=bool)
     for _ in range(60):
         k = np.flatnonzero(moving)
         if k.size == 0:
             break
-        uk, vk = u[k], v[k]
-        r, ga, gb, du, dv = _newton_step(ca.jet(uk), cb.jet(vk))
+        uk, vk, mu = u[k], v[k], damping[k]
+        jet_a, jet_b = ca.jet(uk), cb.jet(vk)
+        r, du, dv = _newton_step(jet_a, jet_b, mu)
+        _, du1, dv1 = _newton_step(jet_a, jet_b, mu, coupled=False)
+        ua, vb = uk + du, vk + dv
+        hold_a = (not ca.closed) & ((ua < ca.u0) | (ua > ca.u1))
+        hold_b = (not cb.closed) & ((vb < cb.u0) | (vb > cb.u1))
+        du = np.where(hold_b & ~hold_a, du1, du)
+        dv = np.where(hold_a & ~hold_b, dv1, dv)
         f0 = _dot(r, r)
-        stopped = f0 <= touch * touch
-        with np.errstate(invalid="ignore"):
-            descends = ga * du + gb * dv < 0
-            # damping: a non-finite step is not tried and fails
-            trying = np.isfinite(du + dv) & ~stopped
-        un, vn = uk.copy(), vk.copy()
-        lam = np.ones(k.size)
-        failed = ~stopped
-        for _ in range(30):
-            j = np.flatnonzero(failed & trying)
-            if j.size == 0:
-                break
-            un[j] = _clamp(uk[j] + lam[j] * du[j], ca)
-            vn[j] = _clamp(vk[j] + lam[j] * dv[j], cb)
-            rn = ca.point(un[j]) - cb.point(vn[j])
-            done = _dot(rn, rn) <= f0[j] + 1e-15
-            failed[j[done]] = False
-            lam[j[~done]] *= 0.5
-            # only a descent direction is worth halving
-            trying &= descends
-        live[k[failed]] = moving[k[failed]] = False
-        ok = ~failed
-        moved = _param_move(uk, un, ca) + _param_move(vk, vn, cb)
+        touched = f0 <= touch * touch
+        # a non-finite step is not tried and fails
+        trying = np.isfinite(du) & np.isfinite(dv) & ~touched
+        un = _clamp(uk + np.where(trying, du, 0.0), ca)
+        vn = _clamp(vk + np.where(trying, dv, 0.0), cb)
+        rn = ca.point(un) - cb.point(vn)
+        ok = trying & (_dot(rn, rn) <= f0 + 1e-15)
         u[k[ok]], v[k[ok]] = un[ok], vn[ok]
-        moving[k[ok & (moved < _STOP)]] = False
-        # a moving run on the point of another live run, converged or of a
-        # lower index, would repeat that run's iterations
-        idx = np.arange(u.size)
-        near = _param_move(u[:, None], u, ca) + _param_move(v[:, None], v, cb) <= same
-        twin = near & live & (idx != idx[:, None]) & (~moving | (idx < idx[:, None]))
-        retired = moving & twin.any(axis=1)
-        live[retired] = moving[retired] = False
-    k = np.flatnonzero(live)
-    if k.size == 0:
-        raise NumericFailureError("gap search failed: every Newton run was dropped",
-                                  {"chart_a": (ca.u0, ca.u1), "chart_b": (cb.u0, cb.u1)})
-    pa, pb = ca.point(u[k]), cb.point(v[k])
+        damping[k] = np.where(ok, mu / _LOWER, np.maximum(_RAISE * mu, _DAMP0))
+        moved = _param_move(uk, un, ca) + _param_move(vk, vn, cb)
+        moving[k[(ok & (moved < _STOP)) | touched]] = False
+    pa, pb = ca.point(u), cb.point(v)
     dist = np.hypot(*(pa - pb).T)
     i = int(np.argmin(dist))
-    return float(dist[i]), pa[i], pb[i], float(u[k[i]]), float(v[k[i]])
+    return float(dist[i]), pa[i], pb[i], float(u[i]), float(v[i])
 
 
-def _newton_step(jet_a, jet_b):
-    """Newton step on D/2 at the chart jets ``jet_a`` and ``jet_b``, as
-    (A - B, gradient (ga, gb), step (du, dv)); the step is not finite where
-    the Hessian [[haa, hab], [hab, hbb]] is singular."""
+def _newton_step(jet_a, jet_b, damping=0.0, coupled: bool = True):
+    """Damped Newton step on D/2 at the chart jets ``jet_a`` and ``jet_b``:
+    the solution (du, dv) of (H + damping max(|haa|, |hbb|) I) step = -g for
+    the gradient g = (ga, gb) and the Hessian H = [[haa, hab], [hab, hbb]],
+    as (A - B, du, dv). Without ``coupled``, hab is left out: each
+    parameter takes its own 1-D step with the other held. The step is not
+    finite where the damped Hessian is singular."""
     (pa, ta, sa), (pb, tb, sb) = jet_a, jet_b
     r = pa - pb
     ga, gb = _dot(r, ta), -_dot(r, tb)
-    haa, hab, hbb = _dot(ta, ta) + _dot(r, sa), -_dot(ta, tb), _dot(tb, tb) - _dot(r, sb)
+    haa, hbb = _dot(ta, ta) + _dot(r, sa), _dot(tb, tb) - _dot(r, sb)
+    hab = -_dot(ta, tb) if coupled else 0.0
+    shift = damping * np.maximum(np.abs(haa), np.abs(hbb))
+    haa, hbb = haa + shift, hbb + shift
     det = haa * hbb - hab * hab
     with np.errstate(divide="ignore", invalid="ignore"):
         du = (hab * gb - hbb * ga) / det
         dv = (hab * ga - haa * gb) / det
-    return r, ga, gb, du, dv
+    return r, du, dv
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -279,15 +267,11 @@ def _certified_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float):
     the other foot. The supporting lines at the two feet then separate the
     bodies by the distance of the feet: the bodies are disjoint and no other
     pair of points is closer."""
-    try:
-        found = _arc_arc_newton(ca, cb, touch, runs=1)
-    except NumericFailureError:
-        return None
-    dist, _, _, u, v = found
+    dist, _, _, u, v = found = _arc_arc_newton(ca, cb, touch, runs=1)
     if not dist > touch:
         return None
     jet_a, jet_b = ca.jet(np.array([u])), cb.jet(np.array([v]))
-    r, _, _, du, dv = _newton_step(jet_a, jet_b)
+    r, du, dv = _newton_step(jet_a, jet_b)
     # on a counterclockwise boundary the outward normal is the tangent
     # turned clockwise; r = A - B points from the foot on b to the foot on a
     ta, tb = jet_a[1][0], jet_b[1][0]
@@ -301,16 +285,16 @@ def _certified_newton(ca: BoundaryChart, cb: BoundaryChart, touch: float):
 def body_gap(body_a: Body, body_b: Body) -> GapInfo:
     """Gap between two bodies (positive distance required).
 
-    Two convex bodies (``Body.convex``), not both disks, take one Newton
-    run, accepted when ``_certified_newton`` certifies it: its feet are
-    stationary and their outward normals face each other, which proves the
-    gap global and the bodies disjoint. Every other pair, and a
-    convex pair whose run is not certified, rules out containment by a
-    one-point probe per body, then gives each chart pair the search its
-    charts declare: two circular arcs the closed form, any other pair the
-    batched Newton from ``_RUNS`` starts. A gap at or below ``_TOUCH`` of
-    the larger body diameter is two boundaries that cross or touch, and
-    raises InvalidGeometryError.
+    Two convex bodies (``Body.convex``), not both disks, take one damped
+    Newton run, accepted when ``_certified_newton`` certifies it: its feet
+    are stationary and their outward normals face each other, which proves
+    the gap global and the bodies disjoint. Every other pair, and a convex
+    pair whose run is not certified, rules out containment by a one-point
+    probe per body, then gives each chart pair the search its charts
+    declare: two circular arcs the closed form, any other pair the damped
+    Newton from ``_RUNS`` starts. A gap at or below ``_TOUCH`` of the
+    larger body diameter is two boundaries that cross or touch, and raises
+    InvalidGeometryError.
     """
     charts_a, charts_b = body_a.charts(), body_b.charts()
     touch = _TOUCH * max(body_a.diameter(), body_b.diameter())

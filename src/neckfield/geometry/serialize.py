@@ -6,6 +6,9 @@ tag and its parameters, built by ``config.build_case``) or free-form (one
 ``[body N]`` section per body plus a ``[groups]`` section). Floats are
 emitted with ``repr`` so that parse -> emit -> parse is the identity.
 
+An unknown section, or an unknown key of ``[scene]``, ``[background]``,
+``[groups]``, ``[mesh]`` or ``[sweep]``, is refused, not ignored.
+
 An emitted scene is always free-form: it keeps the case tag but carries no
 ``[case]`` parameters, so sweeping or verifying it, which rebuilds the
 scene at other gaps, needs the original run file.
@@ -141,8 +144,24 @@ def _parse_body(name: str, sec: dict[str, str]) -> Body:
     raise InvalidParameterError(f"unknown body kind {kind!r}")
 
 
+# the keys each section takes; [case] keys belong to the case's recipe and
+# [body N] keys to the body's kind
+_KEYS = {"scene": {"case"}, "background": {"coeffs"}, "groups": {"conductors"},
+         "mesh": {"base_n", "cap"},
+         "sweep": {"vary", "grid", "quantities", "tie", "seed", "plot_quantity",
+                   "guide_slope"}}
+
+
 def parse_run(text: str) -> RunInput:
     sections = _parse_sections(text)
+    for name, sec in sections.items():
+        if name == "case" or name.startswith("body"):
+            continue
+        if name not in _KEYS:
+            raise ConfigParseError(f"unknown section [{name}]")
+        unknown = sorted(set(sec) - _KEYS[name])
+        if unknown:
+            raise ConfigParseError(f"[{name}] unknown key {unknown[0]!r}")
     background = _parse_background(sections)
     case_tag = sections.get("scene", {}).get("case", "free").upper()
     if case_tag == "PAIR":

@@ -331,14 +331,6 @@ class CurveMesh:
     features: list[FeatureSpec]
     mirrored: bool             # node N-1-k is node k reflected across the x-axis
 
-    def frame_at(self, t):
-        """Points, velocities and speeds at arbitrary mesh parameters."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        v = self.chain.v_of_t(t)
-        pts, der, _ = self.chain.frame_of_v(v)
-        vel = der * self.chain.dvdt(v)[:, None]
-        return pts, vel, np.hypot(vel[:, 0], vel[:, 1])
-
     def feature_node_index(self, feat: FeatureSpec) -> int:
         p = feat.point
         return int(np.argmin((self.nodes[:, 0] - p[0]) ** 2 + (self.nodes[:, 1] - p[1]) ** 2))

@@ -426,15 +426,14 @@ class SceneOperator:
     def _layer(self, curve_index: int, z: np.ndarray, g: Optional[np.ndarray] = None,
                derivative: bool = False, fg: Optional[np.ndarray] = None) -> np.ndarray:
         """One curve's single layer at complex targets z by the compensated
-        Cauchy sum: S_c g, or with ``derivative`` its u_x - i u_y; ``fg``,
-        if given, is the record's ``values`` of g, which is then not
-        computed again. With g None, the block acting on the curve's g, its
-        columns folded on a folded operator: the Cauchy weights are scaled
-        by the reciprocal of the denominator first, so Re(c F) is one real
-        product of [Re c, Im c] with the stack [Re F; -Im F]. A half-built
-        record's mirror rows are the conjugates of its rows, so the mirror
-        weights fold onto them in place: Re c_top + Re c_mirror against
-        Re F, Im c_top - Im c_mirror against Im F."""
+        Cauchy sum: S_c g, or with ``derivative`` its u_x - i u_y, from
+        ``fg``, the record's ``values`` of g. With g None, the block acting
+        on the curve's g, its columns folded on a folded operator: the
+        Cauchy weights are scaled by the reciprocal of the denominator
+        first, so Re(c F) is one real product of [Re c, Im c] with the stack
+        [Re F; -Im F]. A half-built record's mirror rows are the conjugates
+        of its rows, so the mirror weights fold onto them in place: Re c_top
+        + Re c_mirror against Re F, Im c_top - Im c_mirror against Im F."""
         d = self._curves[curve_index]
         c = d.y[None, :] - z[:, None]
         np.divide(d.w, c, out=c)
@@ -452,7 +451,7 @@ class SceneOperator:
                 charge = d.h * self._nodes_per_unknown
                 out += (np.log(np.abs(z - d.zc)) / _TWO_PI * charge)[:, None]
             return out
-        out = c @ (d.values(g, derivative) if fg is None else fg) / den
+        out = c @ fg / den
         if d.zc is not None:
             log_part = 1.0 / (z - d.zc) if derivative else np.log(np.abs(z - d.zc))
             out += log_part / _TWO_PI * (d.h * g.sum())
@@ -617,14 +616,14 @@ class SceneOperator:
     # -- evaluation --------------------------------------------------------
 
     def _layers(self, g: np.ndarray, z: np.ndarray, derivative: bool = False,
-                skip: Optional[int] = None,
-                values: Optional[Callable[[int, bool], np.ndarray]] = None) -> np.ndarray:
+                skip: Optional[int] = None, *,
+                values: Callable[[int, bool], np.ndarray]) -> np.ndarray:
         """Sum of the curves' single layers of g at complex targets z, or
         with ``derivative`` of their u_x - i u_y; curve ``skip`` left out.
-        ``values(curve, derivative)``, if given, supplies each curve's F g
-        or F' g (a field's memo)."""
+        ``values(curve, derivative)`` supplies each curve's F g or F' g (a
+        field's memo)."""
         return sum(self._layer(ci, z, g[self.mesh.curve_slice(ci)], derivative,
-                               None if values is None else values(ci, derivative))
+                               values(ci, derivative))
                    for ci in range(len(self.mesh.curves)) if ci != skip)
 
 

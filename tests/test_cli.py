@@ -106,6 +106,25 @@ class TestSolve:
         assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,named", [
+        ("base_n = 96", "base = 24", "[mesh] unknown key 'base'"),
+        ("[mesh]", "[mseh]", "unknown section [mseh]"),
+        ("vary = eps", "vary = eps\nseeds = 3", "[sweep] unknown key 'seeds'"),
+        ("case = pair", "case = pair\ncases = B", "[scene] unknown key 'cases'"),
+        ("[sweep]", "[background]\ncoefs = 0, 1\n\n[sweep]",
+         "[background] unknown key 'coefs'"),
+        ("[sweep]", "[groups]\nconductor = 1 | 2\n\n[sweep]",
+         "[groups] unknown key 'conductor'"),
+    ], ids=["mesh_key", "section", "sweep_key", "scene_key", "background_key", "groups_key"])
+    def test_unknown_names_refused(self, tmp_path, capsys, old, new, named):
+        # a mistyped section or key is refused, not ignored: [mesh] base = 24
+        # would solve at the default 384 nodes, where base_n = 24 gives 48
+        assert old in PAIR_CFG
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(PAIR_CFG.replace(old, new, 1))
+        assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,nodes", [("0", None), ("-4", None), ("1", 4), ("3", 8)])
     def test_mesh_base_floor(self, pair_cfg, tmp_path, capsys, flag, nodes):
         # a base count below 1 is a usage error; 1 and 3 are taken
@@ -228,6 +247,15 @@ class TestSweepPipeline:
         assert main(["sweep", str(cfg), "--out", str(stored)]) == 0
         assert main(["plot", str(cfg), "--out", str(stored)]) == 0
         assert (fresh / "plot.svg").read_bytes() == (stored / "plot.svg").read_bytes()
+
+
+    def test_plot_with_no_plottable_row(self, tmp_path, capsys):
+        # a zero background solves to u = 0: no row has a potential
+        # difference a log-log plot can show, which is a usage error
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(PAIR_CFG.replace("[sweep]", "[background]\ncoeffs = 0, 0, 0\n\n[sweep]"))
+        assert main(["plot", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "'potential_difference_21'" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -466,7 +466,7 @@ class TestMeshInvariants:
         f = images.psi_two_disks(*(b.disk for b in cfg.bodies))
         cm = h.mesh.curves[0]
         ts = np.linspace(0.3, 6.0, 25)
-        pts, vel, sp = cm.frame_at(ts)
+        pts, vel, sp = _frame_at(cm, ts)
         n_out = np.stack([vel[:, 1], -vel[:, 0]], -1) / sp[:, None]
         for dist in (1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2):
             q = pts + dist * n_out
@@ -532,7 +532,7 @@ class TestCloseEvaluation:
                             HarmonicBackground.linear_x())
         u, u_fine = (solve_u(cfg, MeshControls(base_n=base)) for base in (192, 384))
         cm = u.mesh.curves[0]
-        pts, vel, sp = cm.frame_at(np.linspace(0.05, 2 * np.pi, 40, endpoint=False))
+        pts, vel, sp = _frame_at(cm, np.linspace(0.05, 2 * np.pi, 40, endpoint=False))
         n_out = np.stack([vel[:, 1], -vel[:, 0]], -1) / sp[:, None]
         q = pts + 1e-6 * n_out
         grad = u.gradient(q)
@@ -583,7 +583,7 @@ class TestCloseEvaluation:
             cols = op._unknowns(ci)
             # an even g's upper half on a folded operator
             block = op._slp[others, cols] @ u.g[own][:cols.stop - cols.start]
-            layer = op._layer(ci, z[others], u.g[own])
+            layer = op._layer(ci, z[others], u.g[own], fg=u._curve_values(ci, False))
             assert np.max(np.abs(block - layer)) <= 1e-12 * np.max(np.abs(layer))
 
 
@@ -931,7 +931,7 @@ class TestGapMaximum:
         for foot, value in zip(info.feet, values):
             cm = u.mesh.curves[foot.body]
             t = _foot_t(cm, foot)
-            _, _, speed = cm.frame_at(t)
+            _, _, speed = _frame_at(cm, t)
             weighted = _dirichlet_rows(cm.t, np.array([t]))[0] \
                 @ (dnu[u.mesh.curve_slice(foot.body)] * cm.speed)
             assert value == pytest.approx(abs(weighted) / speed[0], rel=1e-13)
@@ -1029,8 +1029,17 @@ class TestGapMaximum:
         for info in cfg.all_conductor_gaps().values():
             for foot, p in zip(info.feet, info.segment):
                 cm = mesh.curves[foot.body]
-                q = cm.frame_at(_foot_t(cm, foot))[0][0]
+                q = _frame_at(cm, _foot_t(cm, foot))[0][0]
                 assert np.hypot(*(q - p)) <= 16 * np.finfo(float).eps * cm.perimeter
+
+
+def _frame_at(cm, t):
+    """Points, velocities and speeds of a curve mesh at mesh parameters t,
+    from its chain map."""
+    v = cm.chain.v_of_t(np.atleast_1d(np.asarray(t, dtype=float)))
+    pts, der, _ = cm.chain.frame_of_v(v)
+    vel = der * cm.chain.dvdt(v)[:, None]
+    return pts, vel, np.hypot(vel[:, 0], vel[:, 1])
 
 
 def _foot_t(cm, foot) -> float:
