@@ -24,7 +24,7 @@ import numpy as np
 
 from .asymptotics import lemma_suite
 from .errors import DomainError, NeckfieldError
-from .geometry.config import build_case
+from .geometry.config import CASE_KEYS, build_case
 from .geometry.serialize import ConfigParseError, RunInput, _number, parse_run
 from .solver.mesh import MeshControls
 from .solver.nystrom import SceneOperator, max_gap_gradient
@@ -122,13 +122,16 @@ def _spec_from_run(run: RunInput, manifest: RunManifest) -> SweepSpec:
         if key not in sweep:
             raise ConfigParseError(f"the [sweep] section needs a {key!r} key")
     vary = sweep["vary"].strip()
+    ties = [t.split(":") for t in sweep.get("tie", "").split(",") if t.strip()]
+    for name in [vary] + [t[0].strip() for t in ties]:
+        if name not in CASE_KEYS[case_tag]:
+            raise ConfigParseError(f"[sweep] {name!r} is not a parameter of case {case_tag}")
     try:
         lo, hi, pts = (s.strip() for s in sweep["grid"].split(","))
         grid = log_grid(float(lo), float(hi), int(pts))
         quantities = tuple(q.strip() for q in sweep["quantities"].split(",") if q.strip())
         fixed = {k: v for k, v in run.cfg.params.items() if k != vary}
-        for tie in (t for t in sweep.get("tie", "").split(",") if t.strip()):
-            name, ratio = tie.split(":")
+        for name, ratio in ties:
             fixed[name.strip()] = Tie(float(ratio))
         seed = int(sweep.get("seed", manifest.seed))
         return SweepSpec(case_tag=case_tag, vary=vary, grid=grid, fixed=fixed,

@@ -383,6 +383,13 @@ _RECIPES = {
                                     background=bg),
 }
 CASE_TAGS = tuple(_RECIPES)
+# The parameters each recipe reads (``center_radius`` of cases C and D is
+# optional): a run file's [case] section takes no other key.
+CASE_KEYS = {"pair": {"r1", "r2", "eps"},
+             "A": {"r1", "r2", "r3", "a", "eps"},
+             "B": {"r1", "r2", "r3", "eps1", "eps2"},
+             "C": {"r1", "r3", "left_x", "right_x", "center_radius", "r2", "eps"},
+             "D": {"r1", "r3", "left_x", "right_x", "center_radius", "r2", "eps1", "eps2"}}
 
 
 def build_case(tag: str, params: dict,

@@ -6,8 +6,11 @@ tag and its parameters, built by ``config.build_case``) or free-form (one
 ``[body N]`` section per body plus a ``[groups]`` section). Floats are
 emitted with ``repr`` so that parse -> emit -> parse is the identity.
 
-An unknown section, or an unknown key of ``[scene]``, ``[background]``,
-``[groups]``, ``[mesh]`` or ``[sweep]``, is refused, not ignored.
+An unknown section, or a key that its section does not take, is refused,
+not ignored: ``[case]`` takes the parameters of the case's recipe
+(``config.CASE_KEYS``) and ``[body N]`` the keys of the body's kind. So are
+``[body N]`` sections beside a ``[case]`` section, which builds every body
+itself.
 
 An emitted scene is always free-form: it keeps the case tag but carries no
 ``[case]`` parameters, so sweeping or verifying it, which rebuilds the
@@ -43,7 +46,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError
 from .body import Body
-from .config import CASE_TAGS, Configuration, build_case
+from .config import CASE_KEYS, CASE_TAGS, Configuration, build_case
 from .shapes import Disk, HarmonicBackground, SmoothBoundary
 
 
@@ -133,6 +136,9 @@ def _parse_body(name: str, sec: dict[str, str]) -> Body:
         return v if count > 1 else v[0]
 
     kind = sec.get("kind", "disk").lower()
+    if kind not in _BODY_KEYS:
+        raise InvalidParameterError(f"unknown body kind {kind!r}")
+    _refuse_unknown(name, sec, _BODY_KEYS[kind])
     if kind == "disk":
         return Body.from_disk(Disk(value("center", 2), value("radius")))
     if kind == "lens":
@@ -141,15 +147,23 @@ def _parse_body(name: str, sec: dict[str, str]) -> Body:
     if kind == "smooth":
         return Body.from_smooth(SmoothBoundary(value("center", 2), *(
             _floats(sec.get(k, "")) for k in ("cos_x", "sin_x", "cos_y", "sin_y"))))
-    raise InvalidParameterError(f"unknown body kind {kind!r}")
 
 
-# the keys each section takes; [case] keys belong to the case's recipe and
-# [body N] keys to the body's kind
+# the keys each section takes; [case] keys belong to the case's recipe
+# (CASE_KEYS) and [body N] keys to the body's kind (_BODY_KEYS)
 _KEYS = {"scene": {"case"}, "background": {"coeffs"}, "groups": {"conductors"},
          "mesh": {"base_n", "cap"},
          "sweep": {"vary", "grid", "quantities", "tie", "seed", "plot_quantity",
                    "guide_slope"}}
+_BODY_KEYS = {"disk": {"kind", "center", "radius"},
+              "lens": {"kind", "disk1.center", "disk1.radius", "disk2.center", "disk2.radius"},
+              "smooth": {"kind", "center", "cos_x", "sin_x", "cos_y", "sin_y"}}
+
+
+def _refuse_unknown(name: str, sec: dict[str, str], keys: set[str]) -> None:
+    unknown = sorted(set(sec) - keys)
+    if unknown:
+        raise ConfigParseError(f"[{name}] unknown key {unknown[0]!r}")
 
 
 def parse_run(text: str) -> RunInput:
@@ -159,15 +173,19 @@ def parse_run(text: str) -> RunInput:
             continue
         if name not in _KEYS:
             raise ConfigParseError(f"unknown section [{name}]")
-        unknown = sorted(set(sec) - _KEYS[name])
-        if unknown:
-            raise ConfigParseError(f"[{name}] unknown key {unknown[0]!r}")
+        _refuse_unknown(name, sec, _KEYS[name])
     background = _parse_background(sections)
     case_tag = sections.get("scene", {}).get("case", "free").upper()
     if case_tag == "PAIR":
         case_tag = "pair"
     case = sections.get("case")
     if case is not None:
+        body_secs = [name for name in sections if name.startswith("body")]
+        if body_secs:
+            raise ConfigParseError(f"section [{body_secs[0]}] beside [case]: a canonical "
+                                   "case builds its own bodies")
+        if case_tag in CASE_KEYS:
+            _refuse_unknown("case", case, CASE_KEYS[case_tag])
         cfg = build_case(case_tag, {k: _number("case", k, v) for k, v in case.items()},
                          background)
     else:

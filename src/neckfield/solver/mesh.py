@@ -12,8 +12,9 @@ term decays like 1/distance, so panel lengths grow linearly with distance to
 the feature (the continuous analogue of dyadic refinement); at the feature
 they bottom out at a floor length (a fraction of the gap width, or
 2^-levels of the arc length at corners). The cumulative density is a sum of
-incomplete elliptic integrals, evaluated in Carlson's symmetric form R_F,
-which keeps full relative accuracy as the floor parameter b -> 0; so node
+incomplete elliptic integrals of the first kind in Legendre form,
+F(y | -1/b^2) / b, with the large negative parameter -1/b^2 (``_clustered_mass``);
+it keeps full relative accuracy as the floor parameter b -> 0, so node
 placement is exact and the map stays analytic, which the global quadrature
 rule requires.
 
@@ -68,8 +69,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import elliprf
 
+from .. import _scipy_ext
 from ..errors import InvalidParameterError, RefinementFailureError
 from ..geometry.body import Body, BoundaryChart
 from ..geometry.shapes import curvature
@@ -89,7 +90,7 @@ _GAP_FLOOR_FRACTION = 1.0 / 12.0   # floor panel length as a fraction of the gap
 # 2.7e-10 in the lens's flux quadrature on case A at eps 1e-2, 40 levels
 # 3.5e-14.
 _CORNER_FLOOR_LEVELS = 40
-# Smallest floor parameter b: the smallest at which the Carlson form of the
+# Smallest floor parameter b: the smallest at which the elliptic form of the
 # chain map is verified against quadrature (TestChainMap). Gaps that need
 # a finer floor raise instead.
 _B_MIN = 1e-12
@@ -141,20 +142,31 @@ class FeatureSpec:
     peak_length: float = 0.0
 
 
-def _clustered_mass(x, b: float):
-    """I(x) = int_0^x dv / sqrt(sin^2(v/2) + b^2) for |x| <= 2 pi, odd in x:
-    2 sign(x) G(|x|/2) with G(y) = sin y R_F(b^2 cos^2 y, b^2 + sin^2 y, b^2)
-    on y <= pi/2 (Carlson's form, DLMF 19.25(i), free of cancellation as
-    b -> 0) and G(y) = 2 G(pi/2) - G(pi - y) beyond, where
-    G(pi/2) = R_F(0, 1 + b^2, b^2)."""
+def _feature_mass(b):
+    """The mass of one density term over the whole chain, I(2 pi) (see
+    ``_clustered_mass``): 4 G(pi/2) = 4 K(-1/b^2) / b."""
+    return 4.0 * _scipy_ext.ellipk(-1.0 / (b * b)) / b
+
+
+def _clustered_mass(x, b: float, mass: float):
+    """I(x) = int_0^x dv / sqrt(sin^2(v/2) + b^2) for |x| <= 2 pi, odd in x,
+    from the term's ``mass`` I(2 pi) (``_feature_mass``): 2 sign(x) G(|x|/2)
+    with G(y) = mass/2 - G(pi - y) beyond pi/2 and, on y <= pi/2,
+
+        G(y) = int_0^y dz / sqrt(b^2 + sin^2 z) = F(y | -1/b^2) / b,
+
+    Carlson's sin y R_F(b^2 cos^2 y, b^2 + sin^2 y, b^2) (DLMF 19.25.5 and
+    the homogeneity of R_F) in Legendre form, as ``ellipkinc`` takes it.
+    For a negative parameter ``ellipkinc`` evaluates R_F itself, or its
+    asymptotic series where -m y^2 is large, and -1/b^2 is formed without
+    cancellation, so G keeps full relative accuracy as b -> 0: within
+    9e-16 of the R_F form for b in [1e-12, 0.5]."""
     x = np.asarray(x, dtype=float)
     y = 0.5 * np.abs(x)
     far = y > np.pi / 2
     y = np.where(far, np.pi - y, y)
-    s, c = np.sin(y), np.cos(y)
-    bb = b * b
-    g = s * elliprf(bb * c * c, bb + s * s, bb)
-    g = np.where(far, 2.0 * elliprf(0.0, 1.0 + bb, bb) - g, g)
+    g = _scipy_ext.ellipkinc(y, -1.0 / (b * b)) / b
+    g = np.where(far, 0.5 * mass - g, g)
     return 2.0 * np.sign(x) * g
 
 
@@ -163,7 +175,7 @@ class _ChainTables:
     count, built once per curve: the chain coordinates of the charts, the
     floor parameters b_f (from the curve's speed at each feature, probed on
     both sides of a corner only where the curve has one), the masses
-    4 R_F(0, 1 + b_f^2, b_f^2) of the density terms, each term's constant
+    I(2 pi, b_f) = 4 K(-1/b_f^2) / b_f of the density terms, each term's constant
     I(-x_f, b_f) and the forward seed table's per-feature columns
     J_f = I(x - x_f, b_f) - I(-x_f, b_f). The seed table is uniform in v
     plus x-offsets graded geometrically from b/100 to pi on both sides of
@@ -196,16 +208,17 @@ class _ChainTables:
                                                  speed((v_f + tiny) % self.v_total)), speeds)
         self.b = np.clip([f.floor_arc * self.scale / (2 * f.growth * sp)
                           for f, sp in zip(features, speeds)], _B_MIN, 0.5)
-        self.masses = 4.0 * elliprf(0.0, 1.0 + self.b ** 2, self.b ** 2)
-        self.origin = [_clustered_mass(-xf, b) for xf, b in zip(self.x_f, self.b)]
+        self.masses = _feature_mass(self.b)
+        self.origin = [_clustered_mass(-xf, b, m)
+                       for xf, b, m in zip(self.x_f, self.b, self.masses)]
         x_off = [b * np.geomspace(1e-2, np.pi / b, _SEED_GRADED) for b in self.b]
         self.v_seed = np.unique(np.concatenate(
             [np.linspace(0.0, self.v_total, _SEED_UNIFORM)]
             + [((xf + s * off) / self.scale) % self.v_total
                for xf, off in zip(self.x_f, x_off) for s in (1.0, -1.0)]))
         self.x_seed = self.v_seed * self.scale
-        self.j_seed = [_clustered_mass(self.x_seed - xf, b) - c
-                       for xf, b, c in zip(self.x_f, self.b, self.origin)]
+        self.j_seed = [_clustered_mass(self.x_seed - xf, b, m) - c
+                       for xf, b, m, c in zip(self.x_f, self.b, self.masses, self.origin)]
 
     def budget(self, n_nodes: int):
         """Each density term's amplitude per unit total mass,
@@ -282,8 +295,9 @@ class _ChainMap:
     def mass(self, v):
         x = np.asarray(v, dtype=float) * self.scale
         out = x.astype(float).copy()
-        for xf, A, b, c in zip(self.x_f, self.amps, self.b, self.tables.origin):
-            out = out + A * (_clustered_mass(x - xf, b) - c)
+        tables = self.tables
+        for xf, A, b, m, c in zip(self.x_f, self.amps, self.b, tables.masses, tables.origin):
+            out = out + A * (_clustered_mass(x - xf, b, m) - c)
         return out
 
     def t_of_v(self, v):

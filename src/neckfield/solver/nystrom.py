@@ -62,8 +62,9 @@ group adds a right-hand column with a unit potential step on its nodes,
 and a small system of group charges fixes the step heights. One step of
 iterative refinement on the problem's own system, through the same
 factor, follows every solve. The factor and its solves call LAPACK's
-``getrf``, ``getrs`` and ``gecon`` directly, fetched once per factor with
-``get_lapack_funcs``: ``lu_factor`` and ``lu_solve`` make the same calls,
+``dgetrf``, ``dgetrs`` and ``dgecon`` directly, loaded once with the
+package from scipy's compiled LAPACK module (``neckfield._scipy_ext``), with
+no fetch per factor: ``lu_factor`` and ``lu_solve`` make the same calls,
 bit for bit, behind argument checks that cost half as much as the solve
 itself at the folded pair's size (about 10 us against 20 us for 273
 unknowns, one BLAS thread on a 2-vCPU host).
@@ -99,9 +100,9 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
+from .. import _scipy_ext
 from ..errors import (DomainError, InvalidParameterError, InvalidUsageError,
                       NumericFailureError)
 from ..geometry.body import Body
@@ -490,12 +491,13 @@ class SceneOperator:
         return self.mesh.step[self._rows()] * self._nodes_per_unknown
 
     def _factor(self):
-        """LU factors, reciprocal condition number and the matching LAPACK
-        solve of the single-constant bordered matrix [[S, -1], [h, 0]],
-        folded on a mirror-symmetric scene, built on first use. ``getrf``,
-        ``getrs`` and ``gecon`` are called directly, fetched once per
-        factor: the same LAPACK calls as ``scipy.linalg.lu_factor`` and
-        ``lu_solve``, bit for bit, without their argument checks."""
+        """LU factors and reciprocal condition number of the single-constant
+        bordered matrix [[S, -1], [h, 0]], folded on a mirror-symmetric
+        scene, built on first use. LAPACK's ``dgetrf`` and ``dgecon`` (and
+        ``dgetrs`` for the solves) are called directly, as loaded with the
+        package, with no fetch per factor: the same LAPACK calls as
+        ``scipy.linalg.lu_factor`` and ``lu_solve``, bit for bit, without
+        their argument checks."""
         if self._lu is None:
             n_tot = self._slp.shape[0]
             M = np.zeros((n_tot + 1, n_tot + 1), order="F")
@@ -503,15 +505,13 @@ class SceneOperator:
             M[:n_tot, n_tot] = -1.0
             M[n_tot, :n_tot] = self._charge_weights()
             norm = np.linalg.norm(M, 1)
-            getrf, getrs, gecon = scipy.linalg.get_lapack_funcs(("getrf", "getrs", "gecon"),
-                                                                (M,))
-            lu, piv, info = getrf(M, overwrite_a=True)
+            lu, piv, info = _scipy_ext.getrf(M, overwrite_a=True)
             # an exactly singular factor (info > 0) has no condition number
-            rcond = gecon(lu, norm, norm="1")[0] if info == 0 else 0.0
+            rcond = _scipy_ext.gecon(lu, norm, norm="1")[0] if info == 0 else 0.0
             if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
                 raise NumericFailureError("linear system too ill-conditioned",
                                           {"rcond": float(rcond), "n": int(n_tot)})
-            self._lu = (lu, piv, float(rcond), getrs)
+            self._lu = (lu, piv, float(rcond))
         return self._lu
 
     @property
@@ -538,7 +538,8 @@ class SceneOperator:
                 raise InvalidUsageError("the data of a mirror-symmetric scene must be "
                                         "even under y -> -y")
             node_group, rhs = node_group[top], rhs[top]
-        lu, piv, _, getrs = self._factor()
+        lu, piv, _ = self._factor()
+        getrs = _scipy_ext.getrs
         n_tot, h = node_group.size, self._charge_weights()
         unit_steps = (node_group[:, None] == np.arange(1, charges.size)).astype(float)
         step_sols = getrs(lu, piv, np.vstack([unit_steps, np.zeros((1, charges.size - 1))]),

@@ -47,6 +47,7 @@ quantities = potential_difference_21
 [mesh]
 base_n = 96
 """
+PAIR_CASE = "[case]\nr1 = 1.0\nr2 = 1.0\neps = 0.001\n"
 
 
 def body_lines(path):
@@ -96,8 +97,7 @@ class TestSolve:
         ("base_n = 96", "base_n = abc", "[mesh] base_n"),
         ("base_n = 96", "cap = 1e5", "[mesh] cap"),
         ("base_n = 96", "base_n = 0", "base_n must be at least 1"),
-        ("[case]\nr1 = 1.0\nr2 = 1.0\neps = 0.001\n",
-         "[body x]\ncenter = 0, 0\nradius = 1\n", "[body x]"),
+        (PAIR_CASE, "[body x]\ncenter = 0, 0\nradius = 1\n", "[body x]"),
     ], ids=["case_value", "mesh_base_n", "mesh_cap", "mesh_base_n_zero", "body_section"])
     def test_malformed_values(self, tmp_path, capsys, old, new, named):
         assert old in PAIR_CFG
@@ -115,7 +115,16 @@ class TestSolve:
          "[background] unknown key 'coefs'"),
         ("[sweep]", "[groups]\nconductor = 1 | 2\n\n[sweep]",
          "[groups] unknown key 'conductor'"),
-    ], ids=["mesh_key", "section", "sweep_key", "scene_key", "background_key", "groups_key"])
+        # sinx would drop the body's sin_x term, a different curve
+        (PAIR_CASE, "[body 1]\nkind = smooth\ncenter = -1.5, 0\ncos_x = 1.0\nsinx = 0.2\n"
+         "sin_y = 0.5\n\n[body 2]\ncenter = 1.5, 0\nradius = 1\n", "[body 1] unknown key 'sinx'"),
+        (PAIR_CASE, "[body 1]\ncenter = -1.5, 0\nradius = 1\n\n[body 2]\ncenter = 1.5, 0\n"
+         "radius = 1\nradious = 0.5\n", "[body 2] unknown key 'radious'"),
+        ("eps = 0.001", "eps = 0.001\nepss = 0.5", "[case] unknown key 'epss'"),
+        ("[sweep]", "[body 1]\ncenter = 0, 0\nradius = 1\n\n[sweep]",
+         "[body 1] beside [case]"),
+    ], ids=["mesh_key", "section", "sweep_key", "scene_key", "background_key", "groups_key",
+            "smooth_body_key", "disk_body_key", "case_key", "body_beside_case"])
     def test_unknown_names_refused(self, tmp_path, capsys, old, new, named):
         # a mistyped section or key is refused, not ignored: [mesh] base = 24
         # would solve at the default 384 nodes, where base_n = 24 gives 48
@@ -124,6 +133,16 @@ class TestSolve:
         bad.write_text(PAIR_CFG.replace(old, new, 1))
         assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [("vary = eps", "vary = epss"),
+                                         ("vary = eps", "vary = r2\ntie = epss:1")],
+                             ids=["vary", "tie"])
+    def test_sweep_names_refused(self, tmp_path, capsys, old, new):
+        # a name the recipe does not read would sweep one scene on every row
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(PAIR_CFG.replace(old, new, 1))
+        assert main(["sweep", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "'epss' is not a parameter of case pair" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,nodes", [("0", None), ("-4", None), ("1", 4), ("3", 8)])
     def test_mesh_base_floor(self, pair_cfg, tmp_path, capsys, flag, nodes):

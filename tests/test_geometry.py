@@ -13,7 +13,7 @@ from neckfield import (Body, Configuration, Disk, HarmonicBackground,
                        ScaleRegimeWarning, SmoothBoundary, body_gap,
                        build_case_a, build_case_b, build_case_c, build_case_d,
                        build_two_disks, gap, log_grid)
-from neckfield.geometry.config import build_case
+from neckfield.geometry.config import CASE_KEYS, CASE_TAGS, build_case
 from neckfield.geometry.serialize import (ConfigParseError, emit_configuration,
                                           parse_configuration, parse_run)
 from neckfield.solver.mesh import build_mesh
@@ -793,6 +793,25 @@ class TestBuildCase:
         assert d.case_tag == "D" and d.bodies[1].disk.radius == 0.05
         assert d.conductor_gap(0, 1).distance == pytest.approx(1e-3, rel=1e-10)
         assert d.conductor_gap(1, 2).distance == pytest.approx(2e-3, rel=1e-10)
+
+    @pytest.mark.parametrize("tag", CASE_TAGS)
+    def test_case_keys_are_the_keys_the_recipe_reads(self, tag):
+        # a run file's [case] section takes only CASE_KEYS[tag]
+        read = set()
+
+        class Recorded(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        p = {"r1": 1.0, "r2": 0.05, "r3": 1.0, "a": 0.05, "eps": 1e-3, "eps1": 1e-3,
+             "eps2": 2e-3, "left_x": -3.0, "right_x": 1.0 if tag == "C" else 3.0}
+        build_case(tag, Recorded(p))
+        assert read == CASE_KEYS[tag]
 
     def test_unknown_tag_and_missing_parameter(self):
         with pytest.raises(InvalidParameterError, match="no canonical case 'BC'"):

@@ -11,6 +11,7 @@ import scipy.linalg
 from scipy.integrate import quad
 
 import neckfield
+from neckfield import _scipy_ext
 from neckfield import (Body, Configuration, Disk, DomainError, FieldSolution,
                        GapInfo, HarmonicBackground, MeshControls,
                        RefinementFailureError, SceneOperator, SmoothBoundary,
@@ -21,7 +22,7 @@ from neckfield import (Body, Configuration, Disk, DomainError, FieldSolution,
 from neckfield.errors import InvalidUsageError, NumericFailureError
 from neckfield.solver import mesh as mesh_module
 from neckfield.solver import nystrom
-from neckfield.solver.mesh import _clustered_mass, build_mesh
+from neckfield.solver.mesh import _clustered_mass, _feature_mass, build_mesh
 from neckfield.solver.nystrom import _dirichlet_rows, kussmaul_row
 
 
@@ -622,7 +623,23 @@ class TestChainMap:
         for x in (1e-6, 1e-3, 0.5, 3.0, 4.5, -5.9):
             ref = np.sign(x) * quad(integrand, 0.0, np.arcsinh(abs(x) / (2 * b)),
                                     epsabs=0.0, epsrel=1e-13, limit=200)[0]
-            assert _clustered_mass(x, b) == pytest.approx(ref, rel=1e-12, abs=0)
+            assert _clustered_mass(x, b, _feature_mass(b)) == pytest.approx(ref, rel=1e-12,
+                                                                            abs=0)
+
+    def test_mass_matches_the_carlson_form(self):
+        # F(y | -1/b^2) / b is Carlson's sin y R_F(b^2 cos^2 y, b^2 + sin^2 y,
+        # b^2) (DLMF 19.25.5), to rounding over the whole range of b
+        from scipy.special import elliprf
+        rng = np.random.default_rng(5)
+        for b in np.geomspace(1e-12, 0.5, 23):
+            y = np.concatenate([rng.uniform(0.0, np.pi / 2, 400),
+                                np.geomspace(1e-16, 1.0, 40), [np.pi / 2]])
+            s, c = np.sin(y), np.cos(y)
+            ref = 2.0 * s * elliprf(b * b * c * c, b * b + s * s, b * b)
+            got = _clustered_mass(2.0 * y, b, _feature_mass(b))
+            assert np.max(np.abs(got / ref - 1.0)) <= 2e-15
+            assert _feature_mass(b) == pytest.approx(4.0 * elliprf(0.0, 1.0 + b * b, b * b),
+                                                     rel=2e-15, abs=0)
 
     def test_one_mass_table_per_chain_map(self, monkeypatch):
         # the n-independent tables (floor parameters, masses, feature
@@ -1052,23 +1069,15 @@ def _foot_t(cm, foot) -> float:
 @pytest.fixture
 def lu_calls(monkeypatch):
     """Counts the LU factorizations made while a test runs: the calls of
-    the LAPACK ``getrf`` that ``scipy.linalg.get_lapack_funcs`` hands out."""
+    the LAPACK ``getrf`` that the package loaded."""
     calls = []
-    fetch = scipy.linalg.get_lapack_funcs
+    getrf = _scipy_ext.getrf
 
-    def counted(getrf):
-        def call(*args, **kwargs):
-            calls.append(1)
-            return getrf(*args, **kwargs)
-        return call
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return getrf(*args, **kwargs)
 
-    def fetch_counted(names, *args, **kwargs):
-        funcs = fetch(names, *args, **kwargs)
-        if isinstance(names, str):
-            return counted(funcs) if names == "getrf" else funcs
-        return [counted(f) if name == "getrf" else f for name, f in zip(names, funcs)]
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", fetch_counted)
+    monkeypatch.setattr(_scipy_ext, "getrf", counted)
     return calls
 
 
@@ -1112,7 +1121,8 @@ class TestOneFactorization:
         # getrf and getrs, called directly, give lu_factor's factor and
         # lu_solve's solutions bit for bit
         op = SceneOperator(build())
-        lu, piv, _, getrs = op._factor()
+        lu, piv, _ = op._factor()
+        getrs = _scipy_ext.getrs
         n = op._slp.shape[0]
         M = np.block([[op._slp, -np.ones((n, 1))],
                       [op._charge_weights()[None, :], np.zeros((1, 1))]])
@@ -1165,17 +1175,67 @@ class TestOneFactorization:
                   "cfg = build_two_disks(1.0, 1.0, 1e-6)\n"
                   "u = solve_u(cfg)\n"
                   "print(repr(max_gap_gradient(u, cfg.conductor_gap(0, 1)).max_magnitude))\n")
-        src = str(Path(neckfield.__file__).resolve().parents[1])
         values = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
             out = subprocess.run([sys.executable, "-c", script], env=env,
                                  capture_output=True, text=True, check=True)
             values.append(float(out.stdout.strip().splitlines()[-1]))
         assert values[1] == pytest.approx(values[0], rel=1e-9)
+
+
+def _src_env():
+    """The environment with the package's source directory on PYTHONPATH."""
+    src = str(Path(neckfield.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+class TestCompiledRoutines:
+    """The elliptic integrals and the LAPACK routines come from scipy's
+    compiled extensions, loaded by file location (``_scipy_ext``)."""
+
+    def test_import_loads_no_scipy_subpackage(self):
+        # scipy.special and scipy.linalg load scipy's array-API layer,
+        # which star-imports numpy and pulls in numpy.f2py and numpy.testing
+        script = ("import sys, neckfield\n"
+                  "print([m for m in ('scipy.special', 'scipy.linalg', "
+                  "'scipy._lib.array_api_compat', 'numpy.f2py', 'numpy.testing') "
+                  "if m in sys.modules])\n")
+        out = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_public_subpackages_give_the_same_numbers(self, monkeypatch):
+        # where the direct load fails, scipy.special and get_lapack_funcs
+        # serve the routines: the same chain maps, node counts, LU factors
+        # and solves, bit for bit, on a folded and a full scene
+        assert _scipy_ext._direct("special", "_no_such_module", ("ellipk",)) is None
+        assert _scipy_ext._direct("linalg", "_flapack", ("no_such_routine",)) is None
+        builds = (lambda: build_case_b(1.0, 0.05, 1.0, 1e-5, 1e-3),
+                  lambda: build_case_a(1.0, 0.05, 1.0, 0.05, 1e-3))
+
+        def results():
+            out = []
+            for build in builds:
+                cfg = build()
+                op = SceneOperator(cfg)
+                curves = op.mesh.curves
+                lu, piv, _ = op._factor()
+                h = op.solve_h(((0,), tuple(range(1, len(cfg.bodies)))))
+                out.append([np.array([cm.n for cm in curves])]
+                           + [cm.chain.tables.masses for cm in curves]
+                           + [cm.v for cm in curves] + [lu, piv, op.solve_u().g, h.g])
+            return out
+
+        direct = results()
+        monkeypatch.setattr(_scipy_ext, "_direct", lambda *args: None)
+        names = ("ellipk", "ellipkinc", "getrf", "getrs", "gecon")
+        for name, routine in zip(names, _scipy_ext._special() + _scipy_ext._lapack()):
+            monkeypatch.setattr(_scipy_ext, name, routine)
+        for got, ref in zip(results(), direct):
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
 
 
 # Mirror-symmetric scenes: the pair, case B's three disks and the
