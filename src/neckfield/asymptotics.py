@@ -157,6 +157,8 @@ class DiagnosticReport:
 
 # Largest spread max/min over the gap grid of a ratio checked as bounded.
 _SPREAD_LIMIT = 10.0
+# Random disk nestings of case A's pair-difference monotonicity check.
+_MONOTONICITY_TRIALS = 20
 
 # Check tables: (check, quantity, gap scaling, verdict, detail). The
 # quantity names a column of sweeps.QUANTITIES; the scaling turns it into
@@ -284,12 +286,12 @@ def lemma_suite(cfg: Configuration, controls: MeshControls = MeshControls(),
     return rep
 
 
-def _monotonicity_check(seed: int, trials: int = 20) -> DiagnosticCheck:
+def _monotonicity_check(seed: int) -> DiagnosticCheck:
     """Nested disk pairs: enlarging either body can only lower the pair
     field's boundary-value difference (checked in closed form)."""
     rng = np.random.default_rng(seed)
     ok = True
-    for _ in range(trials):
+    for _ in range(_MONOTONICITY_TRIALS):
         r_a, r_b = 0.5 + rng.random(2)
         gap = 10.0 ** rng.uniform(-4, -1)
         big_a = Disk((-r_a - gap / 2, 0.0), r_a)
@@ -303,4 +305,4 @@ def _monotonicity_check(seed: int, trials: int = 20) -> DiagnosticCheck:
         d_small = images.psi_gap_difference(small_a, small_b)
         ok &= bool(0 <= d_big <= d_small * (1 + 1e-12))
     return DiagnosticCheck.from_flag("pair_difference_monotonicity", ok, float(ok),
-                                     f"{trials} random nestings")
+                                     f"{_MONOTONICITY_TRIALS} random nestings")

@@ -4,6 +4,11 @@ Subcommands: ``solve`` (one scene, constants/differences/gradients CSV),
 ``sweep`` (parameter sweep CSV), ``rates`` (power-law fits CSV), ``plot``
 (log-log SVG with fit and guide lines), ``verify`` (diagnostic suite CSV).
 
+Every subcommand takes the run file and ``--out`` (the output directory),
+``--force`` (overwrite existing outputs) and ``--seed`` (the seed of the
+random probes of sweeps and verify suites). The mesh controls come from the
+run file's ``[mesh]`` section only.
+
 Exit status contract: 0 success, 1 a verification check failed, 2 usage or
 configuration error, 3 refusal to overwrite existing output (pass --force).
 Outputs are deterministic for fixed inputs; timestamps only appear in
@@ -44,8 +49,6 @@ class RunManifest:
     out: Path
     force: bool = False
     seed: int = 0
-    mesh_base: Optional[int] = None
-    mesh_cap: Optional[int] = None
 
 
 def _write(manifest: RunManifest, name: str, content: str) -> Path:
@@ -66,19 +69,16 @@ def _load(manifest: RunManifest) -> RunInput:
     return parse_run(text)
 
 
-def _controls_for(manifest: RunManifest, run: RunInput) -> MeshControls:
-    """[mesh] base_n and cap, then --mesh-base and --mesh-cap where given."""
+def _controls_for(run: RunInput) -> MeshControls:
+    """The run file's [mesh] base_n and cap, the defaults where absent."""
     values = {"base_n": run.mesh.get("base_n"), "cap_total": run.mesh.get("cap")}
-    for field, flag in (("base_n", manifest.mesh_base), ("cap_total", manifest.mesh_cap)):
-        if flag is not None:
-            values[field] = flag
     return MeshControls(**{k: v for k, v in values.items() if v is not None})
 
 
 def cmd_solve(manifest: RunManifest) -> int:
     run = _load(manifest)
     cfg = run.cfg
-    controls = _controls_for(manifest, run)
+    controls = _controls_for(run)
     op = SceneOperator(cfg, controls)
     u = op.solve_u()
     lines = [f"# neckfield-solve v1", f"# generated: {_stamp()}",
@@ -100,7 +100,9 @@ def cmd_solve(manifest: RunManifest) -> int:
             continue
         lines.append(f"max_gap_gradient_{i + 1}{j + 1},{mg.max_magnitude!r}")
     lines.append(f"mesh_nodes,{op.mesh.n_total}")
-    lines.append(f"rcond,{u.rcond!r}")
+    # the condition estimate is a diagnostic: written as sweep.csv writes
+    # it, so the body is reproducible across BLAS thread schedules
+    lines.append(f"rcond,{u.rcond:.6e}")
     _write(manifest, "solution.csv", "\n".join(lines) + "\n")
     summary = [f"conductors: {cfg.n_conductors}",
                f"mesh nodes: {op.mesh.n_total}"]
@@ -111,7 +113,7 @@ def cmd_solve(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _spec_from_run(run: RunInput, manifest: RunManifest) -> SweepSpec:
+def _spec_from_run(run: RunInput, seed: int) -> SweepSpec:
     sweep = run.sweep
     if not sweep or "vary" not in sweep:
         raise ConfigParseError("missing [sweep] section with a 'vary' key")
@@ -133,10 +135,9 @@ def _spec_from_run(run: RunInput, manifest: RunManifest) -> SweepSpec:
         fixed = {k: v for k, v in run.cfg.params.items() if k != vary}
         for name, ratio in ties:
             fixed[name.strip()] = Tie(float(ratio))
-        seed = int(sweep.get("seed", manifest.seed))
         return SweepSpec(case_tag=case_tag, vary=vary, grid=grid, fixed=fixed,
                          quantities=quantities,
-                         controls=_controls_for(manifest, run), seed=seed,
+                         controls=_controls_for(run), seed=seed,
                          builder=partial(build_case, case_tag,
                                          background=run.cfg.background))
     except ValueError as exc:
@@ -145,7 +146,7 @@ def _spec_from_run(run: RunInput, manifest: RunManifest) -> SweepSpec:
 
 def cmd_sweep(manifest: RunManifest) -> int:
     run = _load(manifest)
-    spec = _spec_from_run(run, manifest)
+    spec = _spec_from_run(run, manifest.seed)
     table = run_sweep(spec)
     _write(manifest, "sweep.csv", serialize_table(
         table, comments=[f"generated: {_stamp()}",
@@ -163,7 +164,7 @@ def _sweep_source(manifest: RunManifest):
     if path.exists():
         vary, cols, errors = parse_table_csv(path.read_text())
         return run, vary, list(cols), lambda: (cols, errors)
-    spec = _spec_from_run(run, manifest)
+    spec = _spec_from_run(run, manifest.seed)
     names = [spec.vary, *spec.quantities, "mesh_nodes", "rcond"]
     return run, spec.vary, names, \
         lambda: parse_table_csv(serialize_table(run_sweep(spec)))[1:]
@@ -235,7 +236,7 @@ def cmd_plot(manifest: RunManifest) -> int:
 
 def cmd_verify(manifest: RunManifest) -> int:
     run = _load(manifest)
-    report = lemma_suite(run.cfg, _controls_for(manifest, run), seed=manifest.seed)
+    report = lemma_suite(run.cfg, _controls_for(run), seed=manifest.seed)
     body = report.to_csv()
     _write(manifest, "verify.csv",
            f"# neckfield-verify v1\n# generated: {_stamp()}\n" + body)
@@ -258,12 +259,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--out", type=Path, default=Path("out"))
         p.add_argument("--force", action="store_true")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mesh-base", type=int, default=None)
-        p.add_argument("--mesh-cap", type=int, default=None)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    manifest = RunManifest(args.config, args.out, args.force, args.seed,
-                           args.mesh_base, args.mesh_cap)
+    manifest = RunManifest(args.config, args.out, args.force, args.seed)
     try:
         return args.fn(manifest)
     except FileExistsError as exc:

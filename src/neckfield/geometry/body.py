@@ -15,9 +15,6 @@ import numpy as np
 from ..errors import InvalidGeometryError
 from .shapes import Disk, SmoothBoundary, curvature
 
-# Gauss-Legendre rule of the chart arclength estimate
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(256)
-
 
 @dataclass(frozen=True)
 class BoundaryChart:
@@ -26,8 +23,8 @@ class BoundaryChart:
     ``point`` and ``jet`` (the point, first and second derivative, from one
     trigonometric table) are vectorized over the chart parameter u in
     [u0, u1]; for full closed curves the parameter is 2*pi-periodic and
-    ``closed`` is True. ``corner_start``/``corner_end``
-    mark endpoints where the body boundary has a genuine corner. ``circle``
+    ``closed`` is True. ``corner_start`` marks a chart whose start is a
+    genuine corner of the body boundary. ``circle``
     is the disk whose circle the chart traces (a disk's one chart, both
     arcs of a lens), and None for a smooth curve: the gap search takes its
     closed form from it.
@@ -39,7 +36,6 @@ class BoundaryChart:
     u1: float
     closed: bool = False
     corner_start: bool = False
-    corner_end: bool = False
     circle: Optional[Disk] = None
 
     @property
@@ -48,12 +44,6 @@ class BoundaryChart:
 
     def curvature(self, u):
         return curvature(*self.jet(u)[1:])
-
-    def arclength(self) -> float:
-        # Gauss-Legendre estimate, plenty for mesh planning
-        u = 0.5 * (self.u0 + self.u1) + 0.5 * self.span * _GAUSS_X
-        d = self.jet(u)[1]
-        return float(0.5 * self.span * np.sum(_GAUSS_W * np.hypot(d[:, 0], d[:, 1])))
 
 
 def lens_corners(d1: Disk, d2: Disk) -> tuple[np.ndarray, np.ndarray]:
@@ -195,38 +185,20 @@ class Body:
         return self._lens_charts()
 
     def _lens_charts(self) -> list[BoundaryChart]:
-        da, db = self.lens_disks
+        """The two outer arcs as one counterclockwise loop, each starting at
+        a corner. ``lens_corners`` puts the upper corner to the left of the
+        line from the first centre to the second, and each disk's point that
+        faces the other centre lies inside the other disk. So the first
+        disk's outer arc runs counterclockwise from the upper corner to the
+        lower, and the second disk's from the lower corner to the upper."""
         upper, lower = self.corners
 
-        def outer_range(d: Disk, other: Disk) -> tuple[float, float]:
-            # CCW angle range of d's arc that lies outside the other disk
-            au = float(np.arctan2(upper[1] - d.center[1], upper[0] - d.center[0]))
-            al = float(np.arctan2(lower[1] - d.center[1], lower[0] - d.center[0]))
-            # candidate arc from upper to lower corner, CCW (increasing angle)
-            lo, hi = au, al
+        def outer_arc(d: Disk, start, end) -> BoundaryChart:
+            lo = float(np.arctan2(start[1] - d.center[1], start[0] - d.center[0]))
+            hi = float(np.arctan2(end[1] - d.center[1], end[0] - d.center[0]))
             while hi <= lo:
                 hi += 2 * np.pi
-            mid = d.point(0.5 * (lo + hi))
-            if other.contains(mid[None, :])[0]:
-                # wrong side: take the complementary arc lower -> upper
-                lo, hi = al, au
-                while hi <= lo:
-                    hi += 2 * np.pi
-            return lo, hi
+            return BoundaryChart(d.point, d.jet, lo, hi, corner_start=True, circle=d)
 
-        ra = outer_range(da, db)
-        rb = outer_range(db, da)
-
-        charts = [
-            BoundaryChart(da.point, da.jet, ra[0], ra[1],
-                          corner_start=True, corner_end=True, circle=da),
-            BoundaryChart(db.point, db.jet, rb[0], rb[1],
-                          corner_start=True, corner_end=True, circle=db),
-        ]
-        # order the two arcs so the traversal is a single CCW loop: the end
-        # point of the first chart must coincide with the start of the second
-        end_a = da.point(np.array([ra[1]]))[0]
-        start_b = db.point(np.array([rb[0]]))[0]
-        if not np.allclose(end_a, start_b, atol=1e-9 * (da.radius + db.radius)):
-            charts.reverse()
-        return charts
+        da, db = self.lens_disks
+        return [outer_arc(da, upper, lower), outer_arc(db, lower, upper)]

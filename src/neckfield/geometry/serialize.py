@@ -12,6 +12,13 @@ not ignored: ``[case]`` takes the parameters of the case's recipe
 ``[body N]`` sections beside a ``[case]`` section, which builds every body
 itself.
 
+Beside the scene, a run file may hold a ``[mesh]`` section (``base_n``
+and ``cap``, the mesh controls of every subcommand) and a ``[sweep]``
+section: ``vary``, ``grid`` (low, high, points), ``quantities``, ``tie``
+(name:ratio pairs), and for ``plot`` only ``plot_quantity`` and
+``guide_slope``. The seed is the CLI's ``--seed``, not a key. Every refusal
+raises ``ConfigParseError``, which the CLI reports as a configuration error.
+
 An emitted scene is always free-form: it keeps the case tag but carries no
 ``[case]`` parameters, so sweeping or verifying it, which rebuilds the
 scene at other gaps, needs the original run file.
@@ -53,8 +60,6 @@ from .shapes import Disk, HarmonicBackground, SmoothBoundary
 class ConfigParseError(InvalidParameterError):
     def __init__(self, message: str, line: Optional[int] = None, column: int = 1):
         super().__init__(message if line is None else f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
 
 
 @dataclass
@@ -98,25 +103,23 @@ def _number(section: str, key: str, val: str, kind=float):
         raise ConfigParseError(f"[{section}] {key}: {val!r} is not of type {kind.__name__}") from None
 
 
-def _floats(val: str) -> tuple[float, ...]:
+def _floats(section: str, key: str, val: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in val.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise ConfigParseError(f"bad number list: {val!r}") from exc
-
-
-def _complexes(val: str) -> tuple[complex, ...]:
-    try:
-        return tuple(complex(x.strip().replace(" ", "")) for x in val.split(","))
-    except ValueError as exc:
-        raise InvalidParameterError(f"bad coefficient list: {val!r}") from exc
+    except ValueError:
+        raise ConfigParseError(f"[{section}] {key}: bad number list {val!r}") from None
 
 
 def _parse_background(sections) -> Optional[HarmonicBackground]:
     sec = sections.get("background")
     if not sec:
         return None
-    return HarmonicBackground(_complexes(sec.get("coeffs", "0, 1")))
+    val = sec.get("coeffs", "0, 1")
+    try:
+        coeffs = tuple(complex(x.strip().replace(" ", "")) for x in val.split(","))
+    except ValueError:
+        raise ConfigParseError(f"[background] coeffs: bad coefficient list {val!r}") from None
+    return HarmonicBackground(coeffs)
 
 
 def _body_index(name: str) -> int:
@@ -130,14 +133,14 @@ def _parse_body(name: str, sec: dict[str, str]) -> Body:
     def value(key: str, count: int = 1):
         if key not in sec:
             raise ConfigParseError(f"[{name}] missing key {key!r}")
-        v = _floats(sec[key])
+        v = _floats(name, key, sec[key])
         if len(v) != count:
             raise ConfigParseError(f"[{name}] {key}: {sec[key]!r} is not {count} number(s)")
         return v if count > 1 else v[0]
 
     kind = sec.get("kind", "disk").lower()
     if kind not in _BODY_KEYS:
-        raise InvalidParameterError(f"unknown body kind {kind!r}")
+        raise ConfigParseError(f"[{name}] kind: unknown body kind {kind!r}")
     _refuse_unknown(name, sec, _BODY_KEYS[kind])
     if kind == "disk":
         return Body.from_disk(Disk(value("center", 2), value("radius")))
@@ -146,15 +149,14 @@ def _parse_body(name: str, sec: dict[str, str]) -> Body:
                            for j in (1, 2)))
     if kind == "smooth":
         return Body.from_smooth(SmoothBoundary(value("center", 2), *(
-            _floats(sec.get(k, "")) for k in ("cos_x", "sin_x", "cos_y", "sin_y"))))
+            _floats(name, k, sec.get(k, "")) for k in ("cos_x", "sin_x", "cos_y", "sin_y"))))
 
 
 # the keys each section takes; [case] keys belong to the case's recipe
 # (CASE_KEYS) and [body N] keys to the body's kind (_BODY_KEYS)
 _KEYS = {"scene": {"case"}, "background": {"coeffs"}, "groups": {"conductors"},
          "mesh": {"base_n", "cap"},
-         "sweep": {"vary", "grid", "quantities", "tie", "seed", "plot_quantity",
-                   "guide_slope"}}
+         "sweep": {"vary", "grid", "quantities", "tie", "plot_quantity", "guide_slope"}}
 _BODY_KEYS = {"disk": {"kind", "center", "radius"},
               "lens": {"kind", "disk1.center", "disk1.radius", "disk2.center", "disk2.radius"},
               "smooth": {"kind", "center", "cos_x", "sin_x", "cos_y", "sin_y"}}
@@ -192,7 +194,8 @@ def parse_run(text: str) -> RunInput:
         body_secs = sorted((name for name in sections if name.startswith("body")),
                            key=_body_index)
         if not body_secs:
-            raise InvalidParameterError("no [case] section and no [body N] sections")
+            raise ConfigParseError("no [case] section and no [body N] section: "
+                                   "the run file has no scene")
         bodies = tuple(_parse_body(name, sections[name]) for name in body_secs)
         gsec = sections.get("groups", {})
         if "conductors" in gsec:

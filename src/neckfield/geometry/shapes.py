@@ -21,6 +21,9 @@ from ..errors import InvalidGeometryError, InvalidParameterError
 # it, its iterations at most, and the parameter step that ends a point's run
 _FOOT_SAMPLES, _FOOT_ITERS, _FOOT_STEP_TOL = 256, 30, 1e-12
 
+# samples of SmoothBoundary.validate and of its convexity test
+_VALIDATE_SAMPLES = 720
+
 # SmoothBoundary's coefficient fields, in order
 _COEFFS = ("cos_x", "sin_x", "cos_y", "sin_y")
 
@@ -197,8 +200,8 @@ class SmoothBoundary:
         (counterclockwise parameterization)."""
         return curvature(*self.jet(t)[1:])
 
-    def validate(self, samples: int = 720) -> None:
-        t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    def validate(self) -> None:
+        t = np.linspace(0.0, 2 * np.pi, _VALIDATE_SAMPLES, endpoint=False)
         d = self.deriv(t)
         sp = np.hypot(d[:, 0], d[:, 1])
         scale = float(np.max(sp))
@@ -214,12 +217,12 @@ class SmoothBoundary:
 
     @cached_property
     def convex(self) -> bool:
-        """Whether the curvature is positive at the 720 samples of
+        """Whether the curvature is positive at the samples of
         ``validate()``, so that the curve, simple and counterclockwise,
         bounds a convex body. Sampled once per coefficient set: ``ellipse()``
         sets it without sampling, and ``translated()``, ``scaled()`` and
         ``mirrored_x()`` carry it over."""
-        t = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+        t = np.linspace(0.0, 2 * np.pi, _VALIDATE_SAMPLES, endpoint=False)
         return bool(np.min(self.curvature(t)) > 0)
 
     def require_convex_arc(self, t_center: float, half_width: float) -> None:

@@ -98,20 +98,6 @@ class Decomposition:
         u_vals = self.u.potential(pts)
         return float(np.max(np.abs(u_vals - self.reconstructed(pts))))
 
-    def probe_points(self, count: int = 200, seed: int = 0) -> np.ndarray:
-        """Deterministic exterior points inside the enclosing disk."""
-        rng = np.random.default_rng(seed)
-        pts = []
-        c0, r0 = self.disk0.c, self.disk0.radius
-        while len(pts) < count:
-            cand = c0 + (rng.random((4 * count, 2)) - 0.5) * 2 * 0.92 * r0
-            keep = np.hypot(cand[:, 0] - c0[0], cand[:, 1] - c0[1]) < 0.92 * r0
-            cand = cand[keep]
-            ext = ~np.any([b.contains(cand, pad=0.02 * b.diameter())
-                           for b in self.u.op.cfg.bodies], axis=0)
-            pts.extend(cand[ext][: count - len(pts)])
-        return np.asarray(pts[:count])
-
 
 def decompose_u(cfg: Configuration, disk0: Disk,
                 controls: MeshControls = MeshControls(),

@@ -10,8 +10,9 @@ analytic reparameterization: the node density over the chain coordinate v is
 one term per gap closest point and per lens corner. Away from a feature the
 term decays like 1/distance, so panel lengths grow linearly with distance to
 the feature (the continuous analogue of dyadic refinement); at the feature
-they bottom out at a floor length (a fraction of the gap width, or
-2^-levels of the arc length at corners). The cumulative density is a sum of
+they bottom out at a floor length (a fraction of the gap width, or at a
+lens corner 2^-levels of the lens perimeter, the sum of r times the angular
+span of its two circular arcs). The cumulative density is a sum of
 incomplete elliptic integrals of the first kind in Legendre form,
 F(y | -1/b^2) / b, with the large negative parameter -1/b^2 (``_clustered_mass``);
 it keeps full relative accuracy as the floor parameter b -> 0, so node
@@ -84,7 +85,7 @@ _PEAK_NODES = 12                   # nodes within the neck scale, each side of a
 _GAP_PANEL_GROWTH = 1.0 / 6.0      # panel length per unit distance from a gap point
 _CORNER_PANEL_GROWTH = 1.0 / 4.0
 _GAP_FLOOR_FRACTION = 1.0 / 12.0   # floor panel length as a fraction of the gap
-# Corner floor = arc length * 2**-levels. The chain map's speed at a corner
+# Corner floor = lens perimeter * 2**-levels. The chain map's speed at a corner
 # is about this floor, and any integrand holding the normal jumps there, so
 # trapezoid sums over a lens carry an error on its scale: 20 levels leave
 # 2.7e-10 in the lens's flux quadrature on case A at eps 1e-2, 40 levels
@@ -361,7 +362,6 @@ def _body_features(body: Body,
                    gap_entries: Sequence[tuple[GapFoot, np.ndarray, float]]) -> list[FeatureSpec]:
     charts = body.charts()
     spans = np.concatenate([[0.0], np.cumsum([ch.span for ch in charts])])
-    perimeter = sum(ch.arclength() for ch in charts)
     feats: list[FeatureSpec] = []
     _, brad = body.bounding_circle()
     for foot, point, gap_dist in gap_entries:
@@ -381,10 +381,12 @@ def _body_features(body: Body,
         if all(np.hypot(*(f.point - k.point)) > 0.5 * max(f.peak_length, k.peak_length)
                for k in kept):
             kept.append(f)
-    # corners of the chart chain
-    floor = perimeter * 2.0 ** (-_CORNER_FLOOR_LEVELS)
+    # corners of the chart chain: only a lens has them, and its charts are
+    # circular arcs, so its perimeter is the sum of r * span
     for ci, ch in enumerate(charts):
         if ch.corner_start:
+            perimeter = sum(c.circle.radius * c.span for c in charts)
+            floor = perimeter * 2.0 ** (-_CORNER_FLOOR_LEVELS)
             p = ch.point(np.array([ch.u0]))[0]
             kept.append(FeatureSpec("corner", spans[ci], p, floor_arc=floor,
                                     growth=_CORNER_PANEL_GROWTH))
@@ -461,7 +463,8 @@ def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
         # a count beyond the base, predicted or doubled, must fit the cap
         if n > max(n_base, controls.cap_total):
             raise RefinementFailureError(
-                "node cap reached before gap resolution",
+                "node cap reached before the mesh met its resolution targets "
+                "(base density, gap panels, neck nodes, corner grading)",
                 {"body": body_index, "requested_n": n, "cap": controls.cap_total})
         cm = _curve_mesh(tables, body_index, feats, n, mirrored)
         if literal or (cm.chain.resolved and _resolution_ok(cm, base)):

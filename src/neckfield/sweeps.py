@@ -331,7 +331,7 @@ class SweepTable:
         return int(np.count_nonzero(~self.ok_mask))
 
     def column(self, name: str) -> np.ndarray:
-        if name in ("param", self.spec.vary):
+        if name == self.spec.vary:
             return self.values
         return self.columns[name]
 
@@ -368,7 +368,6 @@ class RateFit:
     exponent: float
     intercept: float
     r_squared: float
-    residuals: tuple[float, ...]
     n_points: int
 
 
@@ -392,30 +391,22 @@ def fit_power_law(xv: np.ndarray, yv: np.ndarray, ok: np.ndarray) -> RateFit:
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return RateFit(float(slope), float(intercept), float(r2),
-                   tuple(float(v) for v in (ly - pred)), int(np.count_nonzero(mask)))
+    return RateFit(float(slope), float(intercept), float(r2), int(np.count_nonzero(mask)))
 
 
 @dataclass(frozen=True)
 class SandwichResult:
-    min_ratio: float
-    max_ratio: float
     spread: float
-    threshold: float
     passed: bool
-    ratios: tuple[float, ...]
 
 
 def sandwich_check(table: SweepTable, quantity: str, prediction,
                    threshold: float = 5.0) -> SandwichResult:
     """Bounded-ratio check of a measured quantity against a predicted scale
-    column (array, or callable mapping the varying parameter to the scale).
-    The spread max/min over valid rows is the verdict statistic."""
+    column, one value per row. The spread max/min over valid rows is the
+    verdict statistic."""
     q = np.abs(table.column(quantity))
-    if callable(prediction):
-        pred = np.array([prediction(v) for v in table.values], dtype=float)
-    else:
-        pred = np.asarray(prediction, dtype=float)
+    pred = np.asarray(prediction, dtype=float)
     if pred.shape != table.values.shape:
         raise InvalidParameterError("prediction column length mismatch")
     if np.any(table.ok_mask & (pred == 0)):
@@ -426,9 +417,7 @@ def sandwich_check(table: SweepTable, quantity: str, prediction,
         raise InvalidParameterError("no valid rows for the sandwich check")
     mn, mx = float(np.min(ratios)), float(np.max(ratios))
     spread = mx / mn if mn > 0 else np.inf
-    return SandwichResult(mn, mx, float(spread), threshold,
-                          bool(spread <= threshold and mn > 0),
-                          tuple(float(r) for r in ratios))
+    return SandwichResult(float(spread), bool(spread <= threshold and mn > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +425,11 @@ def sandwich_check(table: SweepTable, quantity: str, prediction,
 # ---------------------------------------------------------------------------
 
 
-def serialize_table(table: SweepTable, fits: Optional[dict[str, RateFit]] = None,
-                    sandwiches: Optional[dict[str, SandwichResult]] = None,
-                    comments: Sequence[str] = ()) -> str:
-    """Fixed-column-order CSV with an optional key=value footer; everything
-    run-dependent (timestamps, wall times) lives in comment lines."""
+def serialize_table(table: SweepTable, comments: Sequence[str] = ()) -> str:
+    """Fixed-column-order CSV: a header, then one row per grid value with
+    its mesh size, condition estimate and error. Everything run-dependent
+    (timestamps, wall times, ``comments``) lives in comment lines; fits are
+    written apart (the CLI's rates.csv)."""
     lines = ["# neckfield-sweep v1"]
     for c in comments:
         lines.append(f"# {c}")
@@ -457,35 +446,18 @@ def serialize_table(table: SweepTable, fits: Optional[dict[str, RateFit]] = None
         row.append(f"{table.rcond[k]:.6e}")
         row.append("" if table.errors[k] is None else table.errors[k].replace(",", ";"))
         lines.append(",".join(row))
-    if fits:
-        lines.append("[fits]")
-        for name, f in fits.items():
-            lines.append(f"{name}.exponent = {f.exponent!r}")
-            lines.append(f"{name}.intercept = {f.intercept!r}")
-            lines.append(f"{name}.r_squared = {f.r_squared!r}")
-            lines.append(f"{name}.n_points = {f.n_points}")
-    if sandwiches:
-        lines.append("[sandwich]")
-        for name, s in sandwiches.items():
-            lines.append(f"{name}.min_ratio = {s.min_ratio!r}")
-            lines.append(f"{name}.max_ratio = {s.max_ratio!r}")
-            lines.append(f"{name}.spread = {s.spread!r}")
-            lines.append(f"{name}.threshold = {s.threshold!r}")
-            lines.append(f"{name}.passed = {int(s.passed)}")
     return "\n".join(lines) + "\n"
 
 
 def parse_table_csv(text: str) -> tuple[str, dict[str, np.ndarray], list[Optional[str]]]:
-    """Read back the tabular part of a sweep CSV: the varying parameter
-    name, numeric columns (parameter included under its own name), and the
-    per-row error strings."""
+    """Read back a sweep CSV: the varying parameter name, numeric columns
+    (parameter included under its own name), and the per-row error
+    strings."""
     rows = []
     header = None
     for line in text.splitlines():
         if not line or line.startswith("#"):
             continue
-        if line.startswith("["):
-            break
         if header is None:
             header = line.split(",")
         else:

@@ -48,6 +48,7 @@ quantities = potential_difference_21
 base_n = 96
 """
 PAIR_CASE = "[case]\nr1 = 1.0\nr2 = 1.0\neps = 0.001\n"
+FREE_CFG = "[body 1]\ncenter = -1.5, 0\nradius = 1\n\n[body 2]\ncenter = 1.5, 0\nradius = 1\n"
 
 
 def body_lines(path):
@@ -110,6 +111,8 @@ class TestSolve:
         ("base_n = 96", "base = 24", "[mesh] unknown key 'base'"),
         ("[mesh]", "[mseh]", "unknown section [mseh]"),
         ("vary = eps", "vary = eps\nseeds = 3", "[sweep] unknown key 'seeds'"),
+        # the seed is --seed's alone
+        ("vary = eps", "vary = eps\nseed = 3", "[sweep] unknown key 'seed'"),
         ("case = pair", "case = pair\ncases = B", "[scene] unknown key 'cases'"),
         ("[sweep]", "[background]\ncoefs = 0, 1\n\n[sweep]",
          "[background] unknown key 'coefs'"),
@@ -123,8 +126,8 @@ class TestSolve:
         ("eps = 0.001", "eps = 0.001\nepss = 0.5", "[case] unknown key 'epss'"),
         ("[sweep]", "[body 1]\ncenter = 0, 0\nradius = 1\n\n[sweep]",
          "[body 1] beside [case]"),
-    ], ids=["mesh_key", "section", "sweep_key", "scene_key", "background_key", "groups_key",
-            "smooth_body_key", "disk_body_key", "case_key", "body_beside_case"])
+    ], ids=["mesh_key", "section", "sweep_key", "sweep_seed", "scene_key", "background_key",
+            "groups_key", "smooth_body_key", "disk_body_key", "case_key", "body_beside_case"])
     def test_unknown_names_refused(self, tmp_path, capsys, old, new, named):
         # a mistyped section or key is refused, not ignored: [mesh] base = 24
         # would solve at the default 384 nodes, where base_n = 24 gives 48
@@ -133,6 +136,28 @@ class TestSolve:
         bad.write_text(PAIR_CFG.replace(old, new, 1))
         assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        (FREE_CFG.replace("[body 1]\n", "[body 1]\nkind = blob\n"),
+         "[body 1] kind: unknown body kind 'blob'"),
+        (FREE_CFG + "\n[background]\ncoeffs = 0, 1x\n",
+         "[background] coeffs: bad coefficient list '0, 1x'"),
+        ("[mesh]\nbase_n = 96\n", "no [case] section and no [body N] section"),
+        (FREE_CFG + "\n[body 2]\ncenter = 0, 3\nradius = 1\n", "duplicate section [body 2]"),
+        ("radius = 1\n" + FREE_CFG, "line 1, column 1: key outside any [section]"),
+        (FREE_CFG.replace("-1.5, 0", "-1.5, zero"),
+         "[body 1] center: bad number list '-1.5, zero'"),
+        (FREE_CFG.replace("radius = 1\n", "", 1), "[body 1] missing key 'radius'"),
+        (FREE_CFG.replace("-1.5, 0", "-1.5"), "[body 1] center: '-1.5' is not 2 number(s)"),
+    ], ids=["body_kind", "background_coeffs", "no_scene", "duplicate_section",
+            "key_outside_section", "number_list", "missing_body_key", "number_count"])
+    def test_run_file_refusals(self, tmp_path, capsys, text, message):
+        # every refusal of the run file is a configuration error
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err, err
 
     @pytest.mark.parametrize("old,new", [("vary = eps", "vary = epss"),
                                          ("vary = eps", "vary = r2\ntie = epss:1")],
@@ -144,12 +169,14 @@ class TestSolve:
         assert main(["sweep", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "'epss' is not a parameter of case pair" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,nodes", [("0", None), ("-4", None), ("1", 4), ("3", 8)])
-    def test_mesh_base_floor(self, pair_cfg, tmp_path, capsys, flag, nodes):
+    @pytest.mark.parametrize("base,nodes", [("0", None), ("-4", None), ("1", 4), ("3", 8)])
+    def test_mesh_base_floor(self, tmp_path, capsys, base, nodes):
         # a base count below 1 is a usage error; 1 and 3 are taken
         # literally, rounded up to an even count per curve
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text(PAIR_CFG.replace("base_n = 96", f"base_n = {base}"))
         out = tmp_path / "o"
-        code = main(["solve", str(pair_cfg), "--out", str(out), "--mesh-base", flag])
+        code = main(["solve", str(cfg), "--out", str(out)])
         if nodes is None:
             assert code == 2
             assert "base_n must be at least 1" in capsys.readouterr().err
@@ -318,10 +345,9 @@ class TestVerify:
     def test_coarse_mesh_fails(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("[scene]\ncase = A\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
-                       "r3 = 1.0\na = 0.05\neps = 0.001\n")
+                       "r3 = 1.0\na = 0.05\neps = 0.001\n\n[mesh]\nbase_n = 24\n")
         out = tmp_path / "outc"
-        assert main(["verify", str(cfg), "--out", str(out),
-                     "--mesh-base", "24"]) == 1
+        assert main(["verify", str(cfg), "--out", str(out)]) == 1
 
 
 class TestEmittedScene:

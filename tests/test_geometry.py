@@ -57,6 +57,34 @@ class TestCaseA:
         assert np.allclose(info.point_j, (0.0005, 0.0), atol=1e-12)
 
 
+class TestLensCharts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.01, 10.0), st.floats(0.01, 10.0), st.floats(0.02, 0.98),
+           st.floats(0.0, 2 * np.pi), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+    def test_outer_arcs_form_one_counterclockwise_loop(self, r1, r2, frac, angle, x, y):
+        # the arcs come from the corners in closed form, in either disk order
+        lo, hi = abs(r1 - r2), r1 + r2
+        d = lo + frac * (hi - lo)
+        da = Disk((x, y), r1)
+        db = Disk((x + d * np.cos(angle), y + d * np.sin(angle)), r2)
+        for disks in ((da, db), (db, da)):
+            try:
+                charts = Body.lens(*disks).charts()
+            except InvalidGeometryError:
+                assume(False)
+            # the first disk's arc first: the lens chain starts at the upper corner
+            assert [ch.circle for ch in charts] == list(disks)
+            loop = []
+            for ch, other, after in zip(charts, disks[::-1], charts[::-1]):
+                end = ch.point(np.array([ch.u1]))[0]
+                start = after.point(np.array([after.u0]))[0]
+                assert np.hypot(*(end - start)) <= 1e-12 * (r1 + r2)
+                assert not other.contains(ch.point(np.array([0.5 * (ch.u0 + ch.u1)])))[0]
+                loop.append(ch.point(np.linspace(ch.u0, ch.u1, 64, endpoint=False)))
+            p = np.concatenate(loop)
+            assert np.sum(p[:, 0] * np.roll(p[:, 1], -1) - np.roll(p[:, 0], -1) * p[:, 1]) > 0
+
+
 class TestCaseB:
     def test_gaps_match_requests(self):
         cfg = build_case_b(1, 0.05, 1, 1e-3, 2e-3)
@@ -761,7 +789,7 @@ class TestCaseCD:
         validated = []
         validate = SmoothBoundary.validate
         monkeypatch.setattr(SmoothBoundary, "validate",
-                            lambda self, samples=720: validated.append(validate(self, samples)))
+                            lambda self: validated.append(validate(self)))
         mirrored = cfg.mirrored_x()
         assert validated == []
         for body, flipped in zip(cfg.bodies, mirrored.bodies):
@@ -870,7 +898,7 @@ class TestSmoothBoundary:
         validated = []
         validate = SmoothBoundary.validate
         monkeypatch.setattr(SmoothBoundary, "validate",
-                            lambda self, samples=720: validated.append(validate(self, samples)))
+                            lambda self: validated.append(validate(self)))
         e = SmoothBoundary.ellipse((0.5, -1.0), 1.5, 0.25)
         assert validated == []
         assert e == SmoothBoundary((0.5, -1.0), cos_x=(1.5,), sin_y=(0.25,))

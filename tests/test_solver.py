@@ -853,6 +853,49 @@ class TestNodePrediction:
         assert err.value.diagnostics["requested_n"] == 288
         assert maps == []
 
+    @staticmethod
+    def _slow_start_circle():
+        """The unit circle at a nonuniform parameter: phi(t) with speed
+        0.3 + 0.7 F(t), F = 1 + 1.5 cos t + cos 2t + 0.5 cos 3t the Fejer
+        kernel of order 3, fitted to degree 24 by FFT. Its peak speed is
+        3.1 times its mean, so 192 uniform nodes miss the base density."""
+        m = 256
+        t = 2 * np.pi * np.arange(m) / m
+        phi = t + 0.7 * (1.5 * np.sin(t) + 0.5 * np.sin(2 * t) + np.sin(3 * t) / 6)
+        x, y = np.fft.rfft(np.cos(phi)) / m, np.fft.rfft(np.sin(phi)) / m
+        k = slice(1, 25)
+        curve = SmoothBoundary((x[0].real, y[0].real), 2 * x[k].real, -2 * x[k].imag,
+                               2 * y[k].real, -2 * y[k].imag)
+        p = curve.point(np.linspace(0, 2 * np.pi, 4001))
+        assert np.max(np.abs(np.hypot(p[:, 0], p[:, 1]) - 1)) <= 1e-12
+        return Configuration((Body.from_smooth(curve),), ((0,),),
+                             HarmonicBackground.linear_x())
+
+    def test_missed_base_density_doubles(self, monkeypatch):
+        counts = []
+        curve_mesh = mesh_module._curve_mesh
+        monkeypatch.setattr(mesh_module, "_curve_mesh",
+                            lambda tables, body, feats, n, *args:
+                            counts.append(n) or curve_mesh(tables, body, feats, n, *args))
+        u = solve_u(self._slow_start_circle())
+        assert counts == [192, 384]
+        th = np.linspace(0, 2 * np.pi, 100, endpoint=False)
+        pts = np.stack([1.9 * np.cos(th), 2.4 * np.sin(th)], -1)
+        exact = pts[:, 0] * (1 - 1 / (pts[:, 0] ** 2 + pts[:, 1] ** 2))
+        assert np.max(np.abs(u.potential(pts) - exact)) <= 1e-12
+
+    def test_doubling_over_the_cap_raises(self):
+        with pytest.raises(RefinementFailureError,
+                           match="node cap reached before the mesh met its resolution") as err:
+            build_mesh(self._slow_start_circle(), MeshControls(cap_total=256))
+        assert err.value.diagnostics["requested_n"] == 384
+
+    def test_curves_over_the_total_cap_raise(self):
+        # each curve's 192 nodes fit the cap, their total does not
+        with pytest.raises(RefinementFailureError, match="total node cap exceeded") as err:
+            build_mesh(build_two_disks(1, 1, 1e-3), MeshControls(cap_total=300))
+        assert err.value.diagnostics == {"used": 384, "cap": 300}
+
     def test_odd_base_count_rounds_up_the_ladder(self):
         controls = MeshControls(base_n=101)
         for cfg in (build_two_disks(1, 1, 1e-2), build_two_disks(1, 1, 1e-5)):
@@ -1198,11 +1241,12 @@ class TestCompiledRoutines:
 
     def test_import_loads_no_scipy_subpackage(self):
         # scipy.special and scipy.linalg load scipy's array-API layer,
-        # which star-imports numpy and pulls in numpy.f2py and numpy.testing
+        # which star-imports numpy and pulls in numpy.f2py and numpy.testing;
+        # nothing needs numpy.polynomial's quadrature tables either
         script = ("import sys, neckfield\n"
                   "print([m for m in ('scipy.special', 'scipy.linalg', "
-                  "'scipy._lib.array_api_compat', 'numpy.f2py', 'numpy.testing') "
-                  "if m in sys.modules])\n")
+                  "'scipy._lib.array_api_compat', 'numpy.f2py', 'numpy.testing', "
+                  "'numpy.polynomial') if m in sys.modules])\n")
         out = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -207,20 +207,3 @@ class TestSerialization:
         assert np.allclose(cols["psi_gap_difference"],
                            table.columns["psi_gap_difference"])
         assert errors == table.errors
-
-    def test_footer_sections(self):
-        spec = SweepSpec(case_tag="pair", vary="eps",
-                         grid=log_grid(1e-4, 1e-2, 5),
-                         fixed={"r1": 1.0, "r2": 1.0},
-                         quantities=("psi_gap_difference",))
-        table = run_sweep(spec)
-        fit = fit_rate(table, "eps", "psi_gap_difference")
-        sw = sandwich_check(table, "psi_gap_difference",
-                            lambda e: np.sqrt(2.0) * np.sqrt(e))
-        text = serialize_table(table, fits={"psi_gap_difference": fit},
-                               sandwiches={"psi_gap_difference": sw})
-        assert "[fits]" in text and "[sandwich]" in text
-        assert "psi_gap_difference.exponent" in text
-        # the tabular part still parses
-        vary, cols, _ = parse_table_csv(text)
-        assert vary == "eps"
