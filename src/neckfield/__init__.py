@@ -21,8 +21,7 @@ from .images import (FixedPointPair, TwoDiskField, fixed_points,
 from .solver.mesh import BoundaryMesh, MeshControls, build_mesh
 from .solver.nystrom import (FieldSolution, SceneOperator, max_gap_gradient,
                              solve_h, solve_hc, solve_u)
-from .solver.fields import (Decomposition, Representation, decompose_u,
-                            representation_coeffs)
+from .solver.fields import Representation, representation_coeffs
 from .asymptotics import (BoundPrediction, DiagnosticReport, bound_case_a,
                           bound_case_b, bound_case_c, bound_case_d, lemma_suite)
 from .sweeps import (RateFit, SandwichResult, SweepSpec, SweepTable, Tie,

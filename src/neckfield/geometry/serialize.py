@@ -119,7 +119,10 @@ def _parse_background(sections) -> Optional[HarmonicBackground]:
         coeffs = tuple(complex(x.strip().replace(" ", "")) for x in val.split(","))
     except ValueError:
         raise ConfigParseError(f"[background] coeffs: bad coefficient list {val!r}") from None
-    return HarmonicBackground(coeffs)
+    try:
+        return HarmonicBackground(coeffs)
+    except InvalidParameterError as exc:
+        raise ConfigParseError(f"[background] coeffs: {exc}") from None
 
 
 def _body_index(name: str) -> int:

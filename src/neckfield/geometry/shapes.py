@@ -354,6 +354,8 @@ class HarmonicBackground:
 
     def __post_init__(self):
         cs = tuple(complex(c) for c in self.coeffs)
+        if not np.all(np.isfinite(cs)):
+            raise InvalidParameterError(f"non-finite coefficients: {cs!r}")
         if len(cs) == 0:
             cs = (0j,)
         object.__setattr__(self, "coeffs", cs)

@@ -1,5 +1,4 @@
 from .mesh import BoundaryMesh, CurveMesh, MeshControls, build_mesh
 from .nystrom import (FieldSolution, GapGradient, SceneOperator,
                       max_gap_gradient, solve_h, solve_hc, solve_u)
-from .fields import (Decomposition, Representation, decompose_u,
-                     representation_coeffs)
+from .fields import Representation, representation_coeffs

@@ -538,21 +538,20 @@ class BoundaryMesh:
         return np.nonzero(self.body_of_node == body_index)[0]
 
 
-def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls(),
-               extra_bodies: Sequence[Body] = ()) -> BoundaryMesh:
-    """Mesh every body of the configuration (and any extra enclosing bodies,
-    used by the interior decomposition solver)."""
+def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls()) -> BoundaryMesh:
+    """Mesh every body of the configuration, one curve per body with the
+    body's index, graded toward the gap points of every conductor pair and
+    toward lens corners."""
     per_body: dict[int, list] = {i: [] for i in range(len(cfg.bodies))}
     for info in cfg.all_conductor_gaps().values():
         for foot, point in zip(info.feet, (info.point_i, info.point_j)):
             per_body[foot.body].append((foot, np.asarray(point), info.distance))
 
     feats = [_body_features(body, per_body[i]) for i, body in enumerate(cfg.bodies)]
-    extra_feats = [_body_features(body, []) for body in extra_bodies]
     # next to a lens corner the close evaluator's error is first order in n,
     # and through the cross blocks every curve's count moves the answers:
     # a scene with a corner keeps the counts that doubling reaches
-    doubling = any(f.kind == "corner" for fs in feats + extra_feats for f in fs)
+    doubling = any(f.kind == "corner" for fs in feats for f in fs)
     curves = []
     budget_used = 0
     for i, body in enumerate(cfg.bodies):
@@ -562,8 +561,4 @@ def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls(),
             raise RefinementFailureError("total node cap exceeded",
                                          {"used": budget_used, "cap": controls.cap_total})
         curves.append(cm)
-    for k, body in enumerate(extra_bodies):
-        cm = _mesh_curve(body, len(cfg.bodies) + k, extra_feats[k], controls, doubling)
-        curves.append(cm)
     return BoundaryMesh(curves, controls)
-

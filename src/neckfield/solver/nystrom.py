@@ -1,12 +1,12 @@
-"""Single-layer Nystrom solver for the exterior and interior Laplace
-problems of the package.
+"""Single-layer Nystrom solver for the exterior Laplace problems of the
+package.
 
 Representation: fields are ``S[sigma](x) = (1/2pi) int log|x-y| sigma(y) ds(y)``
-(plus the harmonic background where one applies), discretized with the
-periodic trapezoid rule and the Kussmaul-Martensen log-singularity weights on
-each curve's own block. The unknown per node is ``g = sigma * |dx/dt|``, the
-density times the parameterization speed, which keeps columns uniformly
-scaled under heavy grading.
+(plus the harmonic background where one applies) outside the bodies,
+discretized with the periodic trapezoid rule and the Kussmaul-Martensen
+log-singularity weights on each curve's own block. The unknown per node
+is ``g = sigma * |dx/dt|``, the density times the parameterization speed,
+which keeps columns uniformly scaled under heavy grading.
 
 Fourier convention: every trigonometric interpolation here is the one the
 Kussmaul-Martensen weights integrate exactly, the Dirichlet kernel of the
@@ -34,26 +34,22 @@ compensated Cauchy sum
 ``w_j = y'(t_j) h`` (Helsing & Ojala, J. Comput. Phys. 227 (2008) 2899;
 Barnett, SIAM J. Sci. Comput. 36 (2014) A427), whose errors in numerator
 and denominator cancel next to the curve. That sum takes F to vanish at
-infinity, so the exterior data are shifted to make it so. The enclosing
-curve of ``decompose_u`` is seen from inside: no log term and no -2pi i.
-Inside a body the exterior denominator vanishes; ``potential`` and
-``gradient`` check the domain.
+infinity, so each curve's data are shifted to make it so. Inside a body
+the denominator vanishes; ``potential`` and ``gradient`` check the domain.
 
 Sign conventions (used consistently everywhere):
 
-  * the boundary normal ``nu`` is the domain's outward normal, INTO a body
-    and out of an enclosing curve; the flux of the field through a body
-    boundary is minus the enclosed single-layer charge: ``int_dB nu.grad u
-    dS = -q_B``;
-  * jump relation on the domain's side, side +1 on a body and -1 on an
-    enclosing curve: d/dn_out S = side sigma/2 + K'sigma and nu = -side
-    n_out, hence ``nu.grad u = -(dH/dn_out + sigma/2 + K'sigma)`` on bodies.
+  * the boundary normal ``nu`` is the domain's outward normal, INTO the
+    body, so nu = -n_out; the flux of the field through a body boundary is
+    minus the enclosed single-layer charge: ``int_dB nu.grad u dS = -q_B``;
+  * jump relation on the exterior side: d/dn_out S = sigma/2 + K'sigma,
+    hence ``nu.grad u = -(dH/dn_out + sigma/2 + K'sigma)``.
 
 Every problem is a bordered system: collocation rows hold the field at a
 constant per group of bodies, plus the group's given data, and one charge
 row per group pins the group's total charge (0 for the conductor problem,
-+/-1 for the two-group unit-flux problem, 0 in total for single-constant
-and Dirichlet problems). Pinned charges make the field decay at infinity
++/-1 for the two-group unit-flux problem, 0 in total for the
+single-constant problem). Pinned charges make the field decay at infinity
 and keep the system nonsingular even for a curve at logarithmic capacity
 one, where the bare single layer degenerates. All of them go through one
 LU factorization per operator, of the single-constant matrix
@@ -232,9 +228,7 @@ class _CurveData:
     Re F and -Im F at node j; F' g is the spectral derivative of F g over
     y'. ``kprime`` is K''s own block acting on g, (1/2pi) Re(n_out_i/(y_i -
     y_j)) h with the diagonal limit kappa_i/(4pi) h. ``y`` are the nodes and
-    ``w`` = y'(t_j) h the Cauchy weights, as complex numbers. ``side`` is
-    +1 on a body and -1 on an enclosing curve, whose domain lies inside it
-    and which has no ``zc``.
+    ``w`` = y'(t_j) h the Cauchy weights, as complex numbers.
 
     On a folded operator the record is half-built: ``F`` and ``kprime``
     hold the rows of the N/2 upper-half nodes, and their columns act on the
@@ -246,11 +240,10 @@ class _CurveData:
 
     y: np.ndarray
     w: np.ndarray
-    zc: Optional[complex]
+    zc: complex
     h: float
     F: np.ndarray
     kprime: np.ndarray
-    side: float
 
     def kept(self, g: np.ndarray) -> np.ndarray:
         """The part of the curve's g that the record's columns act on: all
@@ -348,9 +341,9 @@ class SceneOperator:
         circulant in t and joins the rule's row. K' is
         (n_out_i . d)/|d|^2 on the same differences. Re F is S's block minus
         the log term; Im F is the antiderivative in t of speed *
-        d(Re F)/dn_out, the normal derivative on the curve's side of the
-        domain (all curves run counterclockwise). Exterior data are shifted
-        so F vanishes at infinity, which the exterior Cauchy sum assumes.
+        d(Re F)/dn_out, the normal derivative on the exterior side (all
+        curves run counterclockwise). The data are shifted so F vanishes at
+        infinity, which the Cauchy sum assumes.
 
         On a folded operator only the rows i of the upper-half nodes are
         built, with folded columns: node j plus its mirror N-1-j, from the
@@ -399,30 +392,26 @@ class SceneOperator:
         del r2, smooth
         own = self._unknowns(curve_index)
         self._slp[own, own] = re
-        side = 1.0 if curve_index < len(self.cfg.bodies) else -1.0
-        # jump relation with sigma = g/speed: speed (side sigma/2 + K' sigma)
+        # jump relation with sigma = g/speed: speed (sigma/2 + K' sigma)
         flux = cm.speed[:m, None] * kprime
-        flux[np.diag_indices(m)] += side / 2
-        zc = None
-        if side > 0:
-            zc = self._log_center(cm)
-            # a folded column carries a node's charge and its mirror's
-            charge = self._nodes_per_unknown * cm.h / _TWO_PI
-            re -= charge * np.log(np.abs(y[:m] - zc))[:, None]
-            flux -= charge * (dy[:m] / (y[:m] - zc)).imag[:, None]
+        flux[np.diag_indices(m)] += 0.5
+        zc = self._log_center(cm)
+        # a folded column carries a node's charge and its mirror's
+        charge = self._nodes_per_unknown * cm.h / _TWO_PI
+        re -= charge * np.log(np.abs(y[:m] - zc))[:, None]
+        flux -= charge * (dy[:m] / (y[:m] - zc)).imag[:, None]
         im = _folded_antiderivative(flux) if fold else _spectral(flux, -1)
         F = np.stack([re, -im], axis=1)
-        if zc is not None:
-            # F(inf) is the Cauchy integral at the interior point zc, taken
-            # in real arithmetic on the stack [Re F; -Im F]
-            c = w[:m] / (y[:m] - zc) / (2j * np.pi)
-            (a0, a1), (b0, b1) = (np.stack([c.real, c.imag])
-                                  @ F.reshape(m, 2 * m)).reshape(2, 2, m)
-            if not fold:
-                F -= np.stack([a0 + b1, a1 - b0])
-            else:
-                F[:, 0] -= 2.0 * (a0 + b1)
-        return _CurveData(y, w, zc, cm.h, F.reshape(2 * m, m), kprime, side)
+        # F(inf) is the Cauchy integral at the interior point zc, taken in
+        # real arithmetic on the stack [Re F; -Im F]
+        c = w[:m] / (y[:m] - zc) / (2j * np.pi)
+        (a0, a1), (b0, b1) = (np.stack([c.real, c.imag])
+                              @ F.reshape(m, 2 * m)).reshape(2, 2, m)
+        if not fold:
+            F -= np.stack([a0 + b1, a1 - b0])
+        else:
+            F[:, 0] -= 2.0 * (a0 + b1)
+        return _CurveData(y, w, zc, cm.h, F.reshape(2 * m, m), kprime)
 
     def _layer(self, curve_index: int, z: np.ndarray, g: Optional[np.ndarray] = None,
                derivative: bool = False, fg: Optional[np.ndarray] = None) -> np.ndarray:
@@ -438,7 +427,7 @@ class SceneOperator:
         d = self._curves[curve_index]
         c = d.y[None, :] - z[:, None]
         np.divide(d.w, c, out=c)
-        den = c.sum(axis=1) - (0.0 if d.zc is None else 2j * np.pi)
+        den = c.sum(axis=1) - 2j * np.pi
         if g is None:
             c *= (1.0 / den)[:, None]
             m = d.F.shape[1]
@@ -448,14 +437,12 @@ class SceneOperator:
                 np.subtract(c_im[:, :m], c_im[:, :m - 1:-1], out=c_im[:, :m])
                 c = c[:, :m]
             out = c.view(float) @ d.F
-            if d.zc is not None:
-                charge = d.h * self._nodes_per_unknown
-                out += (np.log(np.abs(z - d.zc)) / _TWO_PI * charge)[:, None]
+            charge = d.h * self._nodes_per_unknown
+            out += (np.log(np.abs(z - d.zc)) / _TWO_PI * charge)[:, None]
             return out
         out = c @ fg / den
-        if d.zc is not None:
-            log_part = 1.0 / (z - d.zc) if derivative else np.log(np.abs(z - d.zc))
-            out += log_part / _TWO_PI * (d.h * g.sum())
+        log_part = 1.0 / (z - d.zc) if derivative else np.log(np.abs(z - d.zc))
+        out += log_part / _TWO_PI * (d.h * g.sum())
         return out if derivative else out.real
 
     # -- assembly ---------------------------------------------------------
@@ -597,6 +584,13 @@ class SceneOperator:
 
     def _field(self, kind, groups, rhs, charges, background) -> "FieldSolution":
         g, consts = self._solve(self._node_group(groups), rhs, charges)
+        # the last guard: no field carries a non-finite density or constant
+        bad = ~np.isfinite(g)
+        if bad.any() or not np.all(np.isfinite(consts)):
+            raise NumericFailureError(
+                f"the {kind} solve returned a non-finite density or constant",
+                {"curves": np.unique(self.mesh.body_of_node[bad]).tolist(),
+                 "constants": consts.tolist(), "rcond": self.rcond})
         return FieldSolution(self, kind, groups, g, consts, background)
 
     def _partition(self, groups: Sequence[Sequence[int]], name: str):
@@ -632,10 +626,10 @@ class SceneOperator:
 class FieldSolution:
     """A solved field with its boundary constants.
 
-    ``kind`` is "u" (conductor problem), "h" (two-group unit-flux problem),
-    "hc" (single shared constant) or "v" (Dirichlet data, see
-    ``decompose_u``); ``groups`` lists body indices per constant. ``rcond``
-    is the operator's, the same for every field solved on it.
+    ``kind`` is "u" (conductor problem), "h" (two-group unit-flux problem)
+    or "hc" (single shared constant); ``groups`` lists body indices per
+    constant. ``rcond`` is the operator's, the same for every field solved
+    on it.
 
     A field keeps what its evaluations share, each computed on first use:
     per curve the normal derivative at the nodes, and the record's F g and
@@ -727,9 +721,9 @@ class FieldSolution:
 
     def _normal_derivative(self, curve_index: int) -> np.ndarray:
         """nu.grad of the field at one curve's nodes, computed once: the
-        jump side sigma/2 and the curve's own K' block applied to its g,
+        jump term sigma/2 and the curve's own K' block applied to its g,
         plus the normal component of the other curves' layer gradients
-        there, give d/dn_out on the domain's side; nu = -side n_out. On a
+        there, give d/dn_out on the exterior side; nu = -n_out. On a
         folded operator, where the record's K' block holds the rows of the
         upper-half nodes, all but the jump term are computed there and
         mirrored. The jump term sigma/2 = g/(2 speed) keeps each node's own
@@ -747,7 +741,7 @@ class FieldSolution:
                 val += np.einsum("ij,ij->i", self.background.gradient(nodes), normal)
             if top.size < g.size:
                 val = np.concatenate([val, val[::-1]])
-            self._dnu[curve_index] = -d.side * (d.side * self.sigma[own] / 2 + val)
+            self._dnu[curve_index] = -(self.sigma[own] / 2 + val)
         return self._dnu[curve_index]
 
     def flux_quadrature(self) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import (DomainError, InvalidParameterError, InvalidUsageError,
 from .geometry.config import Configuration, build_case
 from .geometry.shapes import Disk
 from . import images
-from .solver.fields import decompose_u, representation_coeffs
+from .solver.fields import representation_coeffs
 from .solver.mesh import MeshControls
 from .solver.nystrom import SceneOperator, max_gap_gradient
 
@@ -121,12 +121,6 @@ class RowContext:
     def hc(self):
         return self.op.solve_hc()
 
-    @cached_property
-    def dec(self):
-        max_diam = max(b.diameter() for b in self.cfg.bodies)
-        disk0 = Disk((0.0, 0.0), self.cfg.scene_radius() + 2.5 * max_diam)
-        return decompose_u(self.cfg, disk0, self.controls, u=self.u)
-
     def mesh_nodes(self) -> int:
         return self.op.mesh.n_total if "op" in vars(self) else 0
 
@@ -149,16 +143,6 @@ def _rep_residual(ctx: RowContext) -> float:
     uv = ctx.u.potential(pts)
     scale = float(np.max(np.abs(uv - rep.hc.potential(pts))))
     return float(np.max(np.abs(uv - rep.potential(pts)))) / max(scale, 1e-300)
-
-
-def _v0_max_grad(ctx: RowContext) -> float:
-    """Max |grad v0| on a deterministic probe ring between the bodies and
-    the enclosing circle."""
-    dec = ctx.dec
-    radius = 0.5 * (ctx.cfg.scene_radius() + dec.disk0.radius)
-    th = np.random.default_rng(ctx.seed).uniform(0, 2 * np.pi, 100)
-    gr = dec.v0.gradient(radius * np.stack([np.cos(th), np.sin(th)], axis=-1))
-    return float(np.max(np.hypot(gr[:, 0], gr[:, 1])))
 
 
 def _exterior_probes(cfg: Configuration, count: int, rng) -> np.ndarray:
@@ -282,9 +266,6 @@ QUANTITIES: dict[str, Callable[[RowContext], float]] = {
     "hc_constant": lambda ctx: ctx.hc.constant(0),
     "flux_residual_max": lambda ctx: float(np.max(np.abs(ctx.u.flux_quadrature()))),
     "flux_residual_rel": _flux_residual_rel,
-    "decomp_c1_abs": lambda ctx: abs(ctx.dec.C1),
-    "decomp_c3_abs": lambda ctx: abs(ctx.dec.C3),
-    "decomp_v0_max_grad": _v0_max_grad,
     "identity_residual": _identity_residual,
     "far_flux": lambda ctx: ctx.h1.boundary_flux(2),
     "weighted_flux": lambda ctx: abs(_weighted_flux(ctx)),

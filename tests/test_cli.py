@@ -149,8 +149,13 @@ class TestSolve:
          "[body 1] center: bad number list '-1.5, zero'"),
         (FREE_CFG.replace("radius = 1\n", "", 1), "[body 1] missing key 'radius'"),
         (FREE_CFG.replace("-1.5, 0", "-1.5"), "[body 1] center: '-1.5' is not 2 number(s)"),
+        (FREE_CFG + "\n[background]\ncoeffs = nan\n",
+         "[background] coeffs: non-finite coefficients"),
+        (FREE_CFG + "\n[background]\ncoeffs = 0, inf\n",
+         "[background] coeffs: non-finite coefficients"),
     ], ids=["body_kind", "background_coeffs", "no_scene", "duplicate_section",
-            "key_outside_section", "number_list", "missing_body_key", "number_count"])
+            "key_outside_section", "number_list", "missing_body_key", "number_count",
+            "background_nan", "background_inf"])
     def test_run_file_refusals(self, tmp_path, capsys, text, message):
         # every refusal of the run file is a configuration error
         bad = tmp_path / "bad.cfg"
@@ -230,16 +235,22 @@ class TestSweepPipeline:
         cfg.write_text("[scene]\ncase = pair\n\n[case]\nr1 = 1.0\nr2 = 1.0\neps = 0.001\n")
         assert main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("old,new", [
-        ("grid = 1e-3, 1e-2, 4\n", ""),
-        ("quantities = potential_difference_21\n", ""),
-        ("potential_difference_21", "no_such_quantity"),
-    ], ids=["no_grid", "no_quantities", "unknown_quantity"])
-    def test_malformed_sweep_section(self, tmp_path, old, new):
-        assert old in PAIR_CFG
+    @pytest.mark.parametrize("text,old,new,message", [
+        (PAIR_CFG, "grid = 1e-3, 1e-2, 4\n", "", "the [sweep] section needs a 'grid' key"),
+        (PAIR_CFG, "quantities = potential_difference_21\n", "",
+         "the [sweep] section needs a 'quantities' key"),
+        (PAIR_CFG, "potential_difference_21", "no_such_quantity",
+         "unknown sweep quantities: no_such_quantity"),
+        (CASE_B_CFG, "max_gap_gradient_12\nplot", "decomp_c1_abs\nplot",
+         "unknown sweep quantities: decomp_c1_abs"),
+    ], ids=["no_grid", "no_quantities", "unknown_quantity", "removed_quantity"])
+    def test_malformed_sweep_section(self, tmp_path, capsys, text, old, new, message):
+        assert old in text
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(PAIR_CFG.replace(old, new))
+        cfg.write_text(text.replace(old, new))
         assert main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err, err
 
     def test_non_finite_grid_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"

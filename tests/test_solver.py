@@ -16,7 +16,7 @@ from neckfield import (Body, Configuration, Disk, DomainError, FieldSolution,
                        GapInfo, HarmonicBackground, MeshControls,
                        RefinementFailureError, SceneOperator, SmoothBoundary,
                        SweepSpec, build_case_a, build_case_b, build_case_c,
-                       body_gap, build_case_d, build_two_disks, decompose_u, images,
+                       body_gap, build_case_d, build_two_disks, images,
                        log_grid, max_gap_gradient, representation_coeffs, run_sweep,
                        solve_h, solve_hc, solve_u)
 from neckfield.errors import InvalidUsageError, NumericFailureError
@@ -1135,27 +1135,13 @@ class TestOneFactorization:
         op.solve_hc()
         assert len(lu_calls) == 1
 
-    def test_decomposition_and_representation(self, lu_calls):
+    def test_representation_shares_the_factor(self, lu_calls):
+        # u and the representation's three fields h1, h2 and Hc
         cfg = build_case_b(1, 0.05, 1, 1e-3, 1e-3)
         op = SceneOperator(cfg)
-        u = op.solve_u()
+        op.solve_u()
         representation_coeffs(cfg, op=op)
         assert len(lu_calls) == 1
-        # the three Dirichlet fields inside the enclosing disk: one more
-        # mesh, one more factor
-        decompose_u(cfg, Disk((0.5, 0.0), 8.0), u=u)
-        assert len(lu_calls) == 2
-
-    def test_sweep_row_decomposes_once(self, lu_calls):
-        # the three decomposition quantities share one decomposition: the
-        # scene's factor plus the enclosing-disk mesh's
-        spec = SweepSpec(case_tag="B", vary="eps1", grid=(1e-3,),
-                         fixed={"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps2": 1e-3},
-                         quantities=("potential_difference_21", "decomp_c1_abs",
-                                     "decomp_c3_abs", "decomp_v0_max_grad"))
-        table = run_sweep(spec)
-        assert table.errors == [None]
-        assert len(lu_calls) == 2
 
     @pytest.mark.parametrize("build", [lambda: build_two_disks(1.0, 1.0, 1e-4),
                                        lambda: build_case_a(1.0, 0.05, 1.0, 0.05, 1e-3)],
@@ -1175,6 +1161,16 @@ class TestOneFactorization:
         for rhs in (b, b[:, 0]):
             got = getrs(lu, piv, rhs.copy(), overwrite_b=True)[0]
             assert np.array_equal(got, scipy.linalg.lu_solve((lu_ref, piv_ref), rhs))
+
+    def test_non_finite_solve_is_refused(self, monkeypatch):
+        # the last guard after the solve; solve_hc has one group, so no
+        # group-charge system is checked first
+        op = SceneOperator(build_two_disks(1, 1, 1e-2))
+        monkeypatch.setattr(_scipy_ext, "getrs",
+                            lambda lu, piv, b, overwrite_b=False: (np.full_like(b, np.nan), 0))
+        with pytest.raises(NumericFailureError) as info:
+            op.solve_hc()
+        assert info.value.diagnostics["curves"] == [0, 1]
 
     def test_empty_group_is_a_singular_charge_system(self):
         # a group without nodes has a zero step column, so its charge
