@@ -28,6 +28,12 @@ from .gap import GapInfo, body_gap, gap
 from .shapes import Disk, HarmonicBackground, SmoothBoundary
 
 
+# A gap is held only to about u_mach |x| / gap relative, |x| the largest
+# coordinate of its two bodies: their points are formed in absolute
+# coordinates. A conductor gap whose estimate exceeds this warns.
+_GAP_ROUNDING_LIMIT = 1e-8
+
+
 @dataclass(frozen=True)
 class Configuration:
     """An ordered list of bodies partitioned into equipotential conductors,
@@ -76,6 +82,15 @@ class Configuration:
                     g = body_gap(self.bodies[a], self.bodies[b])._relabeled(a, b)
                 self._body_gaps[(a, b)] = g
                 self._body_gaps[(b, a)] = g._reversed()
+        for (i, j), info in self.all_conductor_gaps().items():
+            size = max(float(np.max(np.abs(c))) + r
+                       for c, r in (self.bodies[f.body].bounding_circle() for f in info.feet))
+            estimate = np.finfo(float).eps * size / info.distance
+            if estimate > _GAP_ROUNDING_LIMIT:
+                warnings.warn(f"the gap between conductors {i + 1} and {j + 1} is held only to "
+                              f"about {estimate:.1g} relative: coordinates reach {size:.3g} "
+                              f"beside a gap of {info.distance:.3g}",
+                              ScaleRegimeWarning, stacklevel=4)
 
     def body_pair_gap(self, a: int, b: int) -> GapInfo:
         """Gap between bodies a and b as measured on construction, with

@@ -146,13 +146,21 @@ def _parse_body(name: str, sec: dict[str, str]) -> Body:
         raise ConfigParseError(f"[{name}] kind: unknown body kind {kind!r}")
     _refuse_unknown(name, sec, _BODY_KEYS[kind])
     if kind == "disk":
-        return Body.from_disk(Disk(value("center", 2), value("radius")))
-    if kind == "lens":
-        return Body.lens(*(Disk(value(f"disk{j}.center", 2), value(f"disk{j}.radius"))
-                           for j in (1, 2)))
-    if kind == "smooth":
-        return Body.from_smooth(SmoothBoundary(value("center", 2), *(
-            _floats(name, k, sec.get(k, "")) for k in ("cos_x", "sin_x", "cos_y", "sin_y"))))
+        values = value("center", 2), value("radius")
+    elif kind == "lens":
+        values = [(value(f"disk{j}.center", 2), value(f"disk{j}.radius")) for j in (1, 2)]
+    else:
+        values = value("center", 2), *(_floats(name, k, sec.get(k, ""))
+                                        for k in ("cos_x", "sin_x", "cos_y", "sin_y"))
+    # the shapes refuse non-finite values and radii, naming the field
+    try:
+        if kind == "disk":
+            return Body.from_disk(Disk(*values))
+        if kind == "lens":
+            return Body.lens(*(Disk(*v) for v in values))
+        return Body.from_smooth(SmoothBoundary(*values))
+    except InvalidParameterError as exc:
+        raise ConfigParseError(f"[{name}] {exc}") from None
 
 
 # the keys each section takes; [case] keys belong to the case's recipe

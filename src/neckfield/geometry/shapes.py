@@ -28,10 +28,10 @@ _VALIDATE_SAMPLES = 720
 _COEFFS = ("cos_x", "sin_x", "cos_y", "sin_y")
 
 
-def _as_point(p) -> np.ndarray:
+def _as_point(p, name: str = "point") -> np.ndarray:
     a = np.asarray(p, dtype=float).reshape(2)
     if not np.all(np.isfinite(a)):
-        raise InvalidParameterError(f"point has non-finite entries: {p!r}")
+        raise InvalidParameterError(f"{name} has non-finite entries: {p!r}")
     return a
 
 
@@ -43,7 +43,7 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        c = _as_point(self.center)
+        c = _as_point(self.center, "center")
         object.__setattr__(self, "center", (float(c[0]), float(c[1])))
         if not (self.radius > 0 and np.isfinite(self.radius)):
             raise InvalidParameterError(f"disk radius must be positive, got {self.radius!r}")
@@ -105,7 +105,7 @@ class SmoothBoundary:
     sin_y: tuple[float, ...] = ()
 
     def __post_init__(self):
-        c = _as_point(self.center)
+        c = _as_point(self.center, "center")
         object.__setattr__(self, "center", (float(c[0]), float(c[1])))
         for name in _COEFFS:
             vals = tuple(float(v) for v in getattr(self, name))

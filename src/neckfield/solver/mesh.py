@@ -62,12 +62,32 @@ v_total. The solver folds a scene exactly when every curve is mirrored
 and the background is real. A scene with a lens corner inverts every node
 of every curve, which keeps its meshes those of doubling bit for bit; its
 lens chain starts at a corner, so the scene does not fold anyway.
+
+A scene whose bodies come in mirror pairs across the vertical line x = a,
+a the mean x of the body centres, meshes one curve of each pair and
+reflects it onto its partner (``_mirror_partners``; ``CurveMesh.partner``
+records the pair). Today that is the two-disk pair with r1 = r2. A partner
+is a disk of the same radius, or a smooth curve whose Fourier terms of
+order k are its source's times +-(-1)^(k+1), so that its point at t is
+its source's at pi - t reflected; its centre lies within ``_MIRROR_ULPS``
+ulps of its bounding radius of the reflected centre, and each of its
+density terms has a twin of the same growth and floor length at
+v_total/2 - v. Then its chain map is its source's shifted by pi in t, and
+on a mirrored source node k of the partner is node (N/2 - 1 - k) mod N of
+the source reflected: its point (2a - x, y), velocity (x', -y'), normal
+(-n_x, n_y), and the same speed, curvature and weight. So a mirrored
+source's upper half maps onto the partner's upper half in reverse order,
+and the partner costs no inversion; its chain map, which only a gap foot
+on it reads, is built on first use. The decision reads the bodies and the
+density terms alone. A pair whose source is not mirrored meshes both
+curves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -275,9 +295,10 @@ class _ChainMap:
         self.charts, self.v_edges, self.v_total = tables.charts, tables.v_edges, tables.v_total
         self.scale, self.x_f, self.b = tables.scale, tables.x_f, tables.b
         coef, denom = tables.budget(n_nodes)
-        # a small denominator means the clustering would eat the whole node
-        # budget; report unresolved so the planner doubles n
-        self.resolved = denom > _BUDGET_FLOOR
+        # the planner's counts keep the budget above its floor (``least_n``,
+        # and doubling only lowers the features' share); a literal count
+        # (base_n < 64) skips that test, so its clustering is clamped here
+        # rather than left to eat the whole node budget
         denom = max(denom, _BUDGET_FLOOR)
         self.mass_total = _TWO_PI / denom
         self.amps = coef * self.mass_total
@@ -327,10 +348,12 @@ class _ChainMap:
 
 @dataclass
 class CurveMesh:
-    """Discretization of one closed body boundary."""
+    """Discretization of one closed body boundary. ``chain`` is the chain
+    map that placed the nodes, or on a reflected partner its own map at the
+    same count, built on first use (``chain_map``)."""
 
     body_index: int
-    chain: _ChainMap
+    chain_map: Callable[[], _ChainMap] = field(repr=False, compare=False)
     n: int
     h: float
     t: np.ndarray
@@ -345,6 +368,11 @@ class CurveMesh:
     perimeter: float
     features: list[FeatureSpec]
     mirrored: bool             # node N-1-k is node k reflected across the x-axis
+    partner: Optional[int] = None  # the curve that is this one's mirror image across x = a
+
+    @cached_property
+    def chain(self) -> _ChainMap:
+        return self.chain_map()
 
     def feature_node_index(self, feat: FeatureSpec) -> int:
         p = feat.point
@@ -416,6 +444,63 @@ def _mirrored(body: Body, tables: _ChainTables) -> bool:
                for x, g, b in terms)
 
 
+def _mirror_image(body: Body, other: Body, mirror_x: float) -> bool:
+    """Whether ``other`` is ``body`` reflected across x = mirror_x with its
+    parameter t taken to pi - t: a disk of the same radius, or a smooth
+    curve whose order-k terms are body's times (-1)^(k+1) (cos_x, sin_y) and
+    (-1)^k (sin_x, cos_y), centred within ``_MIRROR_ULPS`` ulps of its
+    bounding radius of body's centre reflected."""
+    if body.kind != other.kind or body.kind not in ("disk", "smooth"):
+        return False
+    if body.kind == "disk":
+        same = body.disk.radius == other.disk.radius
+        (x, y), (xo, yo) = body.disk.center, other.disk.center
+    else:
+        s, o = body.smooth, other.smooth
+        same = True
+        for name, parity in (("cos_x", 1), ("sin_x", 0), ("cos_y", 0), ("sin_y", 1)):
+            a, b = np.array(getattr(s, name)), np.array(getattr(o, name))
+            k = np.arange(1, a.size + 1)
+            same &= a.size == b.size and np.array_equal(b, (-1.0) ** (k + parity) * a)
+        (x, y), (xo, yo) = s.center, o.center
+    if not same:
+        return False
+    tol = _MIRROR_ULPS * _ULP * body.bounding_circle()[1]
+    return abs(xo - (2.0 * mirror_x - x)) <= tol and abs(yo - y) <= tol
+
+
+def _mirror_partners(bodies: Sequence[Body],
+                     feats: Sequence[list[FeatureSpec]]) -> Optional[tuple[float, list[int]]]:
+    """The line x = a, a the mean x of the body centres, and each curve's
+    partner, when every body has a mirror image across that line among the
+    others (``_mirror_image``) whose density terms mirror its own: the same
+    kind, growth and floor length, within ``_MIRROR_ULPS`` ulps, at chain
+    coordinate v_total/2 - v. None for any other scene. Decided from the
+    bodies and their density terms alone, without sampling a curve."""
+    if any(b.kind not in ("disk", "smooth") for b in bodies):
+        return None
+    centres = [b.disk.center if b.kind == "disk" else b.smooth.center for b in bodies]
+    mirror_x = float(np.mean([c[0] for c in centres]))
+    tol = _MIRROR_ULPS * _ULP * _TWO_PI
+
+    def twins(f: FeatureSpec, g: FeatureSpec) -> bool:
+        # chain coordinates of disks and smooth curves run over [0, 2 pi)
+        return (f.kind == g.kind and f.growth == g.growth
+                and abs(f.floor_arc - g.floor_arc) <= _MIRROR_ULPS * _ULP * f.floor_arc
+                and abs((f.v + g.v) % _TWO_PI - np.pi) <= tol)
+
+    partners = []
+    for i, body in enumerate(bodies):
+        found = [j for j, other in enumerate(bodies)
+                 if j != i and len(feats[i]) == len(feats[j])
+                 and _mirror_image(body, other, mirror_x)
+                 and all(any(twins(f, g) for g in feats[j]) for f in feats[i])]
+        if not found:
+            return None
+        partners.append(found[0])
+    return mirror_x, partners
+
+
 def _curve_mesh(tables: _ChainTables, body_index: int, feats: list[FeatureSpec],
                 n: int, mirrored: bool = False) -> CurveMesh:
     """The curve's mesh at one node count; a ``mirrored`` curve's upper
@@ -437,8 +522,28 @@ def _curve_mesh(tables: _ChainTables, body_index: int, feats: list[FeatureSpec],
     weights = speed * h
     arc = np.cumsum(weights) - 0.5 * weights
     perimeter = float(np.sum(weights))
-    return CurveMesh(body_index, chain, n, h, t, v, pts, vel, speed, normal,
+    return CurveMesh(body_index, lambda: chain, n, h, t, v, pts, vel, speed, normal,
                      kap, weights, arc, perimeter, feats, mirrored)
+
+
+def _reflected(source: CurveMesh, body: Body, body_index: int, feats: list[FeatureSpec],
+               mirror_x: float) -> CurveMesh:
+    """The mesh of ``source``'s partner, its mirror image across x =
+    mirror_x: node k is source node (N/2 - 1 - k) mod N reflected (see the
+    module docstring). Its chain map is built from the body on first use."""
+    n = source.n
+    k = (n // 2 - 1 - np.arange(n)) % n
+    flip = np.array([-1.0, 1.0])
+    nodes = source.nodes[k] * flip
+    nodes[:, 0] += 2.0 * mirror_x
+    v_total = source.chain.v_total
+    weights = source.weights[k]
+    return CurveMesh(body_index, lambda: _ChainMap(_ChainTables(body.charts(), feats), n),
+                     n, source.h, source.t, (0.5 * v_total - source.v[k]) % v_total,
+                     nodes, source.velocity[k] * -flip, source.speed[k],
+                     source.normal_out[k] * flip, source.curvature[k], weights,
+                     np.cumsum(weights) - 0.5 * weights, float(np.sum(weights)), feats,
+                     True, partner=source.body_index)
 
 
 def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
@@ -467,7 +572,7 @@ def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
                 "(base density, gap panels, neck nodes, corner grading)",
                 {"body": body_index, "requested_n": n, "cap": controls.cap_total})
         cm = _curve_mesh(tables, body_index, feats, n, mirrored)
-        if literal or (cm.chain.resolved and _resolution_ok(cm, base)):
+        if literal or _resolution_ok(cm, base):
             return cm
         n *= 2
 
@@ -517,6 +622,9 @@ class BoundaryMesh:
 
     curves: list[CurveMesh]
     controls: MeshControls
+    # the line x = mirror_x across which every curve's partner mirrors it,
+    # or None unless every curve has a partner
+    mirror_x: Optional[float] = None
 
     def __post_init__(self):
         ns = [c.n for c in self.curves]
@@ -552,13 +660,21 @@ def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls()) -> B
     # and through the cross blocks every curve's count moves the answers:
     # a scene with a corner keeps the counts that doubling reaches
     doubling = any(f.kind == "corner" for fs in feats for f in fs)
+    pairs = None if doubling else _mirror_partners(cfg.bodies, feats)
+    mirror_x, partners = pairs or (None, [None] * len(cfg.bodies))
     curves = []
     budget_used = 0
     for i, body in enumerate(cfg.bodies):
-        cm = _mesh_curve(body, i, feats[i], controls, doubling)
+        j = partners[i]
+        if j is not None and j < i and curves[j].mirrored:
+            cm = _reflected(curves[j], body, i, feats[i], mirror_x)
+            curves[j].partner = i
+        else:
+            cm = _mesh_curve(body, i, feats[i], controls, doubling)
         budget_used += cm.n
         if budget_used > controls.cap_total:
             raise RefinementFailureError("total node cap exceeded",
                                          {"used": budget_used, "cap": controls.cap_total})
         curves.append(cm)
-    return BoundaryMesh(curves, controls)
+    paired = all(cm.partner is not None for cm in curves)
+    return BoundaryMesh(curves, controls, mirror_x if paired else None)

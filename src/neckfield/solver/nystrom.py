@@ -88,6 +88,20 @@ full g and refuses an odd one; the normal derivative is computed at the
 upper-half nodes and mirrored. Whether a curve is mirrored is decided
 once, by the mesh, from its body and density terms (see the mesh module);
 the fold reads that decision and samples no node.
+
+A folded scene whose bodies come in mirror pairs across a vertical line
+x = a (the mesh reflected each partner from its source, see the mesh
+module) has a second reflection, P, which maps folded row k of a curve
+to row m-1-k of its partner's (m = N/2), and the folded matrix commutes
+with it. The partner copies its source's record and column block
+(``SceneOperator._mirrored_curve``) instead of building them, and the
+factor splits into two half-size LUs, with r the source unknowns: the even
+block S[r, r] + S[r, Pr], bordered by the constant column and a charge row
+of twice the folded weights, and the odd block S[r, r] - S[r, Pr], which
+carries no constant and no charge. Every solve splits its data into even
+and odd parts and solves each block (``SceneOperator._lu_solve``), so the
+data need no symmetry under x -> 2a - x. A scene without mirror partners
+keeps the folded or full system.
 """
 
 from __future__ import annotations
@@ -187,6 +201,30 @@ def _folded_antiderivative(flux: np.ndarray) -> np.ndarray:
     one real product instead of 2m-point FFTs."""
     n = 2 * flux.shape[0]
     return _circulant(np.fft.irfft(_multiplier(n, -1), n), n // 2, True) @ flux
+
+
+class _Split(NamedTuple):
+    """The mirror pairs across x = a of a folded scene whose curves all
+    have partners: ``source`` indexes the folded unknowns of the first curve
+    of every pair, and ``image`` maps each folded unknown to its mirror's,
+    folded row k of a curve to row m-1-k of its partner's (m = N/2)."""
+
+    source: np.ndarray
+    image: np.ndarray
+
+
+def _mirror_split(mesh: BoundaryMesh) -> Optional[_Split]:
+    """The split of a folded scene whose every curve has a partner (the
+    mesh reflected it, see the mesh module); None for any other scene."""
+    if mesh.mirror_x is None:
+        return None
+    start = mesh.offsets // 2
+    unknowns = [np.arange(start[i], start[i + 1]) for i in range(len(mesh.curves))]
+    image = np.empty(start[-1], dtype=int)
+    for cm, own in zip(mesh.curves, unknowns):
+        image[own] = unknowns[cm.partner][::-1]
+    return _Split(np.concatenate([own for cm, own in zip(mesh.curves, unknowns)
+                                  if cm.body_index < cm.partner]), image)
 
 
 class _Fold(NamedTuple):
@@ -298,6 +336,7 @@ class SceneOperator:
         self.cfg = cfg
         self.mesh = mesh if mesh is not None else build_mesh(cfg, controls)
         self._fold = _mirror_fold(cfg, self.mesh)
+        self._split = None if self._fold is None else _mirror_split(self.mesh)
         self._lu = None
         self._assemble_slp()
 
@@ -459,16 +498,40 @@ class SceneOperator:
 
     def _assemble_slp(self) -> None:
         """Curve by curve: its own block and record (``_build_curve``),
-        then its cross column block at the kept nodes of all other curves."""
+        then its cross column block at the kept nodes of all other curves.
+        On a split operator a partner copies both from its source
+        (``_mirrored_curve``)."""
         mesh, rows = self.mesh, self._rows()
         self._slp = np.empty((rows.size, rows.size))
         self._curves: list[_CurveData] = []
         z = _complex(mesh.nodes[rows])
         owner = mesh.body_of_node[rows]
-        for cj in range(len(mesh.curves)):
+        for cj, cm in enumerate(mesh.curves):
+            if self._split is not None and cm.partner < cj:
+                self._curves.append(self._mirrored_curve(cj))
+                continue
             self._curves.append(self._build_curve(cj))
             others = owner != cj
             self._slp[others, self._unknowns(cj)] = self._layer(cj, z[others])
+
+    def _mirrored_curve(self, curve_index: int) -> _CurveData:
+        """A partner's column block of ``_slp`` and record, copied from its
+        source's, both built before it. Mirror images across x = a have the
+        same single layer at mirror points, so the block's rows are its
+        source's at the mirror rows, with columns reversed; the record's Re
+        F and K' are its source's with rows and columns reversed. A mirror
+        image's F is z -> conj F_source(2a - conj z), with its log center
+        reflected, so the -Im F rows are negated."""
+        cm = self.mesh.curves[curve_index]
+        src = self._curves[cm.partner]
+        cols = self._unknowns(cm.partner)
+        self._slp[:, self._unknowns(curve_index)] = \
+            self._slp[self._split.image, cols.start:cols.stop][:, ::-1]
+        m = src.kprime.shape[0]
+        F = src.F.reshape(m, 2, m)[::-1, :, ::-1] * np.array([[1.0], [-1.0]])
+        return _CurveData(_complex(cm.nodes), _complex(cm.velocity) * cm.h,
+                          complex(2.0 * self.mesh.mirror_x - src.zc.real, 0.0), cm.h,
+                          F.reshape(2 * m, m), src.kprime[::-1, ::-1].copy())
 
     # -- bordered solves -----------------------------------------------------
 
@@ -477,41 +540,85 @@ class SceneOperator:
         operator 2h, a node's and its mirror's."""
         return self.mesh.step[self._rows()] * self._nodes_per_unknown
 
+    def _blocks(self) -> list[np.ndarray]:
+        """The matrices the factor splits the single-constant bordered
+        matrix [[S, -1], [h, 0]] (folded on a mirror-symmetric scene) into,
+        in Fortran order: the matrix itself, or on a split operator, with r
+        the source unknowns and Pr their images, the even block
+        S[r, r] + S[r, Pr] bordered by the constant column and a charge row
+        of twice the unknowns' weights, and the odd block S[r, r] - S[r, Pr],
+        whose densities carry no charge and no constant."""
+        def bordered(block, charge_row):
+            m = block.shape[0]
+            M = np.zeros((m + 1, m + 1), order="F")
+            M[:m, :m], M[:m, m], M[m, :m] = block, -1.0, charge_row
+            return M
+
+        if self._split is None:
+            return [bordered(self._slp, self._charge_weights())]
+        src = self._split.source
+        kept = self._slp[src]
+        same, cross = kept[:, src], kept[:, self._split.image[src]]
+        return [bordered(same + cross, 2.0 * self._charge_weights()[src]),
+                np.asfortranarray(same - cross)]
+
     def _factor(self):
-        """LU factors and reciprocal condition number of the single-constant
-        bordered matrix [[S, -1], [h, 0]], folded on a mirror-symmetric
-        scene, built on first use. LAPACK's ``dgetrf`` and ``dgecon`` (and
+        """LU factors of each of ``_blocks`` and the reciprocal condition
+        number, built on first use. LAPACK's ``dgetrf`` and ``dgecon`` (and
         ``dgetrs`` for the solves) are called directly, as loaded with the
         package, with no fetch per factor: the same LAPACK calls as
         ``scipy.linalg.lu_factor`` and ``lu_solve``, bit for bit, without
         their argument checks."""
         if self._lu is None:
-            n_tot = self._slp.shape[0]
-            M = np.zeros((n_tot + 1, n_tot + 1), order="F")
-            M[:n_tot, :n_tot] = self._slp
-            M[:n_tot, n_tot] = -1.0
-            M[n_tot, :n_tot] = self._charge_weights()
-            norm = np.linalg.norm(M, 1)
-            lu, piv, info = _scipy_ext.getrf(M, overwrite_a=True)
-            # an exactly singular factor (info > 0) has no condition number
-            rcond = _scipy_ext.gecon(lu, norm, norm="1")[0] if info == 0 else 0.0
+            factors, rcond = [], np.inf
+            for M in self._blocks():
+                norm = np.linalg.norm(M, 1)
+                lu, piv, info = _scipy_ext.getrf(M, overwrite_a=True)
+                # an exactly singular factor (info > 0) has no condition number
+                rcond = min(rcond, _scipy_ext.gecon(lu, norm, norm="1")[0] if info == 0 else 0.0)
+                factors.append((lu, piv))
             if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
                 raise NumericFailureError("linear system too ill-conditioned",
-                                          {"rcond": float(rcond), "n": int(n_tot)})
-            self._lu = (lu, piv, float(rcond))
+                                          {"rcond": float(rcond), "n": self._slp.shape[0]})
+            self._lu = (factors, float(rcond))
         return self._lu
+
+    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solutions of the bordered system for the columns of ``rhs``, its
+        collocation rows and then the charge row, through the factor. A
+        split operator solves the even part of the rows, (b + b[image])/2,
+        with the charge in the even block and the odd part in the odd block:
+        the even solution holds at an unknown and its image, the odd one
+        with opposite signs."""
+        getrs = _scipy_ext.getrs
+        factors, _ = self._factor()
+        if self._split is None:
+            (lu, piv), = factors
+            return getrs(lu, piv, rhs, overwrite_b=True)[0]
+        (lu_e, piv_e), (lu_o, piv_o) = factors
+        src, img = self._split.source, self._split.image[self._split.source]
+        b = rhs[:-1]
+        even = getrs(lu_e, piv_e, np.concatenate([0.5 * (b[src] + b[img]), rhs[-1:]]),
+                     overwrite_b=True)[0]
+        odd = getrs(lu_o, piv_o, 0.5 * (b[src] - b[img]), overwrite_b=True)[0]
+        out = np.empty_like(rhs)
+        out[src], out[img], out[-1] = even[:-1] + odd, even[:-1] - odd, even[-1]
+        return out
 
     @property
     def rcond(self) -> float:
         """Reciprocal 1-norm condition number of the bordered factor. On a
         mirror-symmetric scene that is the folded matrix, whose rcond is
         about twice the full matrix's (1.75-2.14x over the two-disk pair
-        and the acceptance grids of cases B and D).
+        and the acceptance grids of cases B and D). On a split operator it
+        is the smaller of its two blocks' estimates, 2.2x (eps 1e-2) to
+        54x (eps 1e-6) the folded matrix's on the same mesh over the
+        two-disk pair's benchmark grid.
 
         LAPACK's estimate is not bit-reproducible: two operators of one
         scene in one process can differ in its last bit while their fields
         agree exactly. Compare it relatively, never exactly."""
-        return self._factor()[2]
+        return self._factor()[1]
 
     def _solve(self, node_group: np.ndarray, rhs: np.ndarray, charges: np.ndarray):
         """g and the group constants c of S g - c[node_group] = rhs with
@@ -525,12 +632,9 @@ class SceneOperator:
                 raise InvalidUsageError("the data of a mirror-symmetric scene must be "
                                         "even under y -> -y")
             node_group, rhs = node_group[top], rhs[top]
-        lu, piv, _ = self._factor()
-        getrs = _scipy_ext.getrs
         n_tot, h = node_group.size, self._charge_weights()
         unit_steps = (node_group[:, None] == np.arange(1, charges.size)).astype(float)
-        step_sols = getrs(lu, piv, np.vstack([unit_steps, np.zeros((1, charges.size - 1))]),
-                          overwrite_b=True)[0]
+        step_sols = self._lu_solve(np.vstack([unit_steps, np.zeros((1, charges.size - 1))]))
         step_charges = (unit_steps * h[:, None]).T
         Q = step_charges @ step_sols[:n_tot]
         if Q.size and not (np.all(np.isfinite(Q))
@@ -539,7 +643,7 @@ class SceneOperator:
                                       {"matrix": Q.tolist()})
 
         def apply(b, q):
-            x = getrs(lu, piv, np.append(b, q.sum()), overwrite_b=True)[0]
+            x = self._lu_solve(np.append(b, q.sum()))
             heights = np.linalg.solve(Q, q[1:] - step_charges @ x[:n_tot])
             x += step_sols @ heights
             return x[:n_tot], x[n_tot] + np.append(0.0, heights)

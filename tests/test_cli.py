@@ -153,9 +153,13 @@ class TestSolve:
          "[background] coeffs: non-finite coefficients"),
         (FREE_CFG + "\n[background]\ncoeffs = 0, inf\n",
          "[background] coeffs: non-finite coefficients"),
+        (FREE_CFG.replace("-1.5, 0", "nan, 0"), "[body 1] center has non-finite entries"),
+        (FREE_CFG.replace("[body 1]\n", "[body 1]\nkind = smooth\ncos_x = 1, nan\n"
+                          "sin_y = 1\n").replace("radius = 1\n", "", 1),
+         "[body 1] cos_x has non-finite coefficients"),
     ], ids=["body_kind", "background_coeffs", "no_scene", "duplicate_section",
             "key_outside_section", "number_list", "missing_body_key", "number_count",
-            "background_nan", "background_inf"])
+            "background_nan", "background_inf", "center_nan", "cos_x_nan"])
     def test_run_file_refusals(self, tmp_path, capsys, text, message):
         # every refusal of the run file is a configuration error
         bad = tmp_path / "bad.cfg"

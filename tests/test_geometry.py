@@ -105,6 +105,26 @@ class TestCaseB:
         build_case_b(1, 0.05, 1, 1e-3, 1e-3)
         assert not [w for w in recwarn if issubclass(w.category, ScaleRegimeWarning)]
 
+    def test_gap_rounding_warning(self):
+        # beside a disk of radius 1e8 a gap of 1e-3 is held to about 4e-5
+        # relative (its potential difference was 5.2e-6 off the closed form)
+        with pytest.warns(ScaleRegimeWarning, match="conductors 1 and 2 is held only"):
+            build_two_disks(1e8, 1, 1e-3)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_two_disks(1, 1, 1e-6),
+        lambda: build_two_disks(1, 1, 0.86e-6),
+        lambda: build_case_b(1, 0.05, 1, 0.85e-5, 1e-3),
+        lambda: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
+                             SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
+                             SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9), 0.05,
+                             0.85e-4, 0.85e-4)],
+        ids=["pair", "pair at the benchmark's least gap", "B", "D"])
+    def test_no_gap_rounding_warning(self, build, recwarn):
+        # the benchmark's scenes down to their least jittered gaps
+        build()
+        assert not [w for w in recwarn if issubclass(w.category, ScaleRegimeWarning)]
+
     def test_mirror_symmetry_about_middle(self):
         cfg = build_case_b(1, 0.05, 1, 1e-3, 1e-3)
         centered = cfg.translated(-np.array(cfg.bodies[1].disk.center))

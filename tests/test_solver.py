@@ -40,6 +40,15 @@ def kept_rows(op):
     return np.arange(op.mesh.n_total) if op._fold is None else op._fold.top
 
 
+_ULP = np.finfo(float).eps
+
+
+def _reflected(cm) -> bool:
+    """Whether the mesh reflected this curve from its partner, the earlier
+    curve of a mirror pair across a vertical line."""
+    return cm.partner is not None and cm.partner < cm.body_index
+
+
 def folded(op, block):
     """One curve's own block of the full matrix as op._slp holds it: all
     of it, or on a mirror-symmetric scene its upper-half rows, each column
@@ -718,7 +727,9 @@ class TestMirroredMesh:
     @pytest.mark.parametrize("build,counts", MIRRORED_SCENES)
     def test_upper_half_inverted_lower_half_reflected(self, build, counts):
         # the upper half is the full inversion's, bit for bit; node N-1-k
-        # is node k reflected, exactly, and so are its frame's vectors
+        # is node k reflected, exactly, and so are its frame's vectors. The
+        # pair's second disk is its first reflected across x = 0, whose
+        # nodes lie within 16 ulps of its perimeter of the full inversion's
         cfg = build()
         mesh = build_mesh(cfg)
         assert [cm.n for cm in mesh.curves] == counts
@@ -728,9 +739,13 @@ class TestMirroredMesh:
             assert mesh_module._mirrored(body, tables)
             full = mesh_module._curve_mesh(tables, cm.body_index, cm.features, cm.n)
             m = cm.n // 2
-            for name in ("v", "nodes", "velocity", "speed", "normal_out", "curvature",
-                         "weights"):
-                assert np.array_equal(getattr(cm, name)[:m], getattr(full, name)[:m]), name
+            if _reflected(cm):
+                assert np.max(np.abs(cm.nodes - full.nodes)) <= 16 * _ULP * cm.perimeter
+            else:
+                for name in ("v", "nodes", "velocity", "speed", "normal_out", "curvature",
+                             "weights"):
+                    assert np.array_equal(getattr(cm, name)[:m],
+                                          getattr(full, name)[:m]), name
             assert np.array_equal(cm.nodes[::-1], cm.nodes * flip)
             assert np.array_equal(cm.velocity[::-1], -cm.velocity * flip)
             assert np.array_equal(cm.normal_out[::-1], cm.normal_out * flip)
@@ -791,7 +806,9 @@ class TestMirroredMesh:
         monkeypatch.setattr(nystrom, "_folded_antiderivative",
                             lambda flux: seen.append((flux, antiderivative(flux))) or seen[-1][1])
         op = SceneOperator(build())
-        assert op._fold is not None and len(seen) == len(counts)
+        # a reflected partner copies its source's record
+        built = [cm for cm in op.mesh.curves if op._split is None or not _reflected(cm)]
+        assert op._fold is not None and len(seen) == len(built)
         for flux, got in seen:
             want = nystrom._spectral(np.vstack([flux, flux[::-1]]), -1)[:flux.shape[0]]
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -810,7 +827,8 @@ class TestNodePrediction:
                             lambda self, *args: maps.append(init(self, *args)))
         cfg = build()
         mesh = build_mesh(cfg)
-        assert len(maps) == len(mesh.curves)
+        # a reflected partner builds its chain map on first use only
+        assert len(maps) == len([cm for cm in mesh.curves if not _reflected(cm)])
         monkeypatch.undo()
         doubling = any(f.kind == "corner" for cm in mesh.curves for f in cm.features)
         for cm, body in zip(mesh.curves, cfg.bodies):
@@ -824,7 +842,8 @@ class TestNodePrediction:
             lower = mesh_module._curve_mesh(tables, cm.body_index, cm.features,
                                             cm.n // 2 if doubling
                                             else cm.n - mesh_module._NODE_LADDER)
-            assert not (lower.chain.resolved and mesh_module._resolution_ok(lower, 192))
+            assert not (tables.budget(lower.n)[1] > mesh_module._BUDGET_FLOOR
+                        and mesh_module._resolution_ok(lower, 192))
 
     def test_pair_matches_the_closed_form(self):
         # criterion 1's probes and the potential difference, nine gaps down
@@ -1129,11 +1148,13 @@ class TestOneFactorization:
     factor, followed by a step of iterative refinement."""
 
     def test_u_h_and_hc_share_one_factor(self, lu_calls):
+        # the pair splits into an even and an odd half, one LU each
         op = SceneOperator(build_two_disks(1, 1, 1e-2))
         op.solve_h(((0,), (1,)))
+        assert len(lu_calls) == 2
         op.solve_u()
         op.solve_hc()
-        assert len(lu_calls) == 1
+        assert len(lu_calls) == 2
 
     def test_representation_shares_the_factor(self, lu_calls):
         # u and the representation's three fields h1, h2 and Hc
@@ -1148,19 +1169,34 @@ class TestOneFactorization:
                              ids=["folded pair", "A"])
     def test_lapack_calls_match_the_scipy_wrappers(self, build):
         # getrf and getrs, called directly, give lu_factor's factor and
-        # lu_solve's solutions bit for bit
+        # lu_solve's solutions bit for bit. The folded pair factors two
+        # halves: with r the first disk's unknowns and Pr their mirror
+        # images, S[r, r] + S[r, Pr] bordered by the constant column and
+        # twice the charge weights, and S[r, r] - S[r, Pr]
         op = SceneOperator(build())
-        lu, piv, _ = op._factor()
+        factors, _ = op._factor()
         getrs = _scipy_ext.getrs
-        n = op._slp.shape[0]
-        M = np.block([[op._slp, -np.ones((n, 1))],
-                      [op._charge_weights()[None, :], np.zeros((1, 1))]])
-        lu_ref, piv_ref = scipy.linalg.lu_factor(M)
-        assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
-        b = np.random.default_rng(3).standard_normal((n + 1, 2))
-        for rhs in (b, b[:, 0]):
-            got = getrs(lu, piv, rhs.copy(), overwrite_b=True)[0]
-            assert np.array_equal(got, scipy.linalg.lu_solve((lu_ref, piv_ref), rhs))
+        S, weights = op._slp, op._charge_weights()
+        if op._split is None:
+            blocks = [(S, weights)]
+        else:
+            # folded row k of the first disk mirrors row 2m-1-k, the second's
+            r = np.arange(S.shape[0] // 2)
+            same, cross = S[np.ix_(r, r)], S[np.ix_(r, S.shape[0] - 1 - r)]
+            blocks = [(same + cross, 2 * weights[r]), (same - cross, None)]
+        # the folded pair splits, case A neither folds nor splits
+        assert (op._split is None) == (op._fold is None) and len(factors) == len(blocks)
+        rng = np.random.default_rng(3)
+        for (lu, piv), (block, border) in zip(factors, blocks):
+            n = block.shape[0]
+            M = block if border is None else np.block([[block, -np.ones((n, 1))],
+                                                       [border[None, :], np.zeros((1, 1))]])
+            lu_ref, piv_ref = scipy.linalg.lu_factor(M)
+            assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
+            b = rng.standard_normal((M.shape[0], 2))
+            for rhs in (b, b[:, 0]):
+                got = getrs(lu, piv, rhs.copy(), overwrite_b=True)[0]
+                assert np.array_equal(got, scipy.linalg.lu_solve((lu_ref, piv_ref), rhs))
 
     def test_non_finite_solve_is_refused(self, monkeypatch):
         # the last guard after the solve; solve_hc has one group, so no
@@ -1262,11 +1298,12 @@ class TestCompiledRoutines:
                 cfg = build()
                 op = SceneOperator(cfg)
                 curves = op.mesh.curves
-                lu, piv, _ = op._factor()
+                factors, _ = op._factor()
                 h = op.solve_h(((0,), tuple(range(1, len(cfg.bodies)))))
                 out.append([np.array([cm.n for cm in curves])]
                            + [cm.chain.tables.masses for cm in curves]
-                           + [cm.v for cm in curves] + [lu, piv, op.solve_u().g, h.g])
+                           + [cm.v for cm in curves] + [a for f in factors for a in f]
+                           + [op.solve_u().g, h.g])
             return out
 
         direct = results()
@@ -1278,15 +1315,48 @@ class TestCompiledRoutines:
             assert all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
 
 
-# Mirror-symmetric scenes: the pair, case B's three disks and the
-# benchmark's case-D ellipses, whose Fourier curves search a log center.
+def _pair_of(left: SmoothBoundary, right: SmoothBoundary, background=None) -> Configuration:
+    return Configuration((Body.from_smooth(left), Body.from_smooth(right)), ((0,), (1,)),
+                         background or HarmonicBackground.linear_x())
+
+
+def _mirrored_ellipses():
+    # two 1.2 x 0.9 ellipses 1e-3 apart across x = 0
+    ell = SmoothBoundary.ellipse
+    return _pair_of(ell((-1.2005, 0.0), 1.2, 0.9), ell((1.2005, 0.0), 1.2, 0.9))
+
+
+def _mirrored_fourier_pair(right_cos_x=(1.0, -0.1), right_sin_y=(0.8, -0.05)):
+    # x = c + cos t + 0.1 cos 2t, y = 0.8 sin t + 0.05 sin 2t, reaching
+    # x = c + 1.1 at t = 0, and by default its mirror image across x = 0,
+    # whose order-2 terms change sign; 1e-3 apart
+    return _pair_of(SmoothBoundary((-1.1005, 0.0), cos_x=(1.0, 0.1), sin_y=(0.8, 0.05)),
+                    SmoothBoundary((1.1005, 0.0), cos_x=right_cos_x, sin_y=right_sin_y))
+
+
+# Mirror-symmetric scenes: the pair, case B's three disks, the benchmark's
+# case-D ellipses, whose Fourier curves search a log center, and two
+# ellipses that mirror each other across x = 0.
 FOLDED_SCENES = pytest.mark.parametrize("build", [
     lambda: build_two_disks(1.0, 1.0, 1e-4),
     lambda: build_case_b(1.0, 0.05, 1.0, 1e-4, 1e-3),
     lambda: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
                          SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
-                         SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9), 0.05, 1e-4, 1e-4)],
-    ids=["pair", "B", "D"])
+                         SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9), 0.05, 1e-4, 1e-4),
+    _mirrored_ellipses],
+    ids=["pair", "B", "D", "mirrored ellipses"])
+
+# Folded scenes whose bodies come in mirror pairs across a vertical line:
+# the pair at three gaps, moved along the axis, and under a background
+# neither even nor odd about that line, and two Fourier pairs.
+SPLIT_SCENES = pytest.mark.parametrize("build", [
+    *[lambda e=e: build_two_disks(1.0, 1.0, e) for e in (1e-6, 1e-4, 1e-2)],
+    lambda: build_two_disks(1.0, 1.0, 1e-4).translated((0.3, 0.0)),
+    lambda: build_two_disks(1.0, 1.0, 1e-4,
+                            background=HarmonicBackground((0j, 1 + 0j, 0.5 + 0j))),
+    _mirrored_ellipses, _mirrored_fourier_pair],
+    ids=["pair-1e-06", "pair-1e-04", "pair-1e-02", "pair moved along x",
+         "x + x^2 - y^2 background", "mirrored ellipses", "mirrored Fourier pair"])
 
 
 class TestMirrorFold:
@@ -1377,3 +1447,82 @@ class TestMirrorFold:
         n = op.mesh.n_total
         with pytest.raises(InvalidUsageError):
             op._solve(np.zeros(n, dtype=int), op.mesh.nodes[:, 1], np.zeros(1))
+
+
+class TestMirrorSplit:
+    """A folded scene whose bodies come in mirror pairs across a vertical
+    line meshes, builds and factors one body of each pair and copies or
+    splits the rest; any other scene keeps the folded or full system."""
+
+    @SPLIT_SCENES
+    def test_split(self, build):
+        cfg = build()
+        op = SceneOperator(cfg)
+        centres = [b.disk.center if b.kind == "disk" else b.smooth.center for b in cfg.bodies]
+        assert op._split is not None and op.mesh.mirror_x == np.mean([c[0] for c in centres])
+        assert [cm.partner for cm in op.mesh.curves] == [1, 0]
+        factors, _ = op._factor()
+        m = op.mesh.curves[0].n // 2
+        assert [lu.shape for lu, _ in factors] == [(m + 1, m + 1), (m, m)]
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_two_disks(1.0, 0.5, 1e-3),
+        lambda: build_two_disks(1.0, 1.0, 1e-3).translated(OFF_AXIS),
+        lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
+        lambda: build_case_b(1, 0.05, 1, 1e-4, 1e-3),
+        lambda: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
+                             SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
+                             SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9), 0.05, 1e-4, 1e-4),
+        lambda: _mirrored_fourier_pair(right_cos_x=(1.0, 0.1), right_sin_y=(0.8, 0.05))],
+        ids=["unequal pair", "pair off axis", "A", "B", "D", "Fourier translate"])
+    def test_no_split(self, build):
+        # unequal radii; a pair off the axis does not fold; a lens, a
+        # middle body that no other body mirrors; and a Fourier body beside
+        # its translate, which is not its mirror image
+        op = SceneOperator(build())
+        assert op._split is None and op.mesh.mirror_x is None
+        assert all(cm.partner is None for cm in op.mesh.curves)
+        assert len(op._factor()[0]) == 1
+
+    @SPLIT_SCENES
+    def test_split_and_unsplit_paths_agree(self, build, monkeypatch):
+        # on the same mesh, the operator without its partner decision
+        # builds every record and factors the folded matrix. hc has no gap
+        # gradient on these scenes, so its gap maxima are rounding on both
+        # paths
+        cfg = build()
+        op = SceneOperator(cfg)
+        monkeypatch.setattr(nystrom, "_mirror_split", lambda mesh: None)
+        ref = SceneOperator(cfg, mesh=op.mesh)
+        assert op._split is not None and ref._split is None
+        gap = cfg.conductor_gap(0, 1)
+        pairs = [(op.solve_u(), ref.solve_u()), (op.solve_h(((0,), (1,))),
+                                                 ref.solve_h(((0,), (1,)))),
+                 (op.solve_hc(), ref.solve_hc())]
+        scale = max_gap_gradient(pairs[0][1], gap).max_magnitude
+        for f, f_ref in pairs:
+            assert np.max(np.abs(f.g - f_ref.g)) <= 1e-10 * np.max(np.abs(f_ref.g))
+            assert np.allclose(f.constants, f_ref.constants, rtol=1e-10, atol=1e-10)
+            grad, grad_ref = (max_gap_gradient(x, gap).max_magnitude for x in (f, f_ref))
+            if f.kind == "hc":
+                assert max(grad, grad_ref) <= 1e-10 * scale
+            else:
+                assert grad == pytest.approx(grad_ref, rel=1e-10, abs=0)
+
+    @SPLIT_SCENES
+    def test_partner_mesh_matches_a_direct_build(self, build, monkeypatch):
+        # the second curve, reflected from the first, against its own
+        # inversion: the same count and nodes within 16 ulps of its
+        # perimeter, and a chain map, built on first use, equal to the
+        # direct build's on the inverted upper half
+        cfg = build()
+        mesh = build_mesh(cfg)
+        monkeypatch.setattr(mesh_module, "_mirror_partners", lambda bodies, feats: None)
+        direct = build_mesh(cfg)
+        assert direct.mirror_x is None and direct.curves[1].partner is None
+        cm, ref = mesh.curves[1], direct.curves[1]
+        assert _reflected(cm) and cm.n == ref.n and cm.mirrored
+        assert np.max(np.abs(cm.nodes - ref.nodes)) <= 16 * _ULP * cm.perimeter
+        assert cm.perimeter == pytest.approx(ref.perimeter, rel=16 * _ULP)
+        m = cm.n // 2
+        assert np.array_equal(cm.chain.v_of_t(cm.t[:m]), ref.v[:m])
