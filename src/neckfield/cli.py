@@ -10,7 +10,9 @@ random probes of sweeps and verify suites). The mesh controls come from the
 run file's ``[mesh]`` section only.
 
 Exit status contract: 0 success, 1 a verification check failed, 2 usage or
-configuration error, 3 refusal to overwrite existing output (pass --force).
+configuration error, or a numeric failure (a floating-point overflow,
+division by zero or invalid operation among them), 3 refusal to overwrite
+existing output (pass --force).
 Outputs are deterministic for fixed inputs; timestamps only appear in
 comment headers.
 """
@@ -263,7 +265,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     manifest = RunManifest(args.config, args.out, args.force, args.seed)
     try:
-        return args.fn(manifest)
+        # an overflow, a division by zero or an invalid operation can leave
+        # a silently wrong number: each ends the run as a numeric failure
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(manifest)
     except FileExistsError as exc:
         print(f"refusing to overwrite {exc} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
@@ -272,6 +277,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except NeckfieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: floating-point failure: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

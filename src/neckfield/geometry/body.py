@@ -127,17 +127,6 @@ class Body:
             return Body.from_smooth(self.smooth.translated(v))
         return Body.lens(self.lens_disks[0].translated(v), self.lens_disks[1].translated(v))
 
-    def mirrored_x(self) -> "Body":
-        """Reflection through the vertical axis x = 0."""
-        def flip_disk(d: Disk) -> Disk:
-            return Disk((-d.center[0], d.center[1]), d.radius)
-
-        if self.kind == "disk":
-            return Body.from_disk(flip_disk(self.disk))
-        if self.kind == "lens":
-            return Body.lens(flip_disk(self.lens_disks[0]), flip_disk(self.lens_disks[1]))
-        return Body.from_smooth(self.smooth.mirrored_x())
-
     # -- geometry queries --------------------------------------------------
 
     def contains(self, pts, pad: float = 0.0):

@@ -30,8 +30,13 @@ from .shapes import Disk, HarmonicBackground, SmoothBoundary
 
 # A gap is held only to about u_mach |x| / gap relative, |x| the largest
 # coordinate of its two bodies: their points are formed in absolute
-# coordinates. A conductor gap whose estimate exceeds this warns.
+# coordinates. A gap wider than the smaller body's bounding radius is held
+# only as well as that radius, which sets the field's scale there, so the
+# estimate divides by the smaller of the two. A conductor gap whose
+# estimate exceeds this warns.
 _GAP_ROUNDING_LIMIT = 1e-8
+# a Python float, so that a huge estimate reads inf rather than overflowing
+_ULP = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -83,14 +88,15 @@ class Configuration:
                 self._body_gaps[(a, b)] = g
                 self._body_gaps[(b, a)] = g._reversed()
         for (i, j), info in self.all_conductor_gaps().items():
-            size = max(float(np.max(np.abs(c))) + r
-                       for c, r in (self.bodies[f.body].bounding_circle() for f in info.feet))
-            estimate = np.finfo(float).eps * size / info.distance
+            circles = [self.bodies[f.body].bounding_circle() for f in info.feet]
+            size = max(float(np.max(np.abs(c))) + r for c, r in circles)
+            radius = min(r for _, r in circles)
+            estimate = _ULP * size / min(info.distance, radius)
             if estimate > _GAP_ROUNDING_LIMIT:
                 warnings.warn(f"the gap between conductors {i + 1} and {j + 1} is held only to "
                               f"about {estimate:.1g} relative: coordinates reach {size:.3g} "
-                              f"beside a gap of {info.distance:.3g}",
-                              ScaleRegimeWarning, stacklevel=4)
+                              f"beside a gap of {info.distance:.3g} and a body of radius "
+                              f"{radius:.3g}", ScaleRegimeWarning, stacklevel=4)
 
     def body_pair_gap(self, a: int, b: int) -> GapInfo:
         """Gap between bodies a and b as measured on construction, with
@@ -118,11 +124,6 @@ class Configuration:
         return Configuration(tuple(b.translated(v) for b in self.bodies),
                              self.groups, self.background.shifted(v),
                              self.case_tag, dict(self.params))
-
-    def mirrored_x(self) -> "Configuration":
-        return Configuration(tuple(b.mirrored_x() for b in self.bodies),
-                             self.groups, self.background, self.case_tag,
-                             dict(self.params))
 
     def exterior_mask(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

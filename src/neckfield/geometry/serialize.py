@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import InvalidParameterError
+from ..errors import InvalidGeometryError, InvalidParameterError
 from .body import Body
 from .config import CASE_KEYS, CASE_TAGS, Configuration, build_case
 from .shapes import Disk, HarmonicBackground, SmoothBoundary
@@ -199,8 +199,13 @@ def parse_run(text: str) -> RunInput:
                                    "case builds its own bodies")
         if case_tag in CASE_KEYS:
             _refuse_unknown("case", case, CASE_KEYS[case_tag])
-        cfg = build_case(case_tag, {k: _number("case", k, v) for k, v in case.items()},
-                         background)
+        params = {k: _number("case", k, v) for k, v in case.items()}
+        # the recipe refuses a length out of range or a scene it cannot
+        # build, as the body sections' shapes do
+        try:
+            cfg = build_case(case_tag, params, background)
+        except (InvalidParameterError, InvalidGeometryError) as exc:
+            raise ConfigParseError(f"[case] {exc}") from None
     else:
         body_secs = sorted((name for name in sections if name.startswith("body")),
                            key=_body_index)

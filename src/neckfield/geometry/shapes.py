@@ -68,8 +68,9 @@ class Disk:
 
     def contains(self, pts, pad: float = 0.0):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d2 = (pts[:, 0] - self.center[0]) ** 2 + (pts[:, 1] - self.center[1]) ** 2
-        return d2 < (self.radius + pad) ** 2
+        # hypot keeps radii near the float limit from overflowing a square
+        return np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1]) \
+            < self.radius + pad
 
     def translated(self, v) -> "Disk":
         v = _as_point(v)
@@ -93,8 +94,8 @@ class SmoothBoundary:
     counterclockwise, simple, and have a nonvanishing tangent;
     ``validate()`` checks all three by sampling on every construction.
     ``ellipse()`` with positive semi-axes has all three by construction, and
-    ``translated()``, ``scaled()`` (s > 0) and ``mirrored_x()`` keep them,
-    so none of these is checked again.
+    ``translated()`` and ``scaled()`` (s > 0) keep them, so none of these is
+    checked again.
     An axis-aligned ellipse with semi-axes (a, b) is ``cx = [a], sy = [b]``.
     """
 
@@ -220,8 +221,8 @@ class SmoothBoundary:
         """Whether the curvature is positive at the samples of
         ``validate()``, so that the curve, simple and counterclockwise,
         bounds a convex body. Sampled once per coefficient set: ``ellipse()``
-        sets it without sampling, and ``translated()``, ``scaled()`` and
-        ``mirrored_x()`` carry it over."""
+        sets it without sampling, and ``translated()`` and ``scaled()``
+        carry it over."""
         t = np.linspace(0.0, 2 * np.pi, _VALIDATE_SAMPLES, endpoint=False)
         return bool(np.min(self.curvature(t)) > 0)
 
@@ -271,16 +272,6 @@ class SmoothBoundary:
         if not (s > 0 and np.isfinite(s)):
             raise InvalidParameterError(f"scale factor must be positive and finite, got {s!r}")
         return self._similar((self.center[0] * s, self.center[1] * s), s)
-
-    def mirrored_x(self) -> "SmoothBoundary":
-        """Reflection through x = 0, the parameter negated to keep the
-        counterclockwise sense; valid by construction, so not validated, and
-        convex if this curve is."""
-        out = _unchecked((-self.center[0], self.center[1]),
-                         (tuple(-v for v in self.cos_x), self.sin_x, self.cos_y,
-                          tuple(-v for v in self.sin_y)))
-        object.__setattr__(out, "convex", self.convex)
-        return out
 
     def _similar(self, center, s: float) -> "SmoothBoundary":
         """This curve moved to ``center`` with its coefficients scaled by

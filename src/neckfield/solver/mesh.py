@@ -47,40 +47,37 @@ uniform over the chain plus 48 on each side of each feature. A chain map
 at one count only forms its amplitudes and the seed's masses, and inverts
 its nodes.
 
-A curve that is its own mirror image across the x-axis is meshed on its
-upper half only and reflected, and its mesh records it (``mirrored``).
-Such a curve is a disk, or a smooth curve whose sin_x and cos_y terms are
-all zero or absent, centred on the axis to ``_MIRROR_ULPS`` ulps of its
-bounding radius, so that its chain starts on the axis (t = 0), and
-v -> v_total - v maps its density terms onto themselves (``_mirrored``);
-then t_{N-1-k} = 2 pi - t_k lies at v_total - v_k. The nodes k < N/2 are
-inverted and framed as on any curve, bit for bit, and node N-1-k is node
-k reflected exactly: its point (x, -y), velocity (-x', y'), normal
-(n_x, -n_y), and the same speed, curvature and weight. So the lower half
-costs no inversion, and its speeds do not carry the rounding of v near
-v_total. The solver folds a scene exactly when every curve is mirrored
-and the background is real. A scene with a lens corner inverts every node
-of every curve, which keeps its meshes those of doubling bit for bit; its
-lens chain starts at a corner, so the scene does not fold anyway.
+Mirror images. Two reflections take the parameter t to s - t, which keeps
+the counterclockwise sense: across the x-axis, s = 0, (x, y) -> (x, -y),
+and across the line x = a, a the mean x of the body centres, s = pi,
+(x, y) -> (2a - x, y). The first maps a mirrored curve onto itself
+(``CurveMesh.mirrored``), node N-1-k onto node k; the second maps a curve
+onto its partner (``CurveMesh.partner``), node k of the partner onto node
+(N/2 - 1 - k) mod N of its source. One predicate decides both from the
+bodies and their density terms alone (``_is_image``): the image is a disk
+of the same radius, or a Fourier curve whose order-k terms, zero-padded to
+a common degree, are the source's times the reflection's signs times
+cos(k s); half the distance from its centre to the source's centre
+reflected is within ``_MIRROR_ULPS`` ulps of the source's bounding radius;
+and each density term has a twin of the same kind, growth and floor length
+at chain coordinate s - v. One reflected build serves both (``_mesh_of``):
+a reflected node's point and velocity are flipped, the velocity negated,
+its chain coordinate taken to s - v, and its speed, curvature and weight
+are the source node's, all exactly. So a mirrored curve inverts and frames
+its upper half only, bit for bit as any curve, and its lower half's speeds
+do not carry the rounding of v near v_total; a mirrored source's partner
+inverts no node, and its chain map, which only a gap foot on it reads, is
+built on first use. A pair whose source is not mirrored meshes both
+curves. A scene with a lens corner reflects nothing, which keeps its
+meshes those of doubling bit for bit (its lens chain starts at a corner,
+so it would not fold anyway).
 
-A scene whose bodies come in mirror pairs across the vertical line x = a,
-a the mean x of the body centres, meshes one curve of each pair and
-reflects it onto its partner (``_mirror_partners``; ``CurveMesh.partner``
-records the pair). Today that is the two-disk pair with r1 = r2. A partner
-is a disk of the same radius, or a smooth curve whose Fourier terms of
-order k are its source's times +-(-1)^(k+1), so that its point at t is
-its source's at pi - t reflected; its centre lies within ``_MIRROR_ULPS``
-ulps of its bounding radius of the reflected centre, and each of its
-density terms has a twin of the same growth and floor length at
-v_total/2 - v. Then its chain map is its source's shifted by pi in t, and
-on a mirrored source node k of the partner is node (N/2 - 1 - k) mod N of
-the source reflected: its point (2a - x, y), velocity (x', -y'), normal
-(-n_x, n_y), and the same speed, curvature and weight. So a mirrored
-source's upper half maps onto the partner's upper half in reverse order,
-and the partner costs no inversion; its chain map, which only a gap foot
-on it reads, is built on first use. The decision reads the bodies and the
-density terms alone. A pair whose source is not mirrored meshes both
-curves.
+The mesh hands the solver both maps (``BoundaryMesh``): ``fold``, when
+every curve is mirrored, the upper-half nodes, the first half of every
+curve, and their mirrors; ``split``, when every curve also has a partner,
+the folded unknowns (the upper-half nodes, in order) of the first curve of
+every pair, and the image of every folded unknown, row k of a curve
+mapping to row N/2 - 1 - k of its partner's.
 """
 
 from __future__ import annotations
@@ -421,140 +418,114 @@ def _body_features(body: Body,
     return kept
 
 
-def _mirrored(body: Body, tables: _ChainTables) -> bool:
-    """Whether the curve is its own mirror image across the x-axis with a
-    density that v -> v_total - v keeps: a disk, or a smooth curve whose
-    sin_x and cos_y terms are all zero or absent, centred within
-    ``_MIRROR_ULPS`` ulps of its bounding radius of the axis, each of whose
-    density terms has a twin of the same growth and floor parameter at the
-    mirrored chain coordinate. Decided from the body and its density terms
-    alone, without sampling the curve."""
-    if body.kind == "disk":
-        centre = body.disk.center
-    elif body.kind == "smooth" and not any(body.smooth.sin_x + body.smooth.cos_y):
-        centre = body.smooth.center
-    else:
-        return False
-    if abs(centre[1]) > _MIRROR_ULPS * _ULP * body.bounding_circle()[1]:
-        return False
-    terms = list(zip(tables.x_f, tables.growth, tables.b))
-    tol = _MIRROR_ULPS * _ULP * _TWO_PI
-    return all(any(abs((x + xt + np.pi) % _TWO_PI - np.pi) <= tol and g == gt
-                   and abs(b - bt) <= _MIRROR_ULPS * _ULP * b for xt, gt, bt in terms)
-               for x, g, b in terms)
+def _reflection(mirror_x: Optional[float]) -> tuple[float, np.ndarray]:
+    """The parameter s of a reflection, which takes t to s - t, and its
+    signs of x and y: across the x-axis (mirror_x None) s = 0 and (1, -1),
+    across x = mirror_x s = pi and (-1, 1)."""
+    return (0.0, np.array([1.0, -1.0])) if mirror_x is None else (np.pi, np.array([-1.0, 1.0]))
 
 
-def _mirror_image(body: Body, other: Body, mirror_x: float) -> bool:
-    """Whether ``other`` is ``body`` reflected across x = mirror_x with its
-    parameter t taken to pi - t: a disk of the same radius, or a smooth
-    curve whose order-k terms are body's times (-1)^(k+1) (cos_x, sin_y) and
-    (-1)^k (sin_x, cos_y), centred within ``_MIRROR_ULPS`` ulps of its
-    bounding radius of body's centre reflected."""
-    if body.kind != other.kind or body.kind not in ("disk", "smooth"):
+def _centre(body: Body) -> np.ndarray:
+    return np.array(body.disk.center if body.kind == "disk" else body.smooth.center)
+
+
+def _is_image(body: Body, feats: Sequence[FeatureSpec], other: Body,
+              other_feats: Sequence[FeatureSpec], mirror_x: Optional[float] = None) -> bool:
+    """Whether ``other`` with its density terms ``other_feats`` is ``body``'s
+    mirror image with t taken to s - t: across the x-axis (mirror_x None),
+    where a mirrored curve is its own image, or across x = mirror_x (see
+    ``_reflection`` and the module docstring)."""
+    if body.kind != other.kind or body.kind not in ("disk", "smooth") \
+            or len(feats) != len(other_feats):
         return False
+    s, flip = _reflection(mirror_x)
     if body.kind == "disk":
         same = body.disk.radius == other.disk.radius
-        (x, y), (xo, yo) = body.disk.center, other.disk.center
     else:
-        s, o = body.smooth, other.smooth
-        same = True
-        for name, parity in (("cos_x", 1), ("sin_x", 0), ("cos_y", 0), ("sin_y", 1)):
-            a, b = np.array(getattr(s, name)), np.array(getattr(o, name))
-            k = np.arange(1, a.size + 1)
-            same &= a.size == b.size and np.array_equal(b, (-1.0) ** (k + parity) * a)
-        (x, y), (xo, yo) = s.center, o.center
-    if not same:
+        # the (cos, sin) x (x, y) tables of both curves, zero-padded
+        terms = np.zeros((2, 2, max(body.smooth.degree, other.smooth.degree), 2))
+        for table, curve in zip(terms, (body.smooth, other.smooth)):
+            table[:, :curve.degree] = curve._tables[1][0]
+        # cos(kt) terms take the reflection's signs, sin(kt) terms theirs negated
+        turn = np.cos(s * np.arange(1, terms.shape[2] + 1))[:, None]
+        same = np.array_equal(terms[1], np.stack([flip, -flip])[:, None] * turn * terms[0])
+    image = _centre(body) * flip
+    if mirror_x is not None:
+        image[0] += 2.0 * mirror_x
+    tol = _MIRROR_ULPS * _ULP
+    # half the distance to the image: a curve on the axis to rounding is mirrored
+    if not (same and np.all(0.5 * np.abs(_centre(other) - image)
+                            <= tol * body.bounding_circle()[1])):
         return False
-    tol = _MIRROR_ULPS * _ULP * body.bounding_circle()[1]
-    return abs(xo - (2.0 * mirror_x - x)) <= tol and abs(yo - y) <= tol
-
-
-def _mirror_partners(bodies: Sequence[Body],
-                     feats: Sequence[list[FeatureSpec]]) -> Optional[tuple[float, list[int]]]:
-    """The line x = a, a the mean x of the body centres, and each curve's
-    partner, when every body has a mirror image across that line among the
-    others (``_mirror_image``) whose density terms mirror its own: the same
-    kind, growth and floor length, within ``_MIRROR_ULPS`` ulps, at chain
-    coordinate v_total/2 - v. None for any other scene. Decided from the
-    bodies and their density terms alone, without sampling a curve."""
-    if any(b.kind not in ("disk", "smooth") for b in bodies):
-        return None
-    centres = [b.disk.center if b.kind == "disk" else b.smooth.center for b in bodies]
-    mirror_x = float(np.mean([c[0] for c in centres]))
-    tol = _MIRROR_ULPS * _ULP * _TWO_PI
 
     def twins(f: FeatureSpec, g: FeatureSpec) -> bool:
         # chain coordinates of disks and smooth curves run over [0, 2 pi)
         return (f.kind == g.kind and f.growth == g.growth
-                and abs(f.floor_arc - g.floor_arc) <= _MIRROR_ULPS * _ULP * f.floor_arc
-                and abs((f.v + g.v) % _TWO_PI - np.pi) <= tol)
+                and abs(f.floor_arc - g.floor_arc) <= tol * f.floor_arc
+                and abs((f.v + g.v + (np.pi - s)) % _TWO_PI - np.pi) <= tol * _TWO_PI)
 
-    partners = []
-    for i, body in enumerate(bodies):
-        found = [j for j, other in enumerate(bodies)
-                 if j != i and len(feats[i]) == len(feats[j])
-                 and _mirror_image(body, other, mirror_x)
-                 and all(any(twins(f, g) for g in feats[j]) for f in feats[i])]
-        if not found:
-            return None
-        partners.append(found[0])
-    return mirror_x, partners
+    return all(any(twins(f, g) for g in other_feats) for f in feats)
 
 
 def _curve_mesh(tables: _ChainTables, body_index: int, feats: list[FeatureSpec],
                 n: int, mirrored: bool = False) -> CurveMesh:
-    """The curve's mesh at one node count; a ``mirrored`` curve's upper
-    half reflected (see the module docstring)."""
+    """The curve's mesh at one node count; of a ``mirrored`` curve the
+    upper half, with its lower half reflected (``_mesh_of``)."""
     chain = _ChainMap(tables, n)
-    h = _TWO_PI / n
-    t = (np.arange(n) + 0.5) * h
-    v = chain.v_of_t(t[:n // 2] if mirrored else t)
+    t = (np.arange(n) + 0.5) * (_TWO_PI / n)
+    kept = n // 2 if mirrored else n
+    v = chain.v_of_t(t[:kept])
     pts, der, kap = chain.frame_of_v(v)
-    vel = der * chain.dvdt(v)[:, None]
-    if mirrored:
-        # P(2 pi - t) = R P(t) with R the reflection, so P' there is -R P'(t)
-        v = np.concatenate([v, chain.v_total - v[::-1]])
-        pts = np.concatenate([pts, pts[::-1] * [1.0, -1.0]])
-        vel = np.concatenate([vel, vel[::-1] * [-1.0, 1.0]])
-        kap = np.concatenate([kap, kap[::-1]])
-    speed = np.hypot(vel[:, 0], vel[:, 1])
-    normal = np.stack([vel[:, 1], -vel[:, 0]], axis=-1) / speed[:, None]
-    weights = speed * h
-    arc = np.cumsum(weights) - 0.5 * weights
-    perimeter = float(np.sum(weights))
-    return CurveMesh(body_index, lambda: chain, n, h, t, v, pts, vel, speed, normal,
-                     kap, weights, arc, perimeter, feats, mirrored)
+    return _mesh_of(body_index, lambda: chain, t, feats,
+                    (v, pts, der * chain.dvdt(v)[:, None], kap), kept)
 
 
 def _reflected(source: CurveMesh, body: Body, body_index: int, feats: list[FeatureSpec],
                mirror_x: float) -> CurveMesh:
     """The mesh of ``source``'s partner, its mirror image across x =
-    mirror_x: node k is source node (N/2 - 1 - k) mod N reflected (see the
-    module docstring). Its chain map is built from the body on first use."""
+    mirror_x (``_mesh_of``). Its chain map is built from the body on first
+    use."""
     n = source.n
-    k = (n // 2 - 1 - np.arange(n)) % n
-    flip = np.array([-1.0, 1.0])
-    nodes = source.nodes[k] * flip
-    nodes[:, 0] += 2.0 * mirror_x
-    v_total = source.chain.v_total
-    weights = source.weights[k]
-    return CurveMesh(body_index, lambda: _ChainMap(_ChainTables(body.charts(), feats), n),
-                     n, source.h, source.t, (0.5 * v_total - source.v[k]) % v_total,
-                     nodes, source.velocity[k] * -flip, source.speed[k],
-                     source.normal_out[k] * flip, source.curvature[k], weights,
+    return _mesh_of(body_index, lambda: _ChainMap(_ChainTables(body.charts(), feats), n),
+                    source.t, feats, (source.v, source.nodes, source.velocity, source.curvature),
+                    0, mirror_x, partner=source.body_index)
+
+
+def _mesh_of(body_index: int, chain_map: Callable[[], _ChainMap], t: np.ndarray,
+             feats: list[FeatureSpec], frame: tuple, kept: int,
+             mirror_x: Optional[float] = None, partner: Optional[int] = None) -> CurveMesh:
+    """The mesh of the nodes at t. ``frame`` holds chain coordinates,
+    points, velocities and curvatures: node j < ``kept`` is frame node j,
+    and node j >= ``kept`` is frame node (s N/(2 pi) - 1 - j) mod N
+    reflected (``_reflection`` of ``mirror_x``; see the module docstring).
+    Then what every mesh derives from its frame: speeds, outward normals,
+    weights, arc positions and the perimeter."""
+    n = t.size
+    v, pts, vel, kap = frame
+    if kept < n:
+        s, flip = _reflection(mirror_x)
+        k = ((0 if mirror_x is None else n // 2) - 1 - np.arange(kept, n)) % n
+        # P(s - t) = R P(t) with R the reflection, so P' there is -R P'(t)
+        image = [(s - v[k]) % _TWO_PI, pts[k] * flip, vel[k] * -flip, kap[k]]
+        if mirror_x is not None:
+            image[1][:, 0] += 2.0 * mirror_x
+        v, pts, vel, kap = (np.concatenate([a[:kept], b]) for a, b in zip(frame, image))
+    h = _TWO_PI / n
+    speed = np.hypot(vel[:, 0], vel[:, 1])
+    normal = np.stack([vel[:, 1], -vel[:, 0]], axis=-1) / speed[:, None]
+    weights = speed * h
+    return CurveMesh(body_index, chain_map, n, h, t, v, pts, vel, speed, normal, kap, weights,
                      np.cumsum(weights) - 0.5 * weights, float(np.sum(weights)), feats,
-                     True, partner=source.body_index)
+                     kept < n, partner)
 
 
 def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
-                controls: MeshControls, doubling: bool) -> CurveMesh:
+                controls: MeshControls, doubling: bool, mirrored: bool) -> CurveMesh:
     """Mesh one curve at the least count its chain budget allows, on the
     node ladder from ``base_n`` up (or with ``doubling`` on base_n 2^k),
-    doubling only while the mesh misses a target."""
+    doubling only while the mesh misses a target; a ``mirrored`` curve on
+    its upper half, its lower half reflected."""
     tables = _ChainTables(body.charts(), feats)
-    # a scene with a corner keeps doubling's meshes bit for bit (see the
-    # module docstring)
-    mirrored = not doubling and _mirrored(body, tables)
     base = controls.base_n
     # a base count below 64 requests a deliberately coarse mesh: use it
     # literally instead of refining to the resolution targets
@@ -618,7 +589,11 @@ def _resolution_ok(cm: CurveMesh, base_n: int) -> bool:
 @dataclass
 class BoundaryMesh:
     """All curve meshes of a scene, with concatenated node arrays for
-    assembly."""
+    assembly, and the maps of its reflections (see the module docstring):
+    ``fold``, the upper-half nodes and their mirrors, when every curve is
+    mirrored, and ``split``, the sources' folded unknowns and the image of
+    every folded unknown, when every curve also has a partner. Either is
+    None otherwise."""
 
     curves: list[CurveMesh]
     controls: MeshControls
@@ -638,6 +613,17 @@ class BoundaryMesh:
         self.speed = np.concatenate([c.speed for c in self.curves])
         self.body_of_node = np.concatenate([
             np.full(c.n, c.body_index, dtype=int) for c in self.curves])
+        self.fold = self.split = None
+        if all(c.mirrored for c in self.curves):
+            top = [np.arange(a, a + c.n // 2) for a, c in zip(self.offsets, self.curves)]
+            self.fold = (np.concatenate(top), np.concatenate(
+                [2 * a + c.n - 1 - k for a, c, k in zip(self.offsets, self.curves, top)]))
+            if self.mirror_x is not None:
+                # a curve's folded unknowns, in the order of its upper-half nodes
+                own = [np.arange(a // 2, (a + c.n) // 2) for a, c in zip(self.offsets, self.curves)]
+                self.split = (np.concatenate([o for i, (o, c) in enumerate(zip(own, self.curves))
+                                              if i < c.partner]),
+                              np.concatenate([own[c.partner][::-1] for c in self.curves]))
 
     def curve_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i + 1])
@@ -660,17 +646,27 @@ def build_mesh(cfg: Configuration, controls: MeshControls = MeshControls()) -> B
     # and through the cross blocks every curve's count moves the answers:
     # a scene with a corner keeps the counts that doubling reaches
     doubling = any(f.kind == "corner" for fs in feats for f in fs)
-    pairs = None if doubling else _mirror_partners(cfg.bodies, feats)
-    mirror_x, partners = pairs or (None, [None] * len(cfg.bodies))
+    # such a scene reflects nothing, which keeps doubling's meshes bit for
+    # bit; any other scene has only disks and smooth curves
+    bodies = cfg.bodies
+    mirror_x, partners = None, [None] * len(bodies)
+    if not doubling:
+        mirror_x = float(np.mean([_centre(body)[0] for body in bodies]))
+        found = [next((j for j, other in enumerate(bodies)
+                       if j != i and _is_image(body, feats[i], other, feats[j], mirror_x)), None)
+                 for i, body in enumerate(bodies)]
+        if None not in found:
+            partners = found
     curves = []
     budget_used = 0
-    for i, body in enumerate(cfg.bodies):
+    for i, body in enumerate(bodies):
         j = partners[i]
         if j is not None and j < i and curves[j].mirrored:
             cm = _reflected(curves[j], body, i, feats[i], mirror_x)
             curves[j].partner = i
         else:
-            cm = _mesh_curve(body, i, feats[i], controls, doubling)
+            mirrored = not doubling and _is_image(body, feats[i], body, feats[i])
+            cm = _mesh_curve(body, i, feats[i], controls, doubling, mirrored)
         budget_used += cm.n
         if budget_used > controls.cap_total:
             raise RefinementFailureError("total node cap exceeded",

@@ -65,49 +65,45 @@ bit for bit, behind argument checks that cost half as much as the solve
 itself at the folded pair's size (about 10 us against 20 us for 273
 unknowns, one BLAS thread on a 2-vCPU host).
 
-A mirror-symmetric scene (every curve's mesh mirrored, so that node N-1-k
-is the reflection of node k under y -> -y, and a background with real
-coefficients, so all its data are even) factors the folded matrix
-instead: the rows of the upper-half nodes, each column plus its mirror's,
-S[top, top] + S[top, mirror(top)], bordered by a charge row of weight 2h.
-It is a quarter of the full matrix, and its rcond is about twice the full
-matrix's (1.75-2.14x over the two-disk pair and the acceptance grids of
-cases B and D). Each curve's
-record is half-built alike: F and K' hold the rows of the upper-half
-nodes with folded columns, (N/2)^2 entries per table, a quarter of the
-full ones, built from the N^2/2 differences of the upper-half nodes to
-the upper-half nodes and to their mirrors. Every log center lies on the
-axis, so F(conj z) = conj F(z): the lower rows of F g are the mirrored
-conjugates of the upper rows, and a cross block folds the Cauchy weights
-of mirror nodes onto the upper rows instead of expanding F. The circulant
-parts of a folded column are a Toeplitz plus a Hankel view of one
-circulant column: S's Kussmaul-Martensen row, and for Im F the spectral
-antiderivative's column, so Im F is one real product with the folded
-columns instead of FFTs of their even extensions. Evaluation takes the
-full g and refuses an odd one; the normal derivative is computed at the
-upper-half nodes and mirrored. Whether a curve is mirrored is decided
-once, by the mesh, from its body and density terms (see the mesh module);
-the fold reads that decision and samples no node.
+The mesh decides the scene's two reflections, across the x-axis and
+across a vertical line x = a, and hands the operator their index maps,
+``BoundaryMesh.fold`` and ``BoundaryMesh.split`` (see the mesh module);
+the operator samples no node for them. It folds where the mesh gives a
+fold and the background has real coefficients, so that all its data are
+even. A folded operator factors the rows of the upper-half nodes, each
+column plus its mirror's, S[top, top] + S[top, mirror(top)], bordered by a
+charge row of weight 2h. It is a quarter of the full matrix, and its rcond
+is about twice the full matrix's (1.75-2.14x over the two-disk pair and the
+acceptance grids of cases B and D). Each curve's record is half-built
+alike: F and K' hold the rows of the upper-half nodes with folded columns,
+(N/2)^2 entries per table, a quarter of the full ones, built from the
+N^2/2 differences of the upper-half nodes to the upper-half nodes and to
+their mirrors. Every log center lies on the axis, so F(conj z) = conj F(z):
+the lower rows of F g are the mirrored conjugates of the upper rows, and a
+cross block folds the Cauchy weights of mirror nodes onto the upper rows
+instead of expanding F. The circulant parts of a folded column are a
+Toeplitz plus a Hankel view of one circulant column: S's
+Kussmaul-Martensen row, and for Im F the spectral antiderivative's column,
+so Im F is one real product with the folded columns instead of FFTs of
+their even extensions. Evaluation takes the full g and refuses an odd one;
+the normal derivative is computed at the upper-half nodes and mirrored.
 
-A folded scene whose bodies come in mirror pairs across a vertical line
-x = a (the mesh reflected each partner from its source, see the mesh
-module) has a second reflection, P, which maps folded row k of a curve
-to row m-1-k of its partner's (m = N/2), and the folded matrix commutes
-with it. The partner copies its source's record and column block
+A folded operator whose mesh also gives a split commutes with its map P
+of folded unknowns. A partner copies its source's record and column block
 (``SceneOperator._mirrored_curve``) instead of building them, and the
 factor splits into two half-size LUs, with r the source unknowns: the even
 block S[r, r] + S[r, Pr], bordered by the constant column and a charge row
 of twice the folded weights, and the odd block S[r, r] - S[r, Pr], which
 carries no constant and no charge. Every solve splits its data into even
 and odd parts and solves each block (``SceneOperator._lu_solve``), so the
-data need no symmetry under x -> 2a - x. A scene without mirror partners
-keeps the folded or full system.
+data need no symmetry under x -> 2a - x. Any other operator keeps the
+folded or full system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -203,54 +199,6 @@ def _folded_antiderivative(flux: np.ndarray) -> np.ndarray:
     return _circulant(np.fft.irfft(_multiplier(n, -1), n), n // 2, True) @ flux
 
 
-class _Split(NamedTuple):
-    """The mirror pairs across x = a of a folded scene whose curves all
-    have partners: ``source`` indexes the folded unknowns of the first curve
-    of every pair, and ``image`` maps each folded unknown to its mirror's,
-    folded row k of a curve to row m-1-k of its partner's (m = N/2)."""
-
-    source: np.ndarray
-    image: np.ndarray
-
-
-def _mirror_split(mesh: BoundaryMesh) -> Optional[_Split]:
-    """The split of a folded scene whose every curve has a partner (the
-    mesh reflected it, see the mesh module); None for any other scene."""
-    if mesh.mirror_x is None:
-        return None
-    start = mesh.offsets // 2
-    unknowns = [np.arange(start[i], start[i + 1]) for i in range(len(mesh.curves))]
-    image = np.empty(start[-1], dtype=int)
-    for cm, own in zip(mesh.curves, unknowns):
-        image[own] = unknowns[cm.partner][::-1]
-    return _Split(np.concatenate([own for cm, own in zip(mesh.curves, unknowns)
-                                  if cm.body_index < cm.partner]), image)
-
-
-class _Fold(NamedTuple):
-    """The mirror pairs of a scene even under y -> -y: ``top`` indexes the
-    upper-half nodes, the first half of every curve, and ``partner`` their
-    mirrors, node N-1-k of node k's curve."""
-
-    top: np.ndarray
-    partner: np.ndarray
-
-
-def _mirror_fold(cfg: Configuration, mesh: BoundaryMesh) -> Optional[_Fold]:
-    """The fold of a scene whose background has real coefficients and
-    whose every curve's mesh is mirrored (node N-1-k the reflection of node
-    k across the x-axis); None for any other scene."""
-    if any(c.imag != 0.0 for c in cfg.background.coeffs) \
-            or not all(cm.mirrored for cm in mesh.curves):
-        return None
-    top, partner = [], []
-    for start, cm in zip(mesh.offsets, mesh.curves):
-        k = np.arange(cm.n // 2)
-        top.append(start + k)
-        partner.append(start + cm.n - 1 - k)
-    return _Fold(np.concatenate(top), np.concatenate(partner))
-
-
 def _odd(values: np.ndarray, upper, mirror) -> bool:
     """Whether values differ between the upper-half nodes and their mirrors
     by more than ``_EVEN_TOL`` of their largest entry."""
@@ -335,8 +283,11 @@ class SceneOperator:
                  mesh: Optional[BoundaryMesh] = None):
         self.cfg = cfg
         self.mesh = mesh if mesh is not None else build_mesh(cfg, controls)
-        self._fold = _mirror_fold(cfg, self.mesh)
-        self._split = None if self._fold is None else _mirror_split(self.mesh)
+        # the mesh's reflections, and the fold only where the background's
+        # coefficients are real, which makes its data even under y -> -y
+        real = all(c.imag == 0.0 for c in cfg.background.coeffs)
+        self._fold = self.mesh.fold if real else None
+        self._split = None if self._fold is None else self.mesh.split
         self._lu = None
         self._assemble_slp()
 
@@ -494,7 +445,7 @@ class SceneOperator:
     def _rows(self) -> np.ndarray:
         """The nodes whose equations the system keeps: all, or on a folded
         operator the upper-half nodes."""
-        return np.arange(self.mesh.n_total) if self._fold is None else self._fold.top
+        return np.arange(self.mesh.n_total) if self._fold is None else self._fold[0]
 
     def _assemble_slp(self) -> None:
         """Curve by curve: its own block and record (``_build_curve``),
@@ -526,7 +477,7 @@ class SceneOperator:
         src = self._curves[cm.partner]
         cols = self._unknowns(cm.partner)
         self._slp[:, self._unknowns(curve_index)] = \
-            self._slp[self._split.image, cols.start:cols.stop][:, ::-1]
+            self._slp[self._split[1], cols.start:cols.stop][:, ::-1]
         m = src.kprime.shape[0]
         F = src.F.reshape(m, 2, m)[::-1, :, ::-1] * np.array([[1.0], [-1.0]])
         return _CurveData(_complex(cm.nodes), _complex(cm.velocity) * cm.h,
@@ -556,9 +507,9 @@ class SceneOperator:
 
         if self._split is None:
             return [bordered(self._slp, self._charge_weights())]
-        src = self._split.source
+        src, image = self._split
         kept = self._slp[src]
-        same, cross = kept[:, src], kept[:, self._split.image[src]]
+        same, cross = kept[:, src], kept[:, image[src]]
         return [bordered(same + cross, 2.0 * self._charge_weights()[src]),
                 np.asfortranarray(same - cross)]
 
@@ -596,7 +547,8 @@ class SceneOperator:
             (lu, piv), = factors
             return getrs(lu, piv, rhs, overwrite_b=True)[0]
         (lu_e, piv_e), (lu_o, piv_o) = factors
-        src, img = self._split.source, self._split.image[self._split.source]
+        src, image = self._split
+        img = image[src]
         b = rhs[:-1]
         even = getrs(lu_e, piv_e, np.concatenate([0.5 * (b[src] + b[img]), rhs[-1:]]),
                      overwrite_b=True)[0]
@@ -627,8 +579,8 @@ class SceneOperator:
         must be even in y; odd data raise InvalidUsageError."""
         fold = self._fold
         if fold is not None:
-            top, partner = fold
-            if np.any(node_group[top] != node_group[partner]) or _odd(rhs, top, partner):
+            top, mirror = fold
+            if np.any(node_group[top] != node_group[mirror]) or _odd(rhs, top, mirror):
                 raise InvalidUsageError("the data of a mirror-symmetric scene must be "
                                         "even under y -> -y")
             node_group, rhs = node_group[top], rhs[top]
@@ -655,8 +607,8 @@ class SceneOperator:
         g += g_fix
         if fold is not None:
             half, g = g, np.empty(self.mesh.n_total)
-            g[fold.top] = half
-            g[fold.partner] = half
+            g[top] = half
+            g[mirror] = half
         return g, c + c_fix
 
     # -- problem frontends --------------------------------------------------

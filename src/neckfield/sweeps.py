@@ -336,7 +336,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
                 columns[q][k] = QUANTITIES[q](ctx)
             mesh_nodes[k] = ctx.mesh_nodes()
             rcond[k] = ctx.rcond()
-        except NeckfieldError as exc:
+        # under np.errstate raising, as the CLI runs, a floating-point
+        # failure fails its row alone
+        except (NeckfieldError, ArithmeticError) as exc:
             errors[k] = f"{type(exc).__name__}: {exc}"
         wall[k] = time.perf_counter() - t0
     if all(e is not None for e in errors):

@@ -1,5 +1,11 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neckfield import SmoothBoundary, asymptotics, build_case_a, build_case_d
 from neckfield import cli
@@ -157,9 +163,14 @@ class TestSolve:
         (FREE_CFG.replace("[body 1]\n", "[body 1]\nkind = smooth\ncos_x = 1, nan\n"
                           "sin_y = 1\n").replace("radius = 1\n", "", 1),
          "[body 1] cos_x has non-finite coefficients"),
+        # a radius near the float limit leaves no gap to rounding: refused,
+        # not an overflow
+        (PAIR_CFG.replace("r1 = 1.0", "r1 = 1e300"), "[case] bodies overlap or touch"),
+        (CASE_B_CFG.replace("r3 = 1.0", "r3 = 1e200"), "[case] bodies overlap or touch"),
     ], ids=["body_kind", "background_coeffs", "no_scene", "duplicate_section",
             "key_outside_section", "number_list", "missing_body_key", "number_count",
-            "background_nan", "background_inf", "center_nan", "cos_x_nan"])
+            "background_nan", "background_inf", "center_nan", "cos_x_nan", "pair_r1_huge",
+            "case_b_r3_huge"])
     def test_run_file_refusals(self, tmp_path, capsys, text, message):
         # every refusal of the run file is a configuration error
         bad = tmp_path / "bad.cfg"
@@ -199,6 +210,38 @@ class TestSolve:
         assert main(["solve", str(pair_cfg), "--out", str(out)]) == 3
         assert main(["solve", str(pair_cfg), "--out", str(out), "--force"]) == 0
 
+    # the draws leave the asymptotic regime on purpose
+    @pytest.mark.filterwarnings("ignore::neckfield.errors.ScaleRegimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_finite_answer_or_typed_refusal(self, data):
+        # a pair or case-B run file whose every [case] value is ordinary,
+        # huge, tiny, negative, zero or non-finite: it solves to finite
+        # numbers or is refused with a typed message, never a traceback
+        defaults = {"pair": {"r1": "1.0", "r2": "1.0", "eps": "0.001"},
+                    "B": {"r1": "1.0", "r2": "0.05", "r3": "1.0", "eps1": "0.001",
+                          "eps2": "0.001"}}
+        extremes = ("0.05", "10", "1e20", "1e200", "1e300", "1.7976931348623157e308",
+                    "1e-12", "1e-20", "1e-300", "5e-324", "-1.0", "0", "nan", "inf", "-inf")
+        tag = data.draw(st.sampled_from(sorted(defaults)))
+        # each value is its default half of the time, so that most draws
+        # move one or two values and many of them solve
+        values = {k: data.draw(st.one_of(st.just(v), st.sampled_from(extremes)), label=k)
+                  for k, v in defaults[tag].items()}
+        text = f"[scene]\ncase = {tag}\n\n[case]\n" + "".join(
+            f"{k} = {v}\n" for k, v in values.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out, err = Path(tmp) / "run.cfg", Path(tmp) / "out", io.StringIO()
+            cfg.write_text(text)
+            with contextlib.redirect_stderr(err):
+                code = main(["solve", str(cfg), "--out", str(out)])
+            if code == 0:
+                rows = [ln.split(",") for ln in body_lines(out / "solution.csv")[1:]]
+                assert all(np.isfinite(float(value)) for _, value in rows), rows
+            else:
+                assert code == 2 and err.getvalue().startswith(
+                    ("configuration error: ", "error: ")), (code, err.getvalue())
+
 
 class TestSweepPipeline:
     def test_deterministic_bodies(self, pair_cfg, tmp_path):
@@ -233,6 +276,19 @@ class TestSweepPipeline:
         _, cols, errors = parse_table_csv((out / "sweep.csv").read_text())
         assert errors == [None] * 4
         assert np.max(np.abs(cols["potential_difference_21"])) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::neckfield.errors.ScaleRegimeWarning")
+    def test_floating_point_failure_fails_its_row(self, tmp_path):
+        # the CLI raises on floating-point overflow: beside a disk of radius
+        # 1e-20, at eps = 1e300 the chain map's floor parameter overflows,
+        # and that row records the failure while the others solve
+        text = PAIR_CFG.replace("r2 = 1.0", "r2 = 1e-20")
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(text.replace("grid = 1e-3, 1e-2, 4", "grid = 1e-3, 1e300, 3"))
+        out = tmp_path / "o"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+        _, _, errors = parse_table_csv((out / "sweep.csv").read_text())
+        assert errors[:2] == [None, None] and errors[2].startswith("FloatingPointError: ")
 
     def test_missing_sweep_section(self, tmp_path):
         cfg = tmp_path / "nosweep.cfg"

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import os
@@ -37,7 +38,7 @@ OFF_AXIS = (0.0, 0.37)
 
 def kept_rows(op):
     """The nodes whose rows op._slp holds: all, or the upper-half nodes."""
-    return np.arange(op.mesh.n_total) if op._fold is None else op._fold.top
+    return np.arange(op.mesh.n_total) if op._fold is None else op._fold[0]
 
 
 _ULP = np.finfo(float).eps
@@ -717,7 +718,7 @@ MIRRORED_SCENES = [p for p in GRID_SCENES if p.id[0] in "pBD"]
 
 
 def _is_mirrored(body, feats):
-    return mesh_module._mirrored(body, mesh_module._ChainTables(body.charts(), feats))
+    return mesh_module._is_image(body, feats, body, feats)
 
 
 class TestMirroredMesh:
@@ -736,7 +737,7 @@ class TestMirroredMesh:
         flip = np.array([1.0, -1.0])
         for cm, body in zip(mesh.curves, cfg.bodies):
             tables = mesh_module._ChainTables(body.charts(), cm.features)
-            assert mesh_module._mirrored(body, tables)
+            assert _is_mirrored(body, cm.features)
             full = mesh_module._curve_mesh(tables, cm.body_index, cm.features, cm.n)
             m = cm.n // 2
             if _reflected(cm):
@@ -752,7 +753,7 @@ class TestMirroredMesh:
             for name in ("speed", "curvature", "weights"):
                 assert np.array_equal(getattr(cm, name)[::-1], getattr(cm, name))
             assert cm.mirrored
-        assert nystrom._mirror_fold(cfg, mesh) is not None
+        assert mesh.fold is not None
 
     def test_only_mirror_images_are_mirrored(self):
         # decided from the body and its density terms: a disk or a Fourier
@@ -776,16 +777,22 @@ class TestMirroredMesh:
 
     def test_zero_terms_keep_a_curve_mirrored(self):
         # sin_x = 0, as a run file may write it, is the curve without sin_x:
-        # it is mirrored, the scene folds, and its answer is the same bits
-        du = []
-        for sin_x in ((0.0,), ()):
+        # a curve with it is mirrored and its scene folds, a mirror-image
+        # pair with it splits, and their answers are the same bits
+        def beside_disk(sin_x):
             left = SmoothBoundary((-1.0005, 0.0), cos_x=(1.0,), sin_x=sin_x, sin_y=(0.8,))
             bodies = (Body.from_smooth(left), Body.from_disk(Disk((0.5005, 0.0), 0.5)))
-            cfg = Configuration(bodies, ((0,), (1,)), HarmonicBackground.linear_x())
-            op = SceneOperator(cfg)
-            assert op._fold is not None and all(cm.mirrored for cm in op.mesh.curves)
-            du.append(op.solve_u().potential_difference(1, 0))
-        assert du[0] == du[1]
+            return Configuration(bodies, ((0,), (1,)), HarmonicBackground.linear_x())
+
+        for build, split in ((beside_disk, False), (_ellipse_pair, True)):
+            fields = []
+            for sin_x in ((0.0,), ()):
+                op = SceneOperator(build(sin_x))
+                assert op._fold is not None and all(cm.mirrored for cm in op.mesh.curves)
+                assert (op._split is not None) == split
+                fields.append(op.solve_u())
+            assert np.array_equal(fields[0].g, fields[1].g)
+            assert fields[0].potential_difference(1, 0) == fields[1].potential_difference(1, 0)
 
     def test_scenes_with_a_corner_keep_the_full_inversion(self):
         # a scene with a lens keeps doubling's meshes bit for bit: its
@@ -793,7 +800,7 @@ class TestMirroredMesh:
         cfg = build_case_a(1.0, 0.05, 1.0, 0.05, 1e-3)
         cm, body = build_mesh(cfg).curves[0], cfg.bodies[0]
         tables = mesh_module._ChainTables(body.charts(), cm.features)
-        assert mesh_module._mirrored(body, tables)
+        assert _is_mirrored(body, cm.features)
         full = mesh_module._curve_mesh(tables, 0, cm.features, cm.n)
         assert np.array_equal(cm.nodes, full.nodes) and np.array_equal(cm.speed, full.speed)
 
@@ -1334,6 +1341,13 @@ def _mirrored_fourier_pair(right_cos_x=(1.0, -0.1), right_sin_y=(0.8, -0.05)):
                     SmoothBoundary((1.1005, 0.0), cos_x=right_cos_x, sin_y=right_sin_y))
 
 
+def _ellipse_pair(right_sin_x=()):
+    # two 1 x 0.8 ellipses 1e-3 apart across x = 0, the right one with the
+    # given sin_x terms
+    return _pair_of(SmoothBoundary((-1.0005, 0.0), cos_x=(1.0,), sin_y=(0.8,)),
+                    SmoothBoundary((1.0005, 0.0), cos_x=(1.0,), sin_x=right_sin_x, sin_y=(0.8,)))
+
+
 # Mirror-symmetric scenes: the pair, case B's three disks, the benchmark's
 # case-D ellipses, whose Fourier curves search a log center, and two
 # ellipses that mirror each other across x = 0.
@@ -1348,15 +1362,17 @@ FOLDED_SCENES = pytest.mark.parametrize("build", [
 
 # Folded scenes whose bodies come in mirror pairs across a vertical line:
 # the pair at three gaps, moved along the axis, and under a background
-# neither even nor odd about that line, and two Fourier pairs.
+# neither even nor odd about that line, and three Fourier pairs, one of them
+# with a zero sin_x term on one body.
 SPLIT_SCENES = pytest.mark.parametrize("build", [
     *[lambda e=e: build_two_disks(1.0, 1.0, e) for e in (1e-6, 1e-4, 1e-2)],
     lambda: build_two_disks(1.0, 1.0, 1e-4).translated((0.3, 0.0)),
     lambda: build_two_disks(1.0, 1.0, 1e-4,
                             background=HarmonicBackground((0j, 1 + 0j, 0.5 + 0j))),
-    _mirrored_ellipses, _mirrored_fourier_pair],
+    _mirrored_ellipses, _mirrored_fourier_pair, lambda: _ellipse_pair((0.0,))],
     ids=["pair-1e-06", "pair-1e-04", "pair-1e-02", "pair moved along x",
-         "x + x^2 - y^2 background", "mirrored ellipses", "mirrored Fourier pair"])
+         "x + x^2 - y^2 background", "mirrored ellipses", "mirrored Fourier pair",
+         "ellipses with a zero term"])
 
 
 class TestMirrorFold:
@@ -1398,10 +1414,11 @@ class TestMirrorFold:
         assert op._fold is not None
         centers = [d.zc for d in op._curves]
         assert all(zc.imag == 0.0 for zc in centers)
-        monkeypatch.setattr(nystrom, "_mirror_fold", lambda cfg, mesh: None)
+        mesh = copy.copy(op.mesh)
+        mesh.fold = None
         monkeypatch.setattr(SceneOperator, "_log_center",
                             lambda self, cm: centers[cm.body_index])
-        full = SceneOperator(cfg, mesh=op.mesh)
+        full = SceneOperator(cfg, mesh=mesh)
         assert full._fold is None
         rng = np.random.default_rng(7)
         for ci, cm in enumerate(op.mesh.curves):
@@ -1485,15 +1502,15 @@ class TestMirrorSplit:
         assert len(op._factor()[0]) == 1
 
     @SPLIT_SCENES
-    def test_split_and_unsplit_paths_agree(self, build, monkeypatch):
-        # on the same mesh, the operator without its partner decision
-        # builds every record and factors the folded matrix. hc has no gap
-        # gradient on these scenes, so its gap maxima are rounding on both
-        # paths
+    def test_split_and_unsplit_paths_agree(self, build):
+        # on the same mesh, the operator without its split map builds every
+        # record and factors the folded matrix. hc has no gap gradient on
+        # these scenes, so its gap maxima are rounding on both paths
         cfg = build()
         op = SceneOperator(cfg)
-        monkeypatch.setattr(nystrom, "_mirror_split", lambda mesh: None)
-        ref = SceneOperator(cfg, mesh=op.mesh)
+        mesh = copy.copy(op.mesh)
+        mesh.split = None
+        ref = SceneOperator(cfg, mesh=mesh)
         assert op._split is not None and ref._split is None
         gap = cfg.conductor_gap(0, 1)
         pairs = [(op.solve_u(), ref.solve_u()), (op.solve_h(((0,), (1,))),
@@ -1517,7 +1534,11 @@ class TestMirrorSplit:
         # direct build's on the inverted upper half
         cfg = build()
         mesh = build_mesh(cfg)
-        monkeypatch.setattr(mesh_module, "_mirror_partners", lambda bodies, feats: None)
+        is_image = mesh_module._is_image
+        # only the reflection across the x-axis: no curve has a partner
+        monkeypatch.setattr(mesh_module, "_is_image",
+                            lambda body, feats, other, other_feats, mirror_x=None:
+                            mirror_x is None and is_image(body, feats, other, other_feats))
         direct = build_mesh(cfg)
         assert direct.mirror_x is None and direct.curves[1].partner is None
         cm, ref = mesh.curves[1], direct.curves[1]
