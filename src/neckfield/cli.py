@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .asymptotics import lemma_suite
-from .errors import DomainError, NeckfieldError
+from .errors import DomainError, InvalidParameterError, NeckfieldError
 from .geometry.config import CASE_KEYS, build_case
 from .geometry.serialize import ConfigParseError, RunInput, _number, parse_run
 from .solver.mesh import MeshControls
@@ -74,7 +74,10 @@ def _load(manifest: RunManifest) -> RunInput:
 def _controls_for(run: RunInput) -> MeshControls:
     """The run file's [mesh] base_n and cap, the defaults where absent."""
     values = {"base_n": run.mesh.get("base_n"), "cap_total": run.mesh.get("cap")}
-    return MeshControls(**{k: v for k, v in values.items() if v is not None})
+    try:
+        return MeshControls(**{k: v for k, v in values.items() if v is not None})
+    except InvalidParameterError as exc:
+        raise ConfigParseError(f"[mesh] {exc}") from None
 
 
 def cmd_solve(manifest: RunManifest) -> int:
@@ -125,6 +128,7 @@ def _spec_from_run(run: RunInput, seed: int) -> SweepSpec:
     for key in ("grid", "quantities"):
         if key not in sweep:
             raise ConfigParseError(f"the [sweep] section needs a {key!r} key")
+    controls = _controls_for(run)
     vary = sweep["vary"].strip()
     ties = [t.split(":") for t in sweep.get("tie", "").split(",") if t.strip()]
     for name in [vary] + [t[0].strip() for t in ties]:
@@ -139,7 +143,7 @@ def _spec_from_run(run: RunInput, seed: int) -> SweepSpec:
             fixed[name.strip()] = Tie(float(ratio))
         return SweepSpec(case_tag=case_tag, vary=vary, grid=grid, fixed=fixed,
                          quantities=quantities,
-                         controls=_controls_for(run), seed=seed,
+                         controls=controls, seed=seed,
                          builder=partial(build_case, case_tag,
                                          background=run.cfg.background))
     except ValueError as exc:

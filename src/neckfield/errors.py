@@ -44,7 +44,8 @@ class RefinementFailureError(NumericFailureError):
 
 
 class SweepFailureError(NeckfieldError, RuntimeError):
-    """Every row of a parameter sweep failed."""
+    """Every row of a parameter sweep failed, or the process running some
+    of its rows ended without sending them back."""
 
 
 class ScaleRegimeWarning(UserWarning):

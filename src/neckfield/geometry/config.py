@@ -146,6 +146,21 @@ def _check_positive(**kwargs) -> None:
             raise InvalidParameterError(f"{name} must be a positive finite length, got {v!r}")
 
 
+_LEAST_RADIUS = float(np.cbrt(np.finfo(float).tiny))
+
+
+def _check_radii(**kwargs) -> None:
+    """Positive finite lengths whose cube is a normal float: a curve's
+    curvature divides by its speed cubed (``shapes.curvature``), and a
+    disk's speed is its radius."""
+    _check_positive(**kwargs)
+    for name, v in kwargs.items():
+        if v < _LEAST_RADIUS:
+            raise InvalidParameterError(f"{name} must be a radius of at least "
+                                        f"{_LEAST_RADIUS:.3g}, whose cube is a normal float, "
+                                        f"got {v!r}")
+
+
 def _regime_warnings(eps_list, r2, r_outer) -> None:
     r_lo, r_hi = min(r_outer), max(r_outer)
     if any(e > 0.2 * r2 for e in eps_list):
@@ -169,7 +184,8 @@ def build_case_a(r1: float, r2: float, r3: float, a: float, eps: float,
     The outer-pair separation dist(D1, B_r3) ~ r2 is a consequence of
     0 < a < 2 r2 for these centers, so it is not enforced separately.
     """
-    _check_positive(r1=r1, r2=r2, r3=r3, eps=eps)
+    _check_radii(r1=r1, r2=r2, r3=r3)
+    _check_positive(eps=eps)
     if not (0 < a < 2 * r2):
         raise InvalidGeometryError(f"overlap parameter must satisfy 0 < a < 2*r2, got a={a!r}")
     c1 = Disk((-r1 - eps / 2, 0.0), r1)
@@ -189,7 +205,8 @@ def build_two_disks(r1: float, r2: float, eps: float,
                     background: Optional[HarmonicBackground] = None) -> Configuration:
     """Two collinear disks with boundary gap eps straddling the origin (the
     normalized two-conductor scene all closed-form results refer to)."""
-    _check_positive(r1=r1, r2=r2, eps=eps)
+    _check_radii(r1=r1, r2=r2)
+    _check_positive(eps=eps)
     c1 = Disk((-r1 - eps / 2, 0.0), r1)
     c2 = Disk((r2 + eps / 2, 0.0), r2)
     return Configuration(
@@ -205,7 +222,8 @@ def build_case_b(r1: float, r2: float, r3: float, eps1: float, eps2: float,
                  background: Optional[HarmonicBackground] = None) -> Configuration:
     """Three disjoint collinear disks with boundary gaps eps1 (left pair)
     and eps2 (right pair); the small disk r2 sits in the middle."""
-    _check_positive(r1=r1, r2=r2, r3=r3, eps1=eps1, eps2=eps2)
+    _check_radii(r1=r1, r2=r2, r3=r3)
+    _check_positive(eps1=eps1, eps2=eps2)
     c1 = Disk((-r1 - eps1 / 2, 0.0), r1)
     c2 = Disk((r2 + eps1 / 2, 0.0), r2)
     # center chosen so that the D2-D3 boundary gap equals eps2 exactly
@@ -342,7 +360,8 @@ def build_case_c(left, center: Disk, right: Disk, r2: float, eps: float,
     gap midpoint is the origin. The union body keeps circular arcs so its
     two corners stay exact; a general smooth protrusion is out of scope.
     """
-    _check_positive(r2=r2, eps=eps)
+    _check_radii(r2=r2)
+    _check_positive(eps=eps)
     if not isinstance(center, Disk) or not isinstance(right, Disk):
         raise InvalidParameterError("the protruding pair must be disks (lens union)")
     bodies, gaps = place_around(Body.lens(center.scaled(r2), right), _as_body(left), eps)
@@ -366,7 +385,8 @@ def build_case_d(left, center, right, r2: float, eps1: float, eps2: float,
     """Three disjoint smooth bodies: ``center`` scaled by r2 in the middle,
     ``left`` and ``right`` placed by :func:`place_around` so the gaps are
     exactly eps1 and eps2."""
-    _check_positive(r2=r2, eps1=eps1, eps2=eps2)
+    _check_radii(r2=r2)
+    _check_positive(eps1=eps1, eps2=eps2)
     mid = _as_body(center)
     if mid.kind == "disk":
         mid = Body.from_disk(mid.disk.scaled(r2))

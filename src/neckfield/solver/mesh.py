@@ -124,6 +124,10 @@ _NODE_LADDER = 16
 # Least share of a chain map's node budget left to the uniform term: below
 # it the clustering would eat the whole budget.
 _BUDGET_FLOOR = 0.3
+# Least base count per curve. Coarser meshes are refused: on case B (r2
+# 0.05, eps1 1e-5, eps2 1e-3) a 72-node mesh gave u2 - u1 = 0.859 against
+# 0.01601, with a flux residual of 0.045.
+_BASE_FLOOR = 64
 # A curve is mirrored when its centre and its density terms sit within this
 # many ulps of their mirror images.
 _MIRROR_ULPS = 16
@@ -132,18 +136,19 @@ _ULP = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class MeshControls:
-    """Named mesh parameters: ``base_n`` is the least node count per curve
-    (rounded up to the node ladder; the chain budget may ask for more) and
-    ``cap_total`` the hard cap over all curves of one scene."""
+    """Named mesh parameters: ``base_n`` is the least node count per curve,
+    at least 64 (rounded up to the node ladder; the chain budget may ask
+    for more), and ``cap_total`` the hard cap over all curves of one
+    scene."""
 
-    base_n: int = 192               # below 64: taken literally, resolution targets bypassed
+    base_n: int = 192
     cap_total: int = 65536
 
     def __post_init__(self):
-        for name in ("base_n", "cap_total"):
-            if getattr(self, name) < 1:
+        for name, least in (("base_n", _BASE_FLOOR), ("cap_total", 1)):
+            if getattr(self, name) < least:
                 raise InvalidParameterError(
-                    f"mesh {name} must be at least 1, got {getattr(self, name)!r}")
+                    f"{name} must be at least {least}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -291,12 +296,9 @@ class _ChainMap:
         self.tables = tables
         self.charts, self.v_edges, self.v_total = tables.charts, tables.v_edges, tables.v_total
         self.scale, self.x_f, self.b = tables.scale, tables.x_f, tables.b
-        coef, denom = tables.budget(n_nodes)
         # the planner's counts keep the budget above its floor (``least_n``,
-        # and doubling only lowers the features' share); a literal count
-        # (base_n < 64) skips that test, so its clustering is clamped here
-        # rather than left to eat the whole node budget
-        denom = max(denom, _BUDGET_FLOOR)
+        # and doubling only lowers the features' share)
+        coef, denom = tables.budget(n_nodes)
         self.mass_total = _TWO_PI / denom
         self.amps = coef * self.mass_total
         m_tab = tables.x_seed.copy()
@@ -527,14 +529,8 @@ def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
     its upper half, its lower half reflected."""
     tables = _ChainTables(body.charts(), feats)
     base = controls.base_n
-    # a base count below 64 requests a deliberately coarse mesh: use it
-    # literally instead of refining to the resolution targets
-    literal = base < 64
-    if literal:
-        n = n_base = base + (base % 2)
-    else:
-        n_base = -(-base // _NODE_LADDER) * _NODE_LADDER
-        n = tables.least_n(n_base, doubling)
+    n_base = -(-base // _NODE_LADDER) * _NODE_LADDER
+    n = tables.least_n(n_base, doubling)
     while True:
         # a count beyond the base, predicted or doubled, must fit the cap
         if n > max(n_base, controls.cap_total):
@@ -543,7 +539,7 @@ def _mesh_curve(body: Body, body_index: int, feats: list[FeatureSpec],
                 "(base density, gap panels, neck nodes, corner grading)",
                 {"body": body_index, "requested_n": n, "cap": controls.cap_total})
         cm = _curve_mesh(tables, body_index, feats, n, mirrored)
-        if literal or _resolution_ok(cm, base):
+        if _resolution_ok(cm, base):
             return cm
         n *= 2
 

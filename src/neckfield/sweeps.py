@@ -4,14 +4,31 @@ power-law exponents, and check bounded ratios against predicted scales.
 Failed rows are kept in the table with their failure cause and excluded
 from fits; identical specs (including the seed and the mesh controls)
 reproduce tables exactly.
+
+Rows are independent scenes, so ``run_sweep`` may split them between two
+processes: it forks one child, which runs rows 1, 3, 5, ... while the
+caller runs rows 0, 2, 4, ..., and the child sends each of its rows back
+over a pipe. It splits only when the sweep has two rows or more, the CPU
+affinity mask holds two CPUs or more, and the caller runs one OS thread.
+Python code holds the interpreter lock, so threads would not run rows side
+by side; and a fork beside other threads (a BLAS pool without a thread
+limit keeps some) can copy a lock that one of them holds into a child that
+never releases it, and puts a second BLAS pool on the same cores. One
+child only: two processes were measured, on a 2-CPU host. The table is the
+same either way; ``wall_times`` holds each row's own time in the process
+that ran it, so the times of a split sweep add up to more than its call.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -318,32 +335,126 @@ class SweepTable:
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Execute the sweep row by row in grid order; failures are recorded,
-    never silently dropped."""
+    """Execute the sweep's rows, in two processes where the module
+    docstring's rule allows (see ``_process_count``), else in grid order
+    here; failures are recorded, never silently dropped. ``wall_times``
+    holds each row's time in the process that ran it."""
     values = np.asarray(spec.grid, dtype=float)
-    columns = {q: np.full(values.size, np.nan) for q in spec.quantities}
-    mesh_nodes = np.zeros(values.size, dtype=int)
-    rcond = np.full(values.size, np.nan)
-    errors: list[Optional[str]] = [None] * values.size
-    wall = np.zeros(values.size)
-    for k, val in enumerate(values):
-        t0 = time.perf_counter()
-        try:
-            p = spec.params_at(val)
-            cfg = spec.builder(p) if spec.builder else build_case(spec.case_tag, p)
-            ctx = RowContext(cfg, spec.controls, spec.seed)
-            for q in spec.quantities:
-                columns[q][k] = QUANTITIES[q](ctx)
-            mesh_nodes[k] = ctx.mesh_nodes()
-            rcond[k] = ctx.rcond()
-        # under np.errstate raising, as the CLI runs, a floating-point
-        # failure fails its row alone
-        except (NeckfieldError, ArithmeticError) as exc:
-            errors[k] = f"{type(exc).__name__}: {exc}"
-        wall[k] = time.perf_counter() - t0
+    if _process_count(values.size) == 2:
+        rows = _run_split(spec, values)
+    else:
+        rows = [_run_row(spec, val) for val in values]
+    quantity_values, mesh_nodes, rcond, errors, wall = zip(*rows)
     if all(e is not None for e in errors):
         raise SweepFailureError(f"all {values.size} sweep rows failed; first: {errors[0]}")
-    return SweepTable(spec, values, columns, mesh_nodes, rcond, errors, wall)
+    columns = dict(zip(spec.quantities, np.array(quantity_values).T))
+    return SweepTable(spec, values, columns, np.array(mesh_nodes), np.array(rcond),
+                      list(errors), np.array(wall))
+
+
+def _run_row(spec: SweepSpec, value: float) -> tuple:
+    """One row: its quantity values, mesh size, rcond, error text (None when
+    it succeeds) and wall time. The values computed before a failure are
+    kept."""
+    t0 = time.perf_counter()
+    out = np.full(len(spec.quantities), np.nan)
+    nodes, rcond, error = 0, np.nan, None
+    try:
+        p = spec.params_at(value)
+        cfg = spec.builder(p) if spec.builder else build_case(spec.case_tag, p)
+        ctx = RowContext(cfg, spec.controls, spec.seed)
+        for i, q in enumerate(spec.quantities):
+            out[i] = QUANTITIES[q](ctx)
+        nodes, rcond = ctx.mesh_nodes(), ctx.rcond()
+    # under np.errstate raising, as the CLI runs, a floating-point
+    # failure fails its row alone
+    except (NeckfieldError, ArithmeticError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    return out, nodes, rcond, error, time.perf_counter() - t0
+
+
+def _process_count(rows: int) -> int:
+    """2 when a sweep of ``rows`` rows is split (module docstring): two rows
+    or more, two CPUs or more in the affinity mask, and one thread in this
+    process; else 1. Without the affinity call or /proc, as off Linux, 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return 1
+    return 2 if rows >= 2 and cpus >= 2 and threads == 1 else 1
+
+
+def _run_split(spec: SweepSpec, values: np.ndarray) -> list:
+    """The rows of ``values``: the even ones here, the odd ones in a forked
+    child. The pipe is read to its end before the child is reaped, since a
+    child blocked on a full pipe never exits; the child is reaped on every
+    path, and killed first when this process raises. The child's warnings
+    are raised again here, and an exception other than a row failure
+    raised in the child is raised here."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _child(spec, values, write_fd)
+    os.close(write_fd)
+    rows: list = [None] * values.size
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            for k in range(0, values.size, 2):
+                rows[k] = _run_row(spec, values[k])
+            messages = []
+            while True:
+                try:
+                    messages.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):
+                    break
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    for k, row, caught in messages:
+        for text, category, filename, lineno in caught:
+            warnings.warn_explicit(text, category, filename, lineno)
+        if k is None:
+            raise row
+        rows[k] = row
+    lost = [k for k in range(1, values.size, 2) if rows[k] is None]
+    if lost:
+        raise SweepFailureError(
+            f"sweep rows {lost} were lost: the process running them ended with "
+            f"status {os.waitstatus_to_exitcode(status)}")
+    return rows
+
+
+def _child(spec: SweepSpec, values: np.ndarray, write_fd: int) -> NoReturn:
+    """The forked child of ``_run_split``: runs the odd rows and sends each,
+    with the warnings it showed, as one pickled (index, row, warnings)
+    message; an exception that is not a row failure is sent with index
+    None. It leaves only through ``os._exit``, so no exit handler or
+    buffered output of the caller runs twice."""
+    code = 1
+    try:
+        caught: list = []
+        warnings.showwarning = lambda message, category, filename, lineno, *rest: \
+            caught.append((str(message), category, filename, lineno))
+        with os.fdopen(write_fd, "wb") as out:
+            try:
+                for k in range(1, values.size, 2):
+                    row = _run_row(spec, values[k])
+                    pickle.dump((k, row, caught[:]), out)
+                    caught.clear()
+            except BaseException as exc:
+                pickle.dump((None, exc, caught[:]), out)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @dataclass(frozen=True)

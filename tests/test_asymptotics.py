@@ -108,6 +108,8 @@ class TestDiagnostics:
             return operator(c, *args, **kwargs)
 
         monkeypatch.setattr(sweeps, "SceneOperator", spy)
+        # the spy counts this process's builds: run every row here
+        monkeypatch.setattr(sweeps, "_process_count", lambda rows: 1)
         grid = [1e-4, 1e-3]
         a = lemma_suite(cfg, eps_grid=grid).to_csv()
         assert lemma_suite(cfg, eps_grid=grid).to_csv() == a

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neckfield import SmoothBoundary, asymptotics, build_case_a, build_case_d
-from neckfield import cli
+from neckfield import cli, sweeps
 from neckfield.cli import main
 from neckfield.geometry.serialize import emit_configuration
 from neckfield.solver import nystrom
@@ -103,7 +103,7 @@ class TestSolve:
         ("r1 = 1.0", "r1 = abc", "[case] r1"),
         ("base_n = 96", "base_n = abc", "[mesh] base_n"),
         ("base_n = 96", "cap = 1e5", "[mesh] cap"),
-        ("base_n = 96", "base_n = 0", "base_n must be at least 1"),
+        ("base_n = 96", "base_n = 0", "[mesh] base_n must be at least 64"),
         (PAIR_CASE, "[body x]\ncenter = 0, 0\nradius = 1\n", "[body x]"),
     ], ids=["case_value", "mesh_base_n", "mesh_cap", "mesh_base_n_zero", "body_section"])
     def test_malformed_values(self, tmp_path, capsys, old, new, named):
@@ -167,10 +167,20 @@ class TestSolve:
         # not an overflow
         (PAIR_CFG.replace("r1 = 1.0", "r1 = 1e300"), "[case] bodies overlap or touch"),
         (CASE_B_CFG.replace("r3 = 1.0", "r3 = 1e200"), "[case] bodies overlap or touch"),
+        # a radius whose cube underflows would make the curvature 0/0
+        (PAIR_CFG.replace("r1 = 1.0", "r1 = 1e-300"),
+         "[case] r1 must be a radius of at least 2.81e-103"),
+        (PAIR_CFG.replace("r2 = 1.0", "r2 = 5e-324"),
+         "[case] r2 must be a radius of at least 2.81e-103"),
+        (CASE_B_CFG.replace("r2 = 0.05", "r2 = 1e-300"),
+         "[case] r2 must be a radius of at least 2.81e-103"),
+        (CASE_B_CFG.replace("r1 = 1.0", "r1 = 5e-324"),
+         "[case] r1 must be a radius of at least 2.81e-103"),
     ], ids=["body_kind", "background_coeffs", "no_scene", "duplicate_section",
             "key_outside_section", "number_list", "missing_body_key", "number_count",
             "background_nan", "background_inf", "center_nan", "cos_x_nan", "pair_r1_huge",
-            "case_b_r3_huge"])
+            "case_b_r3_huge", "pair_r1_tiny", "pair_r2_subnormal", "case_b_r2_tiny",
+            "case_b_r1_subnormal"])
     def test_run_file_refusals(self, tmp_path, capsys, text, message):
         # every refusal of the run file is a configuration error
         bad = tmp_path / "bad.cfg"
@@ -189,20 +199,17 @@ class TestSolve:
         assert main(["sweep", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "'epss' is not a parameter of case pair" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("base,nodes", [("0", None), ("-4", None), ("1", 4), ("3", 8)])
-    def test_mesh_base_floor(self, tmp_path, capsys, base, nodes):
-        # a base count below 1 is a usage error; 1 and 3 are taken
-        # literally, rounded up to an even count per curve
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    @pytest.mark.parametrize("base", ["-4", "0", "1", "3", "63"])
+    def test_mesh_base_floor(self, tmp_path, capsys, base, command):
+        # a base count below 64 is a configuration error: a mesh that coarse
+        # gives wrong numbers (72 nodes on case B put u2 - u1 at 0.859, not
+        # 0.01601)
         cfg = tmp_path / "pair.cfg"
         cfg.write_text(PAIR_CFG.replace("base_n = 96", f"base_n = {base}"))
-        out = tmp_path / "o"
-        code = main(["solve", str(cfg), "--out", str(out)])
-        if nodes is None:
-            assert code == 2
-            assert "base_n must be at least 1" in capsys.readouterr().err
-        else:
-            assert code == 0
-            assert f"mesh_nodes,{nodes}" in (out / "solution.csv").read_text()
+        assert main([command, str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: [mesh] base_n must be at least 64"), err
 
     def test_overwrite_refused_then_forced(self, pair_cfg, tmp_path):
         out = tmp_path / "out"
@@ -392,6 +399,8 @@ class TestVerify:
         init = nystrom.SceneOperator.__init__
         monkeypatch.setattr(nystrom.SceneOperator, "__init__",
                             lambda self, *args, **kw: built.append(init(self, *args, **kw)))
+        # the count is of this process's operators: run every row here
+        monkeypatch.setattr(sweeps, "_process_count", lambda rows: 1)
         cfg = tmp_path / "b.cfg"
         cfg.write_text("[scene]\ncase = B\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
                        "r3 = 1.0\neps1 = 0.001\neps2 = 0.001\n")
@@ -413,12 +422,27 @@ class TestVerify:
         main(["verify", str(cfg), "--out", str(tmp_path / "out"), "--seed", "7"])
         assert seen == [7]
 
-    def test_coarse_mesh_fails(self, tmp_path):
+    def test_coarse_mesh_fails(self, tmp_path, capsys):
+        # refused before any solve, as a configuration error
         cfg = tmp_path / "a.cfg"
         cfg.write_text("[scene]\ncase = A\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
                        "r3 = 1.0\na = 0.05\neps = 0.001\n\n[mesh]\nbase_n = 24\n")
         out = tmp_path / "outc"
+        assert main(["verify", str(cfg), "--out", str(out)]) == 2
+        assert "[mesh] base_n must be at least 64, got 24" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_check_exits_1(self, tmp_path, monkeypatch, capsys):
+        # a flux residual above the check's 1e-8 fails verify, which still
+        # writes its report
+        monkeypatch.setitem(sweeps.QUANTITIES, "flux_residual_rel", lambda ctx: 1e-6)
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("[scene]\ncase = B\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
+                       "r3 = 1.0\neps1 = 0.001\neps2 = 0.001\n")
+        out = tmp_path / "out"
         assert main(["verify", str(cfg), "--out", str(out)]) == 1
+        assert "FAIL  flux_residual_quadrature" in capsys.readouterr().out
+        assert body_lines(out / "verify.csv")[-1].startswith("flux_residual_quadrature,")
 
 
 class TestEmittedScene:

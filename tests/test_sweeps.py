@@ -1,11 +1,17 @@
+import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from neckfield import (DomainError, InvalidParameterError, MeshControls,
-                       SweepSpec, SweepTable, Tie, build_case_b, fit_rate, log_grid,
-                       representation_coeffs, run_sweep, sandwich_check, solve_hc)
+                       ScaleRegimeWarning, SmoothBoundary, SweepFailureError,
+                       SweepSpec, SweepTable, Tie, asymptotics, build_case_b,
+                       build_case_d, build_two_disks, fit_rate, lemma_suite, log_grid,
+                       representation_coeffs, run_sweep, sandwich_check, solve_hc,
+                       sweeps)
 from neckfield.sweeps import parse_table_csv, serialize_table
 
 
@@ -207,3 +213,135 @@ class TestSerialization:
         assert np.allclose(cols["psi_gap_difference"],
                            table.columns["psi_gap_difference"])
         assert errors == table.errors
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every sweep of the test forks its child, on any host; afterwards no
+    child of this process is left."""
+    monkeypatch.setattr(sweeps, "_process_count", lambda rows: 2)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_table(a: SweepTable, b: SweepTable):
+    assert list(a.columns) == list(b.columns)
+    for q in a.columns:
+        assert a.columns[q].tobytes() == b.columns[q].tobytes(), q
+    assert a.errors == b.errors
+    assert a.mesh_nodes.tolist() == b.mesh_nodes.tolist()
+    # a condition estimate, reproducible to roundoff across factorizations
+    np.testing.assert_allclose(a.rcond, b.rcond, rtol=1e-9)
+
+
+def one_process(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(sweeps, "_process_count", lambda rows: 1)
+        return fn(*args)
+
+
+def _pair_or(action, at: float):
+    """A pair-scene builder that calls ``action`` at eps ``at``."""
+    def builder(p):
+        if p["eps"] == at:
+            action()
+        return build_two_disks(1.0, 1.0, p["eps"])
+    return builder
+
+
+def _raise(exc: BaseException):
+    def action():
+        raise exc
+    return action
+
+
+class TestTwoProcesses:
+    def test_split_rule(self):
+        # one row, a second thread or one CPU keeps every row in the caller
+        assert sweeps._process_count(1) == 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert sweeps._process_count(6) == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            assert sweeps._process_count(6) == 1
+        finally:
+            os.sched_setaffinity(0, cpus)
+
+    def test_criterion_4_grid(self, split, monkeypatch):
+        spec = SweepSpec(case_tag="B", vary="eps1", grid=log_grid(1e-5, 1e-3, 6),
+                         fixed={"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps2": 1e-3},
+                         quantities=("max_gap_gradient_12", "potential_difference_21",
+                                     "flux_residual_max"))
+        table = run_sweep(spec)
+        assert table.n_failed == 0 and np.all(table.mesh_nodes > 0)
+        assert_same_table(table, one_process(monkeypatch, run_sweep, spec))
+
+    def test_case_d_suite(self, split, monkeypatch):
+        ell = SmoothBoundary.ellipse
+        cfg = build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                           ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3)
+        tables = []
+        monkeypatch.setattr(asymptotics, "run_sweep",
+                            lambda spec: tables.append(run_sweep(spec)) or tables[-1])
+        split_csv = lemma_suite(cfg).to_csv()
+        assert one_process(monkeypatch, lemma_suite, cfg).to_csv() == split_csv
+        assert_same_table(*tables)
+
+    def test_failed_row_in_the_child(self, split, monkeypatch):
+        # the overlap parameter passes its validity bound at row 1, the child's
+        spec = SweepSpec(case_tag="A", vary="a", grid=(0.04, 0.12, 0.13),
+                         fixed={"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps": 1e-2},
+                         quantities=("gap_distance_12",))
+        table = run_sweep(spec)
+        assert table.errors[0] is None and "InvalidGeometryError" in table.errors[1]
+        assert_same_table(table, one_process(monkeypatch, run_sweep, spec))
+
+    def test_other_exception_in_the_child(self, split):
+        # row 1, the child's, raises
+        spec = SweepSpec(case_tag="pair", vary="eps", grid=(1e-3, 1e-2),
+                         quantities=("psi_gap_difference",),
+                         builder=_pair_or(_raise(LookupError("injected")), 1e-2))
+        with pytest.raises(LookupError, match="injected"):
+            run_sweep(spec)
+
+    def test_exception_here_kills_the_child(self, split):
+        # row 0 raises here while the child sleeps in row 1: the child is
+        # killed, not waited for
+        def builder(p):
+            if p["eps"] == 1e-3:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        spec = SweepSpec(case_tag="pair", vary="eps", grid=(1e-3, 1e-2),
+                         quantities=("psi_gap_difference",), builder=builder)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec)
+        assert time.perf_counter() - t0 < 30
+
+    def test_child_that_dies(self, split):
+        # rows 1 and 3 are the child's; it exits in row 1
+        here = os.getpid()
+        spec = SweepSpec(case_tag="pair", vary="eps", grid=(1e-3, 1e-2, 2e-2, 3e-2),
+                         quantities=("psi_gap_difference",),
+                         builder=_pair_or(lambda: os.getpid() == here or os._exit(3), 1e-2))
+        with pytest.raises(SweepFailureError, match=r"sweep rows \[1, 3\] were lost.*status 3"):
+            run_sweep(spec)
+
+    def test_child_warning_reaches_the_caller(self, split):
+        # eps1 = 0.02 is not small against r2 = 0.05: row 1, the child's, warns
+        spec = SweepSpec(case_tag="B", vary="eps1", grid=(1e-3, 0.02),
+                         fixed={"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps2": 1e-3},
+                         quantities=("gap_distance_12",))
+        with pytest.warns(ScaleRegimeWarning, match="eps << r2"):
+            table = run_sweep(spec)
+        assert table.n_failed == 0

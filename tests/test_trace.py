@@ -52,13 +52,15 @@ def test_tracer_installs_and_uninstalls(spans):
     assert changed == []
 
 
-def test_sweep_builds_are_traced(spans):
+def test_sweep_builds_are_traced(spans, monkeypatch):
     # a canonical sweep row builds its scene through the case table; the
     # builder it reaches must be the traced one, or the build time would be
     # charged to the sweep layer
     spec = neckfield.SweepSpec(case_tag="B", vary="eps1", grid=(1e-3, 1e-2),
                                fixed={"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps2": 1e-3},
                                quantities=("potential_difference_21",))
+    # the tracer sees this process's calls only: run every row here
+    monkeypatch.setattr(neckfield.sweeps, "_process_count", lambda rows: 1)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -75,13 +77,15 @@ def test_sweep_builds_are_traced(spans):
             assert parent.start <= s.start <= s.end <= parent.end, (s.name, parent.name)
 
 
-def test_sweep_quantities_are_traced(spans):
+def test_sweep_quantities_are_traced(spans, monkeypatch):
     # the quantity table reaches the gap-maximum search and the surface
     # derivative through the traced names, inside the sweep's span
     spec = neckfield.SweepSpec(case_tag="B", vary="eps1", grid=(1e-3, 1e-2),
                                fixed={"r1": 1.0, "r2": 0.05, "r3": 1.0, "eps2": 1e-3},
                                quantities=("max_gap_gradient_12", "potential_difference_21",
                                            "flux_residual_max"))
+    # the tracer sees this process's calls only: run every row here
+    monkeypatch.setattr(neckfield.sweeps, "_process_count", lambda rows: 1)
     tracer = spans.Tracer()
     tracer.install()
     try:
