@@ -33,7 +33,8 @@ from .shapes import Disk, HarmonicBackground, SmoothBoundary
 # coordinates. A gap wider than the smaller body's bounding radius is held
 # only as well as that radius, which sets the field's scale there, so the
 # estimate divides by the smaller of the two. A conductor gap whose
-# estimate exceeds this warns.
+# estimate exceeds this warns; one whose estimate reaches 1 holds no digit
+# and is refused.
 _GAP_ROUNDING_LIMIT = 1e-8
 # a Python float, so that a huge estimate reads inf rather than overflowing
 _ULP = float(np.finfo(float).eps)
@@ -93,10 +94,12 @@ class Configuration:
             radius = min(r for _, r in circles)
             estimate = _ULP * size / min(info.distance, radius)
             if estimate > _GAP_ROUNDING_LIMIT:
-                warnings.warn(f"the gap between conductors {i + 1} and {j + 1} is held only to "
-                              f"about {estimate:.1g} relative: coordinates reach {size:.3g} "
-                              f"beside a gap of {info.distance:.3g} and a body of radius "
-                              f"{radius:.3g}", ScaleRegimeWarning, stacklevel=4)
+                held = (f"the gap between conductors {i + 1} and {j + 1} is held only to about "
+                        f"{estimate:.1g} relative: coordinates reach {size:.3g} beside a gap "
+                        f"of {info.distance:.3g} and a body of radius {radius:.3g}")
+                if estimate >= 1.0:
+                    raise InvalidGeometryError(f"{held}, so it holds no digit")
+                warnings.warn(held, ScaleRegimeWarning, stacklevel=4)
 
     def body_pair_gap(self, a: int, b: int) -> GapInfo:
         """Gap between bodies a and b as measured on construction, with

@@ -219,9 +219,12 @@ def parse_run(text: str) -> RunInput:
                            for part in gsec["conductors"].split("|"))
         else:
             groups = tuple((i,) for i in range(len(bodies)))
-        cfg = Configuration(bodies, groups,
-                            background or HarmonicBackground.linear_x(),
-                            case_tag if case_tag in CASE_TAGS else "free")
+        try:
+            cfg = Configuration(bodies, groups,
+                                background or HarmonicBackground.linear_x(),
+                                case_tag if case_tag in CASE_TAGS else "free")
+        except (InvalidParameterError, InvalidGeometryError) as exc:
+            raise ConfigParseError(str(exc)) from None
     return RunInput(cfg=cfg,
                     sweep=dict(sections.get("sweep", {})),
                     mesh={k: _number("mesh", k, v, int)

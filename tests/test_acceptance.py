@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import run_cli
 from neckfield import (Disk, HarmonicBackground, MeshControls, SceneOperator,
                        SmoothBoundary, SweepSpec, Tie, bound_case_a,
                        bound_case_b, bound_case_c, build_case_a, build_case_b,
@@ -16,7 +17,6 @@ from neckfield import (Disk, HarmonicBackground, MeshControls, SceneOperator,
                        images, log_grid, max_gap_gradient,
                        representation_coeffs, run_sweep, sandwich_check,
                        solve_h, solve_hc)
-from neckfield.cli import main as cli_main
 
 
 def report(num: int, description: str, passed: bool, detail: str = ""):
@@ -173,15 +173,9 @@ def test_criterion_6_representation_identity():
            f"max residual {worst_resid:.2e}, coefficient band {band:.2f}")
 
 
-def test_criterion_7_verify_command(tmp_path):
-    case_a = tmp_path / "a.cfg"
-    case_a.write_text("[scene]\ncase = A\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
-                      "r3 = 1.0\na = 0.05\neps = 0.001\n")
-    case_b = tmp_path / "b.cfg"
-    case_b.write_text("[scene]\ncase = B\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
-                      "r3 = 1.0\neps1 = 0.001\neps2 = 0.001\n")
-    rc_a = cli_main(["verify", str(case_a), "--out", str(tmp_path / "oa")])
-    rc_b = cli_main(["verify", str(case_b), "--out", str(tmp_path / "ob")])
+def test_criterion_7_verify_command(verify_ab):
+    # the golden record (test_golden.py) checks what the two reports hold
+    rc_a, rc_b = verify_ab["A"][0], verify_ab["B"][0]
     report(7, "diagnostic suites pass on the standard scenes",
            rc_a == 0 and rc_b == 0, f"exit codes {rc_a}, {rc_b}")
 
@@ -233,16 +227,10 @@ def test_criterion_8_conservation_and_range():
 
 
 def test_criterion_9_sweep_determinism(tmp_path):
-    cfg = tmp_path / "pair.cfg"
-    cfg.write_text("[scene]\ncase = pair\n\n[case]\nr1 = 1.0\nr2 = 1.0\n"
-                   "eps = 0.001\n\n[sweep]\nvary = eps\ngrid = 1e-3, 1e-2, 4\n"
-                   "quantities = potential_difference_21\n\n[mesh]\nbase_n = 96\n")
-    rc1 = cli_main(["sweep", str(cfg), "--out", str(tmp_path / "o1")])
-    rc2 = cli_main(["sweep", str(cfg), "--out", str(tmp_path / "o2")])
-
-    def body(p):
-        return [ln for ln in p.read_text().splitlines() if not ln.startswith("#")]
-
-    same = body(tmp_path / "o1" / "sweep.csv") == body(tmp_path / "o2" / "sweep.csv")
+    text = ("[scene]\ncase = pair\n\n[case]\nr1 = 1.0\nr2 = 1.0\n"
+            "eps = 0.001\n\n[sweep]\nvary = eps\ngrid = 1e-3, 1e-2, 4\n"
+            "quantities = potential_difference_21\n\n[mesh]\nbase_n = 96\n")
+    (rc1, body1), (rc2, body2) = (run_cli(tmp_path / run, "sweep", text) for run in "12")
+    same = body1 == body2
     report(9, "repeated sweep runs produce identical table bodies",
            rc1 == 0 and rc2 == 0 and same, f"identical {same}")

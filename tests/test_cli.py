@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CASE_A, CASE_B, run_cli
 from neckfield import SmoothBoundary, asymptotics, build_case_a, build_case_d
 from neckfield import cli, sweeps
 from neckfield.cli import main
@@ -57,10 +58,6 @@ PAIR_CASE = "[case]\nr1 = 1.0\nr2 = 1.0\neps = 0.001\n"
 FREE_CFG = "[body 1]\ncenter = -1.5, 0\nradius = 1\n\n[body 2]\ncenter = 1.5, 0\nradius = 1\n"
 
 
-def body_lines(path):
-    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
-
-
 @pytest.fixture
 def pair_cfg(tmp_path):
     p = tmp_path / "pair.cfg"
@@ -68,18 +65,10 @@ def pair_cfg(tmp_path):
     return p
 
 
-@pytest.fixture
-def case_b_cfg(tmp_path):
-    p = tmp_path / "b.cfg"
-    p.write_text(CASE_B_CFG)
-    return p
-
-
 class TestSolve:
-    def test_case_b_summary(self, case_b_cfg, tmp_path):
-        out = tmp_path / "out"
-        assert main(["solve", str(case_b_cfg), "--out", str(out)]) == 0
-        text = (out / "solution.csv").read_text()
+    def test_case_b_summary(self, tmp_path):
+        code, text = run_cli(tmp_path, "solve", CASE_B_CFG)
+        assert code == 0
         assert "potential_difference_21" in text
         assert "potential_difference_32" in text
         assert "max_gap_gradient_12" in text
@@ -88,12 +77,10 @@ class TestSolve:
         assert "max_gap_gradient_13" not in text
         assert "gap_distance_13" in text
         assert "flux_residual_" in text
-        assert (out / "summary.txt").exists()
+        assert (tmp_path / "out" / "summary.txt").exists()
 
     def test_malformed_config(self, tmp_path):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("[scene\ncase = pair\n")
-        assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(tmp_path, "solve", "[scene\ncase = pair\n")[0] == 2
 
     def test_missing_config(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.cfg"),
@@ -108,9 +95,7 @@ class TestSolve:
     ], ids=["case_value", "mesh_base_n", "mesh_cap", "mesh_base_n_zero", "body_section"])
     def test_malformed_values(self, tmp_path, capsys, old, new, named):
         assert old in PAIR_CFG
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(PAIR_CFG.replace(old, new))
-        assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(tmp_path, "solve", PAIR_CFG.replace(old, new))[0] == 2
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("old,new,named", [
@@ -138,9 +123,7 @@ class TestSolve:
         # a mistyped section or key is refused, not ignored: [mesh] base = 24
         # would solve at the default 384 nodes, where base_n = 24 gives 48
         assert old in PAIR_CFG
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(PAIR_CFG.replace(old, new, 1))
-        assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(tmp_path, "solve", PAIR_CFG.replace(old, new, 1))[0] == 2
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
@@ -176,16 +159,25 @@ class TestSolve:
          "[case] r2 must be a radius of at least 2.81e-103"),
         (CASE_B_CFG.replace("r1 = 1.0", "r1 = 5e-324"),
          "[case] r1 must be a radius of at least 2.81e-103"),
+        # a gap held to no digit: coordinates of 2 beside a radius whose
+        # rounding estimate reaches 1 (a log of zero at 1e-100; at 1e-16 a
+        # gap maximum of 40.7 where 3.02 is right)
+        (PAIR_CFG.replace("r1 = 1.0", "r1 = 1e-100"),
+         "[case] the gap between conductors 1 and 2 is held only to about 4e+84"),
+        (CASE_B_CFG.replace("r2 = 0.05", "r2 = 1e-100"),
+         "[case] the gap between conductors 1 and 2 is held only to about 4e+84"),
+        (PAIR_CFG.replace("r1 = 1.0", "r1 = 1e-16"), "body of radius 1e-16, so it holds no digit"),
+        (FREE_CFG.replace("center = 1.5, 0\nradius = 1", "center = 0.5, 0\nradius = 1e-16"),
+         "body of radius 1e-16, so it holds no digit"),
     ], ids=["body_kind", "background_coeffs", "no_scene", "duplicate_section",
             "key_outside_section", "number_list", "missing_body_key", "number_count",
             "background_nan", "background_inf", "center_nan", "cos_x_nan", "pair_r1_huge",
             "case_b_r3_huge", "pair_r1_tiny", "pair_r2_subnormal", "case_b_r2_tiny",
-            "case_b_r1_subnormal"])
+            "case_b_r1_subnormal", "pair_r1_no_digit", "case_b_r2_no_digit",
+            "pair_r1_1e-16", "free_disk_no_digit"])
     def test_run_file_refusals(self, tmp_path, capsys, text, message):
         # every refusal of the run file is a configuration error
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(text)
-        assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(tmp_path, "solve", text)[0] == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err, err
 
@@ -194,9 +186,7 @@ class TestSolve:
                              ids=["vary", "tie"])
     def test_sweep_names_refused(self, tmp_path, capsys, old, new):
         # a name the recipe does not read would sweep one scene on every row
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(PAIR_CFG.replace(old, new, 1))
-        assert main(["sweep", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(tmp_path, "sweep", PAIR_CFG.replace(old, new, 1))[0] == 2
         assert "'epss' is not a parameter of case pair" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
@@ -205,9 +195,8 @@ class TestSolve:
         # a base count below 64 is a configuration error: a mesh that coarse
         # gives wrong numbers (72 nodes on case B put u2 - u1 at 0.859, not
         # 0.01601)
-        cfg = tmp_path / "pair.cfg"
-        cfg.write_text(PAIR_CFG.replace("base_n = 96", f"base_n = {base}"))
-        assert main([command, str(cfg), "--out", str(tmp_path / "o")]) == 2
+        text = PAIR_CFG.replace("base_n = 96", f"base_n = {base}")
+        assert run_cli(tmp_path, command, text)[0] == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: [mesh] base_n must be at least 64"), err
 
@@ -238,12 +227,11 @@ class TestSolve:
         text = f"[scene]\ncase = {tag}\n\n[case]\n" + "".join(
             f"{k} = {v}\n" for k, v in values.items())
         with tempfile.TemporaryDirectory() as tmp:
-            cfg, out, err = Path(tmp) / "run.cfg", Path(tmp) / "out", io.StringIO()
-            cfg.write_text(text)
+            err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = main(["solve", str(cfg), "--out", str(out)])
+                code, body = run_cli(Path(tmp), "solve", text)
             if code == 0:
-                rows = [ln.split(",") for ln in body_lines(out / "solution.csv")[1:]]
+                rows = [ln.split(",") for ln in body.splitlines()[1:]]
                 assert all(np.isfinite(float(value)) for _, value in rows), rows
             else:
                 assert code == 2 and err.getvalue().startswith(
@@ -251,11 +239,9 @@ class TestSolve:
 
 
 class TestSweepPipeline:
-    def test_deterministic_bodies(self, pair_cfg, tmp_path):
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["sweep", str(pair_cfg), "--out", str(out1)]) == 0
-        assert main(["sweep", str(pair_cfg), "--out", str(out2)]) == 0
-        assert body_lines(out1 / "sweep.csv") == body_lines(out2 / "sweep.csv")
+    def test_deterministic_bodies(self, tmp_path):
+        first = run_cli(tmp_path / "1", "sweep", PAIR_CFG)
+        assert first[0] == 0 and run_cli(tmp_path / "2", "sweep", PAIR_CFG) == first
 
     def test_rates_and_plot_from_precomputed(self, pair_cfg, tmp_path):
         out = tmp_path / "out"
@@ -276,31 +262,25 @@ class TestSweepPipeline:
 
     def test_background_reaches_the_rows(self, tmp_path):
         # two equal disks in x^2 - y^2: equal potentials by symmetry
-        cfg = tmp_path / "quad.cfg"
-        cfg.write_text(PAIR_CFG + "\n[background]\ncoeffs = 0, 0, 1\n")
-        out = tmp_path / "out"
-        assert main(["sweep", str(cfg), "--out", str(out)]) == 0
-        _, cols, errors = parse_table_csv((out / "sweep.csv").read_text())
+        code, body = run_cli(tmp_path, "sweep", PAIR_CFG + "\n[background]\ncoeffs = 0, 0, 1\n")
+        assert code == 0
+        _, cols, errors = parse_table_csv(body)
         assert errors == [None] * 4
         assert np.max(np.abs(cols["potential_difference_21"])) <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore::neckfield.errors.ScaleRegimeWarning")
-    def test_floating_point_failure_fails_its_row(self, tmp_path):
-        # the CLI raises on floating-point overflow: beside a disk of radius
-        # 1e-20, at eps = 1e300 the chain map's floor parameter overflows,
-        # and that row records the failure while the others solve
-        text = PAIR_CFG.replace("r2 = 1.0", "r2 = 1e-20")
-        cfg = tmp_path / "far.cfg"
-        cfg.write_text(text.replace("grid = 1e-3, 1e-2, 4", "grid = 1e-3, 1e300, 3"))
-        out = tmp_path / "o"
-        assert main(["sweep", str(cfg), "--out", str(out)]) == 0
-        _, _, errors = parse_table_csv((out / "sweep.csv").read_text())
+    def test_floating_point_failure_fails_its_row(self, tmp_path, monkeypatch):
+        # the CLI raises on floating-point overflow: a quantity that
+        # overflows at eps = 1e-2 fails that row while the others solve
+        monkeypatch.setitem(sweeps.QUANTITIES, "potential_difference_21",
+                            lambda ctx: np.exp(1e5 * ctx.cfg.params["eps"]))
+        code, body = run_cli(tmp_path, "sweep",
+                             PAIR_CFG.replace("grid = 1e-3, 1e-2, 4", "grid = 1e-3, 1e-2, 3"))
+        assert code == 0
+        _, _, errors = parse_table_csv(body)
         assert errors[:2] == [None, None] and errors[2].startswith("FloatingPointError: ")
 
     def test_missing_sweep_section(self, tmp_path):
-        cfg = tmp_path / "nosweep.cfg"
-        cfg.write_text("[scene]\ncase = pair\n\n[case]\nr1 = 1.0\nr2 = 1.0\neps = 0.001\n")
-        assert main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(tmp_path, "sweep", "[scene]\ncase = pair\n\n" + PAIR_CASE)[0] == 2
 
     @pytest.mark.parametrize("text,old,new,message", [
         (PAIR_CFG, "grid = 1e-3, 1e-2, 4\n", "", "the [sweep] section needs a 'grid' key"),
@@ -313,19 +293,14 @@ class TestSweepPipeline:
     ], ids=["no_grid", "no_quantities", "unknown_quantity", "removed_quantity"])
     def test_malformed_sweep_section(self, tmp_path, capsys, text, old, new, message):
         assert old in text
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text.replace(old, new))
-        assert main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(tmp_path, "sweep", text.replace(old, new))[0] == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err, err
 
     def test_non_finite_grid_is_refused(self, tmp_path, capsys):
-        cfg = tmp_path / "inf.cfg"
-        cfg.write_text(PAIR_CFG.replace("grid = 1e-3, 1e-2, 4", "grid = 1e-4, inf, 4"))
-        out = tmp_path / "o"
-        assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+        assert run_cli(tmp_path, "sweep", PAIR_CFG.replace("grid = 1e-3, 1e-2, 4",
+                                                           "grid = 1e-4, inf, 4")) == (2, None)
         assert "bad log grid" in capsys.readouterr().err
-        assert not (out / "sweep.csv").exists()
 
     def test_suite_quantities_sweep_and_fit(self, tmp_path):
         # the verify suite's per-gap values are sweep columns: the split
@@ -356,9 +331,7 @@ class TestSweepPipeline:
         sweeps = []
         run_sweep = cli.run_sweep
         monkeypatch.setattr(cli, "run_sweep", lambda spec: sweeps.append(spec) or run_sweep(spec))
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(PAIR_CFG.replace("[mesh]", line + "\n[mesh]"))
-        assert main(["plot", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(tmp_path, "plot", PAIR_CFG.replace("[mesh]", line + "\n[mesh]"))[0] == 2
         assert named in capsys.readouterr().err
         assert sweeps == []
 
@@ -376,22 +349,12 @@ class TestSweepPipeline:
     def test_plot_with_no_plottable_row(self, tmp_path, capsys):
         # a zero background solves to u = 0: no row has a potential
         # difference a log-log plot can show, which is a usage error
-        cfg = tmp_path / "zero.cfg"
-        cfg.write_text(PAIR_CFG.replace("[sweep]", "[background]\ncoeffs = 0, 0, 0\n\n[sweep]"))
-        assert main(["plot", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        zero = PAIR_CFG.replace("[sweep]", "[background]\ncoeffs = 0, 0, 0\n\n[sweep]")
+        assert run_cli(tmp_path, "plot", zero)[0] == 2
         assert "'potential_difference_21'" in capsys.readouterr().err
 
 
 class TestVerify:
-    def test_case_a_passes(self, tmp_path):
-        cfg = tmp_path / "a.cfg"
-        cfg.write_text("[scene]\ncase = A\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
-                       "r3 = 1.0\na = 0.05\neps = 0.001\n")
-        out = tmp_path / "out"
-        assert main(["verify", str(cfg), "--out", str(out)]) == 0
-        text = (out / "verify.csv").read_text()
-        assert "flux_residual_quadrature" in text
-
     def test_one_operator_per_suite_row(self, tmp_path, monkeypatch):
         # the flux check, last in the report, reads the suite's own rows:
         # verify builds no operator beyond one per row
@@ -401,14 +364,11 @@ class TestVerify:
                             lambda self, *args, **kw: built.append(init(self, *args, **kw)))
         # the count is of this process's operators: run every row here
         monkeypatch.setattr(sweeps, "_process_count", lambda rows: 1)
-        cfg = tmp_path / "b.cfg"
-        cfg.write_text("[scene]\ncase = B\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
-                       "r3 = 1.0\neps1 = 0.001\neps2 = 0.001\n")
-        out = tmp_path / "out"
-        assert main(["verify", str(cfg), "--out", str(out)]) == 0
+        code, body = run_cli(tmp_path, "verify", CASE_B)
+        assert code == 0
         # one row per gap of the suite's grid, 1e-5, 1e-4 and 1e-3
         assert len(built) == 3
-        assert body_lines(out / "verify.csv")[-1].startswith("flux_residual_quadrature,1.0,1,")
+        assert body.splitlines()[-1].startswith("flux_residual_quadrature,1.0,1,")
 
     def test_seed_reaches_the_suite(self, tmp_path, monkeypatch):
         # case A's random nestings draw from the run's --seed
@@ -416,59 +376,42 @@ class TestVerify:
         check = asymptotics._monotonicity_check
         monkeypatch.setattr(asymptotics, "_monotonicity_check",
                             lambda seed: seen.append(seed) or check(seed))
-        cfg = tmp_path / "a.cfg"
-        cfg.write_text("[scene]\ncase = A\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
-                       "r3 = 1.0\na = 0.05\neps = 0.001\n")
-        main(["verify", str(cfg), "--out", str(tmp_path / "out"), "--seed", "7"])
+        run_cli(tmp_path, "verify", CASE_A, "--seed", "7")
         assert seen == [7]
 
     def test_coarse_mesh_fails(self, tmp_path, capsys):
         # refused before any solve, as a configuration error
-        cfg = tmp_path / "a.cfg"
-        cfg.write_text("[scene]\ncase = A\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
-                       "r3 = 1.0\na = 0.05\neps = 0.001\n\n[mesh]\nbase_n = 24\n")
-        out = tmp_path / "outc"
-        assert main(["verify", str(cfg), "--out", str(out)]) == 2
+        assert run_cli(tmp_path, "verify", CASE_A + "\n[mesh]\nbase_n = 24\n")[0] == 2
         assert "[mesh] base_n must be at least 64, got 24" in capsys.readouterr().err
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_failed_check_exits_1(self, tmp_path, monkeypatch, capsys):
         # a flux residual above the check's 1e-8 fails verify, which still
         # writes its report
         monkeypatch.setitem(sweeps.QUANTITIES, "flux_residual_rel", lambda ctx: 1e-6)
-        cfg = tmp_path / "b.cfg"
-        cfg.write_text("[scene]\ncase = B\n\n[case]\nr1 = 1.0\nr2 = 0.05\n"
-                       "r3 = 1.0\neps1 = 0.001\neps2 = 0.001\n")
-        out = tmp_path / "out"
-        assert main(["verify", str(cfg), "--out", str(out)]) == 1
+        code, body = run_cli(tmp_path, "verify", CASE_B)
+        assert code == 1
         assert "FAIL  flux_residual_quadrature" in capsys.readouterr().out
-        assert body_lines(out / "verify.csv")[-1].startswith("flux_residual_quadrature,")
+        assert body.splitlines()[-1].startswith("flux_residual_quadrature,")
 
 
 class TestEmittedScene:
     """An emitted scene is free-form: it keeps its case tag but not the
     case parameters that sweeps and the verify suite rebuild it from."""
 
-    @pytest.fixture
-    def emitted_a(self, tmp_path):
-        p = tmp_path / "a.cfg"
-        p.write_text(emit_configuration(build_case_a(1.0, 0.05, 1.0, 0.05, 1e-3))
-                     + "\n[sweep]\nvary = eps\ngrid = 1e-4, 1e-3, 4\n"
-                       "quantities = potential_difference_21\n")
-        return p
-
     @pytest.mark.parametrize("command", ["verify", "sweep"])
-    def test_case_a_exits_with_usage_error(self, emitted_a, tmp_path, capsys, command):
-        assert main([command, str(emitted_a), "--out", str(tmp_path / "o")]) == 2
+    def test_case_a_exits_with_usage_error(self, tmp_path, capsys, command):
+        text = (emit_configuration(build_case_a(1.0, 0.05, 1.0, 0.05, 1e-3))
+                + "\n[sweep]\nvary = eps\ngrid = 1e-4, 1e-3, 4\n"
+                  "quantities = potential_difference_21\n")
+        assert run_cli(tmp_path, command, text)[0] == 2
         assert "case A missing parameter 'r1'" in capsys.readouterr().err
 
     def test_case_d_verify_exits_with_usage_error(self, tmp_path, capsys):
         ell = SmoothBoundary.ellipse
-        p = tmp_path / "d.cfg"
-        p.write_text(emit_configuration(build_case_d(
-            ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
-            ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3)))
-        assert main(["verify", str(p), "--out", str(tmp_path / "o")]) == 2
+        text = emit_configuration(build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                                               ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3))
+        assert run_cli(tmp_path, "verify", text)[0] == 2
         assert "case D missing parameter 'r2'" in capsys.readouterr().err
 
 

@@ -108,11 +108,13 @@ class TestCaseB:
     def test_gap_rounding_warning(self):
         # beside a disk of radius 1e8 a gap of 1e-3 is held to about 4e-5
         # relative (its potential difference was 5.2e-6 off the closed
-        # form); unit disks 1e300 apart are held only to their radius, and
-        # their gap gradient read 4.3e285 where the field's is O(1)
-        for r1, eps in ((1e8, 1e-3), (1, 1e300)):
-            with pytest.warns(ScaleRegimeWarning, match="conductors 1 and 2 is held only"):
-                build_two_disks(r1, 1, eps)
+        # form): a warning. Unit disks 1e300 apart are held only to their
+        # radius, and their gap gradient read 4.3e285 where the field's is
+        # O(1): an estimate of 1 or more is refused
+        with pytest.warns(ScaleRegimeWarning, match="conductors 1 and 2 is held only"):
+            build_two_disks(1e8, 1, 1e-3)
+        with pytest.raises(InvalidGeometryError, match="conductors 1 and 2 .* holds no digit"):
+            build_two_disks(1, 1, 1e300)
 
     @pytest.mark.parametrize("build", [
         lambda: build_two_disks(1, 1, 1e-6),

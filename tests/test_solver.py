@@ -32,6 +32,14 @@ def single_disk(radius=1.0, center=(0, 0)):
                          HarmonicBackground.linear_x())
 
 
+def case_d(eps):
+    """The benchmark's case-D scene: ellipses around a circle of radius
+    0.05, both gaps eps."""
+    ell = SmoothBoundary.ellipse
+    return build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
+                        ell((0.0, 0.0), 1.1, 0.9), 0.05, eps, eps)
+
+
 # Moves a scene off the x-axis, so that it keeps the full system.
 OFF_AXIS = (0.0, 0.37)
 
@@ -88,12 +96,10 @@ class TestQuadratureCore:
         # differences and the full sin^2 table. A is a lens with corners,
         # D three ellipses; the pair and D keep the upper-half rows of both
         # blocks, with folded columns
-        ell = SmoothBoundary.ellipse
         cfg = {
             "pair": lambda: build_two_disks(1, 1, 1e-6),
             "A": lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
-            "D": lambda: build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
-                                      ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3),
+            "D": lambda: case_d(1e-3),
             "pair off axis": lambda: build_two_disks(1, 1, 1e-6).translated(OFF_AXIS),
         }[scene]()
         op = SceneOperator(cfg)
@@ -575,9 +581,7 @@ class TestCloseEvaluation:
 
     @pytest.mark.parametrize("build", [
         lambda: build_case_b(1.0, 0.05, 1.0, 1e-5, 1e-3),
-        lambda: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
-                             SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
-                             SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9), 0.05, 1e-4, 1e-4),
+        lambda: case_d(1e-4),
         lambda: build_case_b(1.0, 0.05, 1.0, 1e-5, 1e-3).translated(OFF_AXIS)],
         ids=["B", "D", "B off axis"])
     def test_cross_blocks_match_the_layer_of_a_density(self, build):
@@ -599,27 +603,20 @@ class TestCloseEvaluation:
 
 
 # The benchmark's grids (pair, case B, case D), two case-A lenses and a
-# case-C scene, with the node count of each curve.
+# case-C scene. The golden decision record (test_golden.py) holds the node
+# count of each curve.
 GRID_SCENES = [
-    *[pytest.param(lambda e=e: build_two_disks(1.0, 1.0, e), [n, n], id=f"pair-{e:.1e}")
-      for e, n in zip(np.geomspace(1e-6, 1e-2, 9), [288, 272, 256, 240, 208] + [192] * 4)],
-    *[pytest.param(lambda e=e: build_case_b(1.0, 0.05, 1.0, e, 1e-3), [n, m, 192],
-                   id=f"B-{e:.1e}")
-      for e, n, m in zip(np.geomspace(1e-5, 1e-3, 6), [256, 240, 224, 208, 192, 192],
-                         [320, 304, 288, 272, 256, 240])],
-    *[pytest.param(lambda e=e: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
-                                            SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
-                                            SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9),
-                                            0.05, e, e), counts, id=f"D-{e:.1e}")
-      for e, counts in zip(np.geomspace(1e-4, 1e-2, 5),
-                           [[208, 320, 208], [192, 272, 192], [192, 240, 192]]
-                           + [[192, 192, 192]] * 2)],
-    *[pytest.param(lambda e=e: build_case_a(1.0, 0.05, 1.0, 0.05, e), counts,
-                   id=f"A-{e:.1e}")
-      for e, counts in ((1e-2, [192, 768]), (1e-5, [384, 1536]))],
+    *[pytest.param(lambda e=e: build_two_disks(1.0, 1.0, e), id=f"pair-{e:.1e}")
+      for e in np.geomspace(1e-6, 1e-2, 9)],
+    *[pytest.param(lambda e=e: build_case_b(1.0, 0.05, 1.0, e, 1e-3), id=f"B-{e:.1e}")
+      for e in np.geomspace(1e-5, 1e-3, 6)],
+    *[pytest.param(lambda e=e: case_d(e), id=f"D-{e:.1e}")
+      for e in np.geomspace(1e-4, 1e-2, 5)],
+    *[pytest.param(lambda e=e: build_case_a(1.0, 0.05, 1.0, 0.05, e), id=f"A-{e:.1e}")
+      for e in (1e-2, 1e-5)],
     pytest.param(lambda: build_case_c(SmoothBoundary.ellipse((0.0, 0.0), 1.2, 0.9),
                                       Disk((0.0, 0.0), 1.0), Disk((1.0, 0.0), 1.0), 0.05, 1e-6),
-                 [384, 1536], id="C-1.0e-06")]
+                 id="C-1.0e-06")]
 
 
 class TestChainMap:
@@ -669,9 +666,7 @@ class TestChainMap:
         monkeypatch.setattr(mesh_module._ChainTables, "__init__", counted("tables", tables_init))
         monkeypatch.setattr(mesh_module._ChainMap, "__init__", counted("maps", init))
         monkeypatch.setattr(mesh_module._ChainMap, "mass", counted("mass", mass))
-        ell = SmoothBoundary.ellipse
-        mesh = build_mesh(build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
-                                       ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-5, 1e-5))
+        mesh = build_mesh(case_d(1e-5))
         assert calls["tables"] == len(mesh.curves) == 3
         # one map per curve, at the count its chain budget predicts
         assert calls["maps"] == len(mesh.curves)
@@ -696,8 +691,8 @@ class TestChainMap:
             assert np.array_equal(cm.v[m:], fresh.v_total - v[::-1])
             assert np.array_equal(cm.nodes[m:], cm.nodes[m - 1::-1] * [1.0, -1.0])
 
-    @pytest.mark.parametrize("build,counts", GRID_SCENES)
-    def test_inversion_at_rounding_level(self, build, counts):
+    @pytest.mark.parametrize("build", GRID_SCENES)
+    def test_inversion_at_rounding_level(self, build):
         # the benchmark's grids and a lens: from the trimmed seed table the
         # three Newton steps of v_of_t reach t_of_v(v) = t to rounding. Its
         # residual is read through the map's slope dv/dt: next to a
@@ -705,7 +700,6 @@ class TestChainMap:
         # residual in t of up to 1e5 ulps (two disks) and 3e9 (a lens
         # corner), while v is found within 8 ulps of the chain length
         mesh = build_mesh(build())
-        assert [cm.n for cm in mesh.curves] == counts
         for cm in mesh.curves:
             chain = cm.chain
             v = chain.v_of_t(cm.t)
@@ -725,15 +719,14 @@ class TestMirroredMesh:
     """A curve that is its own mirror image across the x-axis is inverted
     and framed on its upper half, then reflected."""
 
-    @pytest.mark.parametrize("build,counts", MIRRORED_SCENES)
-    def test_upper_half_inverted_lower_half_reflected(self, build, counts):
+    @pytest.mark.parametrize("build", MIRRORED_SCENES)
+    def test_upper_half_inverted_lower_half_reflected(self, build):
         # the upper half is the full inversion's, bit for bit; node N-1-k
         # is node k reflected, exactly, and so are its frame's vectors. The
         # pair's second disk is its first reflected across x = 0, whose
         # nodes lie within 16 ulps of its perimeter of the full inversion's
         cfg = build()
         mesh = build_mesh(cfg)
-        assert [cm.n for cm in mesh.curves] == counts
         flip = np.array([1.0, -1.0])
         for cm, body in zip(mesh.curves, cfg.bodies):
             tables = mesh_module._ChainTables(body.charts(), cm.features)
@@ -804,8 +797,8 @@ class TestMirroredMesh:
         full = mesh_module._curve_mesh(tables, 0, cm.features, cm.n)
         assert np.array_equal(cm.nodes, full.nodes) and np.array_equal(cm.speed, full.speed)
 
-    @pytest.mark.parametrize("build,counts", MIRRORED_SCENES)
-    def test_folded_antiderivative_matches_the_fft(self, build, counts, monkeypatch):
+    @pytest.mark.parametrize("build", MIRRORED_SCENES)
+    def test_folded_antiderivative_matches_the_fft(self, build, monkeypatch):
         # Im F of a folded curve, one real product with the folded
         # circulant, against the FFT of the even extension
         seen = []
@@ -826,7 +819,7 @@ class TestNodePrediction:
     that its chain budget allows; in a scene with a lens corner, on the
     counts 192 2^k that doubling reaches."""
 
-    @pytest.mark.parametrize("build", [pytest.param(p.values[0], id=p.id) for p in GRID_SCENES])
+    @pytest.mark.parametrize("build", GRID_SCENES)
     def test_no_curve_is_over_resolved(self, build, monkeypatch):
         maps = []
         init = mesh_module._ChainMap.__init__
@@ -1108,8 +1101,7 @@ class TestGapMaximum:
             "B": lambda: build_case_b(1, 0.05, 1, 1e-4, 1e-3),
             "C": lambda: build_case_c(ell((0.0, 0.0), 1.2, 0.9), Disk((0.0, 0.0), 1.0),
                                       Disk((1.0, 0.0), 1.0), 0.05, 1e-6),
-            "D": lambda: build_case_d(ell((0.0, 0.0), 1.0, 0.8), ell((0.0, 0.0), 1.0, 1.0),
-                                      ell((0.0, 0.0), 1.1, 0.9), 0.05, 1e-3, 1e-3),
+            "D": lambda: case_d(1e-3),
         }[scene]()
         mesh = build_mesh(cfg)
         for info in cfg.all_conductor_gaps().values():
@@ -1348,38 +1340,56 @@ def _ellipse_pair(right_sin_x=()):
                     SmoothBoundary((1.0005, 0.0), cos_x=(1.0,), sin_x=right_sin_x, sin_y=(0.8,)))
 
 
+def _scenes(builds):
+    return [pytest.param(build, id=name) for name, build in builds.items()]
+
+
 # Mirror-symmetric scenes: the pair, case B's three disks, the benchmark's
 # case-D ellipses, whose Fourier curves search a log center, and two
 # ellipses that mirror each other across x = 0.
-FOLDED_SCENES = pytest.mark.parametrize("build", [
-    lambda: build_two_disks(1.0, 1.0, 1e-4),
-    lambda: build_case_b(1.0, 0.05, 1.0, 1e-4, 1e-3),
-    lambda: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
-                         SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
-                         SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9), 0.05, 1e-4, 1e-4),
-    _mirrored_ellipses],
-    ids=["pair", "B", "D", "mirrored ellipses"])
+FOLDED_SCENES = _scenes({
+    "pair": lambda: build_two_disks(1.0, 1.0, 1e-4),
+    "B": lambda: build_case_b(1.0, 0.05, 1.0, 1e-4, 1e-3),
+    "D": lambda: case_d(1e-4),
+    "mirrored ellipses": _mirrored_ellipses})
+
+# Case A's lens mesh does not mirror its nodes; x + 0.25i z^2 has the odd
+# part -xy/2.
+UNFOLDED_SCENES = _scenes({
+    "A": lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
+    "odd background": lambda: build_two_disks(
+        1.0, 1.0, 1e-3, background=HarmonicBackground((0j, 1 + 0j, 0.25j)))})
 
 # Folded scenes whose bodies come in mirror pairs across a vertical line:
 # the pair at three gaps, moved along the axis, and under a background
 # neither even nor odd about that line, and three Fourier pairs, one of them
 # with a zero sin_x term on one body.
-SPLIT_SCENES = pytest.mark.parametrize("build", [
-    *[lambda e=e: build_two_disks(1.0, 1.0, e) for e in (1e-6, 1e-4, 1e-2)],
-    lambda: build_two_disks(1.0, 1.0, 1e-4).translated((0.3, 0.0)),
-    lambda: build_two_disks(1.0, 1.0, 1e-4,
-                            background=HarmonicBackground((0j, 1 + 0j, 0.5 + 0j))),
-    _mirrored_ellipses, _mirrored_fourier_pair, lambda: _ellipse_pair((0.0,))],
-    ids=["pair-1e-06", "pair-1e-04", "pair-1e-02", "pair moved along x",
-         "x + x^2 - y^2 background", "mirrored ellipses", "mirrored Fourier pair",
-         "ellipses with a zero term"])
+SPLIT_SCENES = _scenes({
+    **{f"pair-{e:.0e}": lambda e=e: build_two_disks(1.0, 1.0, e) for e in (1e-6, 1e-4, 1e-2)},
+    "pair moved along x": lambda: build_two_disks(1.0, 1.0, 1e-4).translated((0.3, 0.0)),
+    "x + x^2 - y^2 background": lambda: build_two_disks(
+        1.0, 1.0, 1e-4, background=HarmonicBackground((0j, 1 + 0j, 0.5 + 0j))),
+    "mirrored ellipses": _mirrored_ellipses, "mirrored Fourier pair": _mirrored_fourier_pair,
+    "ellipses with a zero term": lambda: _ellipse_pair((0.0,))})
+
+# Unequal radii; a pair off the axis, which does not fold; a lens, a middle
+# body that no other body mirrors; and a Fourier body beside its translate,
+# which is not its mirror image.
+UNSPLIT_SCENES = _scenes({
+    "unequal pair": lambda: build_two_disks(1.0, 0.5, 1e-3),
+    "pair off axis": lambda: build_two_disks(1.0, 1.0, 1e-3).translated(OFF_AXIS),
+    "A": lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
+    "B": lambda: build_case_b(1, 0.05, 1, 1e-4, 1e-3),
+    "D": lambda: case_d(1e-4),
+    "Fourier translate": lambda: _mirrored_fourier_pair(right_cos_x=(1.0, 0.1),
+                                                        right_sin_y=(0.8, 0.05))})
 
 
 class TestMirrorFold:
     """A scene even under y -> -y solves on its upper-half nodes; any other
     scene keeps the full system."""
 
-    @FOLDED_SCENES
+    @pytest.mark.parametrize("build", FOLDED_SCENES)
     def test_folded_and_full_paths_agree(self, build):
         # the twin moved off the axis has the same nodes up to the shift
         # and solves the full system. u has no charge on any body, the
@@ -1403,7 +1413,7 @@ class TestMirrorFold:
                                for f, c in ((u, cfg), (u_full, twin)))
             assert grad == pytest.approx(grad_full, rel=1e-10, abs=0)
 
-    @FOLDED_SCENES
+    @pytest.mark.parametrize("build", FOLDED_SCENES)
     def test_half_built_records_match_the_full_build(self, build, monkeypatch):
         # a folded operator builds the upper-half rows of each curve's
         # records with folded columns. The full build on the same mesh and
@@ -1447,14 +1457,8 @@ class TestMirrorFold:
         with pytest.raises(InvalidUsageError):
             odd.potential(np.array([[0.0, 2.0]]))
 
-    @pytest.mark.parametrize("build", [
-        lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
-        lambda: build_two_disks(1.0, 1.0, 1e-3,
-                                background=HarmonicBackground((0j, 1 + 0j, 0.25j)))],
-        ids=["A", "odd background"])
+    @pytest.mark.parametrize("build", UNFOLDED_SCENES)
     def test_no_fold(self, build):
-        # case A's lens mesh does not mirror its nodes; x + 0.25i z^2 has
-        # the odd part -xy/2
         op = SceneOperator(build())
         assert op._fold is None
         assert op._slp.shape == (op.mesh.n_total, op.mesh.n_total)
@@ -1471,7 +1475,7 @@ class TestMirrorSplit:
     line meshes, builds and factors one body of each pair and copies or
     splits the rest; any other scene keeps the folded or full system."""
 
-    @SPLIT_SCENES
+    @pytest.mark.parametrize("build", SPLIT_SCENES)
     def test_split(self, build):
         cfg = build()
         op = SceneOperator(cfg)
@@ -1482,26 +1486,14 @@ class TestMirrorSplit:
         m = op.mesh.curves[0].n // 2
         assert [lu.shape for lu, _ in factors] == [(m + 1, m + 1), (m, m)]
 
-    @pytest.mark.parametrize("build", [
-        lambda: build_two_disks(1.0, 0.5, 1e-3),
-        lambda: build_two_disks(1.0, 1.0, 1e-3).translated(OFF_AXIS),
-        lambda: build_case_a(1, 0.05, 1, 0.05, 1e-3),
-        lambda: build_case_b(1, 0.05, 1, 1e-4, 1e-3),
-        lambda: build_case_d(SmoothBoundary.ellipse((0.0, 0.0), 1.0, 0.8),
-                             SmoothBoundary.ellipse((0.0, 0.0), 1.0, 1.0),
-                             SmoothBoundary.ellipse((0.0, 0.0), 1.1, 0.9), 0.05, 1e-4, 1e-4),
-        lambda: _mirrored_fourier_pair(right_cos_x=(1.0, 0.1), right_sin_y=(0.8, 0.05))],
-        ids=["unequal pair", "pair off axis", "A", "B", "D", "Fourier translate"])
+    @pytest.mark.parametrize("build", UNSPLIT_SCENES)
     def test_no_split(self, build):
-        # unequal radii; a pair off the axis does not fold; a lens, a
-        # middle body that no other body mirrors; and a Fourier body beside
-        # its translate, which is not its mirror image
         op = SceneOperator(build())
         assert op._split is None and op.mesh.mirror_x is None
         assert all(cm.partner is None for cm in op.mesh.curves)
         assert len(op._factor()[0]) == 1
 
-    @SPLIT_SCENES
+    @pytest.mark.parametrize("build", SPLIT_SCENES)
     def test_split_and_unsplit_paths_agree(self, build):
         # on the same mesh, the operator without its split map builds every
         # record and factors the folded matrix. hc has no gap gradient on
@@ -1526,7 +1518,7 @@ class TestMirrorSplit:
             else:
                 assert grad == pytest.approx(grad_ref, rel=1e-10, abs=0)
 
-    @SPLIT_SCENES
+    @pytest.mark.parametrize("build", SPLIT_SCENES)
     def test_partner_mesh_matches_a_direct_build(self, build, monkeypatch):
         # the second curve, reflected from the first, against its own
         # inversion: the same count and nodes within 16 ulps of its
